@@ -1,23 +1,19 @@
-//! `SPEC-SAFE` — the speculation-readiness audit for the sharded
-//! executor.
+//! `SPEC-SAFE` — the worker-closure determinism audit.
 //!
-//! The ROADMAP's next perf lever is speculative cross-domain execution:
-//! domain workers run ahead optimistically and roll back on
-//! cross-domain conflict. That is only sound if the complete set of
-//! shared-mutable state a worker can touch is known — rollback cannot
-//! undo a write the conflict detector never saw. This rule pins that
-//! precondition in CI: every *domain worker closure* (the closure
-//! argument of any `ordered_map(..)` call, plus the `spawn` closures
-//! inside `sim::shard` itself) is audited, and every write to shared
-//! state reachable from it — a mutex acquisition, an atomic RMW/store,
-//! a channel send, directly or through any resolved callee — is a
-//! finding.
+//! `ordered_map` promises that the worker count never moves a byte:
+//! items run on any worker, in any order, and come back in submission
+//! order. That only holds if no shared-mutable effect escapes a worker.
+//! This rule pins that in CI: every *domain worker closure* (the
+//! closure argument of any `ordered_map(..)` call, plus the `spawn`
+//! closures inside `sim::shard` itself) is audited, and every write to
+//! shared state reachable from it — a mutex acquisition, an atomic
+//! RMW/store, a channel send, directly or through any resolved callee —
+//! is a finding.
 //!
 //! The findings that remain at HEAD, carried by justified
-//! `analyzer.toml` entries, *are* the sanctioned cross-domain write
+//! `analyzer.toml` entries, *are* the sanctioned shared-mutable
 //! surface: if the surface grows, a new finding fails CI; if it
-//! shrinks, the stale allow entry fails CI. The speculative-execution
-//! PR can cite this rule as its machine-checked precondition.
+//! shrinks, the stale allow entry fails CI.
 //!
 //! Domain-local interior mutability (`RefCell`, `thread_local!`) is
 //! deliberately out of scope: it cannot be observed across workers, so

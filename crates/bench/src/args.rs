@@ -20,18 +20,9 @@ use crate::scheduler::ParallelConfig;
 /// * `--shards <N>` — worker threads *inside* each full-system
 ///   simulation (the sharded executor's pool; default 1). Like `--jobs`,
 ///   any value produces byte-identical `results/*.json`;
-/// * `--speculate` — run the sharded executor's epochs speculatively
-///   against a checkpoint with deterministic rollback (DESIGN.md §8).
-///   Off by default; `results/*.json` are byte-identical either way —
-///   only wall-clock time and the `sim.spec.*` metrics change;
-/// * `--epoch-cycles <N>` — barrier epoch length in simulated cycles
-///   (default 1,000,000). Results are epoch-length-invariant; the knob
-///   exists for the determinism harness and speculation experiments;
 /// * `--seeds <N>` — seed replicas for the `seed_sweep` experiment
 ///   (default 1; the sweep itself needs at least 2);
 /// * `--only <a,b,...>` — run only the named experiments (`run_all`);
-/// * `--fleet` — shorthand for `--only fleet`: the multi-host
-///   serverless-churn experiment family (composable with `--only`);
 /// * `--out <dir>` — directory for JSON results (default `results/`);
 /// * `--trace <file>` — write the unit trace streams as JSONL to this
 ///   path (`run_all`; produces events only when built with `--features
@@ -64,11 +55,6 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// Worker threads inside each simulation (sharded executor pool).
     pub shards: usize,
-    /// Speculative epochs with deterministic rollback (`--speculate`).
-    pub speculate: bool,
-    /// Barrier epoch length override (`--epoch-cycles`); `None` keeps
-    /// the pinned default.
-    pub epoch_cycles: Option<u64>,
     /// Seed replicas for the `seed_sweep` experiment.
     pub seeds: usize,
     /// Restrict `run_all` to these experiment names (empty = all).
@@ -95,8 +81,6 @@ impl Default for BenchArgs {
             smoke: false,
             jobs: 1,
             shards: 1,
-            speculate: false,
-            epoch_cycles: None,
             seeds: 1,
             only: Vec::new(),
             out_dir: PathBuf::from("results"),
@@ -141,13 +125,6 @@ impl BenchArgs {
                     out.shards = v.parse().expect("valid --shards count");
                     assert!(out.shards >= 1, "--shards must be at least 1");
                 }
-                "--speculate" => out.speculate = true,
-                "--epoch-cycles" => {
-                    let v = iter.next().expect("--epoch-cycles requires a value");
-                    let cycles = parse_u64(&v);
-                    assert!(cycles >= 1, "--epoch-cycles must be at least 1");
-                    out.epoch_cycles = Some(cycles);
-                }
                 "--seeds" => {
                     let v = iter.next().expect("--seeds requires a value");
                     out.seeds = v.parse().expect("valid --seeds count");
@@ -158,7 +135,6 @@ impl BenchArgs {
                     out.only
                         .extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_owned));
                 }
-                "--fleet" => out.only.push("fleet".to_owned()),
                 "--out" => {
                     out.out_dir = PathBuf::from(iter.next().expect("--out requires a value"));
                 }
@@ -186,8 +162,7 @@ impl BenchArgs {
                 other => panic!(
                     "unknown argument `{other}`; \
                      usage: [--seed N] [--quick] [--smoke] [--jobs N] \
-                     [--shards N] [--speculate] [--epoch-cycles N] \
-                     [--seeds N] [--only a,b] [--fleet] \
+                     [--shards N] [--seeds N] [--only a,b] \
                      [--out DIR] [--trace FILE] [--faults FILE] \
                      [--fleet-faults FILE] [--snapshot FILE] \
                      [--print-config]"
@@ -286,18 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flag_is_only_sugar() {
-        let a = BenchArgs::from_args(["--fleet".to_string()]);
-        assert_eq!(a.only, vec!["fleet".to_string()]);
-        let b = BenchArgs::from_args(
-            ["--only", "latency", "--fleet"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(b.only, vec!["latency".to_string(), "fleet".to_string()]);
-    }
-
-    #[test]
     fn trace_path_parses() {
         let a = BenchArgs::from_args(
             ["--trace", "/tmp/trace.jsonl"]
@@ -371,25 +334,5 @@ mod tests {
     #[should_panic(expected = "--seeds must be at least 1")]
     fn zero_seeds_panics() {
         BenchArgs::from_args(["--seeds", "0"].iter().map(|s| s.to_string()));
-    }
-
-    #[test]
-    fn speculate_and_epoch_cycles_parse() {
-        let a = BenchArgs::from_args(
-            ["--speculate", "--epoch-cycles", "250000"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert!(a.speculate);
-        assert_eq!(a.epoch_cycles, Some(250_000));
-        let d = BenchArgs::default();
-        assert!(!d.speculate);
-        assert_eq!(d.epoch_cycles, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "--epoch-cycles must be at least 1")]
-    fn zero_epoch_cycles_panics() {
-        BenchArgs::from_args(["--epoch-cycles", "0"].iter().map(|s| s.to_string()));
     }
 }

@@ -116,19 +116,6 @@ fn shard_scaling_section(timing: &RunTiming) -> String {
             reference.secs / two.secs,
         );
     }
-    for shards in [2usize, 4] {
-        let spec = rows
-            .iter()
-            .find(|r| r.label.starts_with("speculative") && r.shards == shards && r.secs > 0.0);
-        if let Some(spec) = spec {
-            let _ = writeln!(
-                out,
-                "Speculative executor at {} shards over the reference executor: {:.2}x.",
-                shards,
-                reference.secs / spec.secs,
-            );
-        }
-    }
     out.push('\n');
     out
 }

@@ -378,56 +378,22 @@ pub fn suite_modes() -> [DedupMode; 3] {
 
 /// Runs one (app, mode) cell of the latency suite.
 pub fn run_suite_cell(app: &str, mode: DedupMode, seed: u64, scale: Scale) -> SimResult {
-    run_suite_cell_sharded(app, mode, seed, scale, 1)
+    run_suite_cell_with(app, mode, seed, scale, 1, None)
 }
 
-/// Runs one cell on the sharded executor with `shards` worker threads
-/// (`--shards`). `shards == 1` is the reference schedule; every level
-/// returns a bit-identical [`SimResult`].
-pub fn run_suite_cell_sharded(
+/// Runs one cell with `shards` worker threads (`--shards`) and an
+/// optional fault plan (`--faults`). The shard count never moves a
+/// result byte; the plan changes outcomes only for PageForge cells
+/// (Baseline/KSM cells have no engine to fault).
+pub fn run_suite_cell_with(
     app: &str,
     mode: DedupMode,
     seed: u64,
     scale: Scale,
     shards: usize,
-) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, false, None, None)
-}
-
-/// Runs one cell with a fault plan installed. Only PageForge cells have an
-/// engine to fault; Baseline/KSM cells run exactly as [`run_suite_cell`].
-pub fn run_suite_cell_faulted(
-    app: &str,
-    mode: DedupMode,
-    seed: u64,
-    scale: Scale,
-    shards: usize,
-    plan: &FaultPlan,
-) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, false, None, Some(plan))
-}
-
-/// The fully-tuned cell runner behind every latency-suite entry point:
-/// shard count, speculative execution (`--speculate`), epoch length
-/// (`--epoch-cycles`), and an optional fault plan. None of the executor
-/// knobs may move a result byte — only the fault plan changes outcomes,
-/// and only for PageForge cells (the others have no engine to fault).
-#[allow(clippy::too_many_arguments)]
-pub fn run_suite_cell_tuned(
-    app: &str,
-    mode: DedupMode,
-    seed: u64,
-    scale: Scale,
-    shards: usize,
-    speculate: bool,
-    epoch_cycles: Option<u64>,
     plan: Option<&FaultPlan>,
 ) -> SimResult {
     let mut cfg = sim_config(app, mode, seed, scale);
-    cfg.speculate = speculate;
-    if let Some(cycles) = epoch_cycles {
-        cfg.epoch_cycles = cycles;
-    }
     if let (Some(plan), DedupMode::PageForge(_)) = (plan, &cfg.dedup) {
         cfg.faults = Some(plan.clone());
     }
@@ -495,27 +461,14 @@ pub fn write_suite_cache(
 // ---------------------------------------------------------------------
 
 /// The `shard_scaling` experiment: the heaviest latency-suite cell
-/// (silo under PageForge) run under seven executor configurations —
-/// the legacy exhaustive-refill-probe executor, the sharded executor
-/// at 1, 2, and 4 worker threads, then the speculative executor at the
-/// same three shard levels. Every configuration must produce a
-/// bit-identical [`SimResult`] (the run panics otherwise), so the
-/// returned [`Table`] is deterministic; the wall-clock seconds go into
-/// the separate [`ShardTiming`] rows, which land in `meta/timing.json`
-/// outside the `results/*.json` determinism glob.
+/// (silo under PageForge) run on the executor at 1, 2, and 4 worker
+/// threads. Every configuration must produce a bit-identical
+/// [`SimResult`] (the run panics otherwise), so the returned [`Table`]
+/// is deterministic; the wall-clock seconds go into the separate
+/// [`ShardTiming`] rows, which land in `meta/timing.json` outside the
+/// `results/*.json` determinism glob.
 pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
-    // (label, exhaustive_refill_probe, speculate, shards). Run order
-    // matters: the first row is the reference executor the speedup is
-    // quoted against.
-    let configs: [(&str, bool, bool, usize); 7] = [
-        ("legacy executor (exhaustive refill probe)", true, false, 1),
-        ("sharded executor", false, false, 1),
-        ("sharded executor", false, false, 2),
-        ("sharded executor", false, false, 4),
-        ("speculative executor", false, true, 1),
-        ("speculative executor", false, true, 2),
-        ("speculative executor", false, true, 4),
-    ];
+    let label = "sharded executor";
     let app = "silo";
     let mut table = Table::new(
         "Shard scaling: executor configurations, byte-identity check (silo, PageForge)",
@@ -534,20 +487,18 @@ pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
     const REPS: usize = 2;
     let mut timing = Vec::new();
     let mut reference: Option<String> = None;
-    for (label, exhaustive, speculate, shards) in configs {
+    // Run order matters: the first row is the reference configuration
+    // the speedups are quoted against.
+    for shards in [1, 2, 4] {
         let mut secs = f64::INFINITY;
         let mut result = None;
         for _ in 0..REPS {
-            let mut cfg = sim_config(
+            let cfg = sim_config(
                 app,
                 DedupMode::PageForge(SimConfig::scaled_pageforge()),
                 seed,
                 scale,
             );
-            if let DedupMode::PageForge(pf) = &mut cfg.dedup {
-                pf.exhaustive_refill_probe = exhaustive;
-            }
-            cfg.speculate = speculate;
             let start = std::time::Instant::now();
             let rep = System::with_shards(cfg, shards).run();
             secs = secs.min(start.elapsed().as_secs_f64());
@@ -556,8 +507,8 @@ pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
                 None => reference = Some(encoded),
                 Some(want) => assert!(
                     *want == encoded,
-                    "shard_scaling: `{label}` at {shards} shard(s) diverged \
-                     from the reference executor's result"
+                    "shard_scaling: {shards} shard(s) diverged from the \
+                     reference configuration's result"
                 ),
             }
             result = Some(rep);

@@ -343,7 +343,7 @@ pub struct ExperimentTiming {
 }
 
 /// One timed configuration of the `shard_scaling` experiment: the same
-/// simulation cell under a named executor/thread-count combination.
+/// simulation cell at one thread count.
 /// Wall-clock lives here (under `results/meta/`) and in REPORT.md, never
 /// in the byte-identical result tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,7 +371,7 @@ pub struct RunTiming {
     /// Per-experiment busy time, in first-submission order.
     pub experiments: Vec<ExperimentTiming>,
     /// Per-configuration wall-clock of the `shard_scaling` experiment,
-    /// in run order (first row is the reference executor). Empty when
+    /// in run order (first row is the reference configuration). Empty when
     /// the experiment was not part of the run.
     pub shard_scaling: Vec<ShardTiming>,
 }

@@ -159,12 +159,11 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // Build the unit list, heaviest experiments first so the pool stays
     // busy. Assembly below keys on the experiment name, not position.
     let shards = args.shards;
-    let speculate = args.speculate;
-    let epoch_cycles = args.epoch_cycles;
     let mut units: Vec<Unit<UnitOutput>> = Vec::new();
     if want("shard_scaling") {
-        // Seven back-to-back full-system simulations in one unit — the
-        // heaviest single unit of the suite, so it goes first.
+        // Six back-to-back full-system simulations (three shard levels,
+        // best of two) in one unit — the heaviest single unit of the
+        // suite, so it goes first.
         units.push(Unit::new("shard_scaling", "shard_scaling", move || {
             let (table, rows) = experiments::shard_scaling(seed, scale);
             UnitOutput::ShardScaling(table, rows)
@@ -176,14 +175,12 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
                 let label = format!("latency/{app}/{}", mode.label());
                 let plan = fault_plan.clone();
                 units.push(Unit::new("latency", label, move || {
-                    UnitOutput::Sim(Box::new(experiments::run_suite_cell_tuned(
+                    UnitOutput::Sim(Box::new(experiments::run_suite_cell_with(
                         app,
                         mode,
                         seed,
                         scale,
                         shards,
-                        speculate,
-                        epoch_cycles,
                         plan.as_ref(),
                     )))
                 }));

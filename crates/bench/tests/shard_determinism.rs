@@ -180,7 +180,7 @@ fn digest_cache_off_is_byte_identical_under_a_fault_plan() {
             DedupMode::PageForge(SimConfig::scaled_pageforge()),
         ];
         modes.map(|mode| {
-            experiments::run_suite_cell_faulted("masstree", mode, 11, scale, shards, &plan)
+            experiments::run_suite_cell_with("masstree", mode, 11, scale, shards, Some(&plan))
                 .to_json()
                 .to_string_compact()
         })
@@ -188,94 +188,6 @@ fn digest_cache_off_is_byte_identical_under_a_fault_plan() {
     let reference = run(true, 1);
     assert_eq!(reference, run(false, 1), "cache off moved faulted bytes");
     assert_eq!(reference, run(false, 4), "cache off + shards 4 moved bytes");
-}
-
-/// Speculative execution (`--speculate`) is an executor strategy, not a
-/// model change: with speculation on, every `SimResult` byte and every
-/// snapshot metric must come out identical to the barrier-only executor
-/// at any `--shards` level. The only permitted delta is the appearance
-/// of the speculation machinery's own `sim.spec.*` accounting, which is
-/// exported only when speculation runs.
-#[test]
-fn speculation_is_byte_identical_modulo_its_own_counters() {
-    let run = |speculate: bool, shards: usize| {
-        let mut cfg = SimConfig::smoke(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            11,
-        );
-        cfg.speculate = speculate;
-        let (result, snapshot) = System::with_shards(cfg, shards).run_observed();
-        (result.to_json().to_string_compact(), snapshot)
-    };
-    let (r_off, s_off) = run(false, 1);
-    let d_self = diff(&s_off, &run(false, 1).1);
-    assert!(d_self.is_empty(), "reference run is not reproducible");
-    assert!(
-        !s_off.to_json().to_string_compact().contains("\"sim.spec."),
-        "spec-off snapshot must not carry speculation accounting"
-    );
-    for shards in [1, 2, 4] {
-        let what = format!("speculate shards={shards}");
-        let (r, s) = run(true, shards);
-        assert_eq!(r_off, r, "{what}: SimResult bytes differ");
-        let d = diff(&s_off, &s);
-        assert!(
-            d.removed.is_empty() && d.changed.is_empty(),
-            "{what}: speculation moved model metrics: {d:?}"
-        );
-        for name in &d.added {
-            assert!(
-                name.starts_with("sim.spec."),
-                "{what}: unexpected new metric `{name}`; only sim.spec.* may appear"
-            );
-        }
-        assert!(
-            s.counter("sim.spec.commits").is_some_and(|c| c > 0),
-            "{what}: speculation must actually commit epochs"
-        );
-    }
-}
-
-/// Same contract under a non-empty fault plan: speculation must replay
-/// engine fault perturbations onto the same cycles it would have hit at
-/// the barrier, at any shard level.
-#[test]
-fn speculation_is_byte_identical_under_a_fault_plan() {
-    let plan = FaultPlan::generate(7, 5_000_000, 24, 1, 10_000);
-    assert!(!plan.is_empty(), "the generated plan must actually fault");
-    let scale = BenchArgs {
-        smoke: true,
-        ..BenchArgs::default()
-    }
-    .scale();
-    let run = |speculate: bool, shards: usize| {
-        let modes = [
-            DedupMode::Ksm(SimConfig::scaled_ksm()),
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-        ];
-        modes.map(|mode| {
-            experiments::run_suite_cell_tuned(
-                "masstree",
-                mode,
-                11,
-                scale,
-                shards,
-                speculate,
-                None,
-                Some(&plan),
-            )
-            .to_json()
-            .to_string_compact()
-        })
-    };
-    let reference = run(false, 1);
-    assert_eq!(reference, run(true, 1), "speculation moved faulted bytes");
-    assert_eq!(
-        reference,
-        run(true, 4),
-        "speculation + shards 4 moved bytes"
-    );
 }
 
 #[test]

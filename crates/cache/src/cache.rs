@@ -119,24 +119,6 @@ struct Way {
     last_used: u64,
 }
 
-/// First-touch undo log for the speculative executor (DESIGN.md §8).
-///
-/// Per *segment* (the span between two speculation checkpoints), the
-/// pre-segment image of every way slot and occupancy counter is saved
-/// the first time it is written; a rollback restores exactly those
-/// slots. Stamps (`== gen` means "already saved this segment") make the
-/// first-touch test O(1) per write with no per-segment clearing.
-#[derive(Debug, Clone)]
-struct WayJournal {
-    gen: u32,
-    way_stamp: Vec<u32>,
-    occ_stamp: Vec<u32>,
-    saved_ways: Vec<(u32, Way)>,
-    saved_occ: Vec<(u32, u8)>,
-    stats_at: CacheStats,
-    use_counter_at: u64,
-}
-
 /// One set-associative cache. Tags only — data lives in `HostMemory`.
 ///
 /// Ways are stored in one flat arena (`num_sets × ways` slots) rather than
@@ -154,9 +136,6 @@ pub struct SetAssocCache {
     num_sets: usize,
     use_counter: u64,
     stats: CacheStats,
-    /// `Some` once [`journal_enable`](Self::journal_enable) was called;
-    /// recording starts at the first [`journal_begin`](Self::journal_begin).
-    journal: Option<Box<WayJournal>>,
 }
 
 impl SetAssocCache {
@@ -185,93 +164,6 @@ impl SetAssocCache {
             num_sets,
             use_counter: 0,
             stats: CacheStats::default(),
-            journal: None,
-        }
-    }
-
-    /// Allocates the speculation undo log. Nothing is recorded until the
-    /// first [`journal_begin`](Self::journal_begin); a no-op if already
-    /// enabled.
-    pub fn journal_enable(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(WayJournal {
-                gen: 0,
-                way_stamp: vec![0; self.ways.len()],
-                occ_stamp: vec![0; self.num_sets],
-                saved_ways: Vec::new(),
-                saved_occ: Vec::new(),
-                stats_at: self.stats,
-                use_counter_at: self.use_counter,
-            }));
-        }
-    }
-
-    /// Starts a new journal segment: the current state becomes the
-    /// rollback baseline and the undo log empties. No-op when the
-    /// journal is not enabled.
-    pub fn journal_begin(&mut self) {
-        let Some(j) = self.journal.as_deref_mut() else {
-            return;
-        };
-        if j.gen == u32::MAX {
-            j.way_stamp.fill(0);
-            j.occ_stamp.fill(0);
-            j.gen = 0;
-        }
-        j.gen += 1;
-        j.saved_ways.clear();
-        j.saved_occ.clear();
-        j.stats_at = self.stats;
-        j.use_counter_at = self.use_counter;
-    }
-
-    /// Restores the cache to the state at the last
-    /// [`journal_begin`](Self::journal_begin) and opens a fresh segment
-    /// from that same baseline. Each slot was saved at most once (first
-    /// touch), so restore order does not matter.
-    pub fn journal_rollback(&mut self) {
-        let Some(j) = self.journal.as_deref_mut() else {
-            return;
-        };
-        for &(slot, way) in &j.saved_ways {
-            self.ways[slot as usize] = way;
-        }
-        for &(set, occ) in &j.saved_occ {
-            self.occupancy[set as usize] = occ;
-        }
-        self.stats = j.stats_at;
-        self.use_counter = j.use_counter_at;
-        j.saved_ways.clear();
-        j.saved_occ.clear();
-        if j.gen == u32::MAX {
-            j.way_stamp.fill(0);
-            j.occ_stamp.fill(0);
-            j.gen = 0;
-        }
-        j.gen += 1;
-    }
-
-    /// Saves `slot`'s pre-segment image before its first write this
-    /// segment. Disjoint field borrows: the journal never aliases `ways`.
-    #[inline]
-    fn save_way(&mut self, slot: usize) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if j.gen != 0 && j.way_stamp[slot] != j.gen {
-                j.way_stamp[slot] = j.gen;
-                j.saved_ways.push((slot as u32, self.ways[slot]));
-            }
-        }
-    }
-
-    /// Saves `set`'s occupancy counter before its first change this
-    /// segment.
-    #[inline]
-    fn save_occ(&mut self, set: usize) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if j.gen != 0 && j.occ_stamp[set] != j.gen {
-                j.occ_stamp[set] = j.gen;
-                j.saved_occ.push((set as u32, self.occupancy[set]));
-            }
         }
     }
 
@@ -300,20 +192,22 @@ impl SetAssocCache {
         &self.ways[base..base + self.occupancy[set] as usize]
     }
 
+    fn set_ways_mut(&mut self, set: usize) -> &mut [Way] {
+        let base = set * self.cfg.ways;
+        &mut self.ways[base..base + self.occupancy[set] as usize]
+    }
+
     /// Looks up `addr`, updating LRU and hit/miss counters.
     /// Returns the line's state on a hit.
     pub fn lookup(&mut self, addr: LineAddr) -> Option<LineState> {
         let set = self.set_index(addr);
         self.use_counter += 1;
         let counter = self.use_counter;
-        let base = set * self.cfg.ways;
         let hit = self
-            .set_ways(set)
-            .iter()
-            .position(|w| w.tag == addr.0)
-            .map(|pos| {
-                self.save_way(base + pos);
-                let way = &mut self.ways[base + pos];
+            .set_ways_mut(set)
+            .iter_mut()
+            .find(|w| w.tag == addr.0)
+            .map(|way| {
                 way.last_used = counter;
                 way.state
             });
@@ -337,10 +231,8 @@ impl SetAssocCache {
     /// Sets the state of a resident line. No-op if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: LineState) {
         let set = self.set_index(addr);
-        let base = set * self.cfg.ways;
-        if let Some(pos) = self.set_ways(set).iter().position(|w| w.tag == addr.0) {
-            self.save_way(base + pos);
-            self.ways[base + pos].state = state;
+        if let Some(way) = self.set_ways_mut(set).iter_mut().find(|w| w.tag == addr.0) {
+            way.state = state;
         }
     }
 
@@ -350,15 +242,13 @@ impl SetAssocCache {
         let set = self.set_index(addr);
         self.use_counter += 1;
         let counter = self.use_counter;
-        let base = set * self.cfg.ways;
-        if let Some(pos) = self.set_ways(set).iter().position(|w| w.tag == addr.0) {
+        if let Some(way) = self.set_ways_mut(set).iter_mut().find(|w| w.tag == addr.0) {
             // Already resident: refresh (upgrade) in place.
-            self.save_way(base + pos);
-            let way = &mut self.ways[base + pos];
             way.state = state;
             way.last_used = counter;
             return None;
         }
+        let base = set * self.cfg.ways;
         let len = self.occupancy[set] as usize;
         let mut victim = None;
         let slot = if len == self.cfg.ways {
@@ -377,17 +267,12 @@ impl SetAssocCache {
             victim = Some((LineAddr(evicted.tag), evicted.state));
             // Mirror the old per-set `swap_remove(lru); push(new)`: the
             // tail way moves into the victim's slot and the new line lands
-            // at the tail, preserving slot order exactly. Both written
-            // slots are journalled.
-            self.save_way(base + lru);
-            self.save_way(base + len - 1);
+            // at the tail, preserving slot order exactly.
             if lru != len - 1 {
                 self.ways[base + lru] = self.ways[base + len - 1];
             }
             base + len - 1
         } else {
-            self.save_occ(set);
-            self.save_way(base + len);
             self.occupancy[set] += 1;
             base + len
         };
@@ -406,9 +291,7 @@ impl SetAssocCache {
             let base = set * self.cfg.ways;
             let len = self.occupancy[set] as usize;
             let way = self.ways[base + pos];
-            self.save_occ(set);
             if pos != len - 1 {
-                self.save_way(base + pos);
                 self.ways[base + pos] = self.ways[base + len - 1];
             }
             self.occupancy[set] -= 1;
@@ -511,66 +394,6 @@ mod tests {
             c.fill(LineAddr(i * 4), LineState::Shared);
         }
         assert_eq!(c.peek(LineAddr(1)), Some(LineState::Shared));
-    }
-
-    #[test]
-    fn journal_rollback_restores_ways_occupancy_and_stats() {
-        // Drive one journalled and one untouched reference cache through
-        // identical prefixes; after divergence + rollback, every
-        // observable (peek, LRU victim choice, stats, resident count)
-        // must match the reference again.
-        let mut c = tiny();
-        let mut reference = tiny();
-        c.journal_enable();
-        for cache in [&mut c, &mut reference] {
-            cache.fill(LineAddr(0), LineState::Modified);
-            cache.fill(LineAddr(4), LineState::Shared);
-            cache.lookup(LineAddr(0));
-        }
-        c.journal_begin();
-
-        // Speculative segment: evictions, upgrades, invalidations.
-        c.fill(LineAddr(8), LineState::Shared); // evicts 4 (LRU)
-        c.fill(LineAddr(12), LineState::Modified); // evicts something
-        c.set_state(LineAddr(0), LineState::Shared);
-        c.invalidate(LineAddr(0));
-        c.lookup(LineAddr(8));
-        c.journal_rollback();
-
-        assert_eq!(c.peek(LineAddr(0)), reference.peek(LineAddr(0)));
-        assert_eq!(c.peek(LineAddr(4)), reference.peek(LineAddr(4)));
-        assert_eq!(c.peek(LineAddr(8)), None);
-        assert_eq!(*c.stats(), *reference.stats());
-        assert_eq!(c.resident_lines(), reference.resident_lines());
-        // LRU ordering is part of the restored state: the next eviction
-        // must pick the same victim in both caches.
-        assert_eq!(
-            c.fill(LineAddr(8), LineState::Shared),
-            reference.fill(LineAddr(8), LineState::Shared)
-        );
-
-        // A rollback opens a fresh segment from the same baseline, so the
-        // replayed fill above is speculative again until the next
-        // checkpoint commits it; after that, a second divergence also
-        // unwinds cleanly — to the post-replay state.
-        c.journal_begin();
-        c.invalidate(LineAddr(8));
-        c.journal_rollback();
-        assert_eq!(c.peek(LineAddr(8)), Some(LineState::Shared));
-        assert_eq!(*c.stats(), *reference.stats());
-    }
-
-    #[test]
-    fn journal_begin_commits_the_segment() {
-        let mut c = tiny();
-        c.journal_enable();
-        c.journal_begin();
-        c.fill(LineAddr(0), LineState::Shared);
-        c.journal_begin(); // commit: new baseline includes the fill
-        c.fill(LineAddr(4), LineState::Shared);
-        c.journal_rollback();
-        assert_eq!(c.peek(LineAddr(0)), Some(LineState::Shared));
-        assert_eq!(c.peek(LineAddr(4)), None);
     }
 
     #[test]

@@ -81,23 +81,6 @@ pub struct SystemCaches {
     /// Purely an optimization: every hit/miss/state outcome is identical
     /// with or without the filter.
     holders: Vec<u64>,
-    /// First-touch undo log for `holders`, paired with the per-cache way
-    /// journals (see [`SystemCaches::journal_begin`]).
-    holder_journal: Option<Box<HolderJournal>>,
-}
-
-/// First-touch undo log for the holder filter words (same discipline as
-/// the per-cache `WayJournal`): each word's pre-segment value is saved
-/// on its first write this segment; rollback restores the words and
-/// truncates entries created by in-segment growth.
-#[derive(Debug, Clone)]
-struct HolderJournal {
-    gen: u32,
-    stamp: Vec<u32>,
-    saved: Vec<(u32, u64)>,
-    /// `holders.len()` at segment start; growth past it is undone by
-    /// truncation.
-    len_at: usize,
 }
 
 impl SystemCaches {
@@ -115,96 +98,6 @@ impl SystemCaches {
             l3: SetAssocCache::new(cfg.l3),
             cfg,
             holders: Vec::new(),
-            holder_journal: None,
-        }
-    }
-
-    /// Allocates the speculation undo logs on every cache and the holder
-    /// filter. Recording starts at the first
-    /// [`journal_begin`](Self::journal_begin); a no-op if already enabled.
-    pub fn journal_enable(&mut self) {
-        for c in &mut self.l1 {
-            c.journal_enable();
-        }
-        for c in &mut self.l2 {
-            c.journal_enable();
-        }
-        self.l3.journal_enable();
-        if self.holder_journal.is_none() {
-            self.holder_journal = Some(Box::new(HolderJournal {
-                gen: 0,
-                stamp: vec![0; self.holders.len()],
-                saved: Vec::new(),
-                len_at: self.holders.len(),
-            }));
-        }
-    }
-
-    /// Starts a new journal segment across the whole hierarchy: the
-    /// current state becomes the rollback baseline.
-    pub fn journal_begin(&mut self) {
-        for c in &mut self.l1 {
-            c.journal_begin();
-        }
-        for c in &mut self.l2 {
-            c.journal_begin();
-        }
-        self.l3.journal_begin();
-        if let Some(j) = self.holder_journal.as_deref_mut() {
-            if j.gen == u32::MAX {
-                j.stamp.fill(0);
-                j.gen = 0;
-            }
-            j.gen += 1;
-            j.saved.clear();
-            j.len_at = self.holders.len();
-        }
-    }
-
-    /// Restores the whole hierarchy to the state at the last
-    /// [`journal_begin`](Self::journal_begin) and opens a fresh segment
-    /// from that baseline.
-    pub fn journal_rollback(&mut self) {
-        for c in &mut self.l1 {
-            c.journal_rollback();
-        }
-        for c in &mut self.l2 {
-            c.journal_rollback();
-        }
-        self.l3.journal_rollback();
-        if let Some(j) = self.holder_journal.as_deref_mut() {
-            for &(idx, word) in &j.saved {
-                // Words first touched beyond the segment-start length were
-                // created by in-segment growth; truncation below undoes them.
-                if (idx as usize) < j.len_at {
-                    self.holders[idx as usize] = word;
-                }
-            }
-            self.holders.truncate(j.len_at);
-            j.saved.clear();
-            if j.gen == u32::MAX {
-                j.stamp.fill(0);
-                j.gen = 0;
-            }
-            j.gen += 1;
-        }
-    }
-
-    /// Saves `holders[idx]` before its first write this segment. The
-    /// caller guarantees `idx < holders.len()`.
-    #[inline]
-    fn save_holder(&mut self, idx: usize) {
-        if let Some(j) = self.holder_journal.as_deref_mut() {
-            if j.gen == 0 {
-                return;
-            }
-            if idx >= j.stamp.len() {
-                j.stamp.resize(idx + 1, 0);
-            }
-            if j.stamp[idx] != j.gen {
-                j.stamp[idx] = j.gen;
-                j.saved.push((idx as u32, self.holders[idx]));
-            }
         }
     }
 
@@ -219,17 +112,14 @@ impl SystemCaches {
         if idx >= self.holders.len() {
             self.holders.resize(idx + 1, 0);
         }
-        self.save_holder(idx);
         self.holders[idx] |= 1 << core;
     }
 
     /// Clears the may-hold bits in `mask` for `addr` (after a scan or
     /// invalidation proved those cores no longer hold the line).
     fn clear_holders(&mut self, addr: LineAddr, mask: u64) {
-        let idx = addr.0 as usize;
-        if idx < self.holders.len() {
-            self.save_holder(idx);
-            self.holders[idx] &= !mask;
+        if let Some(m) = self.holders.get_mut(addr.0 as usize) {
+            *m &= !mask;
         }
     }
 
@@ -693,48 +583,6 @@ mod tests {
         // evicted): accessing line 0 is a full miss.
         let a = s.access(0, LineAddr(0), false);
         assert_eq!(a.level, HitLevel::Memory);
-    }
-
-    #[test]
-    fn journal_rollback_restores_the_whole_hierarchy() {
-        // Journalled hierarchy vs untouched reference: identical prefix,
-        // speculative divergence, rollback — then an identical suffix
-        // must produce identical levels, latencies, and stats.
-        let mut s = small(2);
-        let mut reference = small(2);
-        s.journal_enable();
-        let prefix = [(0usize, 5u64, false), (1, 5, true), (0, 9, false)];
-        for &(core, a, w) in &prefix {
-            assert_eq!(
-                s.access(core, LineAddr(a), w),
-                reference.access(core, LineAddr(a), w)
-            );
-        }
-        s.journal_begin();
-
-        // Divergent speculation: fills, upgrades, snoops, probes, growth
-        // of the holder filter past its segment-start length.
-        for i in 0..200u64 {
-            s.access((i % 2) as usize, LineAddr(i * 3), i % 5 == 0);
-        }
-        s.probe_from_mc(LineAddr(5));
-        s.journal_rollback();
-
-        // The canonical suffix must be indistinguishable from a run that
-        // never speculated.
-        for &(core, a, w) in &[(1usize, 5u64, false), (0, 13, true), (1, 9, false)] {
-            assert_eq!(
-                s.access(core, LineAddr(a), w),
-                reference.access(core, LineAddr(a), w),
-                "replay diverged at ({core}, {a}, {w})"
-            );
-        }
-        for core in 0..2 {
-            assert_eq!(*s.l1_stats(core), *reference.l1_stats(core));
-            assert_eq!(*s.l2_stats(core), *reference.l2_stats(core));
-        }
-        assert_eq!(*s.l3_stats(), *reference.l3_stats());
-        s.check_coherence(LineAddr(5)).unwrap();
     }
 
     #[test]

@@ -61,14 +61,6 @@ pub struct PageForgeConfig {
     /// the batch degrades straight to software. `u64::MAX` disables the
     /// threshold (the default: only hard failures degrade).
     pub degrade_error_threshold: u64,
-    /// Use the legacy exhaustive subtree walk when deciding whether a
-    /// Scan Table refill is the last one, instead of the budget-bounded
-    /// early-exit probe. Both compute the same boolean (results are
-    /// byte-identical); the exhaustive walk revisits the whole subtree
-    /// on every refill, which is what made refill cost quadratic in
-    /// tree size. Kept as an A/B knob so the `shard_scaling` experiment
-    /// can measure the executor improvement honestly on one binary.
-    pub exhaustive_refill_probe: bool,
 }
 
 impl Default for PageForgeConfig {
@@ -83,7 +75,6 @@ impl Default for PageForgeConfig {
             max_engine_retries: 3,
             retry_backoff_cycles: 20_000,
             degrade_error_threshold: u64::MAX,
-            exhaustive_refill_probe: false,
         }
     }
 }
@@ -769,11 +760,7 @@ impl PageForge {
 
             // The whole subtree fits in one slice ⇒ no further refill can
             // be needed ⇒ this is the last one: set L so the key completes.
-            let last_refill = if self.cfg.exhaustive_refill_probe {
-                slice.len() == count_subtree(tree, start_node)
-            } else {
-                subtree_fits(tree, start_node, slice.len())
-            };
+            let last_refill = subtree_fits(tree, start_node, slice.len());
 
             // Load the Scan Table straight from the slice. Sibling lookups
             // are linear scans of the slice — at Scan Table sizes (≤ 32
@@ -924,24 +911,10 @@ fn child_index(
     }
 }
 
-/// Legacy exhaustive subtree size (the pre-optimization executor): walks
-/// the whole subtree even when it is obviously larger than one slice.
-/// Only reachable through `exhaustive_refill_probe`.
-fn count_subtree(tree: &PageTree, start: NodeId) -> usize {
-    let mut count = 0;
-    let mut stack = vec![start];
-    while let Some(n) = stack.pop() {
-        count += 1;
-        if let Some(l) = tree.raw().left(n) {
-            stack.push(l);
-        }
-        if let Some(r) = tree.raw().right(n) {
-            stack.push(r);
-        }
-    }
-    count
-}
-
+/// `true` iff the subtree rooted at `start` has exactly `budget` nodes.
+/// Stops walking as soon as the count passes the budget, so a refill
+/// probe costs at most one Scan Table's worth of nodes however large
+/// the subtree is.
 fn subtree_fits(tree: &PageTree, start: NodeId, budget: usize) -> bool {
     let mut count = 0usize;
     let mut stack = vec![start];
@@ -1073,32 +1046,75 @@ mod tests {
         mem.check_invariants().unwrap();
     }
 
-    #[test]
-    fn exhaustive_refill_probe_is_byte_identical() {
-        // The legacy exhaustive walk and the early-exit probe must agree
-        // on every refill decision: same stats, same merges, same frames.
-        let run = |exhaustive: bool| {
-            let mut mem = HostMemory::new();
-            let mut hints = Vec::new();
-            for i in 0..120u32 {
-                // Mix of duplicates (i % 40) and crowd: big trees, many
-                // refills, real merges.
-                mem.map_new_page(VmId(0), Gfn(i as u64), page((i % 40) as u8));
-                hints.push((VmId(0), Gfn(i as u64)));
+    /// Exhaustive subtree size: the oracle for [`subtree_fits`].
+    fn count_subtree(tree: &PageTree, start: NodeId) -> usize {
+        let mut count = 0;
+        let mut stack = vec![start];
+        while let Some(n) = stack.pop() {
+            count += 1;
+            if let Some(l) = tree.raw().left(n) {
+                stack.push(l);
             }
-            let cfg = PageForgeConfig {
-                exhaustive_refill_probe: exhaustive,
-                ..PageForgeConfig::default()
-            };
-            let mut pf = PageForge::new(cfg, hints);
-            let mut f = fabric();
-            pf.run_to_steady_state(&mut mem, &mut f, 8);
-            (pf.stats().clone(), mem.allocated_frames())
-        };
-        let fast = run(false);
-        let legacy = run(true);
-        assert!(fast.0.refills > 0, "probe must actually be exercised");
-        assert_eq!(fast, legacy);
+            if let Some(r) = tree.raw().right(n) {
+                stack.push(r);
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn subtree_fits_matches_exhaustive_count() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A random shape: each insert descends by coin flips to a free
+            // slot (red-black fixup then rebalances), and some nodes are
+            // removed again so deletion fixups shape the tree too.
+            let mut tree = PageTree::new(TreeKind::Unstable);
+            for i in 0..rng.gen_range(0usize..48) {
+                let me = PageRef {
+                    ppn: Ppn(i as u64),
+                    epoch: 0,
+                    vm: VmId(0),
+                    gfn: Gfn(i as u64),
+                };
+                let mut parent = None;
+                let mut side = Side::Left;
+                let mut cur = tree.raw().root();
+                while let Some(id) = cur {
+                    parent = Some(id);
+                    side = if rng.gen_bool(0.5) {
+                        Side::Left
+                    } else {
+                        Side::Right
+                    };
+                    cur = match side {
+                        Side::Left => tree.raw().left(id),
+                        Side::Right => tree.raw().right(id),
+                    };
+                }
+                tree.insert_at(parent, side, me);
+                if rng.gen_range(0u32..4) == 0 {
+                    let ids: Vec<NodeId> = tree.raw().iter_ids().map(|(id, _)| id).collect();
+                    tree.remove(ids[rng.gen_range(0usize..ids.len())]);
+                }
+            }
+            let size = tree.len();
+            let nodes: Vec<NodeId> = tree.raw().iter_ids().map(|(id, _)| id).collect();
+            assert_eq!(nodes.len(), size);
+            for &n in &nodes {
+                let exact = count_subtree(&tree, n);
+                for k in 0..=size + 2 {
+                    assert_eq!(
+                        subtree_fits(&tree, n, k),
+                        exact == k,
+                        "seed {seed}: node {n:?} has {exact} nodes, budget {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

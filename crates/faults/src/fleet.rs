@@ -175,7 +175,7 @@ impl FleetFaultPlan {
 
     /// Reads a plan from a JSON file, rejecting future-versioned plans
     /// with a message naming the supported version
-    /// ([`PLAN_VERSION`](crate::PLAN_VERSION)).
+    /// ([`PLAN_VERSION`]).
     pub fn read_file(path: &std::path::Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let value =

@@ -91,18 +91,6 @@ pub struct SimConfig {
     /// an empty plan) leaves the no-fault hot path untouched; ignored for
     /// Baseline and KSM modes, which have no engine to fault.
     pub faults: Option<FaultPlan>,
-    /// Barrier epoch length of the sharded executor, in cycles. The
-    /// default is [`crate::shard::EPOCH_CYCLES`]; results are
-    /// epoch-length-invariant (only `sim.shard.epochs` and the
-    /// speculation accounting move with it), which the determinism suite
-    /// checks.
-    pub epoch_cycles: Cycle,
-    /// Run epochs speculatively against a checkpoint of domain-local
-    /// state, validating at commit points and rolling back
-    /// deterministically on conflict (DESIGN.md §8). Off by default;
-    /// `results/*.json` are byte-identical either way — only wall-clock
-    /// time and the `sim.spec.*` accounting change.
-    pub speculate: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -138,8 +126,6 @@ impl SimConfig {
             pf_modules: 1,
             ksm_sticky_intervals: 32,
             faults: None,
-            epoch_cycles: crate::shard::EPOCH_CYCLES,
-            speculate: false,
             seed,
         }
     }

@@ -31,7 +31,6 @@
 //! | [`fabric`] | §3.2, Figure 5 | [`SimFabric`]: PageForge's cache-probe/DRAM path |
 //! | [`result`] | Figures 9–11, Table 4 | [`SimResult`]: latency/bandwidth/merge outcomes |
 //! | [`shard`] | §4.1, Figure 5 | domain plan, barrier clock, deterministic worker pool |
-//! | [`spec`] | DESIGN.md §8 | speculative epochs: mapping view, dirty tracking, rollback metrics |
 //!
 //! [`System::run_observed`](system::System::run_observed) additionally
 //! returns the unified metric snapshot described in OBSERVABILITY.md.
@@ -53,7 +52,6 @@ pub mod config;
 pub mod fabric;
 pub mod result;
 pub mod shard;
-pub mod spec;
 pub mod system;
 
 pub use config::{DedupMode, SimConfig};

@@ -8,10 +8,9 @@
 //! * a [`DomainPlan`] statically assigns every core, PageForge module,
 //!   and memory controller to a *domain* (2 in the Figure 5 config, 4
 //!   when `ablation_modules` instantiates 4 engine modules);
-//! * [`DomainQueues`] replaces the single global event heap with one
-//!   heap per domain, merged at pop time in the canonical
-//!   `(cycle, sequence)` order — the exact total order of the old
-//!   single-heap loop, so results stay byte-identical by construction;
+//! * events retire from one global heap in the canonical
+//!   `(cycle, sequence)` order, so results are byte-identical by
+//!   construction whatever the domain count;
 //! * the run is structured into fixed-length **epochs**
 //!   ([`EPOCH_CYCLES`]): at every epoch boundary the per-domain
 //!   [`ShardTally`] staging buffers (cross-domain line counts, Scan
@@ -31,22 +30,11 @@
 //! (`addr % controllers`), so consecutive accesses from one domain land
 //! in every other domain's controller. Under the byte-identity contract
 //! this coupling forces cross-domain events to retire in the canonical
-//! order; domains advance independently only between exchanges.
-//! `--speculate` removes the cost (not the order) of that coupling:
-//! epochs run ahead against a checkpoint of domain-local state and a
-//! published snapshot of the mapping tables, validate at every event
-//! retirement, and roll back deterministically on conflict — see
-//! `crate::spec` and DESIGN.md §8 for the protocol and the proof that
-//! `(cycle, seq)` order survives it.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! order. DESIGN.md §8 documents the argument.
 
 use pageforge_types::Cycle;
 
-/// Default epoch length of the barrier clock, in cycles — the default
-/// for `SimConfig::epoch_cycles` (override per run with
-/// `--epoch-cycles`).
+/// Fixed epoch length of the barrier clock, in cycles.
 ///
 /// Chosen so a full-scale run (440M cycles) has a few hundred barrier
 /// crossings — frequent enough that staged cross-domain tallies stay
@@ -105,67 +93,6 @@ impl DomainPlan {
     /// Domain owning memory controller `c`.
     pub fn controller(&self, c: usize) -> usize {
         self.controller_domain[c % self.controller_domain.len()]
-    }
-}
-
-/// Per-domain event heaps merged in canonical `(cycle, sequence)` order.
-///
-/// Sequence numbers are globally unique and monotonically assigned, so
-/// the merged pop order is a *total* order identical to a single
-/// global heap — the equivalence that keeps sharded runs byte-identical
-/// to the legacy single-threaded loop at any shard count.
-///
-/// `Clone` exists for the speculation checkpoint: a rollback restores
-/// the heaps exactly, so the popped-but-unretired event comes back and
-/// replay re-pops it in the same `(cycle, seq)` slot.
-#[derive(Debug, Clone)]
-pub struct DomainQueues<E> {
-    heaps: Vec<BinaryHeap<Reverse<(Cycle, u64, E)>>>,
-    len: usize,
-}
-
-impl<E: Ord + Copy> DomainQueues<E> {
-    /// Creates queues for `domains` domains.
-    pub fn new(domains: usize) -> Self {
-        DomainQueues {
-            heaps: (0..domains.max(1)).map(|_| BinaryHeap::new()).collect(),
-            len: 0,
-        }
-    }
-
-    /// Number of queued events across all domains.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no events are queued anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queues an event on its owning domain.
-    pub fn push(&mut self, domain: usize, at: Cycle, seq: u64, event: E) {
-        let d = domain % self.heaps.len();
-        self.heaps[d].push(Reverse((at, seq, event)));
-        self.len += 1;
-    }
-
-    /// Removes and returns the globally next event in `(cycle, seq)`
-    /// order, with the domain it was owned by.
-    pub fn pop(&mut self) -> Option<(usize, Cycle, u64, E)> {
-        let mut best: Option<(usize, (Cycle, u64, E))> = None;
-        for (d, heap) in self.heaps.iter().enumerate() {
-            if let Some(Reverse(head)) = heap.peek() {
-                match &best {
-                    Some((_, b)) if *b <= *head => {}
-                    _ => best = Some((d, *head)),
-                }
-            }
-        }
-        let (domain, _) = best?;
-        let Reverse((t, seq, event)) = self.heaps[domain].pop()?;
-        self.len -= 1;
-        Some((domain, t, seq, event))
     }
 }
 
@@ -303,34 +230,6 @@ mod tests {
         assert_eq!(p4.domains(), 4);
         assert_eq!(p4.module(3), 3);
         assert_eq!(p4.controller(1), 1);
-    }
-
-    #[test]
-    fn queues_preserve_global_cycle_seq_order() {
-        // Interleave pushes across 3 domains; pops must come back in
-        // exactly (cycle, seq) order — the single-heap total order.
-        let mut q: DomainQueues<u8> = DomainQueues::new(3);
-        let mut reference = Vec::new();
-        let mut seq = 0u64;
-        for (domain, at, ev) in [
-            (0, 50, 1u8),
-            (1, 10, 2),
-            (2, 10, 3),
-            (1, 90, 4),
-            (0, 10, 5),
-            (2, 50, 6),
-        ] {
-            seq += 1;
-            q.push(domain, at, seq, ev);
-            reference.push((at, seq, ev));
-        }
-        reference.sort_unstable();
-        let mut popped = Vec::new();
-        while let Some((_, t, s, e)) = q.pop() {
-            popped.push((t, s, e));
-        }
-        assert_eq!(popped, reference);
-        assert!(q.is_empty());
     }
 
     #[test]

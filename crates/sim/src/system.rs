@@ -7,8 +7,8 @@
 //! never occupies a core beyond the tiny Scan-Table refill/poll calls; its
 //! memory traffic contends with demand traffic in the DRAM banks.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,9 +17,9 @@ use pageforge_cache::{HitLevel, SystemCaches};
 use pageforge_core::{FlatFabric, PageForge};
 use pageforge_ksm::Ksm;
 use pageforge_mem::{MemSource, MemorySystem};
-use pageforge_obs::{trace_event, Registry, Snapshot};
-use pageforge_types::stats::{LatencyRecorder, RecorderCheckpoint};
-use pageforge_types::{Cycle, Gfn, Ppn, VmId};
+use pageforge_obs::{Registry, Snapshot};
+use pageforge_types::stats::LatencyRecorder;
+use pageforge_types::{Cycle, Gfn, VmId};
 use pageforge_vm::{HostMemory, MemoryImage};
 use pageforge_workloads::{AccessPattern, ArrivalProcess, Query};
 
@@ -28,8 +28,7 @@ use pageforge_faults::FaultInjector;
 use crate::config::{DedupMode, SimConfig};
 use crate::fabric::SimFabric;
 use crate::result::{DedupSummary, DegradedSummary, SimResult};
-use crate::shard::{ordered_map, DomainPlan, DomainQueues, ShardMetrics, ShardTally};
-use crate::spec::{MappingView, SpecState};
+use crate::shard::{ordered_map, DomainPlan, ShardMetrics, ShardTally, EPOCH_CYCLES};
 
 /// Maximum cycles a dispatcher slice may run before yielding.
 pub const SLICE_CYCLES: Cycle = 100_000;
@@ -59,7 +58,7 @@ enum Event {
 }
 
 /// A query in execution (possibly across several slices).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RunningQuery {
     arrival: Cycle,
     pattern: AccessPattern,
@@ -68,7 +67,7 @@ struct RunningQuery {
     tail_cpu_left: Cycle,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Task {
     Query(RunningQuery),
     /// One KSM work interval (`pages_to_scan` candidates), not yet started.
@@ -115,74 +114,12 @@ impl TouchRegions {
     }
 }
 
-#[derive(Clone)]
 enum DedupState {
     None,
     Ksm(Box<Ksm>),
     /// One or more PageForge modules (§4.1), each owning a partition of
     /// the hint list.
     PageForge(Vec<PageForge>),
-}
-
-/// Rollback image of one core's scheduler state (see
-/// [`SegmentCheckpoint`]).
-struct CoreCheckpoint {
-    arrivals: ArrivalProcess,
-    pending: Option<Query>,
-    queue: VecDeque<Task>,
-    dispatching: bool,
-    dedup_busy: Cycle,
-    recorder: RecorderCheckpoint,
-}
-
-impl CoreCheckpoint {
-    fn capture(core: &CoreState) -> Self {
-        CoreCheckpoint {
-            arrivals: core.arrivals.clone(),
-            pending: core.pending,
-            queue: core.queue.clone(),
-            dispatching: core.dispatching,
-            dedup_busy: core.dedup_busy,
-            recorder: core.recorder.checkpoint(),
-        }
-    }
-
-    fn restore(&self, core: &mut CoreState) {
-        core.arrivals = self.arrivals.clone();
-        core.pending = self.pending;
-        core.queue = self.queue.clone();
-        core.dispatching = self.dispatching;
-        core.dedup_busy = self.dedup_busy;
-        core.recorder.restore(&self.recorder);
-    }
-}
-
-/// Everything a speculative span can change that is not covered by the
-/// cache way-journal — taken immediately after every state-mutating
-/// event retirement, restored on mis-speculation (DESIGN.md §8).
-///
-/// [`HostMemory`] and the dedup engines are deliberately absent: a
-/// checkpoint is taken *after* every event that mutates them (merges,
-/// CoW breaks, churn, KSM batches), so a replay span never re-executes
-/// one and their live state is always the canonical state at the
-/// checkpoint.
-struct SegmentCheckpoint {
-    events: DomainQueues<Event>,
-    seq: u64,
-    clock: Cycle,
-    epoch: u64,
-    cores: Vec<CoreCheckpoint>,
-    shard_stage: Vec<ShardTally>,
-    shard_metrics: ShardMetrics,
-    next_victim: usize,
-    victim_intervals_left: u32,
-    victim_toggle: bool,
-    victim_rr: usize,
-    merged_during_run: u64,
-    in_window: bool,
-    queries_completed: u64,
-    churn_rng: SmallRng,
-    mems: MemorySystem,
 }
 
 /// The assembled system.
@@ -197,9 +134,9 @@ pub struct System {
     cores: Vec<CoreState>,
     dedup: DedupState,
     churn_rng: SmallRng,
-    /// Per-domain event heaps; pop order is the canonical global
-    /// `(cycle, seq)` total order regardless of shard count.
-    events: DomainQueues<Event>,
+    /// Pending events, popped in the canonical global `(cycle, seq)`
+    /// total order.
+    events: BinaryHeap<Reverse<(Cycle, u64, Event)>>,
     /// Static domain assignment (cores / modules / controllers).
     plan: DomainPlan,
     /// Cross-domain traffic staged per source domain within the current
@@ -220,11 +157,6 @@ pub struct System {
     merged_during_run: u64,
     in_window: bool,
     queries_completed: u64,
-    /// Speculation state (`Some` iff `cfg.speculate`): the published
-    /// translation view, dirty tracking, and activity counters.
-    spec: Option<SpecState>,
-    /// Rollback image of the current speculative span.
-    ckpt: Option<Box<SegmentCheckpoint>>,
 }
 
 impl System {
@@ -253,8 +185,7 @@ impl System {
 
         // Fault injection starts only after premerge: the plan's cycle
         // schedule is relative to the timed run, and premerge is a
-        // content-level setup phase outside the fault model. (It is also
-        // why the premerge memo can be captured before this point.)
+        // content-level setup phase outside the fault model.
         if let (Some(plan), DedupState::PageForge(pfs)) = (&cfg.faults, &mut dedup) {
             let injector = FaultInjector::new(plan);
             for pf in pfs.iter_mut() {
@@ -289,7 +220,7 @@ impl System {
             cores,
             dedup,
             churn_rng: SmallRng::seed_from_u64(cfg.seed ^ 0xCAFE),
-            events: DomainQueues::new(plan.domains()),
+            events: BinaryHeap::new(),
             shard_stage: vec![ShardTally::default(); plan.domains()],
             shard_metrics: ShardMetrics::default(),
             epoch: 0,
@@ -303,8 +234,6 @@ impl System {
             merged_during_run: 0,
             in_window: false,
             queries_completed: 0,
-            spec: None,
-            ckpt: None,
             mem,
             images,
             regions,
@@ -317,48 +246,7 @@ impl System {
     /// The post-premerge content state `(host memory, images, dedup
     /// engines)` — a pure function of the config (the `threads` fan-out
     /// never changes a byte, see [`ordered_map`]).
-    ///
-    /// Speculative runs memoize it per thread: the steady-state premerge
-    /// scan dominates construction time, and speculative sweeps build
-    /// the same configuration repeatedly (spec-on/off identity checks,
-    /// shard-scaling repetitions). Non-speculative runs always compute
-    /// fresh, so the baseline path is untouched. Fault injectors are
-    /// installed *after* this state is captured, so faulted and
-    /// fault-free runs share an entry's content legitimately.
     fn premerged_state(
-        cfg: &SimConfig,
-        threads: usize,
-    ) -> (HostMemory, Vec<MemoryImage>, DedupState) {
-        type Premerged = (HostMemory, Vec<MemoryImage>, DedupState);
-        thread_local! {
-            static PREMERGE_MEMO: RefCell<Vec<(String, Premerged)>> =
-                const { RefCell::new(Vec::new()) };
-        }
-        /// Distinct configurations kept per thread (a spec sweep touches
-        /// a handful at a time; oldest falls out first).
-        const MEMO_CAP: usize = 4;
-
-        if !cfg.speculate {
-            return Self::build_premerged(cfg, threads);
-        }
-        // The full config Debug form is the key: anything that can alter
-        // the generated contents or the premerge outcome is part of it.
-        let key = format!("{cfg:?}");
-        PREMERGE_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if let Some((_, state)) = memo.iter().find(|(k, _)| *k == key) {
-                return state.clone();
-            }
-            let state = Self::build_premerged(cfg, threads);
-            if memo.len() >= MEMO_CAP {
-                memo.remove(0);
-            }
-            memo.push((key, state.clone()));
-            state
-        })
-    }
-
-    fn build_premerged(
         cfg: &SimConfig,
         threads: usize,
     ) -> (HostMemory, Vec<MemoryImage>, DedupState) {
@@ -458,23 +346,9 @@ impl System {
         self.push(self.cfg.warmup_cycles, Event::WarmupEnd);
     }
 
-    /// Domain that owns an event: core events follow the core's domain,
-    /// engine wakeups follow the module's, global ticks live in domain 0.
-    fn event_domain(&self, event: Event) -> usize {
-        match event {
-            Event::Arrival(core) | Event::Dispatch(core) => self.plan.core(core),
-            Event::DedupWake(m) => match &self.dedup {
-                DedupState::PageForge(_) => self.plan.module(m),
-                _ => 0,
-            },
-            Event::Churn | Event::WarmupEnd => 0,
-        }
-    }
-
     fn push(&mut self, at: Cycle, event: Event) {
         self.seq += 1;
-        let domain = self.event_domain(event);
-        self.events.push(domain, at, self.seq, event);
+        self.events.push(Reverse((at, self.seq, event)));
     }
 
     /// Stages one DRAM line issued by `domain` as local or cross-domain
@@ -499,195 +373,29 @@ impl System {
     /// [`SimResult`]'s JSON shape is frozen by the determinism CI check,
     /// so the snapshot rides alongside instead of inside it.
     pub fn run_observed(mut self) -> (SimResult, Snapshot) {
-        if self.cfg.speculate {
-            // Speculative mode (DESIGN.md §8): translation mutations are
-            // logged, caches journal per-span deltas, and the query hot
-            // path reads the published mapping view instead of live
-            // memory. The first checkpoint anchors the first span.
-            self.mem.set_spec_logging(true);
-            self.caches.journal_enable();
-            self.spec = Some(SpecState::new(&self.mem, self.clock));
-            self.take_checkpoint();
-        }
-        let epoch_len = self.cfg.epoch_cycles.max(1);
-        loop {
-            while let Some((domain, t, seq, event)) = self.events.pop() {
-                // Validate at every retirement: a pending dirty hit means
-                // the span consumed a stale translation — restore the
-                // checkpoint (this event comes back with the restored
-                // heaps) and re-execute against the published state.
-                if self.spec.as_ref().is_some_and(|s| s.dirty_hit) {
-                    self.rollback_to_checkpoint();
-                    continue;
-                }
-                self.clock = t.max(self.clock);
-                // Barrier clock: when the global order crosses into a new
-                // epoch, fold every domain's staged tally into the totals
-                // in ascending domain order (the canonical exchange).
-                let epochs_now = t / epoch_len;
-                if epochs_now > self.epoch {
-                    self.shard_metrics.epochs += epochs_now - self.epoch;
-                    self.epoch = epochs_now;
-                    self.shard_metrics.exchange(&mut self.shard_stage);
-                    if self.spec.is_some() {
-                        // Clean barrier: commit the span. The popped event
-                        // goes back untouched (same `(t, seq)`, so the
-                        // order is unchanged) to live inside the fresh
-                        // checkpoint; it pops again immediately with the
-                        // epoch already folded.
-                        self.commit_at_barrier(t, epochs_now);
-                        self.events.push(domain, t, seq, event);
-                        continue;
-                    }
-                }
-                let mutated = match event {
-                    Event::Arrival(core) => {
-                        self.on_arrival(core, t);
-                        false
-                    }
-                    Event::Dispatch(core) => self.on_dispatch(core, t),
-                    Event::DedupWake(m) => {
-                        self.on_dedup_wake(t, m);
-                        true
-                    }
-                    Event::Churn => {
-                        self.on_churn(t);
-                        true
-                    }
-                    Event::WarmupEnd => {
-                        self.on_warmup_end();
-                        false
-                    }
-                };
-                if self.spec.is_some() {
-                    self.note_retirement(mutated);
-                }
+        while let Some(Reverse((t, _, event))) = self.events.pop() {
+            self.clock = t.max(self.clock);
+            // Barrier clock: when the global order crosses into a new
+            // epoch, fold every domain's staged tally into the totals in
+            // ascending domain order (the canonical exchange).
+            let epochs_now = t / EPOCH_CYCLES;
+            if epochs_now > self.epoch {
+                self.shard_metrics.epochs += epochs_now - self.epoch;
+                self.epoch = epochs_now;
+                self.shard_metrics.exchange(&mut self.shard_stage);
             }
-            // Final-drain validation: the last span must commit too.
-            if self.spec.as_ref().is_some_and(|s| s.dirty_hit) {
-                self.rollback_to_checkpoint();
-                continue;
+            match event {
+                Event::Arrival(core) => self.on_arrival(core, t),
+                Event::Dispatch(core) => self.on_dispatch(core, t),
+                Event::DedupWake(m) => self.on_dedup_wake(t, m),
+                Event::Churn => self.on_churn(t),
+                Event::WarmupEnd => self.on_warmup_end(),
             }
-            break;
-        }
-        if let Some(spec) = &mut self.spec {
-            // The tail span (last checkpoint to drain) validated clean.
-            spec.metrics.commits += 1;
-            spec.metrics.saved_cycles += self.clock.saturating_sub(spec.run_start);
         }
         // Final (partial-epoch) exchange so nothing staged is lost.
         self.shard_metrics.exchange(&mut self.shard_stage);
         let snapshot = self.export_metrics().snapshot();
         (self.collect(), snapshot)
-    }
-
-    /// Post-retirement speculation bookkeeping: fold the host-memory
-    /// spec log into the view's dirty set, and re-anchor the checkpoint
-    /// after any event that mutated model state. Because the checkpoint
-    /// moves *past* every mutator, replay spans only ever contain
-    /// arrivals, query slices, and timeslice accounting — all pure
-    /// functions of the checkpointed state.
-    fn note_retirement(&mut self, mutated: bool) {
-        let log = self.mem.take_spec_log();
-        if !log.is_empty() {
-            self.spec
-                .as_mut()
-                .expect("speculation bookkeeping outside spec mode")
-                .view
-                .mark_dirty(&log);
-        }
-        if mutated || !log.is_empty() {
-            self.take_checkpoint();
-        }
-    }
-
-    /// Anchors a new speculative span: snapshots the domain-local
-    /// rollback set and opens a fresh cache journal segment.
-    fn take_checkpoint(&mut self) {
-        self.caches.journal_begin();
-        self.ckpt = Some(Box::new(SegmentCheckpoint {
-            events: self.events.clone(),
-            seq: self.seq,
-            clock: self.clock,
-            epoch: self.epoch,
-            cores: self.cores.iter().map(CoreCheckpoint::capture).collect(),
-            shard_stage: self.shard_stage.clone(),
-            shard_metrics: self.shard_metrics.clone(),
-            next_victim: self.next_victim,
-            victim_intervals_left: self.victim_intervals_left,
-            victim_toggle: self.victim_toggle,
-            victim_rr: self.victim_rr,
-            merged_during_run: self.merged_during_run,
-            in_window: self.in_window,
-            queries_completed: self.queries_completed,
-            churn_rng: self.churn_rng.clone(),
-            mems: self.mems.clone(),
-        }));
-    }
-
-    /// Deterministic rollback: restores every domain-local structure to
-    /// the last checkpoint, rolls the cache hierarchy back through its
-    /// journal, and publishes the dirty translations so the replay reads
-    /// the canonical state. Host memory and the dedup engines need no
-    /// restore — no mutator retired since the checkpoint (see
-    /// [`SegmentCheckpoint`]).
-    fn rollback_to_checkpoint(&mut self) {
-        let ck = self
-            .ckpt
-            .take()
-            .expect("speculative run holds a checkpoint");
-        self.events = ck.events.clone();
-        self.seq = ck.seq;
-        self.clock = ck.clock;
-        self.epoch = ck.epoch;
-        for (core, saved) in self.cores.iter_mut().zip(&ck.cores) {
-            saved.restore(core);
-        }
-        self.shard_stage.clone_from(&ck.shard_stage);
-        self.shard_metrics = ck.shard_metrics.clone();
-        self.next_victim = ck.next_victim;
-        self.victim_intervals_left = ck.victim_intervals_left;
-        self.victim_toggle = ck.victim_toggle;
-        self.victim_rr = ck.victim_rr;
-        self.merged_during_run = ck.merged_during_run;
-        self.in_window = ck.in_window;
-        self.queries_completed = ck.queries_completed;
-        self.churn_rng = ck.churn_rng.clone();
-        self.mems = ck.mems.clone();
-        self.caches.journal_rollback();
-        self.ckpt = Some(ck);
-        let spec = self.spec.as_mut().expect("rollback outside spec mode");
-        spec.view.publish(&self.mem);
-        spec.dirty_hit = false;
-        spec.metrics.rollbacks += 1;
-        spec.run_start = self.clock;
-        trace_event!(self.clock, "sim", "spec", {
-            commit: 0.0,
-            epoch: self.epoch as f64,
-            saved_cycles: 0.0,
-        });
-    }
-
-    /// Clean barrier validation: the span's inbound state matched what
-    /// it speculated against, so its work stands. Publish the dirty
-    /// translations (the barrier's cross-domain exchange) and anchor the
-    /// next span.
-    fn commit_at_barrier(&mut self, t: Cycle, epoch: u64) {
-        let spec = self
-            .spec
-            .as_mut()
-            .expect("barrier commit outside spec mode");
-        spec.view.publish(&self.mem);
-        spec.metrics.commits += 1;
-        let saved = t.saturating_sub(spec.run_start);
-        spec.metrics.saved_cycles += saved;
-        spec.run_start = t;
-        trace_event!(t, "sim", "spec", {
-            commit: 1.0,
-            epoch: epoch as f64,
-            saved_cycles: saved as f64,
-        });
-        self.take_checkpoint();
     }
 
     /// Aggregates every component registry into one. Counters add across
@@ -727,17 +435,6 @@ impl System {
         reg.add(local, self.shard_metrics.local_lines);
         let handoffs = reg.counter("sim.shard.table_handoffs");
         reg.add(handoffs, self.shard_metrics.table_handoffs);
-        // Speculation activity: present only when `--speculate` is on, so
-        // spec-off snapshots stay byte-identical to earlier builds and
-        // the identity checks compare everything else verbatim.
-        if let Some(spec) = &self.spec {
-            let commits = reg.counter("sim.spec.commits");
-            reg.add(commits, spec.metrics.commits);
-            let rollbacks = reg.counter("sim.spec.rollbacks");
-            reg.add(rollbacks, spec.metrics.rollbacks);
-            let saved = reg.counter("sim.spec.saved_cycles");
-            reg.add(saved, spec.metrics.saved_cycles);
-        }
         reg
     }
 
@@ -773,13 +470,10 @@ impl System {
         }
     }
 
-    /// Returns `true` when the dispatched task mutated model state
-    /// outside the rollback set (a KSM batch merges pages), so the
-    /// speculative executor re-anchors its checkpoint afterwards.
-    fn on_dispatch(&mut self, core: usize, t: Cycle) -> bool {
+    fn on_dispatch(&mut self, core: usize, t: Cycle) {
         let Some(task) = self.cores[core].queue.pop_front() else {
             self.cores[core].dispatching = false;
-            return false;
+            return;
         };
         match task {
             Task::Query(mut rq) => {
@@ -794,7 +488,6 @@ impl System {
                     self.cores[core].queue.push_front(Task::Query(rq));
                 }
                 self.push(end, Event::Dispatch(core));
-                false
             }
             Task::KsmBatch => {
                 // Perform the content-level scan and its cache traffic up
@@ -803,7 +496,6 @@ impl System {
                 let duration = self.run_ksm_batch(core, t).saturating_sub(t).max(1);
                 self.cores[core].queue.push_front(Task::KsmRun(duration));
                 self.push(t, Event::Dispatch(core));
-                true
             }
             Task::KsmRun(remaining) => {
                 let step = remaining.min(KSM_TIMESLICE);
@@ -820,7 +512,6 @@ impl System {
                     self.push(end + self.cfg.sleep_cycles(), Event::DedupWake(0));
                 }
                 self.push(end, Event::Dispatch(core));
-                false
             }
             Task::OsWork(cycles) => {
                 let end = t + cycles;
@@ -828,7 +519,6 @@ impl System {
                     self.cores[core].dedup_busy += cycles;
                 }
                 self.push(end, Event::Dispatch(core));
-                false
             }
         }
     }
@@ -849,32 +539,13 @@ impl System {
             let touch = rq.pattern.next_touch();
             let vm = self.cores[core].vm;
             let gfn = self.map_touch(core, touch.page_index);
-            let (ppn, frame_is_cow) = match &mut self.spec {
-                // Speculative path: one packed load against the published
-                // view replaces translate + is_cow. A stale (dirty) entry
-                // arms the rollback and the span continues on the old
-                // value — its work is discarded at the next validation.
-                Some(spec) => {
-                    let e = spec.read(vm, gfn);
-                    if e & MappingView::MAPPED == 0 {
-                        continue;
-                    }
-                    (
-                        Ppn(u64::from(e & MappingView::PPN_MASK)),
-                        e & MappingView::COW != 0,
-                    )
-                }
-                None => {
-                    let Some(ppn) = self.mem.translate(vm, gfn) else {
-                        continue;
-                    };
-                    (ppn, self.mem.is_cow(ppn))
-                }
+            let Some(ppn) = self.mem.translate(vm, gfn) else {
+                continue;
             };
             // Writes to CoW (merged) frames would fault in reality; the
             // synthetic pattern treats them as reads (content churn is
             // modeled separately).
-            let write = touch.is_write && !frame_is_cow;
+            let write = touch.is_write && !self.mem.is_cow(ppn);
             let addr = ppn.line_addr(touch.line);
             let acc = self.caches.access(core, addr, write);
             let stall = if acc.level == HitLevel::Memory {
@@ -1426,174 +1097,5 @@ mod tests {
         // Merging still happens and never merges differing pages:
         // HostMemory::merge_into verifies content equality internally.
         assert!(r.mem_stats.merges > 0, "faulted system still merges");
-    }
-
-    /// Runs one cell spec-on and spec-off and returns
-    /// `(result json, snapshot entries minus sim.spec.*)` for each, plus
-    /// the spec-on rollback count.
-    fn spec_cell(mut cfg: SimConfig, threads: usize) -> ((String, String), u64) {
-        use pageforge_types::json::ToJson;
-        let observe = |cfg: SimConfig, threads| {
-            let (r, snap) = System::with_shards(cfg, threads).run_observed();
-            let rest: Vec<String> = snap
-                .entries()
-                .iter()
-                .filter(|(name, _)| !name.starts_with("sim.spec."))
-                .map(|(name, value)| format!("{name}={value:?}"))
-                .collect();
-            (r.to_json().to_string_compact(), rest, snap)
-        };
-        cfg.speculate = false;
-        let (off_result, off_rest, off_snap) = observe(cfg.clone(), threads);
-        assert_eq!(
-            off_snap.counter("sim.spec.commits"),
-            None,
-            "spec-off snapshots must not export the sim.spec.* namespace"
-        );
-        cfg.speculate = true;
-        let (on_result, on_rest, on_snap) = observe(cfg, threads);
-        assert_eq!(off_result, on_result, "results must be byte-identical");
-        assert_eq!(off_rest, on_rest, "all non-spec metrics must match");
-        assert!(on_snap.counter("sim.spec.commits").unwrap() > 0);
-        (
-            (off_result, off_rest.join("\n")),
-            on_snap.counter("sim.spec.rollbacks").unwrap(),
-        )
-    }
-
-    #[test]
-    fn speculation_is_byte_identical_for_pageforge() {
-        let cfg = SimConfig::quick(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            11,
-        );
-        spec_cell(cfg, 1);
-    }
-
-    #[test]
-    fn speculation_is_byte_identical_across_shard_levels() {
-        let cfg = SimConfig::quick(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            11,
-        );
-        let one = spec_cell(cfg.clone(), 1).0;
-        assert_eq!(one, spec_cell(cfg.clone(), 2).0);
-        assert_eq!(one, spec_cell(cfg, 4).0);
-    }
-
-    #[test]
-    fn speculation_is_byte_identical_for_ksm() {
-        let cfg = SimConfig::quick("silo", DedupMode::Ksm(SimConfig::scaled_ksm()), 11);
-        spec_cell(cfg, 1);
-    }
-
-    #[test]
-    fn speculation_rolls_back_and_still_matches() {
-        // Real mis-speculation: PageForge merges and content churn
-        // change translations mid-epoch while queries divert 1-in-16
-        // accesses into the mergeable region, so some span must consume
-        // a stale view entry, roll back, and replay. The byte-identity
-        // assertions inside `spec_cell` prove the replay is canonical.
-        let cfg = SimConfig::smoke(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            13,
-        );
-        let rollbacks = spec_cell(cfg, 2).1;
-        assert!(
-            rollbacks > 0,
-            "expected at least one forced rollback, got {rollbacks}"
-        );
-    }
-
-    #[test]
-    fn speculation_is_byte_identical_under_a_fault_plan() {
-        let mut cfg = SimConfig::smoke(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            13,
-        );
-        cfg.faults = Some(pageforge_faults::FaultPlan::generate(
-            13,
-            cfg.horizon(),
-            24,
-            4,
-            200_000,
-        ));
-        spec_cell(cfg, 2);
-    }
-
-    #[test]
-    fn epoch_length_never_changes_results() {
-        use pageforge_types::json::ToJson;
-        let cell = |epoch_cycles, speculate| {
-            let mut cfg = SimConfig::quick(
-                "silo",
-                DedupMode::PageForge(SimConfig::scaled_pageforge()),
-                11,
-            );
-            cfg.epoch_cycles = epoch_cycles;
-            cfg.speculate = speculate;
-            System::new(cfg).run().to_json().to_string_compact()
-        };
-        for speculate in [false, true] {
-            let reference = cell(crate::shard::EPOCH_CYCLES, speculate);
-            assert_eq!(
-                reference,
-                cell(250_000, speculate),
-                "shorter epochs must not change results (speculate={speculate})"
-            );
-            assert_eq!(
-                reference,
-                cell(4_000_000, speculate),
-                "longer epochs must not change results (speculate={speculate})"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_restores_heap_tallies_and_staged_traffic() {
-        let mut cfg = SimConfig::quick(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            17,
-        );
-        cfg.speculate = true;
-        let mut sys = System::with_shards(cfg, 1);
-        sys.caches.journal_enable();
-        sys.spec = Some(SpecState::new(&sys.mem, sys.clock));
-        sys.take_checkpoint();
-
-        let events_before = format!("{:?}", sys.events);
-        let stage_before = sys.shard_stage.clone();
-        let metrics_before = sys.shard_metrics.clone();
-        let seq_before = sys.seq;
-        let samples_before = sys.cores[0].recorder.checkpoint();
-
-        // A wrong speculative span: schedules events, stages traffic,
-        // records latencies, advances the clock.
-        sys.push(123_456, Event::Churn);
-        sys.push(7_890, Event::Dispatch(0));
-        sys.shard_stage[0].local_lines += 7;
-        sys.shard_stage[0].xdomain_lines += 3;
-        sys.shard_metrics.exchange(&mut sys.shard_stage);
-        sys.cores[0].recorder.record(42.0);
-        sys.clock = 999_999;
-        sys.queries_completed += 5;
-        sys.spec.as_mut().unwrap().dirty_hit = true;
-
-        sys.rollback_to_checkpoint();
-        assert_eq!(format!("{:?}", sys.events), events_before, "event heaps");
-        assert_eq!(sys.shard_stage, stage_before, "staged traffic");
-        assert_eq!(sys.shard_metrics, metrics_before, "exchanged totals");
-        assert_eq!(sys.seq, seq_before, "sequence numbers");
-        assert_eq!(sys.clock, 0, "clock");
-        assert_eq!(sys.queries_completed, 0);
-        assert_eq!(sys.cores[0].recorder.checkpoint(), samples_before);
-        let spec = sys.spec.as_ref().unwrap();
-        assert!(!spec.dirty_hit, "rollback clears the dirty hit");
-        assert_eq!(spec.metrics.rollbacks, 1);
     }
 }

@@ -220,43 +220,6 @@ impl LatencyRecorder {
         self.samples.extend_from_slice(&other.samples);
         self.stats.merge(&other.stats);
     }
-
-    /// A restore point for speculative execution. Samples are
-    /// append-only between checkpoints (percentile's in-place sort only
-    /// runs at result-collection time), so `(len, stats, sorted)`
-    /// suffices to rewind the recorder exactly.
-    pub fn checkpoint(&self) -> RecorderCheckpoint {
-        RecorderCheckpoint {
-            len: self.samples.len(),
-            stats: self.stats,
-            sorted: self.sorted,
-        }
-    }
-
-    /// Rewinds to a [`checkpoint`](Self::checkpoint) taken on this
-    /// recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if samples were removed since the checkpoint (the
-    /// checkpoint would not describe a prefix).
-    pub fn restore(&mut self, at: &RecorderCheckpoint) {
-        assert!(
-            at.len <= self.samples.len(),
-            "restore point is ahead of the recorder"
-        );
-        self.samples.truncate(at.len);
-        self.stats = at.stats;
-        self.sorted = at.sorted;
-    }
-}
-
-/// Restore point produced by [`LatencyRecorder::checkpoint`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecorderCheckpoint {
-    len: usize,
-    stats: RunningStats,
-    sorted: bool,
 }
 
 impl ToJson for LatencyRecorder {
@@ -454,34 +417,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), 2.0);
         assert_eq!(a.percentile(1.0), 3.0);
-    }
-
-    #[test]
-    fn recorder_checkpoint_restore_is_exact() {
-        let mut r = LatencyRecorder::new();
-        r.record(10.0);
-        r.record(20.0);
-        let reference = r.clone();
-        let ck = r.checkpoint();
-        r.record(999.0);
-        r.record(-5.0);
-        r.restore(&ck);
-        assert_eq!(r, reference, "restore must be bit-exact");
-        // The rewound recorder keeps working normally.
-        r.record(30.0);
-        assert_eq!(r.count(), 3);
-        assert_eq!(r.percentile(1.0), 30.0);
-        assert_eq!(r.mean(), 20.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "restore point is ahead")]
-    fn recorder_restore_rejects_future_checkpoints() {
-        let mut r = LatencyRecorder::new();
-        r.record(1.0);
-        let ck = r.checkpoint();
-        let mut other = LatencyRecorder::new();
-        other.restore(&ck);
     }
 
     #[test]

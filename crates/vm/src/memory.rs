@@ -163,14 +163,6 @@ pub struct HostMemory {
     version_counter: u64,
     metrics: Registry,
     ids: MemMetricIds,
-    /// Guest pages whose translation or CoW status changed since the last
-    /// [`take_spec_log`](Self::take_spec_log) drain. Only populated while
-    /// [`set_spec_logging`](Self::set_spec_logging) is on; the speculative
-    /// executor folds these into its published mapping view and uses a
-    /// non-empty drain as a conflict/checkpoint signal. Conservative:
-    /// entries may repeat or be no-ops, never missing.
-    spec_log: Vec<(VmId, Gfn)>,
-    spec_logging: bool,
 }
 
 /// Ids of the cumulative merge counters in the metric registry
@@ -207,8 +199,6 @@ impl Default for HostMemory {
             version_counter: 0,
             metrics,
             ids,
-            spec_log: Vec::new(),
-            spec_logging: false,
         }
     }
 }
@@ -217,42 +207,6 @@ impl HostMemory {
     /// Creates an empty host memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Turns the speculation write log on or off (off by default, and
-    /// off in every clone taken while logging was off). While on, every
-    /// mutation that can change `translate` or `is_cow` for some guest
-    /// page records that `(vm, gfn)` — see [`take_spec_log`](Self::take_spec_log).
-    pub fn set_spec_logging(&mut self, on: bool) {
-        self.spec_logging = on;
-        if !on {
-            self.spec_log.clear();
-        }
-    }
-
-    /// Drains the guest pages touched since the previous drain. Empty
-    /// (and free) unless [`set_spec_logging`](Self::set_spec_logging)
-    /// enabled the log.
-    pub fn take_spec_log(&mut self) -> Vec<(VmId, Gfn)> {
-        std::mem::take(&mut self.spec_log)
-    }
-
-    fn spec_note(&mut self, vm: VmId, gfn: Gfn) {
-        if self.spec_logging {
-            self.spec_log.push((vm, gfn));
-        }
-    }
-
-    /// Logs every current mapping of `ppn` — for mutations (merge,
-    /// cow_protect) that change what a whole reverse-map of guests sees.
-    fn spec_note_rmap(&mut self, ppn: Ppn) {
-        if !self.spec_logging {
-            return;
-        }
-        if let Some(frame) = self.frame(ppn) {
-            let pairs: Vec<(VmId, Gfn)> = frame.rmap.clone();
-            self.spec_log.extend(pairs);
-        }
     }
 
     fn alloc_ppn(&mut self) -> Ppn {
@@ -345,7 +299,6 @@ impl HostMemory {
             },
         );
         self.set_mapping(vm, gfn, ppn);
-        self.spec_note(vm, gfn);
         ppn
     }
 
@@ -391,7 +344,6 @@ impl HostMemory {
         self.frame_mut(ppn)
             .unwrap_or_else(|| panic!("cow_protect: frame {ppn} does not exist"))
             .cow = true;
-        self.spec_note_rmap(ppn);
     }
 
     /// Reads the page mapped at `(vm, gfn)`.
@@ -449,7 +401,6 @@ impl HostMemory {
                 },
             );
             self.set_mapping(vm, gfn, new_ppn);
-            self.spec_note(vm, gfn);
             WriteOutcome::CowBroken {
                 new_frame: new_ppn,
                 old_frame: ppn,
@@ -494,13 +445,7 @@ impl HostMemory {
         if !equal {
             return Err(MergeError::ContentMismatch);
         }
-        // Both reverse maps change meaning: `drop`'s mappings repoint at
-        // `keep`, and `keep`'s existing mappings flip to CoW.
-        self.spec_note_rmap(keep);
         let dropped = self.remove_frame(drop).expect("checked above");
-        if self.spec_logging {
-            self.spec_log.extend(dropped.rmap.iter().copied());
-        }
         for &(vm, gfn) in &dropped.rmap {
             self.set_mapping(vm, gfn, keep);
         }
@@ -517,7 +462,6 @@ impl HostMemory {
     /// Returns the frame it was mapped to, if any.
     pub fn unmap(&mut self, vm: VmId, gfn: Gfn) -> Option<Ppn> {
         let ppn = self.clear_mapping(vm, gfn)?;
-        self.spec_note(vm, gfn);
         let frame = self.frame_mut(ppn).expect("mapped frame exists");
         frame.rmap.retain(|&m| m != (vm, gfn));
         if frame.rmap.is_empty() {
@@ -795,50 +739,6 @@ mod tests {
         assert!(rmap.contains(&(VmId(0), Gfn(5))));
         assert!(rmap.contains(&(VmId(3), Gfn(8))));
         assert_eq!(mem.reverse_map(Ppn(12345)), &[]);
-    }
-
-    #[test]
-    fn spec_log_records_every_translation_change() {
-        let mut mem = HostMemory::new();
-        let a = mem.map_new_page(VmId(0), Gfn(0), page(7));
-        let _b = mem.map_new_page(VmId(1), Gfn(0), page(7));
-        assert!(
-            mem.take_spec_log().is_empty(),
-            "log is off during construction"
-        );
-        mem.set_spec_logging(true);
-
-        // Merge: both the repointed mapping and the kept frame's prior
-        // mapping (now CoW) are logged.
-        let b = mem.translate(VmId(1), Gfn(0)).unwrap();
-        mem.merge_into(a, b).unwrap();
-        let mut log = mem.take_spec_log();
-        log.sort_unstable();
-        log.dedup();
-        assert_eq!(log, vec![(VmId(0), Gfn(0)), (VmId(1), Gfn(0))]);
-
-        // CoW break: the writer's translation changes.
-        mem.guest_write(VmId(1), Gfn(0), 0, &[1]);
-        assert!(mem.take_spec_log().contains(&(VmId(1), Gfn(0))));
-
-        // In-place write: translate/is_cow unchanged, nothing logged.
-        mem.guest_write(VmId(1), Gfn(0), 0, &[2]);
-        assert!(mem.take_spec_log().is_empty());
-
-        // cow_protect, map_new_page, unmap all log.
-        let c = mem.translate(VmId(1), Gfn(0)).unwrap();
-        mem.cow_protect(c);
-        assert_eq!(mem.take_spec_log(), vec![(VmId(1), Gfn(0))]);
-        mem.map_new_page(VmId(2), Gfn(5), page(9));
-        assert_eq!(mem.take_spec_log(), vec![(VmId(2), Gfn(5))]);
-        mem.unmap(VmId(2), Gfn(5));
-        assert_eq!(mem.take_spec_log(), vec![(VmId(2), Gfn(5))]);
-
-        // Turning the log off clears and stops recording.
-        mem.set_spec_logging(false);
-        mem.map_new_page(VmId(2), Gfn(6), page(9));
-        assert!(mem.take_spec_log().is_empty());
-        mem.check_invariants().unwrap();
     }
 
     #[test]
