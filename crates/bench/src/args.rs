@@ -1,14 +1,14 @@
-//! Minimal, dependency-free command-line arguments shared by the bench
-//! binaries.
+//! Minimal, dependency-free command-line arguments shared by `run_all`
+//! and the tools beside it.
 
 use std::path::PathBuf;
 
 use pageforge_types::DEFAULT_SEED;
 
 use crate::experiments::Scale;
-use crate::scheduler::ParallelConfig;
 
-/// Arguments accepted by every bench binary.
+/// Arguments accepted by `run_all` (and, in part, by `make_report` and
+/// `trace_report`).
 ///
 /// * `--seed <u64>` — RNG seed (default `0xC0FFEE`);
 /// * `--quick` — down-scaled configuration (4 cores, short windows) for
@@ -41,8 +41,7 @@ use crate::scheduler::ParallelConfig;
 ///   their unioned observability snapshot (metric names prefixed `ksm/`,
 ///   `pageforge/`, `fleet/`) to this path. Snapshots are part of the determinism contract, so CI
 ///   diffs two of these from different `--jobs`/`--shards` levels with
-///   `snapshot_diff --threshold 0`;
-/// * `--print-config` — print the Table 2 configuration and exit.
+///   `snapshot_diff --threshold 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// RNG seed.
@@ -69,8 +68,6 @@ pub struct BenchArgs {
     pub fleet_faults: Option<PathBuf>,
     /// Unioned probe-cell snapshot path (`run_all`).
     pub snapshot: Option<PathBuf>,
-    /// Print the architecture configuration and exit.
-    pub print_config: bool,
 }
 
 impl Default for BenchArgs {
@@ -88,7 +85,6 @@ impl Default for BenchArgs {
             faults: None,
             fleet_faults: None,
             snapshot: None,
-            print_config: false,
         }
     }
 }
@@ -158,14 +154,12 @@ impl BenchArgs {
                         iter.next().expect("--snapshot requires a value"),
                     ));
                 }
-                "--print-config" => out.print_config = true,
                 other => panic!(
                     "unknown argument `{other}`; \
                      usage: [--seed N] [--quick] [--smoke] [--jobs N] \
                      [--shards N] [--seeds N] [--only a,b] \
                      [--out DIR] [--trace FILE] [--faults FILE] \
-                     [--fleet-faults FILE] [--snapshot FILE] \
-                     [--print-config]"
+                     [--fleet-faults FILE] [--snapshot FILE]"
                 ),
             }
         }
@@ -175,14 +169,6 @@ impl BenchArgs {
     /// The experiment scale the flags select.
     pub fn scale(&self) -> Scale {
         Scale::from_flags(self.quick, self.smoke)
-    }
-
-    /// The scheduler configuration the flags select.
-    pub fn parallel(&self) -> ParallelConfig {
-        ParallelConfig {
-            jobs: self.jobs,
-            smoke: self.smoke,
-        }
     }
 }
 
@@ -257,7 +243,6 @@ mod tests {
         assert_eq!(a.out_dir, PathBuf::from("/tmp/x"));
         // Smoke wins over quick.
         assert_eq!(a.scale(), Scale::Smoke);
-        assert_eq!(a.parallel().jobs, 4);
     }
 
     #[test]

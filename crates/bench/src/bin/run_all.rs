@@ -13,7 +13,7 @@
 //! renders it into REPORT.md.
 
 use pageforge_bench::args::print_table2;
-use pageforge_bench::{experiments, suite, BenchArgs};
+use pageforge_bench::{suite, BenchArgs};
 use pageforge_fleet::ControlPlane;
 use pageforge_obs::Snapshot;
 use pageforge_sim::{DedupMode, SimConfig, System};
@@ -69,7 +69,7 @@ fn main() {
     // `snapshot_diff --threshold 0`.
     if let Some(path) = &args.snapshot {
         let probe = |mode: DedupMode| {
-            let cfg = experiments::sim_config("silo", mode, args.seed, args.scale());
+            let cfg = args.scale().sim_config("silo", mode, args.seed);
             System::with_shards(cfg, args.shards).run_observed().1
         };
         let fleet_probe = ControlPlane::new(args.scale().fleet_config(args.seed))

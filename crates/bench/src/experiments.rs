@@ -1,22 +1,23 @@
-//! The experiment drivers behind each table/figure binary.
+//! The experiment drivers behind every `run_all` experiment.
 //!
 //! Everything here is deterministic given the seed. The functions return
-//! [`Table`]s; the binaries print them and drop JSON copies under
-//! `results/`.
+//! [`Table`]s (or per-unit cells the suite folds into tables); `run_all`
+//! prints them and drops JSON copies under `results/`.
 
 use pageforge_core::fabric::FlatFabric;
-use pageforge_core::{EngineConfig, PageForge, PageForgeConfig, PowerModel};
+use pageforge_core::{EngineConfig, PageForge, PageForgeConfig, PowerModel, OS_CHECK_INTERVAL};
 use pageforge_ecc::EccKeyConfig;
-use pageforge_faults::{FaultPlan, FleetFaultPlan};
+use pageforge_faults::{FaultInjector, FaultPlan, FleetFaultPlan};
 use pageforge_fleet::{ControlPlane, FleetConfig, FleetResult};
 use pageforge_ksm::{Ksm, KsmConfig};
 use pageforge_sim::{DedupMode, SimConfig, SimResult, System};
 use pageforge_types::json::{self, FromJson, ToJson, Value};
 use pageforge_types::stats::RunningStats;
+use pageforge_types::{Cycle, Gfn, PageData, VmId};
 use pageforge_vm::{AppProfile, HostMemory};
 use pageforge_workloads::apps::AppSpec;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::report::{pct, ratio, Table};
 use crate::scheduler::ShardTiming;
@@ -28,8 +29,8 @@ pub const APPS: [&str; 5] = ["img_dnn", "masstree", "moses", "silo", "sphinx"];
 pub const N_VMS: u32 = 10;
 
 /// How much of the evaluation to run. Every experiment is parameterized
-/// by this single knob so `run_all`, the standalone binaries, and CI all
-/// agree on what "quick" and "smoke" mean.
+/// by this single knob so `run_all`, the tests, and CI all agree on what
+/// "quick" and "smoke" mean.
 ///
 /// The scale feeds the latency-suite cache file name, so results from
 /// different scales never mix.
@@ -362,11 +363,6 @@ pub fn figure8_table(results: &[HashKeyOutcome]) -> Table {
 // The latency suite (Table 4, Figures 9, 10, 11)
 // ---------------------------------------------------------------------
 
-/// Builds the configuration for one (app, mode) cell.
-pub fn sim_config(app: &str, mode: DedupMode, seed: u64, scale: Scale) -> SimConfig {
-    scale.sim_config(app, mode, seed)
-}
-
 /// The three dedup modes of the latency suite, in column order.
 pub fn suite_modes() -> [DedupMode; 3] {
     [
@@ -393,7 +389,7 @@ pub fn run_suite_cell_with(
     shards: usize,
     plan: Option<&FaultPlan>,
 ) -> SimResult {
-    let mut cfg = sim_config(app, mode, seed, scale);
+    let mut cfg = scale.sim_config(app, mode, seed);
     if let (Some(plan), DedupMode::PageForge(_)) = (plan, &cfg.dedup) {
         cfg.faults = Some(plan.clone());
     }
@@ -406,36 +402,9 @@ pub fn run_triple(app: &str, seed: u64, scale: Scale) -> [SimResult; 3] {
     suite_modes().map(|mode| run_suite_cell(app, mode, seed, scale))
 }
 
-/// Runs the whole 5-app × 3-config latency suite.
-pub fn run_latency_suite(seed: u64, scale: Scale) -> Vec<[SimResult; 3]> {
-    APPS.iter()
-        .map(|app| run_triple(app, seed, scale))
-        .collect()
-}
-
 /// Cache-file path for the latency suite at one (seed, scale).
 pub fn suite_cache_path(out_dir: &std::path::Path, seed: u64, scale: Scale) -> std::path::PathBuf {
     out_dir.join(format!("latency_suite_{seed:#x}_{}.json", scale.tag()))
-}
-
-/// Like [`run_latency_suite`], but cached on disk: Figures 9–11 and
-/// Table 4 all read the same 15 simulations, so the first binary to run
-/// pays for them and the rest reuse the JSON
-/// (`<out_dir>/latency_suite_<seed>_<scale>.json`). Delete the file to
-/// force a re-run.
-pub fn run_latency_suite_cached(
-    seed: u64,
-    scale: Scale,
-    out_dir: &std::path::Path,
-) -> Vec<[SimResult; 3]> {
-    let path = suite_cache_path(out_dir, seed, scale);
-    if let Some(suite) = read_suite_cache(&path) {
-        eprintln!("(reusing cached simulations from {})", path.display());
-        return suite;
-    }
-    let suite = run_latency_suite(seed, scale);
-    write_suite_cache(&path, out_dir, &suite);
-    suite
 }
 
 /// Reads a latency-suite cache file, if present and well-formed.
@@ -493,11 +462,10 @@ pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
         let mut secs = f64::INFINITY;
         let mut result = None;
         for _ in 0..REPS {
-            let cfg = sim_config(
+            let cfg = scale.sim_config(
                 app,
                 DedupMode::PageForge(SimConfig::scaled_pageforge()),
                 seed,
-                scale,
             );
             let start = std::time::Instant::now();
             let rep = System::with_shards(cfg, shards).run();
@@ -846,6 +814,219 @@ pub fn fleet_chaos_table(cells: &[ChaosCell]) -> Table {
     t
 }
 
+// ---------------------------------------------------------------------
+// Fault-injection campaign (DESIGN.md §7)
+// ---------------------------------------------------------------------
+
+/// Scheduled fault events per campaign cell (the sweep axis).
+pub const FAULT_RATES: [usize; 5] = [0, 8, 64, 256, 1024];
+
+/// Campaign seeds: each, XORed with the run seed, reseeds both the guest
+/// memory and the plan of one replica.
+pub const FAULT_SEEDS: [u64; 3] = [1, 2, 3];
+
+/// Idle gap between the campaign's scan passes, in cycles.
+const PASS_GAP: Cycle = 10_000;
+
+/// A duplicate-rich guest memory plus its golden shadow copy.
+struct FaultWorld {
+    mem: HostMemory,
+    shadow: Vec<((VmId, Gfn), PageData)>,
+    hints: Vec<(VmId, Gfn)>,
+}
+
+/// Builds a duplicate-rich guest memory: pages draw their contents from a
+/// small pool of classes, so identical pages abound within and across VMs.
+fn fault_world(seed: u64, vms: u32, pages: u64) -> FaultWorld {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD0_0D1E);
+    let classes = ((vms as u64 * pages) / 4).max(2);
+    let mut mem = HostMemory::new();
+    let mut shadow = Vec::new();
+    let mut hints = Vec::new();
+    for v in 0..vms {
+        for g in 0..pages {
+            let class = rng.gen_range(0..classes);
+            let data = PageData::from_fn(|i| {
+                (class
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add((i as u64).wrapping_mul(0x100_0000_01B3))
+                    >> 17) as u8
+            });
+            mem.map_new_page(VmId(v), Gfn(g), data.clone());
+            shadow.push(((VmId(v), Gfn(g)), data));
+            hints.push((VmId(v), Gfn(g)));
+        }
+    }
+    FaultWorld { mem, shadow, hints }
+}
+
+/// Runs `passes` full scans over the hint list; returns the final cycle.
+fn fault_passes(
+    pf: &mut PageForge,
+    mem: &mut HostMemory,
+    fabric: &mut FlatFabric,
+    passes: usize,
+    n: usize,
+) -> Cycle {
+    let mut t = 0;
+    for _ in 0..passes {
+        let report = pf.scan_batch(mem, fabric, t, n);
+        t = report.finished_at.max(t) + PASS_GAP;
+    }
+    t
+}
+
+/// The outcome of one (rate, seed) cell of the fault-injection campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultCell {
+    /// Scheduled fault events in the cell's plan.
+    pub rate: usize,
+    /// Index into [`FAULT_SEEDS`].
+    pub rep: usize,
+    /// Faults the injector applied.
+    pub injected: u64,
+    /// Single-bit data and check-bit faults SECDED corrected.
+    pub corrected: u64,
+    /// Double-bit faults SECDED detected.
+    pub detected: u64,
+    /// Aliased faults SECDED silently miscorrected.
+    pub miscorrected: u64,
+    /// Stale and colliding minikeys.
+    pub key_faults: u64,
+    /// Faults that landed where nothing read them.
+    pub masked: u64,
+    /// Candidates that took the software path (stall budget, engine
+    /// error, or cross-check rejection).
+    pub degraded: u64,
+    /// Merges the faulted run performed.
+    pub merges: u64,
+    /// Guest pages whose readback differs from the golden shadow.
+    pub incorrect: u64,
+}
+
+/// One campaign cell: probe the horizon fault-free, rerun the identical
+/// world under a generated [`FaultPlan`], then audit every guest page
+/// against its golden shadow copy. Merging may only change *frames*,
+/// never *bytes*. Guest memory is 3 VMs × 48 pages × 4 passes at smoke
+/// and quick scale, 6 × 128 × 8 at full scale. `--faults` does not apply:
+/// the campaign generates its own plans.
+///
+/// # Panics
+///
+/// Panics if the faulted run leaves host memory's invariants broken.
+pub fn fault_campaign_cell(rate: usize, rep: usize, seed: u64, scale: Scale) -> FaultCell {
+    let (vms, pages, passes) = match scale {
+        Scale::Full => (6, 128, 8),
+        Scale::Quick | Scale::Smoke => (3, 48, 4),
+    };
+    let seed = FAULT_SEEDS[rep] ^ seed;
+
+    // Probe run: learns the cycle horizon the plan should cover.
+    let FaultWorld { mut mem, hints, .. } = fault_world(seed, vms, pages);
+    let mut fabric = FlatFabric::all_dram(80);
+    let mut pf = PageForge::new(PageForgeConfig::default(), hints.clone());
+    let n = hints.len();
+    let horizon = fault_passes(&mut pf, &mut mem, &mut fabric, passes, n).max(1);
+
+    // Faulted run: identical world, same pass schedule, plan installed.
+    let stalls = if rate == 0 { 0 } else { 3 };
+    let plan = FaultPlan::generate(seed, horizon, rate, stalls, (horizon / 8).max(200_000));
+    let FaultWorld {
+        mut mem,
+        shadow,
+        hints,
+    } = fault_world(seed, vms, pages);
+    let mut fabric = FlatFabric::all_dram(80);
+    let mut pf = PageForge::new(PageForgeConfig::default(), hints);
+    pf.set_fault_injector(Some(FaultInjector::new(&plan)));
+    fault_passes(&mut pf, &mut mem, &mut fabric, passes, n);
+
+    let incorrect = shadow
+        .iter()
+        .filter(|((vm, gfn), expect)| mem.guest_read(*vm, *gfn) != Some(expect))
+        .count() as u64;
+    mem.check_invariants()
+        .unwrap_or_else(|e| panic!("memory invariants violated at rate {rate}: {e}"));
+
+    let snap = pf.export_metrics().snapshot();
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    FaultCell {
+        rate,
+        rep,
+        injected: c("faults.injected"),
+        corrected: c("faults.data_corrected") + c("faults.check_corrected"),
+        detected: c("faults.data_detected"),
+        miscorrected: c("faults.miscorrected"),
+        key_faults: c("faults.key_faults") + c("faults.key_collisions"),
+        masked: c("faults.masked"),
+        degraded: c("pageforge.degraded_candidates")
+            + c("pageforge.engine_errors")
+            + c("pageforge.cross_check_skips"),
+        merges: mem.stats().merges,
+        incorrect,
+    }
+}
+
+/// Folds campaign cells into the `fault_campaign` table and enforces the
+/// safety property over the whole sweep.
+///
+/// # Panics
+///
+/// Panics if any guest page was corrupted, or if the campaign never
+/// injected, corrected, detected, or degraded anything (a campaign that
+/// exercises nothing proves nothing).
+pub fn fault_campaign_table(cells: &[FaultCell]) -> Table {
+    let mut t = Table::new(
+        "Fault-injection campaign: outcomes per (rate, seed); incorrect merges must be 0",
+        &[
+            "Events",
+            "Seed",
+            "Injected",
+            "Corrected",
+            "Detected",
+            "Miscorr",
+            "KeyFaults",
+            "Masked",
+            "Degraded",
+            "Merges",
+            "Incorrect",
+        ],
+    );
+    for c in cells {
+        t.row(vec![
+            c.rate.to_string(),
+            format!("s{}", c.rep),
+            c.injected.to_string(),
+            c.corrected.to_string(),
+            c.detected.to_string(),
+            c.miscorrected.to_string(),
+            c.key_faults.to_string(),
+            c.masked.to_string(),
+            c.degraded.to_string(),
+            c.merges.to_string(),
+            c.incorrect.to_string(),
+        ]);
+    }
+    let sum = |f: fn(&FaultCell) -> u64| cells.iter().map(f).sum::<u64>();
+    let incorrect = sum(|c| c.incorrect);
+    assert_eq!(
+        incorrect, 0,
+        "campaign found {incorrect} corrupted guest pages — the safety \
+         property is violated"
+    );
+    assert!(sum(|c| c.injected) > 0, "campaign injected nothing");
+    assert!(sum(|c| c.corrected) > 0, "no fault was ever corrected");
+    assert!(
+        sum(|c| c.detected) > 0,
+        "no double-bit fault was ever detected"
+    );
+    assert!(
+        sum(|c| c.degraded) > 0,
+        "graceful degradation never engaged"
+    );
+    t
+}
+
 /// Figure 9: mean sojourn latency normalized to Baseline.
 pub fn figure9(suite: &[[SimResult; 3]]) -> Table {
     let mut t = Table::new(
@@ -985,18 +1166,8 @@ pub fn table5_profile(profile: &AppProfile, seed: u64, n_vms: u32) -> RunningSta
     pf.engine_stats().run_cycles
 }
 
-/// Table 5: PageForge design characteristics — Scan-Table processing-time
-/// distribution measured per application, plus the area/power model.
-pub fn table5(seed: u64, scale: Scale) -> Table {
-    let all_means: Vec<(String, RunningStats)> =
-        AppProfile::tailbench_suite_scaled(scale.pages_per_vm())
-            .iter()
-            .map(|p| (p.name.clone(), table5_profile(p, seed, scale.n_vms())))
-            .collect();
-    table5_from(&all_means)
-}
-
-/// Assembles Table 5 from the per-profile cycle distributions.
+/// Table 5: PageForge design characteristics — the per-application
+/// Scan-Table processing-time distributions, plus the area/power model.
 pub fn table5_from(all_means: &[(String, RunningStats)]) -> Table {
     let grand_mean = all_means.iter().map(|(_, s)| s.mean()).sum::<f64>() / all_means.len() as f64;
     let across_app_std = {
@@ -1029,7 +1200,7 @@ pub fn table5_from(all_means: &[(String, RunningStats)]) -> Table {
     ]);
     t.row(vec![
         "OS checking (cycles)".into(),
-        format!("{}", PageForgeConfig::default().os_check_interval),
+        format!("{}", OS_CHECK_INTERVAL),
         "paper: 12,000".into(),
     ]);
     t.row(vec![
@@ -1275,7 +1446,7 @@ pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
             "Frames",
         ],
     );
-    let base = System::new(sim_config("silo", DedupMode::None, seed, scale)).run();
+    let base = System::new(scale.sim_config("silo", DedupMode::None, seed)).run();
     t.row(vec![
         "0 (Baseline)".into(),
         ratio(1.0),
@@ -1284,11 +1455,10 @@ pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
         base.mem_stats.allocated_frames.to_string(),
     ]);
     for modules in [1usize, 2, 4] {
-        let mut cfg = sim_config(
+        let mut cfg = scale.sim_config(
             "silo",
             DedupMode::PageForge(SimConfig::scaled_pageforge()),
             seed,
-            scale,
         );
         cfg.pf_modules = modules;
         let r = System::new(cfg).run();
@@ -1379,7 +1549,7 @@ pub fn ablation_cache_bypass(seed: u64, scale: Scale) -> Table {
     ];
     let mut base: Option<(f64, f64)> = None;
     for (name, mode) in configs {
-        let mut r = System::new(sim_config("silo", mode, seed, scale)).run();
+        let mut r = System::new(scale.sim_config("silo", mode, seed)).run();
         let mean = r.mean_sojourn();
         let p95 = r.p95_sojourn();
         let (bm, bp) = *base.get_or_insert((mean, p95));
@@ -1453,7 +1623,7 @@ pub fn sweep_scan_rate(seed: u64, scale: Scale) -> Table {
             "PF p95",
         ],
     );
-    let base = System::new(sim_config("silo", DedupMode::None, seed, scale)).run();
+    let base = System::new(scale.sim_config("silo", DedupMode::None, seed)).run();
     let base_mean = base.mean_sojourn();
     let mut base_mut = base;
     let base_p95 = base_mut.p95_sojourn();
@@ -1461,7 +1631,7 @@ pub fn sweep_scan_rate(seed: u64, scale: Scale) -> Table {
     for pages in [8usize, 16, 32, 64] {
         let mut kc = SimConfig::scaled_ksm();
         kc.pages_to_scan = pages;
-        let mut cfg = sim_config("silo", DedupMode::Ksm(kc.clone()), seed, scale);
+        let mut cfg = scale.sim_config("silo", DedupMode::Ksm(kc.clone()), seed);
         // sim_config's reduced scales rescale pages_to_scan; reapply the
         // sweep value.
         if let DedupMode::Ksm(k) = &mut cfg.dedup {
@@ -1472,7 +1642,7 @@ pub fn sweep_scan_rate(seed: u64, scale: Scale) -> Table {
 
         let mut pc = SimConfig::scaled_pageforge();
         pc.pages_to_scan = pages;
-        let mut cfg = sim_config("silo", DedupMode::PageForge(pc), seed, scale);
+        let mut cfg = scale.sim_config("silo", DedupMode::PageForge(pc), seed);
         if let DedupMode::PageForge(p) = &mut cfg.dedup {
             p.pages_to_scan = pages;
         }

@@ -1,27 +1,13 @@
 //! Benchmark harness regenerating every table and figure of the PageForge
 //! paper's evaluation (§5–§6).
 //!
-//! Each `src/bin/*.rs` binary regenerates one table or figure; the
-//! experiment logic lives here so integration tests can validate the same
-//! code paths the binaries run. Results print as aligned text tables and
-//! are optionally written as JSON under `results/` so EXPERIMENTS.md can be
-//! kept honest.
-//!
-//! Binaries (run with `cargo run --release -p pageforge-bench --bin <name>`):
-//!
-//! | binary | regenerates |
-//! |--------|-------------|
-//! | `table3_apps` | Table 3 (applications + QPS) |
-//! | `fig7_memory_savings` | Figure 7 (memory allocation w/ and w/o merging) |
-//! | `fig8_hash_keys` | Figure 8 (jhash vs ECC hash-key outcomes) |
-//! | `table4_ksm_characterization` | Table 4 (KSM cycle/L3 characterization) |
-//! | `fig9_mean_latency` | Figure 9 (mean sojourn latency, normalized) |
-//! | `fig10_tail_latency` | Figure 10 (95th-percentile latency, normalized) |
-//! | `fig11_bandwidth` | Figure 11 (memory bandwidth in the busiest phase) |
-//! | `table5_design` | Table 5 (Scan-Table timing + area/power) |
-//! | `ablation_ecc_offsets` | §3.3/§3.6 minikey-count ablation |
-//! | `ablation_scan_table` | §6.4 Scan-Table size ablation |
-//! | `ablation_inorder_core` | §4.3 in-order-core alternative |
+//! `run_all` is the one experiment entry point: [`suite::run_suite`]
+//! schedules every experiment in [`suite::EXPERIMENTS`] (select with
+//! `--only`). The experiment logic lives here so integration tests can
+//! validate the same code paths `run_all` runs. Results print as aligned
+//! text tables and are written as JSON under `results/` so EXPERIMENTS.md
+//! can be kept honest. `make_report`, `trace_report`, `snapshot_diff` and
+//! `timing_gate` post-process what `run_all` writes.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -17,8 +17,8 @@
 //!   being silently dropped.
 //!
 //! The pool is plain scoped `std::thread` workers pulling indices off a
-//! shared queue — the same shape a later PR can lift to shard the
-//! simulator itself across memory-controller modules.
+//! shared queue. Inside one simulation, `--shards` fans work out with the
+//! same take-once shape ([`pageforge_sim::ordered_map`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -28,26 +28,6 @@ use std::time::Instant;
 
 use pageforge_obs::trace::{self, Collector, TraceEvent};
 use pageforge_types::json::{self, obj, FromJson, ToJson, Value};
-
-/// How a bench run schedules its experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads (`--jobs`). 1 reproduces the sequential run; any
-    /// other value produces byte-identical results, just faster.
-    pub jobs: usize,
-    /// Smoke mode (`--smoke`): reduced cycle budgets and VM counts so
-    /// the *entire* figure pipeline finishes in minutes (CI runs this).
-    pub smoke: bool,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            jobs: 1,
-            smoke: false,
-        }
-    }
-}
 
 /// One schedulable unit of work: a closure plus labels for reporting.
 pub struct Unit<T> {
@@ -99,12 +79,13 @@ pub struct UnitResult<T> {
     pub dropped: u64,
 }
 
-/// A unit panicked; the run was aborted.
+/// A unit panicked and the run was aborted, or the suite rejected a flag
+/// before any unit ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerError {
-    /// Label of the failing unit.
+    /// Label of the failing unit, or the rejected flag.
     pub label: String,
-    /// The panic payload, stringified.
+    /// The panic payload, stringified, or why the flag was rejected.
     pub message: String,
 }
 

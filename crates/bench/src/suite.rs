@@ -16,7 +16,7 @@ use pageforge_types::stats::RunningStats;
 use pageforge_vm::AppProfile;
 
 use crate::experiments::{
-    self, ChaosCell, FleetCell, HashKeyOutcome, MemorySavings, SeedReplicate,
+    self, ChaosCell, FaultCell, FleetCell, HashKeyOutcome, MemorySavings, SeedReplicate,
 };
 use crate::report::Table;
 use crate::scheduler::{
@@ -45,6 +45,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "seed_sweep",
     "fleet",
     "fleet_chaos",
+    "fault_campaign",
 ];
 
 /// What one work unit produces.
@@ -68,6 +69,8 @@ pub enum UnitOutput {
     Fleet(FleetCell),
     /// One (fault rate, seed replica) cell of the chaos campaign.
     Chaos(ChaosCell),
+    /// One (fault rate, seed) cell of the fault-injection campaign.
+    Fault(FaultCell),
 }
 
 /// The reassembled evaluation: named tables (file stem, table) in paper
@@ -100,6 +103,10 @@ pub struct TraceSummary {
 
 /// Runs the selected experiments on `args.jobs` workers and reassembles
 /// the tables. Results are byte-identical at any `--jobs` level.
+///
+/// Bad flags — an `--only` typo, `--only seed_sweep` without
+/// `--seeds >= 2`, a missing or malformed `--faults`/`--fleet-faults`
+/// plan — return an error naming the flag before any unit runs.
 pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // A typo in `--only` must fail loudly *before* any work is
     // scheduled, listing what would have been accepted.
@@ -114,6 +121,12 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             });
         }
     }
+    if args.seeds < 2 && args.only.iter().any(|o| o == "seed_sweep") {
+        return Err(SchedulerError {
+            label: "--only seed_sweep".into(),
+            message: "needs --seeds N with N >= 2 to have anything to sweep".into(),
+        });
+    }
     let want = |name: &str| args.only.is_empty() || args.only.iter().any(|o| o == name);
     let scale = args.scale();
     let seed = args.seed;
@@ -123,8 +136,11 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // produces exactly the bytes) of a run with no flag at all.
     let fault_plan = match &args.faults {
         Some(path) => {
-            let plan = pageforge_faults::FaultPlan::read_file(path)
-                .unwrap_or_else(|e| panic!("--faults: {e}"));
+            let plan =
+                pageforge_faults::FaultPlan::read_file(path).map_err(|message| SchedulerError {
+                    label: "--faults".into(),
+                    message,
+                })?;
             (!plan.is_empty()).then_some(plan)
         }
         None => None,
@@ -135,8 +151,12 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // run with no flag at all.
     let fleet_fault_plan = match &args.fleet_faults {
         Some(path) => {
-            let plan = pageforge_faults::FleetFaultPlan::read_file(path)
-                .unwrap_or_else(|e| panic!("--fleet-faults: {e}"));
+            let plan = pageforge_faults::FleetFaultPlan::read_file(path).map_err(|message| {
+                SchedulerError {
+                    label: "--fleet-faults".into(),
+                    message,
+                }
+            })?;
             (!plan.is_empty()).then_some(plan)
         }
         None => None,
@@ -225,8 +245,17 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             }
         }
     }
-    if args.seeds < 2 && args.only.iter().any(|o| o == "seed_sweep") {
-        panic!("--only seed_sweep needs --seeds N with N >= 2 to have anything to sweep");
+    if want("fault_campaign") {
+        // Like the chaos campaign, cells generate their own plans, so
+        // `--faults` does not apply here.
+        for rate in experiments::FAULT_RATES {
+            for rep in 0..experiments::FAULT_SEEDS.len() {
+                let label = format!("fault_campaign/r{rate}/s{rep}");
+                units.push(Unit::new("fault_campaign", label, move || {
+                    UnitOutput::Fault(experiments::fault_campaign_cell(rate, rep, seed, scale))
+                }));
+            }
+        }
     }
     if want("seed_sweep") && args.seeds >= 2 {
         for i in 0..args.seeds {
@@ -346,6 +375,7 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     let mut seed_reps: Vec<SeedReplicate> = Vec::new();
     let mut fleet_cells: Vec<FleetCell> = Vec::new();
     let mut chaos_cells: Vec<ChaosCell> = Vec::new();
+    let mut fault_cells: Vec<FaultCell> = Vec::new();
     for r in results {
         match r.value {
             UnitOutput::Table(t) => singles.push((r.experiment, t)),
@@ -360,6 +390,7 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             UnitOutput::SeedRep(rep) => seed_reps.push(rep),
             UnitOutput::Fleet(cell) => fleet_cells.push(cell),
             UnitOutput::Chaos(cell) => chaos_cells.push(cell),
+            UnitOutput::Fault(cell) => fault_cells.push(cell),
         }
     }
     timing.shard_scaling = shard_rows;
@@ -466,6 +497,13 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             experiments::fleet_chaos_table(&chaos_cells),
         );
     }
+    if !fault_cells.is_empty() {
+        push(
+            &mut tables,
+            "fault_campaign",
+            experiments::fault_campaign_table(&fault_cells),
+        );
+    }
     let trace = match (&args.trace, &spool_dir) {
         (Some(path), Some(dir)) => {
             let events = trace_report::assemble_spooled_trace(path, dir, &labels)
@@ -537,6 +575,63 @@ mod tests {
         for name in EXPERIMENTS {
             assert!(msg.contains(name), "error must list `{name}`: {msg}");
         }
+    }
+
+    /// Asserts `args` fails validation on `flag`, with `needle` in the
+    /// message. The label is the flag, not a unit's, so the error came
+    /// before any unit ran (the default full-scale suite would take
+    /// minutes otherwise).
+    fn rejected_before_any_unit(args: &BenchArgs, flag: &str, needle: &str) {
+        let err = match run_suite(args) {
+            Ok(_) => panic!("{flag}: a bad flag must not run anything"),
+            Err(e) => e,
+        };
+        assert_eq!(err.label, flag);
+        assert!(err.message.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn missing_fault_plan_is_an_error() {
+        let path = std::env::temp_dir().join("pageforge-suite-no-such-plan.json");
+        let _ = std::fs::remove_file(&path);
+        let path_text = path.display().to_string();
+        let args = BenchArgs {
+            faults: Some(path.clone()),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--faults", &path_text);
+        let args = BenchArgs {
+            fleet_faults: Some(path),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--fleet-faults", &path_text);
+    }
+
+    #[test]
+    fn malformed_fault_plan_is_an_error() {
+        let path = std::env::temp_dir().join("pageforge-suite-malformed-plan.json");
+        std::fs::write(&path, "{\"seed\": 0, \"events\": [").expect("write plan");
+        let path_text = path.display().to_string();
+        let args = BenchArgs {
+            faults: Some(path.clone()),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--faults", &path_text);
+        let args = BenchArgs {
+            fleet_faults: Some(path.clone()),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--fleet-faults", &path_text);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn seed_sweep_without_seeds_is_an_error() {
+        let args = BenchArgs {
+            only: vec!["seed_sweep".into()],
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--only seed_sweep", "--seeds");
     }
 
     #[test]

@@ -38,7 +38,12 @@ fn smoke_args(jobs: usize, out_dir: PathBuf) -> BenchArgs {
         // A multi-unit subset that exercises fan-out, ordered merge, and
         // the per-profile unit splitting without the cost of the latency
         // suite.
-        only: vec!["fig7".into(), "fig8".into(), "table5".into()],
+        only: vec![
+            "fig7".into(),
+            "fig8".into(),
+            "table5".into(),
+            "fault_campaign".into(),
+        ],
         out_dir,
         ..BenchArgs::default()
     }

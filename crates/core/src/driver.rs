@@ -6,7 +6,7 @@
 //! memory controller*. For each candidate the driver loads the root of the
 //! relevant tree plus a few subsequent levels in breadth-first order into
 //! the Scan Table, sets `Less`/`More` to mirror the tree edges, triggers
-//! the hardware, and polls `get_PFE_info` every `os_check_interval` cycles.
+//! the hardware, and polls `get_PFE_info` every [`OS_CHECK_INTERVAL`] cycles.
 //! If the hardware ran off the loaded slice, the driver refills the table
 //! with the subtree the search descended into.
 //!
@@ -33,6 +33,24 @@ use crate::engine::{EngineConfig, EngineStats, PageForgeEngine};
 use crate::fabric::MemoryFabric;
 use crate::scan_table::INVALID_INDEX;
 
+/// OS polling period for `get_PFE_info` (Table 5: 12,000 cycles).
+pub const OS_CHECK_INTERVAL: Cycle = 12_000;
+
+/// OS cycles consumed per Scan Table refill (the `insert_PPN` /
+/// `update_PFE` calls).
+const OS_REFILL_CYCLES: Cycle = 350;
+
+/// OS cycles consumed per `get_PFE_info` poll.
+const OS_CHECK_CYCLES: Cycle = 60;
+
+/// Retries (with exponential backoff) when the engine is stalled before
+/// the driver degrades the candidate to the software path.
+const MAX_ENGINE_RETRIES: u32 = 3;
+
+/// Base backoff between engine stall retries, in cycles; doubles on each
+/// retry. Fully deterministic.
+const RETRY_BACKOFF_CYCLES: Cycle = 20_000;
+
 /// Driver configuration (the paper runs PageForge with KSM's knobs,
 /// Table 2).
 #[derive(Debug, Clone, PartialEq)]
@@ -44,23 +62,6 @@ pub struct PageForgeConfig {
     pub sleep_millisecs: u64,
     /// Hardware parameters.
     pub engine: EngineConfig,
-    /// OS polling period for `get_PFE_info` (Table 5: 12,000 cycles).
-    pub os_check_interval: Cycle,
-    /// OS cycles consumed per Scan Table refill (the `insert_PPN` /
-    /// `update_PFE` calls).
-    pub os_refill_cycles: Cycle,
-    /// OS cycles consumed per `get_PFE_info` poll.
-    pub os_check_cycles: Cycle,
-    /// Retries (with exponential backoff) when the engine is stalled
-    /// before the driver degrades the candidate to the software path.
-    pub max_engine_retries: u32,
-    /// Base backoff between engine stall retries, in cycles; doubles on
-    /// each retry. Fully deterministic.
-    pub retry_backoff_cycles: Cycle,
-    /// Engine errors tolerated within one `scan_batch` before the rest of
-    /// the batch degrades straight to software. `u64::MAX` disables the
-    /// threshold (the default: only hard failures degrade).
-    pub degrade_error_threshold: u64,
 }
 
 impl Default for PageForgeConfig {
@@ -69,12 +70,6 @@ impl Default for PageForgeConfig {
             pages_to_scan: 400,
             sleep_millisecs: 5,
             engine: EngineConfig::default(),
-            os_check_interval: 12_000,
-            os_refill_cycles: 350,
-            os_check_cycles: 60,
-            max_engine_retries: 3,
-            retry_backoff_cycles: 20_000,
-            degrade_error_threshold: u64::MAX,
         }
     }
 }
@@ -107,7 +102,7 @@ pub struct PageForgeStats {
     /// OS-side cycles consumed (refills + polls); tiny by design.
     pub os_cycles: Cycle,
     /// Candidates that fell back to the software KSM path (engine stall,
-    /// error, or a tripped error threshold).
+    /// error, or a rejected cross-check).
     pub degraded_candidates: u64,
     /// Stall retries attempted (each backs off exponentially).
     pub stall_retries: u64,
@@ -164,9 +159,6 @@ pub struct PageForge {
     cursor: usize,
     prev_key: BTreeMap<(VmId, Gfn), EccHashKey>,
     stats: PageForgeStats,
-    /// Set when the per-batch error threshold trips: the rest of the
-    /// current `scan_batch` goes straight to the software path.
-    degrade_batch: bool,
     /// Refill scratch: the current BFS slice. Reused across refills so the
     /// hot search loop allocates nothing in steady state.
     scratch_slice: Vec<NodeId>,
@@ -187,7 +179,6 @@ impl PageForge {
             cursor: 0,
             prev_key: BTreeMap::new(),
             stats: PageForgeStats::default(),
-            degrade_batch: false,
             scratch_slice: Vec::new(),
             scratch_stale: Vec::new(),
         }
@@ -212,7 +203,6 @@ impl PageForge {
         self.stable.clear();
         self.unstable.clear();
         self.prev_key.clear();
-        self.degrade_batch = false;
     }
 
     /// Installs (or removes) a deterministic fault injector on the
@@ -337,21 +327,8 @@ impl PageForge {
             return report;
         }
         let os_before = self.stats.os_cycles;
-        let errors_before = self.stats.engine_errors;
-        self.degrade_batch = false;
         let mut t = now;
         for _ in 0..n {
-            if !self.degrade_batch
-                && self.stats.engine_errors - errors_before >= self.cfg.degrade_error_threshold
-            {
-                // Error threshold tripped: stop bouncing off the engine and
-                // run the rest of this batch in software.
-                self.degrade_batch = true;
-                trace_event!(t, "driver", "degrade", {
-                    reason: 2.0, // error-rate threshold
-                    errors: (self.stats.engine_errors - errors_before) as f64,
-                });
-            }
             let Some(&(vm, gfn)) = self.hints.get(self.cursor) else {
                 // Defensive: the cursor always stays in range (it wraps at
                 // the end of each pass); never merge on a corrupt cursor.
@@ -421,9 +398,6 @@ impl PageForge {
             return (false, now);
         }
         let started = now;
-        if self.degrade_batch {
-            return self.software_candidate(mem, vm, gfn, ppn, started, now);
-        }
 
         // --- Stable tree search (hardware) --------------------------------
         let (stable_result, mut t) = match self.hw_search(TreeKind::Stable, mem, fabric, ppn, now) {
@@ -547,7 +521,7 @@ impl PageForge {
     /// (the baseline KSM algorithm), bypassing the PageForge engine.
     ///
     /// Reached when the engine stalls past the retry budget, reports an
-    /// error, fails a cross-check, or the per-batch error threshold trips.
+    /// error, or fails a cross-check.
     /// Merge *decisions* are identical to the hardware path — both walk the
     /// same trees in content order and use the same pure key function — so
     /// degradation costs cycles, never correctness.
@@ -779,7 +753,7 @@ impl PageForge {
                 self.engine.update_pfe(last_refill, 0);
             }
             self.stats.refills += 1;
-            self.stats.os_cycles += self.cfg.os_refill_cycles;
+            self.stats.os_cycles += OS_REFILL_CYCLES;
             trace_event!(t, "driver", "refill", {
                 entries: slice.len() as f64,
                 last_refill: if last_refill { 1.0 } else { 0.0 },
@@ -789,7 +763,7 @@ impl PageForge {
             // backoff — fully deterministic in cycles — then degrade.
             let mut retries = 0u32;
             while self.engine.stalled(t) {
-                if retries >= self.cfg.max_engine_retries {
+                if retries >= MAX_ENGINE_RETRIES {
                     trace_event!(t, "driver", "degrade", {
                         reason: 0.0, // stall outlasted the retry budget
                         retries: retries as f64,
@@ -797,7 +771,7 @@ impl PageForge {
                     return HwOutcome::Degrade(t);
                 }
                 self.stats.stall_retries += 1;
-                let backoff = self.cfg.retry_backoff_cycles << retries.min(20);
+                let backoff = RETRY_BACKOFF_CYCLES << retries.min(20);
                 trace_event!(t, "driver", "stall_retry", {
                     retry: retries as f64,
                     backoff: backoff as f64,
@@ -867,9 +841,8 @@ impl PageForge {
 
     fn os_wait(&mut self, finished_at: Cycle) -> Cycle {
         // The OS discovers completion at the next polling boundary.
-        let interval = self.cfg.os_check_interval;
-        self.stats.os_cycles += self.cfg.os_check_cycles;
-        finished_at.div_ceil(interval) * interval
+        self.stats.os_cycles += OS_CHECK_CYCLES;
+        finished_at.div_ceil(OS_CHECK_INTERVAL) * OS_CHECK_INTERVAL
     }
 }
 

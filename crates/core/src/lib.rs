@@ -50,7 +50,7 @@ pub mod fabric;
 pub mod power;
 pub mod scan_table;
 
-pub use driver::{IntervalReport, PageForge, PageForgeConfig, PageForgeStats};
+pub use driver::{IntervalReport, PageForge, PageForgeConfig, PageForgeStats, OS_CHECK_INTERVAL};
 pub use engine::{EngineConfig, EngineError, EngineRun, EngineStats, PageForgeEngine};
 pub use fabric::{FabricRead, FlatFabric, MemoryFabric};
 pub use power::{AreaPower, PowerModel, TechNode};

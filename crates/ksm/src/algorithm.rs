@@ -37,8 +37,6 @@ pub struct KsmConfig {
     /// Sleep between work intervals in milliseconds (`sleep_millisecs`,
     /// default 5). Consumed by the simulator's scheduler, not here.
     pub sleep_millisecs: u64,
-    /// Cost model for charging the daemon's work to a core.
-    pub cost: CostModel,
     /// When set, an ECC hash key is computed alongside every jhash
     /// checksum check so the two schemes can be compared (Figure 8). The
     /// shadow adds no cycles to the KSM cost — it models what the PageForge
@@ -68,7 +66,6 @@ impl Default for KsmConfig {
         KsmConfig {
             pages_to_scan: 400,
             sleep_millisecs: 5,
-            cost: CostModel::default(),
             shadow_ecc: None,
             use_zero_pages: false,
             cache_bypass: false,
@@ -334,7 +331,7 @@ impl Ksm {
                 });
             }
         }
-        report.cycles = self.cfg.cost.price(&report.work);
+        report.cycles = CostModel::default().price(&report.work);
         self.stats.work.absorb(&report.work);
         self.stats.cycles.absorb(report.cycles);
         // Trace stamps are the daemon's own cumulative priced cycles: KSM

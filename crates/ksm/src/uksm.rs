@@ -21,7 +21,6 @@ use pageforge_types::{Cycle, Gfn, PageData, VmId};
 use pageforge_vm::HostMemory;
 
 use crate::algorithm::{BatchReport, Ksm, KsmConfig};
-use crate::cost::CostModel;
 
 /// UKSM tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +34,6 @@ pub struct UksmConfig {
     /// Bytes sampled per page by the UKSM hash (adaptive in real UKSM;
     /// fixed here).
     pub hash_sample_bytes: usize,
-    /// Cost model shared with KSM.
-    pub cost: CostModel,
 }
 
 impl Default for UksmConfig {
@@ -46,7 +43,6 @@ impl Default for UksmConfig {
             interval_cycles: 200_000,
             initial_quota: 16,
             hash_sample_bytes: 128,
-            cost: CostModel::default(),
         }
     }
 }
@@ -89,7 +85,6 @@ impl Uksm {
         let inner_cfg = KsmConfig {
             pages_to_scan: cfg.initial_quota,
             sleep_millisecs: 0,
-            cost: cfg.cost,
             shadow_ecc: None,
             use_zero_pages: false,
             cache_bypass: false,

@@ -44,7 +44,6 @@ impl DedupMode {
 /// let cfg = SimConfig::micro50("silo", DedupMode::None, 0xC0FFEE);
 /// assert_eq!(cfg.cores, 10);          // Table 2: 10 cores, one VM each
 /// assert_eq!(cfg.mem.controllers, 2); // Figure 5: two memory controllers
-/// assert!(cfg.premerge);              // §5.3: measure at merge steady state
 ///
 /// let quick = SimConfig::quick("silo", DedupMode::None, 1);
 /// assert_eq!(quick.cores, 4);
@@ -72,12 +71,6 @@ pub struct SimConfig {
     pub measure_cycles: Cycle,
     /// Content-churn period (0 disables churn).
     pub churn_interval: Cycle,
-    /// Pre-merge to steady state before timing starts (the paper measures
-    /// with merging at steady state).
-    pub premerge: bool,
-    /// Divisor applied to memory-stall cycles to model latency overlap in
-    /// an out-of-order core (×10 fixed-point: 15 ⇒ 1.5).
-    pub overlap_x10: u32,
     /// Number of PageForge modules (§4.1 discusses one per memory
     /// controller vs a single module; the paper chooses 1). Hints are
     /// partitioned round-robin across modules.
@@ -121,8 +114,6 @@ impl SimConfig {
             warmup_cycles: 40_000_000,
             measure_cycles: 400_000_000,
             churn_interval: 20_000_000,
-            premerge: true,
-            overlap_x10: 15,
             pf_modules: 1,
             ksm_sticky_intervals: 32,
             faults: None,

@@ -41,6 +41,10 @@ pub const SLICE_CYCLES: Cycle = 100_000;
 /// queries for whole timeslices (the paper's tail-latency mechanism).
 pub const KSM_TIMESLICE: Cycle = 120_000;
 
+/// Divisor applied to memory-stall cycles to model latency overlap in an
+/// out-of-order core (×10 fixed-point: 15 ⇒ 1.5).
+const OVERLAP_X10: Cycle = 15;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// A query arrives at a core's queue.
@@ -295,28 +299,26 @@ impl System {
             }
         };
 
-        if cfg.premerge {
-            // Reach merge steady state before timing starts (§5.3: the
-            // paper measures with the merging algorithm at steady state).
-            // Content-level only: a flat fabric keeps the timed MC clean.
-            match &mut dedup {
-                DedupState::None => {}
-                DedupState::Ksm(ksm) => {
-                    ksm.run_to_steady_state(&mut mem, 12);
+        // Reach merge steady state before timing starts (§5.3: the paper
+        // measures with the merging algorithm at steady state).
+        // Content-level only: a flat fabric keeps the timed MC clean.
+        match &mut dedup {
+            DedupState::None => {}
+            DedupState::Ksm(ksm) => {
+                ksm.run_to_steady_state(&mut mem, 12);
+            }
+            DedupState::PageForge(pfs) => {
+                let mut flat = FlatFabric::all_dram(80);
+                // Alternate modules until both partitions are quiet: a
+                // duplicate pair may straddle partitions, so each module
+                // must see the other's stable pages... each keeps its own
+                // trees, so convergence needs both to finish.
+                for pf in pfs.iter_mut() {
+                    pf.run_to_steady_state(&mut mem, &mut flat, 12);
                 }
-                DedupState::PageForge(pfs) => {
-                    let mut flat = FlatFabric::all_dram(80);
-                    // Alternate modules until both partitions are quiet: a
-                    // duplicate pair may straddle partitions, so each module
-                    // must see the other's stable pages... each keeps its
-                    // own trees, so convergence needs both to finish.
+                if pfs.len() > 1 {
                     for pf in pfs.iter_mut() {
                         pf.run_to_steady_state(&mut mem, &mut flat, 12);
-                    }
-                    if pfs.len() > 1 {
-                        for pf in pfs.iter_mut() {
-                            pf.run_to_steady_state(&mut mem, &mut flat, 12);
-                        }
                     }
                 }
             }
@@ -532,7 +534,6 @@ impl System {
     ) -> (bool, Cycle) {
         let mut t = start;
         let budget_end = start + SLICE_CYCLES;
-        let overlap = u64::from(self.cfg.overlap_x10.max(10));
         while rq.accesses_left > 0 && t < budget_end {
             t += rq.cpu_per_access;
             rq.accesses_left -= 1;
@@ -558,7 +559,7 @@ impl System {
             // The L1-hit latency is already part of the CPU demand; charge
             // the excess, shrunk by the OoO overlap factor.
             let l1 = self.cfg.hierarchy.l1.latency;
-            t += stall.saturating_sub(l1) * 10 / overlap;
+            t += stall.saturating_sub(l1) * 10 / OVERLAP_X10;
         }
         if rq.accesses_left == 0 {
             t += rq.tail_cpu_left;
@@ -601,7 +602,6 @@ impl System {
         let report = ksm.scan_interval(&mut self.mem);
         self.merged_during_run += report.merged;
         let mut t = start + report.cycles.total();
-        let overlap = u64::from(self.cfg.overlap_x10.max(10));
         let l1 = self.cfg.hierarchy.l1.latency;
         for &(ppn, lines) in &report.work.touched {
             for line in 0..(lines as usize).min(pageforge_types::LINES_PER_PAGE) {
@@ -625,7 +625,7 @@ impl System {
                         acc.latency
                     }
                 };
-                t += stall.saturating_sub(l1) * 10 / overlap;
+                t += stall.saturating_sub(l1) * 10 / OVERLAP_X10;
             }
         }
         t
