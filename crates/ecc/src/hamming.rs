@@ -51,6 +51,37 @@ const fn build_pos_to_data() -> [u8; 72] {
 
 const POS_TO_DATA: [u8; 72] = build_pos_to_data();
 
+/// `CODE_TABLE[b][v]`: the share of the 8-bit ECC code due to byte `b` of a
+/// word (little-endian) holding `v` — the XOR of the columns of its set
+/// data bits in the low 7 bits, and in bit 7 the parity of those data bits
+/// plus that share's check bits. Check bits and overall parity are both
+/// XOR-linear in the data, so a word's code is the XOR of its eight shares.
+const fn build_code_table() -> [[u8; 256]; 8] {
+    let mut table = [[0u8; 256]; 8];
+    let mut byte = 0usize;
+    while byte < 8 {
+        let mut v = 0usize;
+        while v < 256 {
+            let mut check = 0u8;
+            let mut bit = 0usize;
+            while bit < 8 {
+                if (v >> bit) & 1 == 1 {
+                    check ^= COLUMNS[byte * 8 + bit];
+                }
+                bit += 1;
+            }
+            let parity = (v.count_ones() + check.count_ones()) & 1;
+            table[byte][v] = check | ((parity as u8) << 7);
+            v += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// 2 KB, read-only. A `static`, so every lookup reads one copy.
+static CODE_TABLE: [[u8; 256]; 8] = build_code_table();
+
 /// The 8 stored ECC bits of one 64-bit word: 7 Hamming check bits (low bits)
 /// plus the overall parity bit (bit 7).
 ///
@@ -138,23 +169,8 @@ impl Decoded {
 pub struct Secded72;
 
 impl Secded72 {
-    /// Computes the 7 Hamming check bits of `data`.
-    fn hamming_bits(data: u64) -> u8 {
-        let mut syndrome = 0u8;
-        let mut d = data;
-        let mut i = 0usize;
-        while d != 0 {
-            let tz = d.trailing_zeros() as usize;
-            i += tz;
-            syndrome ^= COLUMNS[i];
-            d >>= tz;
-            d >>= 1;
-            i += 1;
-        }
-        syndrome
-    }
-
-    /// Encodes a 64-bit word into its 8-bit ECC code.
+    /// Encodes a 64-bit word into its 8-bit ECC code: the 7 Hamming check
+    /// bits, and the overall parity of the data and check bits in bit 7.
     ///
     /// ```
     /// use pageforge_ecc::Secded72;
@@ -162,10 +178,12 @@ impl Secded72 {
     /// assert_eq!(u8::from(c), 0); // all-zero word has all-zero code
     /// ```
     pub fn encode(data: u64) -> EccCode {
-        let check = Self::hamming_bits(data);
-        // Overall parity covers data bits and check bits.
-        let parity = (data.count_ones() + check.count_ones()) & 1;
-        EccCode(check | ((parity as u8) << 7))
+        let code = data
+            .to_le_bytes()
+            .iter()
+            .zip(&CODE_TABLE)
+            .fold(0u8, |code, (&v, shares)| code ^ shares[usize::from(v)]);
+        EccCode(code)
     }
 
     /// Decodes a received (data, code) pair, correcting a single-bit error
@@ -266,6 +284,61 @@ impl fmt::Debug for LineEcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// Random inputs per table test; Miri runs the same checks on fewer.
+    const RANDOM_CASES: usize = if cfg!(miri) { 64 } else { 20_000 };
+
+    /// The encoder `CODE_TABLE` replaced, kept as its reference: XOR the
+    /// column of every set data bit, then add the overall parity bit.
+    fn reference_encode(data: u64) -> EccCode {
+        let mut check = 0u8;
+        let mut d = data;
+        let mut i = 0usize;
+        while d != 0 {
+            let tz = d.trailing_zeros() as usize;
+            i += tz;
+            check ^= COLUMNS[i];
+            d >>= tz;
+            d >>= 1;
+            i += 1;
+        }
+        let parity = (data.count_ones() + check.count_ones()) & 1;
+        EccCode(check | ((parity as u8) << 7))
+    }
+
+    #[test]
+    fn table_encoder_matches_the_set_bit_loop() {
+        let mut words = vec![0u64, u64::MAX];
+        for a in 0..64 {
+            words.push(1u64 << a);
+            for b in (a + 1)..64 {
+                words.push((1u64 << a) | (1u64 << b));
+            }
+        }
+        assert_eq!(words.len(), 2 + 64 + 64 * 63 / 2);
+        let mut rng = SmallRng::seed_from_u64(0xC0DE);
+        words.extend((0..RANDOM_CASES).map(|_| rng.gen::<u64>()));
+        for data in words {
+            assert_eq!(Secded72::encode(data), reference_encode(data), "{data:#x}");
+        }
+    }
+
+    #[test]
+    fn line_encoder_matches_the_set_bit_loop() {
+        let mut rng = SmallRng::seed_from_u64(0x11AE);
+        for _ in 0..RANDOM_CASES / 8 {
+            let mut line = [0u8; LINE_SIZE];
+            rng.fill_bytes(&mut line);
+            let ecc = LineEcc::encode(&line);
+            for (chunk, code) in line.chunks_exact(8).zip(ecc.0) {
+                let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                assert_eq!(code, reference_encode(word));
+            }
+        }
+    }
 
     #[test]
     fn columns_are_nonpowers_in_range() {

@@ -329,13 +329,117 @@ impl McMetricIds {
     }
 }
 
+/// Entries past which a read drops every read completed by its `now` from
+/// the in-flight table. Model semantics, not a capacity: requesters run on
+/// skewed clocks, so a read complete for one requester may still be in
+/// flight for a lagging one, which can coalesce with it until a purge drops
+/// it (DESIGN.md §4b).
+const PURGE_ABOVE: usize = 4096;
+
+/// Slots the in-flight table starts with: a power of two above
+/// `PURGE_ABOVE`, so reads between purges always leave a slot free.
+const INITIAL_SLOTS: usize = 8192;
+
+/// The line stored in a free slot. `LineAddr(u64::MAX)` names no line: its
+/// byte address does not fit in 64 bits.
+const FREE: u64 = u64::MAX;
+
+/// In-flight reads, line → ready cycle, for coalescing.
+///
+/// An open-addressing table: linear probing from a fixed multiplicative
+/// hash. A lookup's answer depends only on the set of entries, never on
+/// their slots, so the table behaves exactly like the ordered map it
+/// replaced (kept as the test oracle). A read that does not coalesce always
+/// leaves an entry for its line, so where the map removed a completed entry
+/// and inserted the line again, the table overwrites it: no single entry is
+/// ever deleted. Entries leave only in a purge, which runs once an insert
+/// takes the table past `PURGE_ABOVE` entries and doubles the slots while
+/// its survivors would fill more than 3/4 of them. So the table never
+/// holds more than `max(PURGE_ABOVE, 3/4 of the slots) + 1` entries, and
+/// every probe run ends at a free slot.
+#[derive(Debug, Clone)]
+struct InflightReads {
+    /// `(line, ready)` per slot; `FREE` lines mark empty slots.
+    slots: Vec<(u64, Cycle)>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick the home slot.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl InflightReads {
+    fn new() -> Self {
+        InflightReads {
+            slots: vec![(FREE, 0); INITIAL_SLOTS],
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// The slot holding `line`, or the free slot ending its probe run.
+    fn probe(&self, line: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the top bits of `line × 2^64/φ` scatter
+        // strided lines across the table.
+        let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize & mask;
+        while let Some(&(held, _)) = self.slots.get(i) {
+            if held == line || held == FREE {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The ready cycle of `line`'s in-flight read, if any.
+    fn get(&self, line: u64) -> Option<Cycle> {
+        match self.slots.get(self.probe(line)) {
+            Some(&(held, ready)) if held == line => Some(ready),
+            _ => None,
+        }
+    }
+
+    /// Records `line → ready`, overwriting an entry for `line`.
+    fn insert(&mut self, line: u64, ready: Cycle) {
+        let i = self.probe(line);
+        if let Some(slot) = self.slots.get_mut(i) {
+            if slot.0 == FREE {
+                self.len += 1;
+            }
+            *slot = (line, ready);
+        }
+    }
+
+    /// Drops every entry with `ready <= now`, in place: copies out the
+    /// survivors, clears the slots and inserts the survivors again.
+    fn purge_completed(&mut self, now: Cycle) {
+        let live: Vec<(u64, Cycle)> = self
+            .slots
+            .iter()
+            .copied()
+            .filter(|&(line, ready)| line != FREE && ready > now)
+            .collect();
+        let mut slots = self.slots.len();
+        while live.len() * 4 > slots * 3 {
+            slots *= 2;
+        }
+        self.slots.clear();
+        self.slots.resize(slots, (FREE, 0));
+        self.shift = 64 - slots.trailing_zeros();
+        self.len = 0;
+        for (line, ready) in live {
+            self.insert(line, ready);
+        }
+    }
+}
+
 /// The memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     cfg: McConfig,
     dram: Dram,
     /// In-flight reads: line → ready cycle (for coalescing).
-    pending_reads: BTreeMap<LineAddr, Cycle>,
+    pending_reads: InflightReads,
     metrics: Registry,
     ids: McMetricIds,
     meter: BandwidthMeter,
@@ -354,7 +458,7 @@ impl MemoryController {
         let ids = McMetricIds::register(&mut metrics);
         MemoryController {
             dram: Dram::new(cfg.dram),
-            pending_reads: BTreeMap::new(),
+            pending_reads: InflightReads::new(),
             metrics,
             ids,
             meter: BandwidthMeter::new(cfg.meter_window),
@@ -383,8 +487,9 @@ impl MemoryController {
     pub fn read_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> ReadGrant {
         self.metrics.inc(self.ids.reads);
         self.count_source(source);
-        // Purge and check the pending set.
-        if let Some(&ready) = self.pending_reads.get(&addr) {
+        // A read completed by `now` is overwritten below; one too far
+        // ahead in another requester's clock is serviced independently.
+        if let Some(ready) = self.pending_reads.get(addr.0) {
             if ready > now && ready - now <= self.cfg.coalesce_window {
                 self.metrics.inc(self.ids.coalesced_reads);
                 return ReadGrant {
@@ -392,23 +497,18 @@ impl MemoryController {
                     coalesced: true,
                 };
             }
-            if ready <= now {
-                self.pending_reads.remove(&addr);
-            }
-            // Otherwise the in-flight read is too far ahead in another
-            // requester's clock: service this one independently.
         }
         let done = self
             .dram
             .service(addr, now + self.cfg.pipeline_latency, false);
         let ready_at = done + self.cfg.pipeline_latency;
-        self.pending_reads.insert(addr, ready_at);
+        self.pending_reads.insert(addr.0, ready_at);
         self.meter.record(done, LINE_SIZE as u64);
-        if self.pending_reads.len() > 4096 {
-            self.pending_reads.retain(|_, &mut r| r > now);
+        if self.pending_reads.len > PURGE_ABOVE {
+            self.pending_reads.purge_completed(now);
         }
         self.metrics
-            .set(self.ids.queue_occupancy, self.pending_reads.len() as f64);
+            .set(self.ids.queue_occupancy, self.pending_reads.len as f64);
         ReadGrant {
             ready_at,
             coalesced: false,
@@ -481,6 +581,9 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn read_latency_includes_pipeline() {
@@ -661,6 +764,156 @@ mod tests {
         let g = mc.read_line(LineAddr(9), 1_000, MemSource::Demand);
         assert!(!g.coalesced);
         assert!(g.ready_at < 10_000_000);
+    }
+
+    /// The in-flight map the table replaced, kept as its oracle: the read
+    /// path as it was, with a DRAM of its own.
+    struct MapController {
+        cfg: McConfig,
+        dram: Dram,
+        pending_reads: BTreeMap<LineAddr, Cycle>,
+        coalesced_reads: u64,
+        purges: u64,
+    }
+
+    impl MapController {
+        fn read_line(&mut self, addr: LineAddr, now: Cycle) -> ReadGrant {
+            if let Some(&ready) = self.pending_reads.get(&addr) {
+                if ready > now && ready - now <= self.cfg.coalesce_window {
+                    self.coalesced_reads += 1;
+                    return ReadGrant {
+                        ready_at: ready,
+                        coalesced: true,
+                    };
+                }
+                if ready <= now {
+                    self.pending_reads.remove(&addr);
+                }
+            }
+            let done = self
+                .dram
+                .service(addr, now + self.cfg.pipeline_latency, false);
+            let ready_at = done + self.cfg.pipeline_latency;
+            self.pending_reads.insert(addr, ready_at);
+            if self.pending_reads.len() > 4096 {
+                self.pending_reads.retain(|_, &mut r| r > now);
+                self.purges += 1;
+            }
+            ReadGrant {
+                ready_at,
+                coalesced: false,
+            }
+        }
+    }
+
+    /// A controller and the map oracle fed the same reads.
+    struct Twins {
+        mc: MemoryController,
+        oracle: MapController,
+        reads: usize,
+    }
+
+    impl Twins {
+        fn new() -> Self {
+            let cfg = McConfig::micro50();
+            Twins {
+                mc: MemoryController::new(cfg),
+                oracle: MapController {
+                    cfg,
+                    dram: Dram::new(cfg.dram),
+                    pending_reads: BTreeMap::new(),
+                    coalesced_reads: 0,
+                    purges: 0,
+                },
+                reads: 0,
+            }
+        }
+
+        /// Reads `line` at `now` on both; every observable must agree.
+        fn read(&mut self, line: u64, now: Cycle) -> ReadGrant {
+            let got = self.mc.read_line(LineAddr(line), now, MemSource::Demand);
+            let want = self.oracle.read_line(LineAddr(line), now);
+            let n = self.reads;
+            self.reads += 1;
+            assert_eq!(got, want, "read {n}: line {line:#x} at {now}");
+            assert_eq!(
+                self.mc.stats().coalesced_reads,
+                self.oracle.coalesced_reads,
+                "read {n}"
+            );
+            assert_eq!(
+                self.mc.metrics.gauge_value(self.mc.ids.queue_occupancy),
+                self.oracle.pending_reads.len() as f64,
+                "read {n}"
+            );
+            got
+        }
+    }
+
+    /// Four requesters whose clocks start up to 100k cycles apart, so
+    /// `now` is not monotone. Half the reads repeat one of 64 hot lines
+    /// (coalescing and overwrites); the rest are fresh lines, which fill
+    /// the table toward purges. A requester mostly blocks until its
+    /// grant, so `now` often equals a ready cycle still in the table, and
+    /// one read in 64 comes from 10M cycles ahead (far-future entries).
+    #[test]
+    fn inflight_table_matches_the_map_under_skewed_clocks() {
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut twins = Twins::new();
+            let mut clocks: Vec<Cycle> = (0..4).map(|_| rng.gen_range(0..100_001)).collect();
+            let mut fresh = 1u64 << 20;
+            for _ in 0..30_000 {
+                let clock = &mut clocks[rng.gen_range(0..4)];
+                let line = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..64u64) * 97
+                } else {
+                    fresh += 1;
+                    fresh
+                };
+                if rng.gen_range(0..64) == 0 {
+                    twins.read(line, *clock + 10_000_000);
+                    continue;
+                }
+                let grant = twins.read(line, *clock);
+                *clock = if rng.gen_bool(0.8) {
+                    grant.ready_at + rng.gen_range(0..3)
+                } else {
+                    *clock + rng.gen_range(0..2_000)
+                };
+            }
+            assert!(twins.oracle.purges > 0, "seed {seed} never purged");
+            assert!(
+                twins.oracle.coalesced_reads > 0,
+                "seed {seed} never coalesced"
+            );
+        }
+    }
+
+    /// Fresh reads whose `now` barely advances complete after every purge
+    /// point, so every entry survives the purges and the table must grow;
+    /// re-reading those lines then looks each one up in the grown table,
+    /// and a late jump in `now` finally purges them.
+    #[test]
+    fn inflight_table_grows_past_the_purge_point_like_the_map() {
+        let mut rng = SmallRng::seed_from_u64(0x6209);
+        let mut twins = Twins::new();
+        let lines = 7_000u64;
+        for i in 0..lines {
+            twins.read(i * 32, 1_000 + i / 4_096);
+        }
+        assert!(twins.oracle.pending_reads.len() > 3 * INITIAL_SLOTS / 4);
+        assert!(
+            twins.mc.pending_reads.slots.len() > INITIAL_SLOTS,
+            "never grew"
+        );
+        for i in 0..3_000 {
+            twins.read(rng.gen_range(0..lines) * 32, 1_005 + i / 64);
+        }
+        for i in 0..2_000 {
+            twins.read(rng.gen_range(0..2 * lines) * 32, 100_000_000 + i);
+        }
+        assert!(twins.oracle.purges > 0);
     }
 
     #[test]
