@@ -1,6 +1,8 @@
 //! A single set-associative cache with MESI line states and true-LRU
 //! replacement.
 
+use std::ops::Range;
+
 use pageforge_types::{Cycle, LineAddr, LINE_SIZE};
 
 /// MESI coherence state of a cached line.
@@ -113,13 +115,40 @@ impl CacheStats {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Way {
+struct Way<T> {
     tag: u64,
     state: LineState,
     last_used: u64,
+    data: T,
+}
+
+/// Where a resident line sits in its cache. Valid until a line leaves its
+/// set: an insert overwrites in place, but an invalidation moves the set's
+/// last way into the freed slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
+/// A lookup that missed, for [`SetAssocCache::insert`]: the line's set
+/// and, if the set was full, the slot of its least-recently-used way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Miss {
+    set: usize,
+    lru: Option<usize>,
+}
+
+/// Outcome of [`SetAssocCache::lookup`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// The line is resident at the slot, in the state.
+    Hit(Slot, LineState),
+    /// The line is absent.
+    Miss(Miss),
 }
 
 /// One set-associative cache. Tags only — data lives in `HostMemory`.
+///
+/// Each way carries a `T` for the cache's owner: the hierarchy's L3 keeps
+/// its core-valid bits there, the private caches keep `()`.
 ///
 /// Ways are stored in one flat arena (`num_sets × ways` slots) rather than
 /// per-set `Vec`s: a set is the contiguous slice
@@ -127,18 +156,21 @@ struct Way {
 /// single allocation and makes the hierarchy's snoop scans cache-friendly
 /// on the host.
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
+pub struct SetAssocCache<T = ()> {
     cfg: CacheConfig,
     /// Flat way storage: slot `set * cfg.ways + i` holds way `i` of `set`.
-    ways: Vec<Way>,
+    ways: Vec<Way<T>>,
     /// Live ways per set (the occupied prefix of the set's slice).
     occupancy: Vec<u8>,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask rather than a 64-bit `%`.
+    set_mask: Option<u64>,
     use_counter: u64,
     stats: CacheStats,
 }
 
-impl SetAssocCache {
+impl<T: Copy + Default> SetAssocCache<T> {
     /// Builds an empty cache with the given geometry.
     ///
     /// # Panics
@@ -157,11 +189,13 @@ impl SetAssocCache {
                     tag: 0,
                     state: LineState::Shared,
                     last_used: 0,
+                    data: T::default(),
                 };
                 num_sets * cfg.ways
             ],
             occupancy: vec![0; num_sets],
             num_sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             use_counter: 0,
             stats: CacheStats::default(),
         }
@@ -183,123 +217,147 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, addr: LineAddr) -> usize {
-        (addr.0 % self.num_sets as u64) as usize
+        match self.set_mask {
+            Some(mask) => (addr.0 & mask) as usize,
+            None => (addr.0 % self.num_sets as u64) as usize,
+        }
     }
 
-    /// The occupied ways of `addr`'s set.
-    fn set_ways(&self, set: usize) -> &[Way] {
+    /// The occupied slots of `set`.
+    fn set_slots(&self, set: usize) -> Range<usize> {
         let base = set * self.cfg.ways;
-        &self.ways[base..base + self.occupancy[set] as usize]
+        base..base + self.occupancy[set] as usize
     }
 
-    fn set_ways_mut(&mut self, set: usize) -> &mut [Way] {
-        let base = set * self.cfg.ways;
-        &mut self.ways[base..base + self.occupancy[set] as usize]
-    }
-
-    /// Looks up `addr`, updating LRU and hit/miss counters.
-    /// Returns the line's state on a hit.
-    pub fn lookup(&mut self, addr: LineAddr) -> Option<LineState> {
+    /// Looks up `addr` in one scan of its set, updating LRU and hit/miss
+    /// counters. A miss in a full set records its LRU way, found in the
+    /// same pass, for [`insert`](Self::insert).
+    pub fn lookup(&mut self, addr: LineAddr) -> Lookup {
         let set = self.set_index(addr);
         self.use_counter += 1;
+        let slots = self.set_slots(set);
+        let (base, full) = (slots.start, slots.len() == self.cfg.ways);
         let counter = self.use_counter;
-        let hit = self
-            .set_ways_mut(set)
-            .iter_mut()
-            .find(|w| w.tag == addr.0)
-            .map(|way| {
+        let mut lru = (0, u64::MAX);
+        for (i, way) in self.ways[slots].iter_mut().enumerate() {
+            if way.tag == addr.0 {
                 way.last_used = counter;
-                way.state
-            });
-        if hit.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
+                self.stats.hits += 1;
+                return Lookup::Hit(Slot(base + i), way.state);
+            }
+            if way.last_used < lru.1 {
+                lru = (i, way.last_used);
+            }
         }
-        hit
+        self.stats.misses += 1;
+        Lookup::Miss(Miss {
+            set,
+            lru: full.then_some(base + lru.0),
+        })
     }
 
-    /// Checks presence without touching LRU or counters (snoop path).
-    pub fn peek(&self, addr: LineAddr) -> Option<LineState> {
-        let set = self.set_index(addr);
-        self.set_ways(set)
+    /// Finds `addr` without touching LRU or counters (snoop path).
+    pub fn find(&self, addr: LineAddr) -> Option<Slot> {
+        let slots = self.set_slots(self.set_index(addr));
+        let base = slots.start;
+        self.ways[slots]
             .iter()
-            .find(|w| w.tag == addr.0)
-            .map(|w| w.state)
+            .position(|w| w.tag == addr.0)
+            .map(|i| Slot(base + i))
+    }
+
+    /// The state of `addr` if resident, without touching LRU or counters.
+    pub fn peek(&self, addr: LineAddr) -> Option<LineState> {
+        self.find(addr).map(|slot| self.ways[slot.0].state)
     }
 
     /// Sets the state of a resident line. No-op if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: LineState) {
-        let set = self.set_index(addr);
-        if let Some(way) = self.set_ways_mut(set).iter_mut().find(|w| w.tag == addr.0) {
-            way.state = state;
+        if let Some(slot) = self.find(addr) {
+            self.set_state_at(slot, state);
         }
     }
 
-    /// Installs `addr` with `state`, evicting the LRU way if the set is
-    /// full. Returns the evicted line, if any.
-    pub fn fill(&mut self, addr: LineAddr, state: LineState) -> Option<(LineAddr, LineState)> {
-        let set = self.set_index(addr);
+    /// Sets the state of the line at `slot`.
+    pub fn set_state_at(&mut self, slot: Slot, state: LineState) {
+        self.ways[slot.0].state = state;
+    }
+
+    /// The owner's data of the line at `slot`.
+    pub fn data(&self, slot: Slot) -> T {
+        self.ways[slot.0].data
+    }
+
+    /// The owner's data of the line at `slot`, mutably.
+    pub fn data_mut(&mut self, slot: Slot) -> &mut T {
+        &mut self.ways[slot.0].data
+    }
+
+    /// Installs `addr` with `state` and `data` through the `miss` of its
+    /// own lookup. A full set evicts the way that lookup recorded; the
+    /// evicted line comes back with its state and data.
+    ///
+    /// Between a lookup and its insert the set may only lose lines, never
+    /// gain or re-rank one: a set still full then lost nothing, so the
+    /// recorded way is still its LRU way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is full but was not full at the lookup.
+    pub fn insert(
+        &mut self,
+        miss: Miss,
+        addr: LineAddr,
+        state: LineState,
+        data: T,
+    ) -> Option<(LineAddr, LineState, T)> {
+        debug_assert!(
+            self.set_index(addr) == miss.set && self.find(addr).is_none(),
+            "insert of {addr} without the miss of its own lookup"
+        );
         self.use_counter += 1;
-        let counter = self.use_counter;
-        if let Some(way) = self.set_ways_mut(set).iter_mut().find(|w| w.tag == addr.0) {
-            // Already resident: refresh (upgrade) in place.
-            way.state = state;
-            way.last_used = counter;
-            return None;
-        }
-        let base = set * self.cfg.ways;
-        let len = self.occupancy[set] as usize;
-        let mut victim = None;
-        let slot = if len == self.cfg.ways {
-            let lru = self
-                .set_ways(set)
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("set is full");
-            let evicted = self.ways[base + lru];
-            self.stats.evictions += 1;
-            if evicted.state.is_dirty() {
-                self.stats.writebacks += 1;
-            }
-            victim = Some((LineAddr(evicted.tag), evicted.state));
-            // Mirror the old per-set `swap_remove(lru); push(new)`: the
-            // tail way moves into the victim's slot and the new line lands
-            // at the tail, preserving slot order exactly.
-            if lru != len - 1 {
-                self.ways[base + lru] = self.ways[base + len - 1];
-            }
-            base + len - 1
-        } else {
-            self.occupancy[set] += 1;
-            base + len
-        };
-        self.ways[slot] = Way {
+        let way = Way {
             tag: addr.0,
             state,
-            last_used: counter,
+            last_used: self.use_counter,
+            data,
         };
-        victim
+        let slots = self.set_slots(miss.set);
+        if slots.len() < self.cfg.ways {
+            self.ways[slots.end] = way;
+            self.occupancy[miss.set] += 1;
+            return None;
+        }
+        let lru = miss
+            .lru
+            .expect("a set full at insert was full at its lookup: only removals happen between");
+        let evicted = std::mem::replace(&mut self.ways[lru], way);
+        self.stats.evictions += 1;
+        if evicted.state.is_dirty() {
+            self.stats.writebacks += 1;
+        }
+        Some((LineAddr(evicted.tag), evicted.state, evicted.data))
     }
 
     /// Invalidates `addr`, returning its state if it was resident.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<LineState> {
-        let set = self.set_index(addr);
-        if let Some(pos) = self.set_ways(set).iter().position(|w| w.tag == addr.0) {
-            let base = set * self.cfg.ways;
-            let len = self.occupancy[set] as usize;
-            let way = self.ways[base + pos];
-            if pos != len - 1 {
-                self.ways[base + pos] = self.ways[base + len - 1];
-            }
-            self.occupancy[set] -= 1;
-            self.stats.invalidations += 1;
-            Some(way.state)
-        } else {
-            None
-        }
+        let slot = self.find(addr)?.0;
+        let set = slot / self.cfg.ways;
+        let last = self.set_slots(set).end - 1;
+        let state = self.ways[slot].state;
+        self.ways[slot] = self.ways[last];
+        self.occupancy[set] -= 1;
+        self.stats.invalidations += 1;
+        Some(state)
+    }
+
+    /// The resident lines with their states, set by set.
+    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, LineState)> + '_ {
+        (0..self.num_sets).flat_map(move |set| {
+            self.ways[self.set_slots(set)]
+                .iter()
+                .map(|w| (LineAddr(w.tag), w.state))
+        })
     }
 
     /// Number of resident lines.
@@ -322,12 +380,28 @@ mod tests {
         })
     }
 
+    /// Looks `addr` up and installs it on a miss, as the hierarchy does.
+    fn fill(c: &mut SetAssocCache, addr: u64, state: LineState) -> Option<(LineAddr, LineState)> {
+        match c.lookup(LineAddr(addr)) {
+            Lookup::Miss(miss) => c
+                .insert(miss, LineAddr(addr), state, ())
+                .map(|(victim, vstate, ())| (victim, vstate)),
+            Lookup::Hit(..) => panic!("line {addr} already resident"),
+        }
+    }
+
+    fn state(c: &mut SetAssocCache, addr: u64) -> Option<LineState> {
+        match c.lookup(LineAddr(addr)) {
+            Lookup::Hit(_, state) => Some(state),
+            Lookup::Miss(_) => None,
+        }
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
-        assert_eq!(c.lookup(LineAddr(0)), None);
-        c.fill(LineAddr(0), LineState::Exclusive);
-        assert_eq!(c.lookup(LineAddr(0)), Some(LineState::Exclusive));
+        fill(&mut c, 0, LineState::Exclusive);
+        assert_eq!(state(&mut c, 0), Some(LineState::Exclusive));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
@@ -337,10 +411,10 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = tiny();
         // Set 0 holds addrs 0, 4, 8... (4 sets).
-        c.fill(LineAddr(0), LineState::Shared);
-        c.fill(LineAddr(4), LineState::Shared);
-        c.lookup(LineAddr(0)); // 0 is now MRU
-        let victim = c.fill(LineAddr(8), LineState::Shared);
+        fill(&mut c, 0, LineState::Shared);
+        fill(&mut c, 4, LineState::Shared);
+        state(&mut c, 0); // 0 is now MRU
+        let victim = fill(&mut c, 8, LineState::Shared);
         assert_eq!(victim, Some((LineAddr(4), LineState::Shared)));
         assert_eq!(c.peek(LineAddr(0)), Some(LineState::Shared));
         assert_eq!(c.peek(LineAddr(4)), None);
@@ -349,26 +423,52 @@ mod tests {
     #[test]
     fn dirty_eviction_counts_writeback() {
         let mut c = tiny();
-        c.fill(LineAddr(0), LineState::Modified);
-        c.fill(LineAddr(4), LineState::Shared);
-        c.fill(LineAddr(8), LineState::Shared); // evicts 0 (LRU, dirty)
+        fill(&mut c, 0, LineState::Modified);
+        fill(&mut c, 4, LineState::Shared);
+        fill(&mut c, 8, LineState::Shared); // evicts 0 (LRU, dirty)
         assert_eq!(c.stats().writebacks, 1);
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
-    fn refill_upgrades_in_place() {
+    fn insert_takes_a_way_freed_since_its_lookup() {
         let mut c = tiny();
-        c.fill(LineAddr(0), LineState::Shared);
-        assert_eq!(c.fill(LineAddr(0), LineState::Modified), None);
-        assert_eq!(c.peek(LineAddr(0)), Some(LineState::Modified));
-        assert_eq!(c.resident_lines(), 1);
+        fill(&mut c, 0, LineState::Shared);
+        fill(&mut c, 4, LineState::Shared);
+        let Lookup::Miss(miss) = c.lookup(LineAddr(8)) else {
+            panic!("8 is absent");
+        };
+        c.invalidate(LineAddr(4));
+        // The set is no longer full: nothing is evicted, 0 survives.
+        assert_eq!(c.insert(miss, LineAddr(8), LineState::Shared, ()), None);
+        assert_eq!(c.peek(LineAddr(0)), Some(LineState::Shared));
+        assert_eq!(c.peek(LineAddr(8)), Some(LineState::Shared));
+        assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn ways_carry_their_data() {
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(*tiny().config());
+        for (addr, data) in [(0, 7), (4, 9)] {
+            let Lookup::Miss(miss) = c.lookup(LineAddr(addr)) else {
+                panic!("{addr} is absent");
+            };
+            c.insert(miss, LineAddr(addr), LineState::Shared, data);
+        }
+        let slot = c.find(LineAddr(4)).expect("4 is resident");
+        *c.data_mut(slot) |= 1 << 5;
+        assert_eq!(c.data(slot), 9 | 1 << 5);
+        let Lookup::Miss(miss) = c.lookup(LineAddr(8)) else {
+            panic!("8 is absent");
+        };
+        let victim = c.insert(miss, LineAddr(8), LineState::Shared, 0);
+        assert_eq!(victim, Some((LineAddr(0), LineState::Shared, 7)));
     }
 
     #[test]
     fn invalidate_removes_line() {
         let mut c = tiny();
-        c.fill(LineAddr(3), LineState::Modified);
+        fill(&mut c, 3, LineState::Modified);
         assert_eq!(c.invalidate(LineAddr(3)), Some(LineState::Modified));
         assert_eq!(c.invalidate(LineAddr(3)), None);
         assert_eq!(c.peek(LineAddr(3)), None);
@@ -378,7 +478,7 @@ mod tests {
     #[test]
     fn peek_does_not_count() {
         let mut c = tiny();
-        c.fill(LineAddr(0), LineState::Shared);
+        fill(&mut c, 0, LineState::Shared);
         let before = *c.stats();
         c.peek(LineAddr(0));
         c.peek(LineAddr(1));
@@ -389,11 +489,28 @@ mod tests {
     fn sets_are_independent() {
         let mut c = tiny();
         // Fill set 0 beyond capacity; set 1 lines must survive.
-        c.fill(LineAddr(1), LineState::Shared);
+        fill(&mut c, 1, LineState::Shared);
         for i in 0..4 {
-            c.fill(LineAddr(i * 4), LineState::Shared);
+            fill(&mut c, i * 4, LineState::Shared);
         }
         assert_eq!(c.peek(LineAddr(1)), Some(LineState::Shared));
+        assert_eq!(c.resident_lines(), 3);
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_index_by_modulo() {
+        // 3 sets × 2 ways: lines 1 and 4 share set 1.
+        let mut c = SetAssocCache::new(CacheConfig {
+            size_bytes: 6 * LINE_SIZE,
+            ways: 2,
+            latency: 1,
+            mshrs: 4,
+        });
+        for addr in [1, 4, 7] {
+            fill(&mut c, addr, LineState::Shared);
+        }
+        assert_eq!(c.peek(LineAddr(1)), None);
+        assert_eq!(c.lines().count(), 2);
     }
 
     #[test]

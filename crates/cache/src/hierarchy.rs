@@ -4,10 +4,23 @@
 //! (logically sliced) L3, a wide snoopy bus, and the memory controllers
 //! behind it. The L3 is inclusive of the private levels, so an L3 eviction
 //! back-invalidates L1/L2 copies.
+//!
+//! As inclusive last-level caches do in hardware, each L3 way keeps
+//! core-valid bits: one bit per core whose private caches may hold the
+//! line. Inclusion makes them the whole snoop directory. An L3 miss needs
+//! no snoop, an L3 hit snoops only the cores its bits name, an evicted
+//! way names the cores to back-invalidate, and a memory-controller probe
+//! that misses the L3 is done.
+//!
+//! Every level scans a set once per access: a lookup that misses records
+//! the way its insert will evict. Between the two the set can only lose
+//! lines (to back-invalidation or an L2 victim's L1 invalidation), so a
+//! set still full at the insert lost nothing and the recorded way is
+//! still its least-recently-used one.
 
 use pageforge_types::{Cycle, LineAddr};
 
-use crate::cache::{CacheConfig, CacheStats, LineState, SetAssocCache};
+use crate::cache::{CacheConfig, CacheStats, LineState, Lookup, Miss, SetAssocCache, Slot};
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,15 +85,21 @@ pub struct SystemCaches {
     cfg: HierarchyConfig,
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
-    l3: SetAssocCache,
-    /// Conservative per-line holder filter: bit `c` is set whenever core
-    /// `c`'s private caches *may* hold the line (always set on fill, only
-    /// cleared when a scan proves absence). Bus snoops consult it to skip
-    /// scanning cores that provably cannot hold the line — the common case
-    /// for a VM's private pages, which only its own core ever touches.
-    /// Purely an optimization: every hit/miss/state outcome is identical
-    /// with or without the filter.
-    holders: Vec<u64>,
+    /// The inclusive L3. Each way carries its line's core-valid bits, as
+    /// inclusive last-level caches keep them in hardware: bit `c` is set
+    /// whenever core `c`'s private caches *may* hold the line (set on
+    /// fill, cleared only when a scan proves absence). Snoops scan only
+    /// those cores, and a line the L3 lacks is in no private cache.
+    l3: SetAssocCache<u64>,
+}
+
+/// The cores whose bits are set in `mask`, in ascending order.
+fn cores_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let core = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (core < 64).then_some(core)
+    })
 }
 
 impl SystemCaches {
@@ -88,38 +107,15 @@ impl SystemCaches {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores` is zero or exceeds the 64-bit holder filter.
+    /// Panics if `cfg.cores` is zero or exceeds the 64 core-valid bits.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores > 0, "at least one core required");
-        assert!(cfg.cores <= 64, "holder filter packs cores into a u64");
+        assert!(cfg.cores <= 64, "core-valid bits pack cores into a u64");
         SystemCaches {
             l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
             l3: SetAssocCache::new(cfg.l3),
             cfg,
-            holders: Vec::new(),
-        }
-    }
-
-    /// The may-hold mask of `addr` (0 when never filled).
-    fn holder_mask(&self, addr: LineAddr) -> u64 {
-        self.holders.get(addr.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Marks `core` as a possible private holder of `addr`.
-    fn note_holder(&mut self, core: usize, addr: LineAddr) {
-        let idx = addr.0 as usize;
-        if idx >= self.holders.len() {
-            self.holders.resize(idx + 1, 0);
-        }
-        self.holders[idx] |= 1 << core;
-    }
-
-    /// Clears the may-hold bits in `mask` for `addr` (after a scan or
-    /// invalidation proved those cores no longer hold the line).
-    fn clear_holders(&mut self, addr: LineAddr, mask: u64) {
-        if let Some(m) = self.holders.get_mut(addr.0 as usize) {
-            *m &= !mask;
         }
     }
 
@@ -130,9 +126,10 @@ impl SystemCaches {
 
     /// One load (`write = false`) or store (`write = true`) by `core`.
     ///
-    /// Walks L1 → L2 → snoop peers → L3; allocates the line on the way back
-    /// up. For stores, peer copies are invalidated and the line installs
-    /// Modified.
+    /// Walks L1 → L2 → L3, snooping peers on an L3 hit; allocates the line
+    /// on the way back up. For stores, peer copies are invalidated and the
+    /// line installs Modified. Each level's set is scanned once: a miss
+    /// records the way its insert will evict.
     ///
     /// # Panics
     ///
@@ -142,74 +139,89 @@ impl SystemCaches {
         let mut latency = self.cfg.l1.latency;
 
         // L1.
-        if let Some(state) = self.l1[core].lookup(addr) {
-            if write && state == LineState::Shared {
-                // Upgrade: invalidate peers, go Modified.
-                latency += self.cfg.bus_latency;
-                self.invalidate_peers(core, addr);
-                self.l1[core].set_state(addr, LineState::Modified);
-                self.l2[core].set_state(addr, LineState::Modified);
-            } else if write {
-                self.l1[core].set_state(addr, LineState::Modified);
-            }
-            return Access {
-                level: HitLevel::L1,
-                latency,
-            };
-        }
-
-        // L2.
-        latency += self.cfg.l2.latency;
-        if let Some(state) = self.l2[core].lookup(addr) {
-            let new_state = if write {
-                if state == LineState::Shared {
+        let l1_miss = match self.l1[core].lookup(addr) {
+            Lookup::Hit(slot, state) => {
+                if write && state == LineState::Shared {
+                    // Upgrade: invalidate peers, go Modified.
                     latency += self.cfg.bus_latency;
                     self.invalidate_peers(core, addr);
+                    self.l2[core].set_state(addr, LineState::Modified);
                 }
-                LineState::Modified
-            } else {
-                state
-            };
-            self.l2[core].set_state(addr, new_state);
-            self.fill_private(core, addr, new_state, 1); // fill L1 only
-            return Access {
-                level: HitLevel::L2,
-                latency,
-            };
-        }
-
-        // Off-core: bus + snoop + L3.
-        latency += self.cfg.bus_latency + self.cfg.l3.latency;
-        let peer_had_it = self.snoop(core, addr, write);
-        if peer_had_it {
-            latency += self.cfg.peer_transfer_latency;
-        }
-
-        let l3_state = self.l3.lookup(addr);
-        let level = if peer_had_it {
-            HitLevel::Peer
-        } else if l3_state.is_some() {
-            HitLevel::L3
-        } else {
-            HitLevel::Memory
+                if write {
+                    self.l1[core].set_state_at(slot, LineState::Modified);
+                }
+                return Access {
+                    level: HitLevel::L1,
+                    latency,
+                };
+            }
+            Lookup::Miss(miss) => miss,
         };
 
-        // Install in L3 (inclusive), then the private levels.
+        // L2. The line stays in the L3 with this core's bit set.
+        latency += self.cfg.l2.latency;
+        let l2_miss = match self.l2[core].lookup(addr) {
+            Lookup::Hit(slot, state) => {
+                let new_state = if write {
+                    if state == LineState::Shared {
+                        latency += self.cfg.bus_latency;
+                        self.invalidate_peers(core, addr);
+                    }
+                    LineState::Modified
+                } else {
+                    state
+                };
+                self.l2[core].set_state_at(slot, new_state);
+                self.fill_l1(core, l1_miss, addr, new_state);
+                return Access {
+                    level: HitLevel::L2,
+                    latency,
+                };
+            }
+            Lookup::Miss(miss) => miss,
+        };
+
+        // Off-core: bus + L3, snooping the peers its bits name. Inclusion
+        // means an L3 miss has no peer to snoop.
+        latency += self.cfg.bus_latency + self.cfg.l3.latency;
+        let level = match self.l3.lookup(addr) {
+            Lookup::Hit(slot, _) => {
+                let peer_had_it = self.snoop(core, addr, slot, write);
+                *self.l3.data_mut(slot) |= 1 << core;
+                if peer_had_it {
+                    latency += self.cfg.peer_transfer_latency;
+                    HitLevel::Peer
+                } else {
+                    HitLevel::L3
+                }
+            }
+            Lookup::Miss(miss) => {
+                // Inclusive L3: back-invalidate the victim's private
+                // copies. Its writeback is already counted by the L3 stats.
+                if let Some((victim, _, holders)) =
+                    self.l3.insert(miss, addr, LineState::Shared, 1 << core)
+                {
+                    self.invalidate_private(victim, holders);
+                }
+                HitLevel::Memory
+            }
+        };
+
+        // Install in the private levels.
         let install = if write {
             LineState::Modified
-        } else if peer_had_it || self.any_peer_holds(core, addr) {
+        } else if level == HitLevel::Peer {
             LineState::Shared
         } else {
             LineState::Exclusive
         };
-        if l3_state.is_none() {
-            if let Some((victim, vstate)) = self.l3.fill(addr, LineState::Shared) {
-                // Inclusive L3: back-invalidate private copies of the victim.
-                self.back_invalidate(victim);
-                let _ = vstate; // writeback already counted by the L3 stats
+        if let Some((victim, vstate, ())) = self.l2[core].insert(l2_miss, addr, install, ()) {
+            if vstate.is_dirty() {
+                self.l3.set_state(victim, LineState::Modified);
             }
+            self.l1[core].invalidate(victim); // L2 inclusive of L1
         }
-        self.fill_private(core, addr, install, 2);
+        self.fill_l1(core, l1_miss, addr, install);
         Access { level, latency }
     }
 
@@ -222,75 +234,51 @@ impl SystemCaches {
     /// downgraded to Shared (the snoop supplies the data) but nothing is
     /// allocated anywhere — the PageForge module has no cache.
     pub fn probe_from_mc(&mut self, addr: LineAddr) -> Option<Cycle> {
-        let mut latency = self.cfg.bus_latency;
-        // Snoopy bus: every private cache that may hold the line is
-        // checked (the holder filter excludes only provable absences).
-        let mask = self.holder_mask(addr);
-        let mut found = false;
+        // Inclusion: a line the L3 lacks is in no private cache.
+        let slot = self.l3.find(addr)?;
+        // Snoopy bus: every private cache whose bit is set is checked.
         let mut still_held = 0u64;
-        for core in 0..self.cfg.cores {
-            if mask & (1 << core) == 0 {
-                continue;
-            }
+        for core in cores_in(self.l3.data(slot)) {
             if let Some(state) = self.l1[core].peek(addr) {
                 if state == LineState::Modified {
                     self.l1[core].set_state(addr, LineState::Shared);
                     self.l2[core].set_state(addr, LineState::Shared);
                 }
-                found = true;
                 still_held |= 1 << core;
             } else if let Some(state) = self.l2[core].peek(addr) {
                 if state == LineState::Modified {
                     self.l2[core].set_state(addr, LineState::Shared);
                 }
-                found = true;
                 still_held |= 1 << core;
             }
         }
-        self.clear_holders(addr, mask & !still_held);
-        if found {
-            latency += self.cfg.peer_transfer_latency;
-            return Some(latency);
-        }
-        // L3 peek: a probe hit is serviced from the L3 without LRU update
-        // (the MC-side read does not re-rank working sets).
-        if self.l3.peek(addr).is_some() {
-            return Some(latency + self.cfg.l3.latency);
-        }
-        None
+        *self.l3.data_mut(slot) = still_held;
+        // An L3 hit is serviced without LRU update (the MC-side read does
+        // not re-rank working sets).
+        Some(if still_held != 0 {
+            self.cfg.bus_latency + self.cfg.peer_transfer_latency
+        } else {
+            self.cfg.bus_latency + self.cfg.l3.latency
+        })
     }
 
-    fn fill_private(&mut self, core: usize, addr: LineAddr, state: LineState, levels: u8) {
-        self.note_holder(core, addr);
-        if levels >= 2 {
-            if let Some((victim, vstate)) = self.l2[core].fill(addr, state) {
-                if vstate.is_dirty() {
-                    self.l3.set_state(victim, LineState::Modified);
-                }
-                self.l1[core].invalidate(victim); // L2 inclusive of L1
-            }
-        }
-        if let Some((victim, vstate)) = self.l1[core].fill(addr, state) {
+    /// Installs `addr` in `core`'s L1 through the miss of its lookup.
+    fn fill_l1(&mut self, core: usize, miss: Miss, addr: LineAddr, state: LineState) {
+        if let Some((victim, vstate, ())) = self.l1[core].insert(miss, addr, state, ()) {
             if vstate.is_dirty() {
                 self.l2[core].set_state(victim, LineState::Modified);
             }
         }
     }
 
-    /// Snoops peer caches; on a write, invalidates their copies. Returns
-    /// whether any peer held the line. Only cores whose holder bit is set
-    /// are scanned — the filter guarantees the rest cannot hold the line.
-    fn snoop(&mut self, requester: usize, addr: LineAddr, write: bool) -> bool {
-        let peer_mask = self.holder_mask(addr) & !(1u64 << requester);
-        if peer_mask == 0 {
-            return false;
-        }
+    /// Snoops the peers whose core-valid bits are set in the L3 way at
+    /// `l3_slot`; on a write, invalidates their copies. Returns whether
+    /// any peer held the line.
+    fn snoop(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot, write: bool) -> bool {
+        let peer_mask = self.l3.data(l3_slot) & !(1u64 << requester);
         let mut found = false;
         let mut still_held = 0u64;
-        for core in 0..self.cfg.cores {
-            if peer_mask & (1 << core) == 0 {
-                continue;
-            }
+        for core in cores_in(peer_mask) {
             let in_l1 = self.l1[core].peek(addr).is_some();
             let in_l2 = self.l2[core].peek(addr).is_some();
             if in_l1 || in_l2 {
@@ -303,7 +291,7 @@ impl SystemCaches {
                     if self.l1[core].peek(addr).is_some_and(LineState::is_dirty)
                         || self.l2[core].peek(addr).is_some_and(LineState::is_dirty)
                     {
-                        self.l3.set_state(addr, LineState::Modified);
+                        self.l3.set_state_at(l3_slot, LineState::Modified);
                     }
                     self.l1[core].set_state(addr, LineState::Shared);
                     self.l2[core].set_state(addr, LineState::Shared);
@@ -311,47 +299,27 @@ impl SystemCaches {
                 }
             }
         }
-        self.clear_holders(addr, peer_mask & !still_held);
+        *self.l3.data_mut(l3_slot) &= !(peer_mask & !still_held);
         found
     }
 
-    fn any_peer_holds(&self, requester: usize, addr: LineAddr) -> bool {
-        let peer_mask = self.holder_mask(addr) & !(1u64 << requester);
-        if peer_mask == 0 {
-            return false;
-        }
-        (0..self.cfg.cores).any(|core| {
-            peer_mask & (1 << core) != 0
-                && (self.l1[core].peek(addr).is_some() || self.l2[core].peek(addr).is_some())
-        })
-    }
-
+    /// Invalidates every peer copy of a line `requester` holds (so the L3
+    /// has it, by inclusion) and clears the peers' bits.
     fn invalidate_peers(&mut self, requester: usize, addr: LineAddr) {
-        let peer_mask = self.holder_mask(addr) & !(1u64 << requester);
-        if peer_mask == 0 {
+        let Some(slot) = self.l3.find(addr) else {
             return;
-        }
-        for core in 0..self.cfg.cores {
-            if peer_mask & (1 << core) != 0 {
-                self.l1[core].invalidate(addr);
-                self.l2[core].invalidate(addr);
-            }
-        }
-        self.clear_holders(addr, peer_mask);
+        };
+        let peer_mask = self.l3.data(slot) & !(1u64 << requester);
+        self.invalidate_private(addr, peer_mask);
+        *self.l3.data_mut(slot) &= !peer_mask;
     }
 
-    fn back_invalidate(&mut self, addr: LineAddr) {
-        let mask = self.holder_mask(addr);
-        if mask == 0 {
-            return;
+    /// Removes `addr` from the private caches of the cores in `mask`.
+    fn invalidate_private(&mut self, addr: LineAddr, mask: u64) {
+        for core in cores_in(mask) {
+            self.l1[core].invalidate(addr);
+            self.l2[core].invalidate(addr);
         }
-        for core in 0..self.cfg.cores {
-            if mask & (1 << core) != 0 {
-                self.l1[core].invalidate(addr);
-                self.l2[core].invalidate(addr);
-            }
-        }
-        self.clear_holders(addr, mask);
     }
 
     /// Stats of one core's L1.
@@ -388,22 +356,48 @@ impl SystemCaches {
         }
     }
 
-    /// Verifies the single-writer MESI invariant for `addr`: at most one
-    /// core may hold the line Modified or Exclusive, and if one does, no
-    /// other core holds it at all.
-    pub fn check_coherence(&self, addr: LineAddr) -> Result<(), String> {
-        let holders: Vec<(usize, LineState)> = (0..self.cfg.cores)
-            .filter_map(|c| self.private_state(c, addr).map(|s| (c, s)))
-            .collect();
-        let owners: Vec<&(usize, LineState)> = holders
-            .iter()
-            .filter(|(_, s)| matches!(s, LineState::Modified | LineState::Exclusive))
-            .collect();
-        if owners.len() > 1 {
-            return Err(format!("{addr}: multiple owners {owners:?}"));
-        }
-        if owners.len() == 1 && holders.len() > 1 {
-            return Err(format!("{addr}: owner coexists with sharers {holders:?}"));
+    /// Audits the whole hierarchy:
+    ///
+    /// * every L1 line is in the same core's L2;
+    /// * every L2 line is in the L3 with that core's bit set, so the bits
+    ///   cover every private holder;
+    /// * a line a core holds Modified or Exclusive is in no other core's
+    ///   caches (by the check above, only the cores whose bits are set
+    ///   need looking at).
+    ///
+    /// Returns the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for core in 0..self.cfg.cores {
+            if let Some((addr, _)) = self.l1[core]
+                .lines()
+                .find(|&(addr, _)| self.l2[core].peek(addr).is_none())
+            {
+                return Err(format!("{addr}: in core {core}'s L1 but not its L2"));
+            }
+            for (addr, _) in self.l2[core].lines() {
+                let Some(slot) = self.l3.find(addr) else {
+                    return Err(format!("{addr}: in core {core}'s L2 but not the L3"));
+                };
+                let bits = self.l3.data(slot);
+                if bits & (1 << core) == 0 {
+                    return Err(format!(
+                        "{addr}: in core {core}'s L2 without its core-valid bit"
+                    ));
+                }
+                if !matches!(
+                    self.private_state(core, addr),
+                    Some(LineState::Modified | LineState::Exclusive)
+                ) {
+                    continue;
+                }
+                if let Some(peer) = cores_in(bits & !(1 << core))
+                    .find(|&peer| self.private_state(peer, addr).is_some())
+                {
+                    return Err(format!(
+                        "{addr}: owned by core {core} but held by core {peer}"
+                    ));
+                }
+            }
         }
         Ok(())
     }

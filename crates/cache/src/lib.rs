@@ -5,10 +5,10 @@
 //! L1 and 256 KB L2, sharing a 32 MB L3, kept coherent by a snoopy MESI
 //! protocol over a wide bus. Two clients generate traffic:
 //!
-//! * **cores** call [`SystemCaches::access`], which walks L1 → L2 → peer
-//!   caches (snoop) → L3 and allocates on miss — this is the path that lets
-//!   the software KSM daemon *pollute* the caches (Table 4 shows the L3
-//!   miss rate rising from 34% to 39% under KSM);
+//! * **cores** call [`SystemCaches::access`], which walks L1 → L2 → L3,
+//!   snooping the peer caches an L3 hit names, and allocates on miss — this
+//!   is the path that lets the software KSM daemon *pollute* the caches
+//!   (Table 4 shows the L3 miss rate rising from 34% to 39% under KSM);
 //! * **the memory controller** (PageForge) calls
 //!   [`SystemCaches::probe_from_mc`], the §3.2.2 "issue each request to the
 //!   on-chip network first" path: it *reads* the latest coherent copy but
@@ -17,7 +17,10 @@
 //!
 //! Caches track only tags and MESI state; data always lives in the
 //! `HostMemory` substrate, which is exact because the simulation is
-//! sequentially consistent at the event level.
+//! sequentially consistent at the event level. The inclusive L3 keeps
+//! per-way core-valid bits, as inclusive last-level caches do in hardware:
+//! they name the cores whose private caches may hold the line, so an L3
+//! miss skips the snoop entirely.
 //!
 //! # Examples
 //!

@@ -64,8 +64,9 @@ fn small_hierarchy(cores: usize) -> SystemCaches {
     })
 }
 
-/// After every operation, no line has two owners, and an owner never
-/// coexists with sharers. Addresses are confined to 32 lines so sets
+/// After every operation the hierarchy passes its audit: inclusion, the
+/// core-valid bits covering every holder, and no line with two owners or
+/// an owner beside sharers. Addresses are confined to 32 lines so sets
 /// conflict hard and evictions/back-invalidations fire constantly.
 #[test]
 fn mesi_single_writer_invariant() {
@@ -83,9 +84,7 @@ fn mesi_single_writer_invariant() {
                     s.probe_from_mc(LineAddr(u64::from(addr % 32)));
                 }
             }
-            for a in 0..32u64 {
-                s.check_coherence(LineAddr(a)).unwrap();
-            }
+            s.check_invariants().unwrap();
         }
     }
 }
@@ -103,10 +102,12 @@ fn writer_becomes_owner() {
         for op in &pre {
             if let Op::Access { core, addr, write } = *op {
                 s.access(core as usize % cores, LineAddr(u64::from(addr % 32)), write);
+                s.check_invariants().unwrap();
             }
         }
         let line = LineAddr(u64::from(addr));
         s.access(core, line, true);
+        s.check_invariants().unwrap();
         // The writer holds it Modified...
         let state = s.private_state(core, line);
         assert_eq!(state, Some(pageforge_cache::LineState::Modified));
@@ -133,6 +134,7 @@ fn probes_allocate_nothing() {
         let miss_before = s.l1_stats(0).accesses() + s.l1_stats(1).accesses();
         for &a in &addrs {
             s.probe_from_mc(LineAddr(u64::from(a)));
+            s.check_invariants().unwrap();
         }
         // Core accesses unchanged; both cores still hold their lines.
         assert_eq!(

@@ -374,6 +374,11 @@ impl System {
     ///
     /// [`SimResult`]'s JSON shape is frozen by the determinism CI check,
     /// so the snapshot rides alongside instead of inside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache hierarchy fails
+    /// [`SystemCaches::check_invariants`] at the end of the run.
     pub fn run_observed(mut self) -> (SimResult, Snapshot) {
         while let Some(Reverse((t, _, event))) = self.events.pop() {
             self.clock = t.max(self.clock);
@@ -396,6 +401,11 @@ impl System {
         }
         // Final (partial-epoch) exchange so nothing staged is lost.
         self.shard_metrics.exchange(&mut self.shard_stage);
+        // A broken cache invariant is a simulator bug: no result may
+        // leave a run whose hierarchy fails its audit.
+        if let Err(violation) = self.caches.check_invariants() {
+            panic!("cache audit failed at the end of the run: {violation}");
+        }
         let snapshot = self.export_metrics().snapshot();
         (self.collect(), snapshot)
     }
