@@ -1,6 +1,7 @@
 //! Minimal, dependency-free command-line arguments shared by `run_all`
 //! and the tools beside it.
 
+use std::fmt;
 use std::path::PathBuf;
 
 use pageforge_types::DEFAULT_SEED;
@@ -89,81 +90,93 @@ impl Default for BenchArgs {
     }
 }
 
+/// Why a command line was rejected. The tools print it after `error:`
+/// and exit 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// An argument no tool accepts.
+    Unknown(String),
+    /// A flag that takes a value ended the command line.
+    MissingValue(String),
+    /// A flag's value does not parse, or is a zero count.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The value given.
+        value: String,
+        /// What the flag takes.
+        expected: &'static str,
+    },
+}
+
+impl fmt::Display for ArgsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgsError::Unknown(arg) => write!(
+                f,
+                "unknown argument `{arg}`; \
+                 usage: [--seed N] [--quick] [--smoke] [--jobs N] \
+                 [--shards N] [--seeds N] [--only a,b] \
+                 [--out DIR] [--trace FILE] [--faults FILE] \
+                 [--fleet-faults FILE] [--snapshot FILE]"
+            ),
+            ArgsError::MissingValue(flag) => write!(f, "{flag} requires a value"),
+            ArgsError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} takes {expected}, not `{value}`"),
+        }
+    }
+}
+
+impl std::error::Error for ArgsError {}
+
 impl BenchArgs {
-    /// Parses from `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown or malformed arguments.
+    /// Parses from `std::env::args`; on unknown or malformed arguments,
+    /// prints `error:` and the [`ArgsError`] and exits with status 1.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
     }
 
     /// Parses from an explicit argument list (testable).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ArgsError`] on unknown or malformed arguments.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, ArgsError> {
         let mut out = BenchArgs::default();
         let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--seed" => {
-                    let v = iter.next().expect("--seed requires a value");
-                    out.seed = parse_u64(&v);
-                }
+        while let Some(flag) = iter.next() {
+            let mut value = || {
+                iter.next()
+                    .ok_or_else(|| ArgsError::MissingValue(flag.clone()))
+            };
+            match flag.as_str() {
+                "--seed" => out.seed = parse_seed(&flag, value()?)?,
                 "--quick" => out.quick = true,
                 "--smoke" => out.smoke = true,
-                "--jobs" => {
-                    let v = iter.next().expect("--jobs requires a value");
-                    out.jobs = v.parse().expect("valid --jobs count");
-                    assert!(out.jobs >= 1, "--jobs must be at least 1");
-                }
-                "--shards" => {
-                    let v = iter.next().expect("--shards requires a value");
-                    out.shards = v.parse().expect("valid --shards count");
-                    assert!(out.shards >= 1, "--shards must be at least 1");
-                }
-                "--seeds" => {
-                    let v = iter.next().expect("--seeds requires a value");
-                    out.seeds = v.parse().expect("valid --seeds count");
-                    assert!(out.seeds >= 1, "--seeds must be at least 1");
-                }
-                "--only" => {
-                    let v = iter.next().expect("--only requires a value");
-                    out.only
-                        .extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_owned));
-                }
-                "--out" => {
-                    out.out_dir = PathBuf::from(iter.next().expect("--out requires a value"));
-                }
-                "--trace" => {
-                    out.trace = Some(PathBuf::from(
-                        iter.next().expect("--trace requires a value"),
-                    ));
-                }
-                "--faults" => {
-                    out.faults = Some(PathBuf::from(
-                        iter.next().expect("--faults requires a value"),
-                    ));
-                }
-                "--fleet-faults" => {
-                    out.fleet_faults = Some(PathBuf::from(
-                        iter.next().expect("--fleet-faults requires a value"),
-                    ));
-                }
-                "--snapshot" => {
-                    out.snapshot = Some(PathBuf::from(
-                        iter.next().expect("--snapshot requires a value"),
-                    ));
-                }
-                other => panic!(
-                    "unknown argument `{other}`; \
-                     usage: [--seed N] [--quick] [--smoke] [--jobs N] \
-                     [--shards N] [--seeds N] [--only a,b] \
-                     [--out DIR] [--trace FILE] [--faults FILE] \
-                     [--fleet-faults FILE] [--snapshot FILE]"
+                "--jobs" => out.jobs = parse_count(&flag, value()?)?,
+                "--shards" => out.shards = parse_count(&flag, value()?)?,
+                "--seeds" => out.seeds = parse_count(&flag, value()?)?,
+                "--only" => out.only.extend(
+                    value()?
+                        .split(',')
+                        .filter(|s| !s.is_empty())
+                        .map(str::to_owned),
                 ),
+                "--out" => out.out_dir = PathBuf::from(value()?),
+                "--trace" => out.trace = Some(PathBuf::from(value()?)),
+                "--faults" => out.faults = Some(PathBuf::from(value()?)),
+                "--fleet-faults" => out.fleet_faults = Some(PathBuf::from(value()?)),
+                "--snapshot" => out.snapshot = Some(PathBuf::from(value()?)),
+                _ => return Err(ArgsError::Unknown(flag)),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The experiment scale the flags select.
@@ -172,11 +185,28 @@ impl BenchArgs {
     }
 }
 
-fn parse_u64(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("valid hex seed")
-    } else {
-        s.parse().expect("valid decimal seed")
+/// A `u64` seed, decimal or `0x` hex.
+fn parse_seed(flag: &str, value: String) -> Result<u64, ArgsError> {
+    let parsed = match value.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => value.parse().ok(),
+    };
+    parsed.ok_or_else(|| ArgsError::BadValue {
+        flag: flag.to_owned(),
+        value,
+        expected: "a decimal or 0x-hex u64",
+    })
+}
+
+/// A thread or replica count: an integer of at least 1.
+fn parse_count(flag: &str, value: String) -> Result<usize, ArgsError> {
+    match value.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(ArgsError::BadValue {
+            flag: flag.to_owned(),
+            value,
+            expected: "an integer of at least 1",
+        }),
     }
 }
 
@@ -200,7 +230,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let a = BenchArgs::from_args(Vec::<String>::new());
+        let a = BenchArgs::from_args(Vec::<String>::new()).unwrap();
         assert_eq!(a.seed, DEFAULT_SEED);
         assert!(!a.quick);
         assert!(!a.smoke);
@@ -232,7 +262,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(a.seed, 42);
         assert!(a.quick);
         assert!(a.smoke);
@@ -251,14 +282,16 @@ mod tests {
             ["--trace", "/tmp/trace.jsonl"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(a.trace, Some(PathBuf::from("/tmp/trace.jsonl")));
         assert_eq!(BenchArgs::default().trace, None);
     }
 
     #[test]
     fn faults_path_parses() {
-        let a = BenchArgs::from_args(["--faults", "/tmp/plan.json"].iter().map(|s| s.to_string()));
+        let a = BenchArgs::from_args(["--faults", "/tmp/plan.json"].iter().map(|s| s.to_string()))
+            .unwrap();
         assert_eq!(a.faults, Some(PathBuf::from("/tmp/plan.json")));
         assert_eq!(BenchArgs::default().faults, None);
     }
@@ -269,7 +302,8 @@ mod tests {
             ["--fleet-faults", "/tmp/chaos.json"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(a.fleet_faults, Some(PathBuf::from("/tmp/chaos.json")));
         assert_eq!(BenchArgs::default().fleet_faults, None);
     }
@@ -280,44 +314,99 @@ mod tests {
             ["--snapshot", "/tmp/snap.json"]
                 .iter()
                 .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(a.snapshot, Some(PathBuf::from("/tmp/snap.json")));
         assert_eq!(BenchArgs::default().snapshot, None);
     }
 
     #[test]
     fn decimal_seed() {
-        let a = BenchArgs::from_args(["--seed", "7"].iter().map(|s| s.to_string()));
+        let a = BenchArgs::from_args(["--seed", "7"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(a.seed, 7);
     }
 
     #[test]
     fn quick_scale() {
-        let a = BenchArgs::from_args(["--quick".to_string()]);
+        let a = BenchArgs::from_args(["--quick".to_string()]).unwrap();
         assert_eq!(a.scale(), Scale::Quick);
     }
 
-    #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_panics() {
-        BenchArgs::from_args(["--frobnicate".to_string()]);
+    fn parse(args: &[&str]) -> Result<BenchArgs, ArgsError> {
+        BenchArgs::from_args(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    #[should_panic(expected = "--jobs must be at least 1")]
-    fn zero_jobs_panics() {
-        BenchArgs::from_args(["--jobs", "0"].iter().map(|s| s.to_string()));
+    fn unknown_flag_is_an_error() {
+        let e = parse(&["--frobnicate"]).unwrap_err();
+        assert_eq!(e, ArgsError::Unknown("--frobnicate".into()));
+        assert!(e
+            .to_string()
+            .starts_with("unknown argument `--frobnicate`; usage:"));
     }
 
     #[test]
-    #[should_panic(expected = "--shards must be at least 1")]
-    fn zero_shards_panics() {
-        BenchArgs::from_args(["--shards", "0"].iter().map(|s| s.to_string()));
+    fn zero_jobs_is_an_error() {
+        let e = parse(&["--jobs", "0"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--jobs takes an integer of at least 1, not `0`"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "--seeds must be at least 1")]
-    fn zero_seeds_panics() {
-        BenchArgs::from_args(["--seeds", "0"].iter().map(|s| s.to_string()));
+    fn zero_shards_is_an_error() {
+        let e = parse(&["--shards", "0"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--shards takes an integer of at least 1, not `0`"
+        );
+    }
+
+    #[test]
+    fn zero_seeds_is_an_error() {
+        let e = parse(&["--seeds", "0"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--seeds takes an integer of at least 1, not `0`"
+        );
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        for flag in ["--jobs", "--shards", "--seeds"] {
+            for bad in ["abc", "-1", "1.5", ""] {
+                assert!(
+                    matches!(parse(&[flag, bad]), Err(ArgsError::BadValue { .. })),
+                    "{flag} {bad}"
+                );
+            }
+        }
+        for bad in ["seven", "0xZZ", "-3", "18446744073709551616"] {
+            assert!(
+                matches!(parse(&["--seed", bad]), Err(ArgsError::BadValue { .. })),
+                "--seed {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in [
+            "--seed",
+            "--jobs",
+            "--shards",
+            "--seeds",
+            "--only",
+            "--out",
+            "--trace",
+            "--faults",
+            "--fleet-faults",
+            "--snapshot",
+        ] {
+            let e = parse(&["--quick", flag]).unwrap_err();
+            assert_eq!(e, ArgsError::MissingValue(flag.into()));
+            assert_eq!(e.to_string(), format!("{flag} requires a value"));
+        }
     }
 }

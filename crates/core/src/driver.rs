@@ -227,6 +227,33 @@ impl PageForge {
         &self.stats
     }
 
+    /// Audits the candidate conservation law: every candidate, degraded
+    /// or not, ends in exactly one outcome, so `candidates` equals
+    /// `merged_stable + merged_unstable + inserted_unstable +
+    /// dropped_changed + already_shared + unmapped`.
+    ///
+    /// # Errors
+    ///
+    /// Names both sides of the law and the driver's counters when they
+    /// differ.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let s = &self.stats;
+        let outcomes = s.merged_stable
+            + s.merged_unstable
+            + s.inserted_unstable
+            + s.dropped_changed
+            + s.already_shared
+            + s.unmapped;
+        if s.candidates == outcomes {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} candidates, {outcomes} outcomes: {s:?}",
+                s.candidates
+            ))
+        }
+    }
+
     /// Hardware engine statistics (Table 5's cycle distribution).
     pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
@@ -732,20 +759,14 @@ impl PageForge {
                 continue 'search;
             }
 
-            // The whole subtree fits in one slice ⇒ no further refill can
-            // be needed ⇒ this is the last one: set L so the key completes.
-            let last_refill = subtree_fits(tree, start_node, slice.len());
-
-            // Load the Scan Table straight from the slice. Sibling lookups
-            // are linear scans of the slice — at Scan Table sizes (≤ 32
-            // entries) that beats building a tree map per refill.
+            // Load the Scan Table straight from the slice. If the whole
+            // subtree fits, no further refill can be needed, so this is
+            // the last one: set L so the key completes.
             self.engine.clear_others();
-            for (i, &id) in slice.iter().enumerate() {
-                let node = tree.node(id);
-                let less = child_index(tree, slice, id, Side::Left, capacity, i);
-                let more = child_index(tree, slice, id, Side::Right, capacity, i);
-                self.engine.insert_ppn(i as u8, node.ppn, less, more);
-            }
+            let last_refill = slice_links(tree, slice, capacity, |i, id, less, more| {
+                self.engine
+                    .insert_ppn(i as u8, tree.node(id).ppn, less, more);
+            });
             if first_batch {
                 self.engine.insert_pfe(cand_ppn, last_refill, 0);
                 first_batch = false;
@@ -866,44 +887,42 @@ fn decode_invalid(ptr: u8, capacity: usize) -> Option<(usize, Side)> {
     Some((off / 2, side))
 }
 
-fn child_index(
+/// Hands `load(index, node, less, more)` the Scan Table entry of every
+/// node of a breadth-first `slice` from [`RbTree::bfs_from_into`], in one
+/// pass, and returns whether the slice holds the node's whole subtree.
+///
+/// `bfs_from_into` appends children left then right in visit order and
+/// stops at the table's capacity, so the k-th child met while walking the
+/// slice sits at index k (the start node is index 0). A child that would
+/// land at or past the slice's end was cut off, which is exactly when the
+/// subtree does not fit. Unloaded and absent children get the encoded
+/// continuation of their parent's entry.
+///
+/// [`RbTree::bfs_from_into`]: pageforge_ksm::rbtree::RbTree::bfs_from_into
+fn slice_links(
     tree: &PageTree,
     slice: &[NodeId],
-    id: NodeId,
-    side: Side,
     capacity: usize,
-    my_index: usize,
-) -> u8 {
-    let child = match side {
-        Side::Left => tree.raw().left(id),
-        Side::Right => tree.raw().right(id),
-    };
-    match child.and_then(|c| slice.iter().position(|&n| n == c)) {
-        Some(i) => i as u8,
-        None => encode_invalid(my_index, side, capacity),
+    mut load: impl FnMut(usize, NodeId, u8, u8),
+) -> bool {
+    let mut next = 1;
+    let mut fits = !slice.is_empty();
+    for (i, &id) in slice.iter().enumerate() {
+        let mut link = |child: Option<NodeId>, side| {
+            if child.is_some() {
+                if next < slice.len() {
+                    next += 1;
+                    return (next - 1) as u8;
+                }
+                fits = false;
+            }
+            encode_invalid(i, side, capacity)
+        };
+        let less = link(tree.raw().left(id), Side::Left);
+        let more = link(tree.raw().right(id), Side::Right);
+        load(i, id, less, more);
     }
-}
-
-/// `true` iff the subtree rooted at `start` has exactly `budget` nodes.
-/// Stops walking as soon as the count passes the budget, so a refill
-/// probe costs at most one Scan Table's worth of nodes however large
-/// the subtree is.
-fn subtree_fits(tree: &PageTree, start: NodeId, budget: usize) -> bool {
-    let mut count = 0usize;
-    let mut stack = vec![start];
-    while let Some(n) = stack.pop() {
-        count += 1;
-        if count > budget {
-            return false;
-        }
-        if let Some(l) = tree.raw().left(n) {
-            stack.push(l);
-        }
-        if let Some(r) = tree.raw().right(n) {
-            stack.push(r);
-        }
-    }
-    count == budget
+    fits
 }
 
 #[cfg(test)]
@@ -982,6 +1001,11 @@ mod tests {
         pf.run_to_steady_state(&mut mem, &mut f, 10);
         assert_eq!(mem.allocated_frames(), 4);
         mem.check_invariants().unwrap();
+        pf.check_conservation().unwrap();
+        // A candidate with no outcome breaks the law.
+        pf.stats.candidates += 1;
+        let violation = pf.check_conservation().unwrap_err();
+        assert!(violation.contains("candidates, "), "{violation}");
     }
 
     #[test]
@@ -1019,6 +1043,47 @@ mod tests {
         mem.check_invariants().unwrap();
     }
 
+    /// The loader [`slice_links`] replaced, kept as its oracle: a position
+    /// scan of the slice for every link.
+    fn child_index(
+        tree: &PageTree,
+        slice: &[NodeId],
+        id: NodeId,
+        side: Side,
+        capacity: usize,
+        my_index: usize,
+    ) -> u8 {
+        let child = match side {
+            Side::Left => tree.raw().left(id),
+            Side::Right => tree.raw().right(id),
+        };
+        match child.and_then(|c| slice.iter().position(|&n| n == c)) {
+            Some(i) => i as u8,
+            None => encode_invalid(my_index, side, capacity),
+        }
+    }
+
+    /// The last-refill probe [`slice_links`] replaced, kept as its oracle:
+    /// `true` iff the subtree rooted at `start` has exactly `budget`
+    /// nodes, walking at most `budget + 1` of them.
+    fn subtree_fits(tree: &PageTree, start: NodeId, budget: usize) -> bool {
+        let mut count = 0usize;
+        let mut stack = vec![start];
+        while let Some(n) = stack.pop() {
+            count += 1;
+            if count > budget {
+                return false;
+            }
+            if let Some(l) = tree.raw().left(n) {
+                stack.push(l);
+            }
+            if let Some(r) = tree.raw().right(n) {
+                stack.push(r);
+            }
+        }
+        count == budget
+    }
+
     /// Exhaustive subtree size: the oracle for [`subtree_fits`].
     fn count_subtree(tree: &PageTree, start: NodeId) -> usize {
         let mut count = 0;
@@ -1035,11 +1100,17 @@ mod tests {
         count
     }
 
+    /// The one-pass loader against the position-scan loader and the
+    /// last-refill probe it replaced, and both probes against the
+    /// exhaustive subtree size: every node of random trees as the start,
+    /// capacities 1–32.
     #[test]
     fn subtree_fits_matches_exhaustive_count() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
+        let mut exact_fits = 0;
+        let mut slice = Vec::new();
         for seed in 0..200u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             // A random shape: each insert descends by coin flips to a free
@@ -1086,8 +1157,30 @@ mod tests {
                         "seed {seed}: node {n:?} has {exact} nodes, budget {k}"
                     );
                 }
+                for capacity in 1..=32 {
+                    tree.raw().bfs_from_into(n, capacity, &mut slice);
+                    let mut loaded = Vec::new();
+                    let fits = slice_links(&tree, &slice, capacity, |i, id, less, more| {
+                        loaded.push((i, id, less, more));
+                    });
+                    let expected: Vec<_> = slice
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &id)| {
+                            let less = child_index(&tree, &slice, id, Side::Left, capacity, i);
+                            let more = child_index(&tree, &slice, id, Side::Right, capacity, i);
+                            (i, id, less, more)
+                        })
+                        .collect();
+                    let at = format!("seed {seed}: start {n:?}, capacity {capacity}");
+                    assert_eq!(loaded, expected, "{at}");
+                    assert_eq!(fits, subtree_fits(&tree, n, slice.len()), "{at}");
+                    assert_eq!(fits, exact <= capacity, "{at}");
+                    exact_fits += usize::from(exact == capacity);
+                }
             }
         }
+        assert!(exact_fits > 100, "only {exact_fits} subtrees fit exactly");
     }
 
     #[test]

@@ -11,12 +11,12 @@
 
 use std::fmt;
 
-use pageforge_ecc::{EccCode, EccKeyConfig, EccKeyConfigError, KeyBuilder, LineEcc};
+use pageforge_ecc::{EccKeyConfig, EccKeyConfigError, KeyBuilder, LineEcc};
 use pageforge_faults::FaultInjector;
 use pageforge_obs::trace_event;
 use pageforge_obs::{CounterId, HistogramId, Registry};
 use pageforge_types::stats::RunningStats;
-use pageforge_types::{Cycle, PageData, Ppn, LINES_PER_PAGE};
+use pageforge_types::{Cycle, PageData, Ppn, LINES_PER_PAGE, LINE_SIZE};
 use pageforge_vm::HostMemory;
 
 use crate::fabric::MemoryFabric;
@@ -358,6 +358,25 @@ impl PageForgeEngine {
         fabric: &mut impl MemoryFabric,
         start: Cycle,
     ) -> Result<EngineRun, EngineError> {
+        let mut lines = LineTally::default();
+        let run = self.run_counting(mem, fabric, start, &mut lines);
+        // Once per run, failed runs included: the fault campaign's engine
+        // counters count the lines a run fetched before its error.
+        self.metrics.add(self.ids.lines_fetched, lines.fetched);
+        self.metrics.add(self.ids.lines_on_chip, lines.on_chip);
+        self.metrics
+            .add(self.ids.lines_from_dram, lines.fetched - lines.on_chip);
+        run
+    }
+
+    /// [`Self::try_run_batch`], tallying its line reads into `lines`.
+    fn run_counting(
+        &mut self,
+        mem: &HostMemory,
+        fabric: &mut impl MemoryFabric,
+        start: Cycle,
+        lines: &mut LineTally,
+    ) -> Result<EngineRun, EngineError> {
         if !self.table.pfe().valid {
             return Err(EngineError::NoCandidate);
         }
@@ -403,8 +422,8 @@ impl PageForgeEngine {
             let mut outcome = std::cmp::Ordering::Equal;
             for line in 0..LINES_PER_PAGE {
                 // Lockstep fetch of the line pair: one offset, two PPNs.
-                let a = self.fetch(fabric, cand_ppn, line, now);
-                let b = self.fetch(fabric, other_ppn, line, now);
+                let a = fetch(fabric, lines, cand_ppn, line, now);
+                let b = fetch(fabric, lines, other_ppn, line, now);
                 now = a.max(b) + self.cfg.compare_cycles_per_line;
                 // A scheduled DRAM fault corrupts the *view* of the
                 // candidate line this fetch returned; the corrupted beat
@@ -421,8 +440,8 @@ impl PageForgeEngine {
                     // comparator takes a deterministic safe direction — it
                     // can only cost a missed merge, never cause one.
                     Some(v) if !v.trusted => std::cmp::Ordering::Less,
-                    Some(v) => v.bytes.as_slice().cmp(other.line(line)),
-                    None => cand.line(line).cmp(other.line(line)),
+                    Some(v) => cmp_lines(&v.bytes, other.line(line)),
+                    None => cmp_lines(cand.line(line), other.line(line)),
                 };
                 if cmp != std::cmp::Ordering::Equal {
                     outcome = cmp;
@@ -465,7 +484,7 @@ impl PageForgeEngine {
         let pfe = *self.table.pfe();
         if (pfe.last_refill || pfe.duplicate) && !self.key.is_complete() {
             for line in self.key.missing() {
-                let done = self.fetch(fabric, cand_ppn, line, now);
+                let done = fetch(fabric, lines, cand_ppn, line, now);
                 now = done;
                 self.observe_candidate_line(cand, line, now);
             }
@@ -493,36 +512,58 @@ impl PageForgeEngine {
         })
     }
 
-    fn fetch(
-        &mut self,
-        fabric: &mut impl MemoryFabric,
-        ppn: Ppn,
-        line: usize,
-        now: Cycle,
-    ) -> Cycle {
-        let read = fabric.read_line(ppn.line_addr(line), now);
-        self.metrics.inc(self.ids.lines_fetched);
-        if read.on_chip {
-            self.metrics.inc(self.ids.lines_on_chip);
-        } else {
-            self.metrics.inc(self.ids.lines_from_dram);
-        }
-        read.ready_at
-    }
-
     fn observe_candidate_line(&mut self, cand: &PageData, line: usize, now: Cycle) {
         if self.cfg.ecc.offsets().contains(&line) {
-            let mut ecc = LineEcc::encode(cand.line(line));
+            let mut minikey = LineEcc::minikey_of(cand.line(line));
             // A scheduled key fault corrupts the snatched minikey — the
             // hash hint lies, exactly the case §3.3 says must stay safe.
             if let Some(f) = self.faults.as_mut() {
-                if let Some(word0) = ecc.0.first_mut() {
-                    *word0 = EccCode(f.filter_minikey(now, word0.0));
-                }
+                minikey = f.filter_minikey(now, minikey);
             }
-            self.key.observe(line, ecc);
+            self.key.observe(line, minikey);
         }
     }
+}
+
+/// Line reads of one engine run, added to the registry once per run.
+#[derive(Debug, Default)]
+struct LineTally {
+    fetched: u64,
+    on_chip: u64,
+}
+
+/// Reads one line through the fabric; returns when it arrives.
+fn fetch(
+    fabric: &mut impl MemoryFabric,
+    lines: &mut LineTally,
+    ppn: Ppn,
+    line: usize,
+    now: Cycle,
+) -> Cycle {
+    let read = fabric.read_line(ppn.line_addr(line), now);
+    lines.fetched += 1;
+    lines.on_chip += u64::from(read.on_chip);
+    read.ready_at
+}
+
+/// `a.cmp(b)` for two lines, without a `memcmp` call per line: a 64-byte
+/// pair is compared as eight words, and only the first differing word
+/// is ordered, as a big-endian `u64`. Lexicographic byte order equals
+/// big-endian word order, so the `Ordering`, and with it the first
+/// differing line, is unchanged.
+fn cmp_lines(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+    let (Ok(a), Ok(b)) = (
+        <&[u8; LINE_SIZE]>::try_from(a),
+        <&[u8; LINE_SIZE]>::try_from(b),
+    ) else {
+        return a.cmp(b);
+    };
+    for (x, y) in a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0) {
+        if x != y {
+            return u64::from_be_bytes(*x).cmp(&u64::from_be_bytes(*y));
+        }
+    }
+    std::cmp::Ordering::Equal
 }
 
 #[cfg(test)]
@@ -727,6 +768,64 @@ mod tests {
         let mut eng = PageForgeEngine::new(EngineConfig::default());
         let mut fabric = FlatFabric::all_dram(80);
         eng.run_batch(&mem, &mut fabric, 0);
+    }
+
+    /// The word compare against the slice `cmp` it replaced: random line
+    /// pairs, and pairs that differ in one byte at every position.
+    #[test]
+    fn word_compare_matches_slice_cmp() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        use std::cmp::Ordering;
+
+        let mut rng = SmallRng::seed_from_u64(0x11E5);
+        for _ in 0..2_000 {
+            let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+            rng.fill_bytes(&mut a);
+            if rng.gen_bool(0.5) {
+                b = a;
+                // A shared prefix of random length, as headers give.
+                let from = rng.gen_range(0..64);
+                rng.fill_bytes(&mut b[from..]);
+            } else {
+                rng.fill_bytes(&mut b);
+            }
+            assert_eq!(cmp_lines(&a, &b), a.cmp(&b), "{a:02x?} vs {b:02x?}");
+        }
+        // Anything but a 64-byte pair falls back to slice order.
+        assert_eq!(cmp_lines(&[1, 2], &[1, 2, 0]), Ordering::Less);
+        for base in [[0u8; 64], [0x80; 64], [0xFF; 64]] {
+            assert_eq!(cmp_lines(&base, &base), Ordering::Equal);
+            for pos in 0..64 {
+                for delta in [1u8, 0x7F, 0x80, 0xFF] {
+                    let mut other = base;
+                    other[pos] = other[pos].wrapping_add(delta);
+                    assert_eq!(cmp_lines(&base, &other), base.cmp(&other), "byte {pos}");
+                    assert_eq!(cmp_lines(&other, &base), other.cmp(&base), "byte {pos}");
+                }
+            }
+        }
+    }
+
+    /// A failed run still adds the lines it fetched to the counters.
+    #[test]
+    fn failed_run_counts_its_fetched_lines() {
+        let (mut mem, p) = mem_with(&[3, 3, 3]);
+        let mut eng = PageForgeEngine::new(EngineConfig::default());
+        eng.insert_pfe(p[0], true, 0);
+        eng.insert_ppn(0, p[1], 1, 1);
+        eng.insert_ppn(1, Ppn(999), INVALID_INDEX, INVALID_INDEX);
+        let mut fabric = FlatFabric::all_dram(80);
+        // Entry 0 differs from the candidate in its last line, so the walk
+        // fetches the whole page pair before it reaches the missing frame.
+        mem.guest_write(VmId(0), Gfn(1), 4095, &[0]);
+        let err = eng.try_run_batch(&mem, &mut fabric, 0);
+        assert_eq!(err, Err(EngineError::MissingLoadedFrame(Ppn(999))));
+        let stats = eng.stats();
+        assert_eq!(stats.lines_fetched, 128);
+        assert_eq!(stats.lines_from_dram, 128);
+        assert_eq!(stats.lines_on_chip, 0);
+        assert_eq!(stats.runs, 0, "a failed run is not a run");
     }
 
     #[test]

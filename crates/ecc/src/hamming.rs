@@ -265,6 +265,25 @@ impl LineEcc {
         self.0[0].0
     }
 
+    /// The [`minikey`](Self::minikey) of a 64-byte line, encoding only
+    /// word 0 — the seven other codes never reach a hash key. Equal to
+    /// `LineEcc::encode(line).minikey()`.
+    ///
+    /// ```
+    /// use pageforge_ecc::LineEcc;
+    /// let line: Vec<u8> = (0..64).collect();
+    /// assert_eq!(LineEcc::minikey_of(&line), LineEcc::encode(&line).minikey());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line.len() != 64`.
+    pub fn minikey_of(line: &[u8]) -> u8 {
+        assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
+        let word0 = line.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
+        Secded72::encode(word0).0
+    }
+
     /// The ECC bytes as stored in the spare DRAM chip.
     pub fn as_bytes(self) -> [u8; WORDS_PER_LINE] {
         let mut out = [0u8; WORDS_PER_LINE];
@@ -529,6 +548,29 @@ mod tests {
         assert_eq!(ecc.0[0], Secded72::encode(0));
         assert_eq!(ecc.0[1], Secded72::encode(1));
         assert_eq!(ecc.minikey(), u8::from(Secded72::encode(0)));
+    }
+
+    #[test]
+    fn word0_minikey_matches_the_full_line_encode() {
+        let mut rng = SmallRng::seed_from_u64(0x3141);
+        let mut lines = vec![[0u8; LINE_SIZE], [0xFF; LINE_SIZE]];
+        for byte in 0..LINE_SIZE {
+            let mut line = [0u8; LINE_SIZE];
+            line[byte] = 1 << (byte % 8);
+            lines.push(line);
+        }
+        for _ in 0..RANDOM_CASES / 8 {
+            let mut line = [0u8; LINE_SIZE];
+            rng.fill_bytes(&mut line);
+            lines.push(line);
+        }
+        for line in lines {
+            assert_eq!(
+                LineEcc::minikey_of(&line),
+                LineEcc::encode(&line).minikey(),
+                "{line:02x?}"
+            );
+        }
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl EccKeyConfig {
     pub fn page_key(&self, page: &PageData) -> EccHashKey {
         let mut key = 0u64;
         for (i, &line) in self.offsets.iter().enumerate() {
-            let minikey = LineEcc::encode(page.line(line)).minikey();
+            let minikey = LineEcc::minikey_of(page.line(line));
             key |= u64::from(minikey) << (8 * i);
         }
         EccHashKey(key)
@@ -186,13 +186,13 @@ impl Default for EccKeyConfig {
     }
 }
 
-/// Incrementally assembles an [`EccHashKey`] from line ECC codes arriving in
+/// Incrementally assembles an [`EccHashKey`] from line minikeys arriving in
 /// any order.
 ///
 /// The PageForge control logic "snatches" ECC codes as lines flow through
 /// the memory controller during page comparison (§3.3.2); lines can come
 /// back out of order because some are serviced from caches and some from
-/// DRAM. The builder accepts each `(line_index, LineEcc)` observation and
+/// DRAM. The builder accepts each `(line_index, minikey)` observation and
 /// reports completion once every configured offset has been seen.
 ///
 /// ```
@@ -204,7 +204,7 @@ impl Default for EccKeyConfig {
 /// let mut b = cfg.builder();
 /// // Feed the sampled lines in reverse order: order does not matter.
 /// for &off in cfg.offsets().iter().rev() {
-///     b.observe(off, LineEcc::encode(page.line(off)));
+///     b.observe(off, LineEcc::minikey_of(page.line(off)));
 /// }
 /// assert_eq!(b.finish(), Some(cfg.page_key(&page)));
 /// ```
@@ -216,15 +216,15 @@ pub struct KeyBuilder {
 }
 
 impl KeyBuilder {
-    /// Feeds one observed line. Lines that are not at a configured offset
-    /// are ignored; repeated observations of the same offset overwrite the
-    /// minikey (the content may have changed in between — last write wins,
-    /// matching hardware behaviour).
-    pub fn observe(&mut self, line_index: usize, ecc: LineEcc) {
+    /// Feeds the minikey of one observed line. Lines that are not at a
+    /// configured offset are ignored; repeated observations of the same
+    /// offset overwrite the minikey (the content may have changed in
+    /// between — last write wins, matching hardware behaviour).
+    pub fn observe(&mut self, line_index: usize, minikey: u8) {
         for (i, &off) in self.cfg.offsets.iter().enumerate() {
             if off == line_index {
                 let shift = 8 * i;
-                self.key = (self.key & !(0xFFu64 << shift)) | (u64::from(ecc.minikey()) << shift);
+                self.key = (self.key & !(0xFFu64 << shift)) | (u64::from(minikey) << shift);
                 self.filled |= 1 << i;
             }
         }
@@ -346,7 +346,7 @@ mod tests {
         order.reverse();
         for off in order {
             assert!(b.wants(off));
-            b.observe(off, LineEcc::encode(page.line(off)));
+            b.observe(off, LineEcc::encode(page.line(off)).minikey());
             assert!(!b.wants(off));
         }
         assert!(b.is_complete());
@@ -358,8 +358,8 @@ mod tests {
         let cfg = EccKeyConfig::default();
         let page = PageData::zeroed();
         let mut b = cfg.builder();
-        b.observe(0, LineEcc::encode(page.line(0)));
-        b.observe(63, LineEcc::encode(page.line(63)));
+        b.observe(0, LineEcc::encode(page.line(0)).minikey());
+        b.observe(63, LineEcc::encode(page.line(63)).minikey());
         assert!(!b.is_complete());
         assert_eq!(b.missing(), cfg.offsets().to_vec());
     }
@@ -372,8 +372,8 @@ mod tests {
         let mut new = PageData::zeroed();
         new.line_mut(0)[0] = 2;
         let mut b = cfg.builder();
-        b.observe(0, LineEcc::encode(old.line(0)));
-        b.observe(0, LineEcc::encode(new.line(0)));
+        b.observe(0, LineEcc::encode(old.line(0)).minikey());
+        b.observe(0, LineEcc::encode(new.line(0)).minikey());
         assert_eq!(b.finish(), Some(cfg.page_key(&new)));
     }
 

@@ -91,9 +91,9 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's configuration (Table 2) for one application, with all
     /// time constants consistently scaled by [`TIME_SCALE`]:
-    /// `sleep_millisecs` 5 ms → 100 k cycles, `pages_to_scan` 400 → 4
+    /// `sleep_millisecs` 5 ms → 100 k cycles, `pages_to_scan` 400 → 56
     /// (the per-interval *duty cycle* of the daemon is what scaling must
-    /// preserve).
+    /// preserve), and the KSM task stays 32 work intervals on a core.
     pub fn micro50(app_name: &str, dedup: DedupMode, seed: u64) -> SimConfig {
         let app = AppSpec::by_name(app_name)
             .unwrap_or_else(|| panic!("unknown TailBench app {app_name}"));
@@ -121,7 +121,7 @@ impl SimConfig {
         }
     }
 
-    /// The scaled KSM parameters: `pages_to_scan` 400 → 20 so the daemon's
+    /// The scaled KSM parameters: `pages_to_scan` 400 → 56 so the daemon's
     /// per-interval duty cycle (the quantity that determines interference)
     /// is preserved under TIME_SCALE.
     pub fn scaled_ksm() -> KsmConfig {

@@ -377,8 +377,10 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the cache hierarchy fails
-    /// [`SystemCaches::check_invariants`] at the end of the run.
+    /// Panics if, at the end of the run, the cache hierarchy fails
+    /// [`SystemCaches::check_invariants`], host memory fails
+    /// [`HostMemory::check_invariants`], or a PageForge module fails
+    /// [`PageForge::check_conservation`].
     pub fn run_observed(mut self) -> (SimResult, Snapshot) {
         while let Some(Reverse((t, _, event))) = self.events.pop() {
             self.clock = t.max(self.clock);
@@ -401,10 +403,17 @@ impl System {
         }
         // Final (partial-epoch) exchange so nothing staged is lost.
         self.shard_metrics.exchange(&mut self.shard_stage);
-        // A broken cache invariant is a simulator bug: no result may
-        // leave a run whose hierarchy fails its audit.
-        if let Err(violation) = self.caches.check_invariants() {
-            panic!("cache audit failed at the end of the run: {violation}");
+        // A broken invariant is a simulator bug: no result may leave a
+        // run whose caches, memory or merge accounting fail their audit.
+        let mut audit = self
+            .caches
+            .check_invariants()
+            .and(self.mem.check_invariants());
+        if let DedupState::PageForge(pfs) = &self.dedup {
+            audit = audit.and(pfs.iter().try_for_each(PageForge::check_conservation));
+        }
+        if let Err(violation) = audit {
+            panic!("audit failed at the end of the run: {violation}");
         }
         let snapshot = self.export_metrics().snapshot();
         (self.collect(), snapshot)

@@ -14,10 +14,6 @@
 //! KSM, ECC keys in PageForge) meaningful — Figure 8 measures exactly how
 //! often the two key schemes miss a change.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -222,37 +218,6 @@ impl AppProfile {
         vm: VmId,
         seed: u64,
     ) -> Vec<(Gfn, PageData, PageCategory)> {
-        // A process-wide memo: the three dedup modes of every suite triple
-        // (and every rescan in sweeps) share `(profile, vm, seed)`, so the
-        // synthesis cost is paid once per image, not once per simulation.
-        // Purity makes the memo invisible in every output byte.
-        content_memo_get(&self.content_key(vm, seed), || {
-            self.generate_vm_page_contents_uncached(vm, seed)
-        })
-    }
-
-    /// The memo key: every input [`generate_vm_page_contents_uncached`]
-    /// reads. The profile *name* is deliberately excluded — it never
-    /// shapes content (two differently-named profiles with equal
-    /// parameters generate identical images by construction).
-    fn content_key(&self, vm: VmId, seed: u64) -> ContentKey {
-        (
-            self.pages_per_vm,
-            self.unmergeable_frac.to_bits(),
-            self.zero_frac.to_bits(),
-            self.full_span_frac.to_bits(),
-            vm.0,
-            seed,
-        )
-    }
-
-    /// The synthesis itself (memoized by
-    /// [`generate_vm_page_contents`](Self::generate_vm_page_contents)).
-    pub fn generate_vm_page_contents_uncached(
-        &self,
-        vm: VmId,
-        seed: u64,
-    ) -> Vec<(Gfn, PageData, PageCategory)> {
         let n_unmergeable = (self.pages_per_vm as f64 * self.unmergeable_frac) as usize;
         let n_zero = (self.pages_per_vm as f64 * self.zero_frac) as usize;
         let n_mergeable = self.pages_per_vm - n_unmergeable - n_zero;
@@ -327,69 +292,6 @@ impl AppProfile {
             out.push(GeneratedPage { vm, gfn, category });
         }
     }
-}
-
-/// Key identifying one synthesized VM image: every parameter the
-/// generator reads (fractions as raw bits — the values are copied
-/// verbatim from profile literals, never computed, so bit equality is
-/// value equality here).
-type ContentKey = (usize, u64, u64, u64, u32, u64);
-
-/// One memoized image: the `(gfn, contents, category)` triples
-/// `generate_vm_page_contents_uncached` produces, shared by `Arc` so a
-/// memo hit is a pointer bump, not a multi-MB copy.
-type ContentPages = Arc<Vec<(Gfn, PageData, PageCategory)>>;
-
-/// Bound on the image memo: at the full-scale 2048 pages/VM this is
-/// ≈ 256 MB of cached page bytes — enough to hold the 10 VM images a
-/// triple shares plus the neighboring app's, small enough to never
-/// threaten the simulations' own footprint.
-const CONTENT_MEMO_CAP: usize = 32;
-
-struct ContentMemo {
-    map: BTreeMap<ContentKey, ContentPages>,
-    /// Insertion order for FIFO eviction (recency is irrelevant to
-    /// correctness: entries are pure values, eviction only costs a
-    /// recompute).
-    order: VecDeque<ContentKey>,
-}
-
-fn content_memo_get(
-    key: &ContentKey,
-    compute: impl FnOnce() -> Vec<(Gfn, PageData, PageCategory)>,
-) -> Vec<(Gfn, PageData, PageCategory)> {
-    static MEMO: OnceLock<Mutex<ContentMemo>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| {
-        Mutex::new(ContentMemo {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-        })
-    });
-    // A poisoned lock means another thread panicked mid-insert; the map
-    // only ever holds complete pure values, so it is safe to keep using.
-    let cached = memo
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .map
-        .get(key)
-        .cloned();
-    if let Some(arc) = cached {
-        return (*arc).clone();
-    }
-    // Compute outside the lock: shard workers synthesize different VMs
-    // concurrently, and a duplicate race just recomputes the same value.
-    let contents = compute();
-    let mut guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-    if !guard.map.contains_key(key) {
-        while guard.order.len() >= CONTENT_MEMO_CAP {
-            if let Some(old) = guard.order.pop_front() {
-                guard.map.remove(&old);
-            }
-        }
-        guard.map.insert(*key, Arc::new(contents.clone()));
-        guard.order.push_back(*key);
-    }
-    contents
 }
 
 /// One generated guest page with its ground-truth category.
@@ -724,25 +626,13 @@ mod tests {
     }
 
     #[test]
-    fn memoized_contents_match_uncached_generation() {
-        let profile = small_profile();
-        for vm in 0..3u32 {
-            let cached = profile.generate_vm_page_contents(VmId(vm), 77);
-            let fresh = profile.generate_vm_page_contents_uncached(VmId(vm), 77);
-            assert_eq!(cached, fresh);
-            // Second memoized call (a hit) is also identical.
-            assert_eq!(profile.generate_vm_page_contents(VmId(vm), 77), fresh);
-        }
-    }
-
-    #[test]
-    fn memo_key_distinguishes_profiles_sharing_a_name() {
+    fn equal_names_with_different_fractions_generate_different_images() {
         let a = AppProfile::new("same", 50, 0.2, 0.1);
         let b = AppProfile::new("same", 50, 0.4, 0.1);
         assert_ne!(
             a.generate_vm_page_contents(VmId(0), 5),
             b.generate_vm_page_contents(VmId(0), 5),
-            "parameters, not names, key the memo"
+            "parameters, not names, shape the image"
         );
     }
 
