@@ -6,8 +6,7 @@
 #   bash ci/smoke.sh <output-root>
 #
 # Outputs land under <output-root>: the binaries (bin/), the baseline
-# results and REPORT.md (base/), one directory per gate, and the
-# quick-scale shard-scaling timing (shard-scaling/meta/timing.json).
+# results and REPORT.md (base/), and one directory per gate.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -72,9 +71,5 @@ echo '{"version":1,"seed":0,"events":[]}' > "$root/empty_fleet_plan.json"
 smoke_run --jobs 2 --only fleet --fleet-faults "$root/empty_fleet_plan.json" \
   --out "$root/empty-fleet-plan"
 cmp "$root/base/fleet_serverless.json" "$root/empty-fleet-plan/fleet_serverless.json"
-
-# 7. Quick-scale executor wall-clock at 1/2/4 shards, kept in
-#    meta/timing.json outside the determinism glob.
-"$bin/run_all" --quick --only shard_scaling --out "$root/shard-scaling"
 
 echo "smoke: all gates passed; results under $root"

@@ -25,9 +25,9 @@ use crate::dataflow::{closure_arg, MarkerKind};
 use crate::findings::Finding;
 use crate::Workspace;
 
-const HINT: &str = "domain workers may touch only domain-local state or the staged ShardTally / \
-     barrier-fold path; route the write through the fold, or allowlist it with a \
-     proof that it cannot reorder results across --shards (see ANALYSIS.md)";
+const HINT: &str = "domain workers may touch only domain-local state or their own result \
+     slot; return the value instead, or allowlist the write with a proof that it \
+     cannot reorder results across --shards (see ANALYSIS.md)";
 
 /// Runs `SPEC-SAFE` over every domain worker closure in the workspace.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {

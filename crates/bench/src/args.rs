@@ -29,20 +29,20 @@ use crate::experiments::Scale;
 ///   path (`run_all`; produces events only when built with `--features
 ///   trace`), or read them from it (`trace_report`);
 /// * `--faults <file>` — JSON fault plan applied to the PageForge engine
-///   in the latency suite (`run_all`). A non-empty plan bypasses the
-///   suite cache; an empty plan is a no-op by construction;
+///   in the latency suite (`run_all`). An empty plan is a no-op by
+///   construction;
 /// * `--fleet-faults <file>` — JSON fleet fault plan (host crashes, gray
 ///   slowdowns, engine wedges, migration failures) installed on the
-///   `fleet` experiment family's control plane (`run_all`). A non-empty
-///   plan bypasses the suite cache; an empty plan is a no-op by
-///   construction. The `fleet_chaos` campaign generates its own plans
-///   and ignores this flag;
-/// * `--snapshot <file>` — after the suite, run one KSM, one PageForge,
-///   and one fleet probe cell at this run's scale/seed/shards and write
-///   their unioned observability snapshot (metric names prefixed `ksm/`,
-///   `pageforge/`, `fleet/`) to this path. Snapshots are part of the determinism contract, so CI
-///   diffs two of these from different `--jobs`/`--shards` levels with
-///   `snapshot_diff --threshold 0`.
+///   `fleet` experiment family's control plane (`run_all`). An empty plan
+///   is a no-op by construction. The `fleet_chaos` campaign generates its
+///   own plans and ignores this flag;
+/// * `--snapshot <file>` — write the unioned observability snapshot
+///   (metric names prefixed `ksm/`, `pageforge/`, `fleet/`) of the silo
+///   KSM and PageForge cells, which join the suite's cell graph, and of
+///   one fleet probe run after the suite, all at this run's
+///   scale/seed/shards. Snapshots are part of the determinism contract,
+///   so CI diffs two of these from different `--jobs`/`--shards` levels
+///   with `snapshot_diff --threshold 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// RNG seed.

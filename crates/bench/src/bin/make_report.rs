@@ -32,7 +32,6 @@ const ORDER: &[&str] = &[
     "comparison_uksm",
     "sweep_scan_rate",
     "extension_heterogeneous",
-    "shard_scaling",
     "seed_sweep",
     "fleet_serverless",
     "fleet_chaos",
@@ -78,46 +77,7 @@ fn timing_section(dir: &Path) -> Option<String> {
         let _ = writeln!(out, "| {} | {:.2} | {} |", exp.name, exp.secs, exp.units);
     }
     out.push('\n');
-    out.push_str(&shard_scaling_section(&timing));
     Some(out)
-}
-
-/// Renders the `shard_scaling` wall-clock rows: each executor
-/// configuration's run time plus its speedup over the first (reference)
-/// row. The table contents in `shard_scaling.json` are deterministic by
-/// construction; the seconds live only here, in `meta/timing.json`.
-fn shard_scaling_section(timing: &RunTiming) -> String {
-    let rows = &timing.shard_scaling;
-    let Some(reference) = rows.first() else {
-        return String::new();
-    };
-    let mut out = String::from("### Shard scaling (executor wall-clock)\n\n");
-    let _ = writeln!(
-        out,
-        "All configurations produced bit-identical results (asserted \
-         in-run); speedups are relative to `{}` at {} shard(s).\n",
-        reference.label, reference.shards,
-    );
-    out.push_str("| Configuration | Shards | Wall-clock (s) | Speedup |\n|---|---|---|---|\n");
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.2} | {:.2}x |",
-            row.label,
-            row.shards,
-            row.secs,
-            reference.secs / row.secs,
-        );
-    }
-    if let Some(two) = rows.iter().find(|r| r.shards == 2 && r.secs > 0.0) {
-        let _ = writeln!(
-            out,
-            "\nSpeedup at 2 shards over the reference executor: {:.2}x.",
-            reference.secs / two.secs,
-        );
-    }
-    out.push('\n');
-    out
 }
 
 /// Renders the folded trace attribution (written by `trace_report` under

@@ -16,7 +16,6 @@ use pageforge_bench::args::print_table2;
 use pageforge_bench::{suite, BenchArgs};
 use pageforge_fleet::ControlPlane;
 use pageforge_obs::Snapshot;
-use pageforge_sim::{DedupMode, SimConfig, System};
 use pageforge_types::json::ToJson;
 
 fn main() {
@@ -32,14 +31,18 @@ fn main() {
 
     let outcome = match suite::run_suite(&args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&e.to_string()),
     };
-    suite::print_and_write(&outcome, &args.out_dir);
+    if let Err(e) = suite::print_and_write(&outcome, &args.out_dir) {
+        fail(&format!(
+            "could not write results under {}: {e}",
+            args.out_dir.display()
+        ));
+    }
     outcome.timing.table().print();
-    outcome.timing.write(&args.out_dir);
+    if let Err(e) = outcome.timing.write(&args.out_dir) {
+        fail(&format!("could not write the timing record: {e}"));
+    }
 
     if let (Some(trace_path), Some(summary)) = (&args.trace, &outcome.trace) {
         println!(
@@ -51,37 +54,32 @@ fn main() {
         // Streaming collectors flush instead of evicting; a nonzero drop
         // count means the spool pipeline lost events.
         if summary.dropped != 0 {
-            eprintln!(
-                "error: trace collectors dropped {} event(s); the spooled \
-                 trace at {} is incomplete",
+            fail(&format!(
+                "trace collectors dropped {} event(s); the spooled trace at {} \
+                 is incomplete",
                 summary.dropped,
                 trace_path.display()
-            );
-            std::process::exit(1);
+            ));
         }
     }
 
-    // `--snapshot`: run one KSM, one PageForge, and one fleet probe
-    // cell at this run's scale/seed/shards and write their unioned
+    // `--snapshot`: union the suite's silo KSM and PageForge probe cells
+    // with one fleet probe at this run's scale/seed/shards and write the
     // observability snapshot. Snapshots are part of the determinism
     // contract — byte-identical at every `--jobs`/`--shards` level — so
     // CI diffs two of these from different parallelism levels with
     // `snapshot_diff --threshold 0`.
-    if let Some(path) = &args.snapshot {
-        let probe = |mode: DedupMode| {
-            let cfg = args.scale().sim_config("silo", mode, args.seed);
-            System::with_shards(cfg, args.shards).run_observed().1
-        };
+    if let (Some(path), Some(probes)) = (&args.snapshot, outcome.snapshot) {
         let fleet_probe = ControlPlane::new(args.scale().fleet_config(args.seed))
             .run(args.shards)
             .1;
-        let snap = Snapshot::union([
-            probe(DedupMode::Ksm(SimConfig::scaled_ksm())).prefixed("ksm"),
-            probe(DedupMode::PageForge(SimConfig::scaled_pageforge())).prefixed("pageforge"),
-            fleet_probe.prefixed("fleet"),
-        ]);
-        std::fs::write(path, snap.to_json().to_string_pretty())
-            .unwrap_or_else(|e| panic!("--snapshot: could not write {}: {e}", path.display()));
+        let snap = Snapshot::union([probes, fleet_probe.prefixed("fleet")]);
+        if let Err(e) = std::fs::write(path, snap.to_json().to_string_pretty()) {
+            fail(&format!(
+                "--snapshot: could not write {}: {e}",
+                path.display()
+            ));
+        }
         println!("Probe-cell snapshot written to {}.", path.display());
     }
 
@@ -89,4 +87,10 @@ fn main() {
         "\nAll experiments complete. JSON copies under {}.",
         args.out_dir.display()
     );
+}
+
+/// Prints `error: <message>` and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
 }

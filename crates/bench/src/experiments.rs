@@ -1,8 +1,10 @@
 //! The experiment drivers behind every `run_all` experiment.
 //!
 //! Everything here is deterministic given the seed. The functions return
-//! [`Table`]s (or per-unit cells the suite folds into tables); `run_all`
-//! prints them and drops JSON copies under `results/`.
+//! [`Table`]s, or per-unit cells the suite folds into tables. Each
+//! experiment that simulates the whole system is split in two: the
+//! [`Cell`]s it reads, and a table builder over their results. `run_all`
+//! prints the tables and drops JSON copies under `results/`.
 
 use pageforge_core::fabric::FlatFabric;
 use pageforge_core::{EngineConfig, PageForge, PageForgeConfig, PowerModel, OS_CHECK_INTERVAL};
@@ -11,7 +13,6 @@ use pageforge_faults::{FaultInjector, FaultPlan, FleetFaultPlan};
 use pageforge_fleet::{ControlPlane, FleetConfig, FleetResult};
 use pageforge_ksm::{Ksm, KsmConfig};
 use pageforge_sim::{DedupMode, SimConfig, SimResult, System};
-use pageforge_types::json::{self, FromJson, ToJson, Value};
 use pageforge_types::stats::RunningStats;
 use pageforge_types::{Cycle, Gfn, PageData, VmId};
 use pageforge_vm::{AppProfile, HostMemory};
@@ -20,7 +21,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::{pct, ratio, Table};
-use crate::scheduler::ShardTiming;
 
 /// The applications of Table 3, in the paper's order.
 pub const APPS: [&str; 5] = ["img_dnn", "masstree", "moses", "silo", "sphinx"];
@@ -31,9 +31,6 @@ pub const N_VMS: u32 = 10;
 /// How much of the evaluation to run. Every experiment is parameterized
 /// by this single knob so `run_all`, the tests, and CI all agree on what
 /// "quick" and "smoke" mean.
-///
-/// The scale feeds the latency-suite cache file name, so results from
-/// different scales never mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-faithful down-scaled run (tens of minutes).
@@ -54,15 +51,6 @@ impl Scale {
             Scale::Quick
         } else {
             Scale::Full
-        }
-    }
-
-    /// Short tag used in cache file names.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Scale::Full => "full",
-            Scale::Quick => "quick",
-            Scale::Smoke => "smoke",
         }
     }
 
@@ -372,190 +360,144 @@ pub fn suite_modes() -> [DedupMode; 3] {
     ]
 }
 
-/// Runs one (app, mode) cell of the latency suite.
-pub fn run_suite_cell(app: &str, mode: DedupMode, seed: u64, scale: Scale) -> SimResult {
-    run_suite_cell_with(app, mode, seed, scale, 1, None)
+/// One full-system simulation an experiment reads. Its config alone
+/// determines its result (`--shards` never moves a byte), so experiments
+/// that declare equal configs share one simulation.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Scheduler and trace label, e.g. `latency/silo/KSM`.
+    pub label: String,
+    /// The simulation's complete configuration.
+    pub config: SimConfig,
 }
 
-/// Runs one cell with `shards` worker threads (`--shards`) and an
-/// optional fault plan (`--faults`). The shard count never moves a
-/// result byte; the plan changes outcomes only for PageForge cells
-/// (Baseline/KSM cells have no engine to fault).
-pub fn run_suite_cell_with(
+/// The config of one (app, mode) latency-suite cell. A fault plan
+/// (`--faults`) applies to PageForge cells only: Baseline and KSM cells
+/// have no engine to fault.
+pub fn latency_config(
     app: &str,
     mode: DedupMode,
     seed: u64,
     scale: Scale,
-    shards: usize,
     plan: Option<&FaultPlan>,
-) -> SimResult {
+) -> SimConfig {
     let mut cfg = scale.sim_config(app, mode, seed);
     if let (Some(plan), DedupMode::PageForge(_)) = (plan, &cfg.dedup) {
         cfg.faults = Some(plan.clone());
     }
-    System::with_shards(cfg, shards).run()
+    cfg
+}
+
+/// The latency suite's cells: every app under every mode, app-major, so
+/// each app's Baseline/KSM/PageForge triple shares its arrival processes
+/// and memory images.
+pub fn latency_cells(seed: u64, scale: Scale, plan: Option<&FaultPlan>) -> Vec<Cell> {
+    APPS.iter()
+        .flat_map(|app| {
+            suite_modes().map(|mode| Cell {
+                label: format!("latency/{app}/{}", mode.label()),
+                config: latency_config(app, mode, seed, scale, plan),
+            })
+        })
+        .collect()
+}
+
+/// Table 4 and Figures 9–11, as `(file stem, table)` pairs, from the
+/// results of [`latency_cells`] in their order.
+pub fn latency_tables(results: &mut [SimResult]) -> Vec<(String, Table)> {
+    vec![
+        ("table4_ksm_characterization".to_owned(), table4(results)),
+        ("fig9_mean_latency".to_owned(), figure9(results)),
+        ("fig10_tail_latency".to_owned(), figure10(results)),
+        ("fig11_bandwidth".to_owned(), figure11(results)),
+    ]
 }
 
 /// Runs Baseline/KSM/PageForge for one app. The triple shares the seed so
 /// arrival processes and memory images are identical across modes.
 pub fn run_triple(app: &str, seed: u64, scale: Scale) -> [SimResult; 3] {
-    suite_modes().map(|mode| run_suite_cell(app, mode, seed, scale))
+    suite_modes().map(|mode| System::new(scale.sim_config(app, mode, seed)).run())
 }
 
-/// Cache-file path for the latency suite at one (seed, scale).
-pub fn suite_cache_path(out_dir: &std::path::Path, seed: u64, scale: Scale) -> std::path::PathBuf {
-    out_dir.join(format!("latency_suite_{seed:#x}_{}.json", scale.tag()))
-}
-
-/// Reads a latency-suite cache file, if present and well-formed.
-pub fn read_suite_cache(path: &std::path::Path) -> Option<Vec<[SimResult; 3]>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Vec::from_json(&json::parse(&text).ok()?)
-}
-
-/// Writes the latency-suite cache (best-effort; failures are warnings).
-pub fn write_suite_cache(
-    path: &std::path::Path,
-    out_dir: &std::path::Path,
-    suite: &[[SimResult; 3]],
-) {
-    let body = Value::Arr(suite.iter().map(ToJson::to_json).collect()).to_string_compact();
-    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|_| std::fs::write(path, body)) {
-        eprintln!("warning: could not cache simulations: {e}");
-    }
+/// The cells `run_all --snapshot` reads: silo under KSM and under
+/// PageForge, the latency suite's own cells when no fault plan is given.
+pub fn probe_cells(seed: u64, scale: Scale) -> Vec<Cell> {
+    [
+        DedupMode::Ksm(SimConfig::scaled_ksm()),
+        DedupMode::PageForge(SimConfig::scaled_pageforge()),
+    ]
+    .into_iter()
+    .map(|mode| Cell {
+        label: format!("snapshot/silo/{}", mode.label()),
+        config: scale.sim_config("silo", mode, seed),
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------
-// Shard scaling and seed sweeps
+// Seed sweeps
 // ---------------------------------------------------------------------
 
-/// The `shard_scaling` experiment: the heaviest latency-suite cell
-/// (silo under PageForge) run on the executor at 1, 2, and 4 worker
-/// threads. Every configuration must produce a bit-identical
-/// [`SimResult`] (the run panics otherwise), so the returned [`Table`]
-/// is deterministic; the wall-clock seconds go into the separate
-/// [`ShardTiming`] rows, which land in `meta/timing.json` outside the
-/// `results/*.json` determinism glob.
-pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
-    let label = "sharded executor";
-    let app = "silo";
-    let mut table = Table::new(
-        "Shard scaling: executor configurations, byte-identity check (silo, PageForge)",
-        &[
-            "Configuration",
-            "Shards",
-            "Mean sojourn (cycles)",
-            "Merges",
-            "Identical",
-        ],
-    );
-    // Wall-clock on a shared machine is noisy; run every configuration
-    // twice and keep the faster repetition (the standard minimum-of-N
-    // estimator). Every repetition's result must match the reference
-    // byte-for-byte, so the extra runs double as determinism coverage.
-    const REPS: usize = 2;
-    let mut timing = Vec::new();
-    let mut reference: Option<String> = None;
-    // Run order matters: the first row is the reference configuration
-    // the speedups are quoted against.
-    for shards in [1, 2, 4] {
-        let mut secs = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..REPS {
-            let cfg = scale.sim_config(
-                app,
-                DedupMode::PageForge(SimConfig::scaled_pageforge()),
-                seed,
-            );
-            let start = std::time::Instant::now();
-            let rep = System::with_shards(cfg, shards).run();
-            secs = secs.min(start.elapsed().as_secs_f64());
-            let encoded = rep.to_json().to_string_compact();
-            match &reference {
-                None => reference = Some(encoded),
-                Some(want) => assert!(
-                    *want == encoded,
-                    "shard_scaling: {shards} shard(s) diverged from the \
-                     reference configuration's result"
-                ),
-            }
-            result = Some(rep);
-        }
-        let result = result.expect("at least one repetition ran");
-        table.row(vec![
-            label.to_owned(),
-            shards.to_string(),
-            format!("{:.1}", result.mean_sojourn()),
-            result.mem_stats.merges.to_string(),
-            "yes".to_owned(),
-        ]);
-        timing.push(ShardTiming {
-            label: label.to_owned(),
-            shards,
-            secs,
-        });
-    }
-    (table, timing)
+/// The `seed_sweep` experiment's cells: the silo triple once per seed
+/// replica. Replica 0 is the run's own seed; the rest are derived.
+/// Replicas cap the scale at `--quick` — the sweep multiplies the
+/// suite's heaviest cell by the seed count, and seed-to-seed spread is
+/// what is being measured, not absolute magnitude.
+pub fn seed_sweep_cells(seed: u64, seeds: usize, scale: Scale) -> Vec<Cell> {
+    (0..seeds)
+        .flat_map(|i| {
+            let rep_seed = if i == 0 {
+                seed
+            } else {
+                pageforge_types::derive_seed(seed, &format!("seed_sweep/{i}"))
+            };
+            suite_modes().map(|mode| Cell {
+                label: format!("seed_sweep/{rep_seed:#x}/{}", mode.label()),
+                config: scale.at_most_quick().sim_config("silo", mode, rep_seed),
+            })
+        })
+        .collect()
 }
 
-/// One seed replica of the `seed_sweep` experiment: the headline paper
-/// metrics of the silo triple, with latencies normalized to that seed's
-/// own Baseline (the form Figures 9–10 report).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeedReplicate {
-    /// Seed this replica ran under.
-    pub seed: u64,
-    /// KSM mean sojourn latency, × Baseline.
-    pub ksm_mean: f64,
-    /// PageForge mean sojourn latency, × Baseline.
-    pub pf_mean: f64,
-    /// KSM p95 sojourn latency, × Baseline.
-    pub ksm_p95: f64,
-    /// PageForge p95 sojourn latency, × Baseline.
-    pub pf_p95: f64,
-    /// PageForge memory savings fraction, in `[0, 1)`.
-    pub savings: f64,
-}
-
-/// Runs one seed replica for [`seed_sweep_table`]. Replicas cap the
-/// scale at `--quick` — the sweep multiplies the suite's heaviest cell
-/// by the seed count, and seed-to-seed spread is what is being measured,
-/// not absolute magnitude.
-pub fn seed_sweep_cell(seed: u64, scale: Scale) -> SeedReplicate {
-    let [mut base, mut ksm, mut pf] = run_triple("silo", seed, scale.at_most_quick());
-    let base_mean = base.mean_sojourn();
-    let base_p95 = base.p95_sojourn();
-    SeedReplicate {
-        seed,
-        ksm_mean: ksm.mean_sojourn() / base_mean,
-        pf_mean: pf.mean_sojourn() / base_mean,
-        ksm_p95: ksm.p95_sojourn() / base_p95,
-        pf_p95: pf.p95_sojourn() / base_p95,
-        savings: pf.mem_stats.savings_fraction(),
-    }
-}
-
-/// Folds seed replicas into the `seed_sweep` table: mean ± min/max per
-/// metric, the spread column EXPERIMENTS.md quotes next to each
+/// Folds the results of [`seed_sweep_cells`] into the `seed_sweep`
+/// table: each replica's headline metrics, latencies normalized to that
+/// seed's own Baseline (the form Figures 9–10 report), as mean ± min/max
+/// per metric — the spread column EXPERIMENTS.md quotes next to each
 /// paper-vs-measured number.
-pub fn seed_sweep_table(reps: &[SeedReplicate]) -> Table {
+pub fn seed_sweep_table(results: &mut [SimResult]) -> Table {
     let mut t = Table::new(
-        &format!("Seed sweep: silo across {} seeds (× Baseline)", reps.len()),
+        &format!(
+            "Seed sweep: silo across {} seeds (× Baseline)",
+            results.len() / 3
+        ),
         &["Metric", "Mean", "Min", "Max"],
     );
-    type Pick = fn(&SeedReplicate) -> f64;
-    let metrics: [(&str, Pick); 5] = [
-        ("KSM mean sojourn", |r| r.ksm_mean),
-        ("PageForge mean sojourn", |r| r.pf_mean),
-        ("KSM p95 sojourn", |r| r.ksm_p95),
-        ("PageForge p95 sojourn", |r| r.pf_p95),
-        ("PageForge memory savings", |r| r.savings),
+    let names = [
+        "KSM mean sojourn",
+        "PageForge mean sojourn",
+        "KSM p95 sojourn",
+        "PageForge p95 sojourn",
+        "PageForge memory savings",
     ];
-    for (name, pick) in metrics {
-        let mut stats = RunningStats::new();
-        for r in reps {
-            stats.push(pick(r));
+    let mut stats = names.map(|_| RunningStats::new());
+    for triple in results.chunks_exact_mut(3) {
+        let [base, ksm, pf] = triple else {
+            unreachable!("chunks of three")
+        };
+        let base_mean = base.mean_sojourn();
+        let base_p95 = base.p95_sojourn();
+        let metrics = [
+            ksm.mean_sojourn() / base_mean,
+            pf.mean_sojourn() / base_mean,
+            ksm.p95_sojourn() / base_p95,
+            pf.p95_sojourn() / base_p95,
+            pf.mem_stats.savings_fraction(),
+        ];
+        for (s, value) in stats.iter_mut().zip(metrics) {
+            s.push(value);
         }
+    }
+    for (name, stats) in names.into_iter().zip(&stats) {
         t.row(vec![
             name.to_owned(),
             format!("{:.4}", stats.mean()),
@@ -1027,15 +969,17 @@ pub fn fault_campaign_table(cells: &[FaultCell]) -> Table {
     t
 }
 
-/// Figure 9: mean sojourn latency normalized to Baseline.
-pub fn figure9(suite: &[[SimResult; 3]]) -> Table {
+/// Figure 9: mean sojourn latency normalized to Baseline. `suite` holds
+/// one Baseline/KSM/PageForge triple per app, as [`latency_cells`] lays
+/// them out (so do Figures 10–11 and Table 4).
+pub fn figure9(suite: &[SimResult]) -> Table {
     let mut t = Table::new(
         "Figure 9: Mean sojourn latency normalized to Baseline",
         &["App", "Baseline", "KSM", "PageForge"],
     );
     let mut ksm_sum = 0.0;
     let mut pf_sum = 0.0;
-    for triple in suite {
+    for triple in suite.chunks_exact(3) {
         let base = triple[0].mean_sojourn();
         let ksm = triple[1].mean_sojourn() / base;
         let pf = triple[2].mean_sojourn() / base;
@@ -1048,7 +992,7 @@ pub fn figure9(suite: &[[SimResult; 3]]) -> Table {
             ratio(pf),
         ]);
     }
-    let n = suite.len() as f64;
+    let n = (suite.len() / 3) as f64;
     t.row(vec![
         "average".into(),
         ratio(1.0),
@@ -1059,14 +1003,14 @@ pub fn figure9(suite: &[[SimResult; 3]]) -> Table {
 }
 
 /// Figure 10: 95th-percentile (tail) latency normalized to Baseline.
-pub fn figure10(suite: &mut [[SimResult; 3]]) -> Table {
+pub fn figure10(suite: &mut [SimResult]) -> Table {
     let mut t = Table::new(
         "Figure 10: 95th percentile latency normalized to Baseline",
         &["App", "Baseline", "KSM", "PageForge"],
     );
     let mut ksm_sum = 0.0;
     let mut pf_sum = 0.0;
-    for triple in suite.iter_mut() {
+    for triple in suite.chunks_exact_mut(3) {
         let app = triple[0].app.clone();
         let base = triple[0].p95_sojourn();
         let ksm = triple[1].p95_sojourn() / base;
@@ -1075,7 +1019,7 @@ pub fn figure10(suite: &mut [[SimResult; 3]]) -> Table {
         pf_sum += pf;
         t.row(vec![app, ratio(1.0), ratio(ksm), ratio(pf)]);
     }
-    let n = suite.len() as f64;
+    let n = (suite.len() / 3) as f64;
     t.row(vec![
         "average".into(),
         ratio(1.0),
@@ -1086,13 +1030,13 @@ pub fn figure10(suite: &mut [[SimResult; 3]]) -> Table {
 }
 
 /// Figure 11: memory bandwidth in the most memory-intensive dedup phase.
-pub fn figure11(suite: &[[SimResult; 3]]) -> Table {
+pub fn figure11(suite: &[SimResult]) -> Table {
     let mut t = Table::new(
         "Figure 11: Peak-window memory bandwidth (GB/s)",
         &["App", "Baseline", "KSM", "PageForge"],
     );
     let mut sums = [0.0f64; 3];
-    for triple in suite {
+    for triple in suite.chunks_exact(3) {
         let mut row = vec![triple[0].app.clone()];
         for (i, r) in triple.iter().enumerate() {
             sums[i] += r.bandwidth_peak_gbps;
@@ -1100,7 +1044,7 @@ pub fn figure11(suite: &[[SimResult; 3]]) -> Table {
         }
         t.row(row);
     }
-    let n = suite.len() as f64;
+    let n = (suite.len() / 3) as f64;
     t.row(vec![
         "average".into(),
         format!("{:.2}", sums[0] / n),
@@ -1111,7 +1055,7 @@ pub fn figure11(suite: &[[SimResult; 3]]) -> Table {
 }
 
 /// Table 4: characterization of the KSM configuration.
-pub fn table4(suite: &[[SimResult; 3]]) -> Table {
+pub fn table4(suite: &[SimResult]) -> Table {
     let mut t = Table::new(
         "Table 4: Characterization of the KSM configuration",
         &[
@@ -1124,7 +1068,7 @@ pub fn table4(suite: &[[SimResult; 3]]) -> Table {
             "L3 miss Base",
         ],
     );
-    for triple in suite {
+    for triple in suite.chunks_exact(3) {
         let base = &triple[0];
         let ksm = &triple[1];
         let d = ksm.dedup.as_ref().expect("KSM summary");
@@ -1431,11 +1375,37 @@ pub fn comparison_uksm(seed: u64, scale: Scale) -> Table {
     t
 }
 
+/// PageForge module counts the §4.1 ablation compares with Baseline.
+const MODULE_COUNTS: [usize; 3] = [1, 2, 4];
+
 /// Ablation (§4.1): one PageForge module vs several. More modules scan
 /// faster but add memory pressure; the paper argues a single module
-/// suffices. Measured on the quick system so the run stays short.
-pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
+/// suffices. Its cells are silo Baseline, then PageForge with 1, 2 and 4
+/// modules, on the quick system so the run stays short.
+pub fn ablation_modules_cells(seed: u64, scale: Scale) -> Vec<Cell> {
     let scale = scale.at_most_quick();
+    let base = Cell {
+        label: "ablation_modules/Baseline".to_owned(),
+        config: scale.sim_config("silo", DedupMode::None, seed),
+    };
+    let engines = MODULE_COUNTS.map(|modules| {
+        let mut config = scale.sim_config(
+            "silo",
+            DedupMode::PageForge(SimConfig::scaled_pageforge()),
+            seed,
+        );
+        config.pf_modules = modules;
+        Cell {
+            label: format!("ablation_modules/{modules}"),
+            config,
+        }
+    });
+    std::iter::once(base).chain(engines).collect()
+}
+
+/// The module-count ablation's table, from the results of
+/// [`ablation_modules_cells`] in their order.
+pub fn ablation_modules_table(results: &[SimResult]) -> Table {
     let mut t = Table::new(
         "Ablation: number of PageForge modules (silo, quick system)",
         &[
@@ -1446,7 +1416,7 @@ pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
             "Frames",
         ],
     );
-    let base = System::new(scale.sim_config("silo", DedupMode::None, seed)).run();
+    let (base, engines) = results.split_first().expect("a Baseline cell");
     t.row(vec![
         "0 (Baseline)".into(),
         ratio(1.0),
@@ -1454,14 +1424,7 @@ pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
         "0".into(),
         base.mem_stats.allocated_frames.to_string(),
     ]);
-    for modules in [1usize, 2, 4] {
-        let mut cfg = scale.sim_config(
-            "silo",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-            seed,
-        );
-        cfg.pf_modules = modules;
-        let r = System::new(cfg).run();
+    for (modules, r) in MODULE_COUNTS.iter().zip(engines) {
         let d = r.dedup.as_ref().expect("pf summary");
         t.row(vec![
             modules.to_string(),
@@ -1477,41 +1440,43 @@ pub fn ablation_modules(seed: u64, scale: Scale) -> Table {
 /// Extension (beyond the paper): a heterogeneous VM mix — every VM runs a
 /// different TailBench app. Cross-VM duplication is lower (only the guest
 /// OS/library pages are shared), so savings drop, but the interference
-/// ordering (KSM ≫ PageForge) must persist.
-pub fn extension_heterogeneous(seed: u64, scale: Scale) -> Table {
+/// ordering (KSM ≫ PageForge) must persist. Its cells are the five-app
+/// mix under each of the three modes.
+pub fn extension_heterogeneous_cells(seed: u64, scale: Scale) -> Vec<Cell> {
+    let smoke = scale == Scale::Smoke;
+    suite_modes()
+        .into_iter()
+        .map(|mode| {
+            let label = format!("extension_heterogeneous/{}", mode.label());
+            let mut cfg = SimConfig::heterogeneous(&APPS, mode, seed);
+            cfg.cores = 5;
+            cfg.hierarchy = pageforge_cache::HierarchyConfig::micro50(5);
+            cfg.hierarchy.l3.size_bytes = 2 << 20;
+            for p in &mut cfg.profiles {
+                p.pages_per_vm = if smoke { 192 } else { 512 };
+            }
+            cfg.warmup_cycles = if smoke { 1_000_000 } else { 4_000_000 };
+            cfg.measure_cycles = if smoke { 10_000_000 } else { 60_000_000 };
+            match &mut cfg.dedup {
+                DedupMode::Ksm(k) => k.pages_to_scan = if smoke { 8 } else { 16 },
+                DedupMode::PageForge(p) => p.pages_to_scan = if smoke { 8 } else { 16 },
+                DedupMode::None => {}
+            }
+            Cell { label, config: cfg }
+        })
+        .collect()
+}
+
+/// The heterogeneous-mix table, from the results of
+/// [`extension_heterogeneous_cells`] in their order.
+pub fn extension_heterogeneous_table(results: &mut [SimResult]) -> Table {
     let mut t = Table::new(
         "Extension: heterogeneous VM mix (all five apps co-located)",
         &["Config", "Mean latency", "p95 latency", "Frames", "Savings"],
     );
-    let apps = ["img_dnn", "masstree", "moses", "silo", "sphinx"];
-    let smoke = scale == Scale::Smoke;
-    let mk = |mode| {
-        let mut cfg = SimConfig::heterogeneous(&apps, mode, seed);
-        cfg.cores = 5;
-        cfg.hierarchy = pageforge_cache::HierarchyConfig::micro50(5);
-        cfg.hierarchy.l3.size_bytes = 2 << 20;
-        for p in &mut cfg.profiles {
-            p.pages_per_vm = if smoke { 192 } else { 512 };
-        }
-        cfg.warmup_cycles = if smoke { 1_000_000 } else { 4_000_000 };
-        cfg.measure_cycles = if smoke { 10_000_000 } else { 60_000_000 };
-        match &mut cfg.dedup {
-            DedupMode::Ksm(k) => k.pages_to_scan = if smoke { 8 } else { 16 },
-            DedupMode::PageForge(p) => p.pages_to_scan = if smoke { 8 } else { 16 },
-            DedupMode::None => {}
-        }
-        cfg
-    };
-    let base = System::new(mk(DedupMode::None)).run();
-    let mut rows = vec![base];
-    rows.push(System::new(mk(DedupMode::Ksm(SimConfig::scaled_ksm()))).run());
-    rows.push(System::new(mk(DedupMode::PageForge(SimConfig::scaled_pageforge()))).run());
-    let base_mean = rows[0].mean_sojourn();
-    let mut base_p95 = 0.0;
-    for (i, r) in rows.iter_mut().enumerate() {
-        if i == 0 {
-            base_p95 = r.p95_sojourn();
-        }
+    let base_mean = results[0].mean_sojourn();
+    let base_p95 = results[0].p95_sojourn();
+    for r in results.iter_mut() {
         let mean = r.mean_sojourn();
         let p95 = r.p95_sojourn();
         t.row(vec![
@@ -1525,38 +1490,50 @@ pub fn extension_heterogeneous(seed: u64, scale: Scale) -> Table {
     t
 }
 
+/// Row names of the cache-bypass ablation, in cell order.
+const CACHE_BYPASS_ROWS: [&str; 4] = ["Baseline", "KSM", "KSM (uncacheable)", "PageForge"];
+
 /// Ablation (§4.3, second alternative): KSM with cache-bypassing accesses.
 /// Pollution disappears but the CPU cycles remain — the paper predicts it
-/// lands between KSM and PageForge, closer to KSM.
-pub fn ablation_cache_bypass(seed: u64, scale: Scale) -> Table {
+/// lands between KSM and PageForge, closer to KSM. Its cells are silo
+/// under Baseline, KSM, KSM with uncacheable reads, and PageForge.
+pub fn ablation_cache_bypass_cells(seed: u64, scale: Scale) -> Vec<Cell> {
+    let uncacheable = KsmConfig {
+        cache_bypass: true,
+        ..SimConfig::scaled_ksm()
+    };
+    let modes = [
+        DedupMode::None,
+        DedupMode::Ksm(SimConfig::scaled_ksm()),
+        DedupMode::Ksm(uncacheable),
+        DedupMode::PageForge(SimConfig::scaled_pageforge()),
+    ];
+    CACHE_BYPASS_ROWS
+        .iter()
+        .zip(modes)
+        .map(|(row, mode)| Cell {
+            label: format!("ablation_cache_bypass/{row}"),
+            config: scale.sim_config("silo", mode, seed),
+        })
+        .collect()
+}
+
+/// The cache-bypass ablation's table, from the results of
+/// [`ablation_cache_bypass_cells`] in their order.
+pub fn ablation_cache_bypass_table(results: &mut [SimResult]) -> Table {
     let mut t = Table::new(
         "Ablation: software dedup with uncacheable accesses (silo)",
         &["Config", "Mean latency", "p95 latency", "L3 miss", "Frames"],
     );
-    let bypass_cfg = {
-        let mut k = SimConfig::scaled_ksm();
-        k.cache_bypass = true;
-        k
-    };
-    let configs: Vec<(&str, DedupMode)> = vec![
-        ("Baseline", DedupMode::None),
-        ("KSM", DedupMode::Ksm(SimConfig::scaled_ksm())),
-        ("KSM (uncacheable)", DedupMode::Ksm(bypass_cfg)),
-        (
-            "PageForge",
-            DedupMode::PageForge(SimConfig::scaled_pageforge()),
-        ),
-    ];
-    let mut base: Option<(f64, f64)> = None;
-    for (name, mode) in configs {
-        let mut r = System::new(scale.sim_config("silo", mode, seed)).run();
+    let base_mean = results[0].mean_sojourn();
+    let base_p95 = results[0].p95_sojourn();
+    for (row, r) in CACHE_BYPASS_ROWS.iter().zip(results.iter_mut()) {
         let mean = r.mean_sojourn();
         let p95 = r.p95_sojourn();
-        let (bm, bp) = *base.get_or_insert((mean, p95));
         t.row(vec![
-            name.into(),
-            ratio(mean / bm),
-            ratio(p95 / bp),
+            (*row).into(),
+            ratio(mean / base_mean),
+            ratio(p95 / base_p95),
             pct(r.l3_miss_rate),
             r.mem_stats.allocated_frames.to_string(),
         ]);
@@ -1607,11 +1584,43 @@ pub fn ablation_zero_pages(seed: u64, scale: Scale) -> Table {
     t
 }
 
+/// `pages_to_scan` values of the scan-rate sweep.
+const SWEEP_PAGES: [usize; 4] = [8, 16, 32, 64];
+
 /// Sweep: the `pages_to_scan`/`sleep_millisecs` aggressiveness trade-off
 /// (§2.1: "two parameters are used to tune the aggressiveness of the
 /// algorithm"). More aggressive scanning merges faster but costs more
-/// latency — under KSM. Under PageForge the cost stays flat.
-pub fn sweep_scan_rate(seed: u64, scale: Scale) -> Table {
+/// latency — under KSM. Under PageForge the cost stays flat. Its cells
+/// are silo Baseline, then KSM and PageForge at `pages_to_scan` 8, 16,
+/// 32 and 64.
+pub fn sweep_scan_rate_cells(seed: u64, scale: Scale) -> Vec<Cell> {
+    let mut cells = vec![Cell {
+        label: "sweep_scan_rate/Baseline".to_owned(),
+        config: scale.sim_config("silo", DedupMode::None, seed),
+    }];
+    for pages in SWEEP_PAGES {
+        for mode in [
+            DedupMode::Ksm(SimConfig::scaled_ksm()),
+            DedupMode::PageForge(SimConfig::scaled_pageforge()),
+        ] {
+            let label = format!("sweep_scan_rate/{}/{pages}", mode.label());
+            let mut config = scale.sim_config("silo", mode, seed);
+            // The reduced scales rescale pages_to_scan; the sweep sets
+            // its own value.
+            match &mut config.dedup {
+                DedupMode::Ksm(k) => k.pages_to_scan = pages,
+                DedupMode::PageForge(p) => p.pages_to_scan = pages,
+                DedupMode::None => {}
+            }
+            cells.push(Cell { label, config });
+        }
+    }
+    cells
+}
+
+/// The scan-rate sweep's table, from the results of
+/// [`sweep_scan_rate_cells`] in their order.
+pub fn sweep_scan_rate_table(results: &mut [SimResult]) -> Table {
     let mut t = Table::new(
         "Sweep: scan aggressiveness vs latency overhead (silo)",
         &[
@@ -1623,36 +1632,23 @@ pub fn sweep_scan_rate(seed: u64, scale: Scale) -> Table {
             "PF p95",
         ],
     );
-    let base = System::new(scale.sim_config("silo", DedupMode::None, seed)).run();
+    let (base, rows) = results.split_first_mut().expect("a Baseline cell");
     let base_mean = base.mean_sojourn();
-    let mut base_mut = base;
-    let base_p95 = base_mut.p95_sojourn();
-
-    for pages in [8usize, 16, 32, 64] {
-        let mut kc = SimConfig::scaled_ksm();
-        kc.pages_to_scan = pages;
-        let mut cfg = scale.sim_config("silo", DedupMode::Ksm(kc.clone()), seed);
-        // sim_config's reduced scales rescale pages_to_scan; reapply the
-        // sweep value.
-        if let DedupMode::Ksm(k) = &mut cfg.dedup {
-            k.pages_to_scan = pages;
-        }
-        let mut ksm = System::new(cfg).run();
-        let kd = ksm.dedup.clone().expect("ksm summary");
-
-        let mut pc = SimConfig::scaled_pageforge();
-        pc.pages_to_scan = pages;
-        let mut cfg = scale.sim_config("silo", DedupMode::PageForge(pc), seed);
-        if let DedupMode::PageForge(p) = &mut cfg.dedup {
-            p.pages_to_scan = pages;
-        }
-        let mut pf = System::new(cfg).run();
-
+    let base_p95 = base.p95_sojourn();
+    for (pages, pair) in SWEEP_PAGES.iter().zip(rows.chunks_exact_mut(2)) {
+        let [ksm, pf] = pair else {
+            unreachable!("chunks of two")
+        };
+        let core_frac = ksm
+            .dedup
+            .as_ref()
+            .expect("ksm summary")
+            .core_cycles_frac_avg;
         t.row(vec![
             pages.to_string(),
             ratio(ksm.mean_sojourn() / base_mean),
             ratio(ksm.p95_sojourn() / base_p95),
-            pct(kd.core_cycles_frac_avg),
+            pct(core_frac),
             ratio(pf.mean_sojourn() / base_mean),
             ratio(pf.p95_sojourn() / base_p95),
         ]);

@@ -68,16 +68,12 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as JSON to `dir/<name>.json` (directory created if
-    /// needed). Errors are reported but not fatal — the printed table is
-    /// the primary output.
-    pub fn write_json(&self, dir: &Path, name: &str) {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
-            let path = dir.join(format!("{name}.json"));
-            std::fs::write(path, self.to_json().to_string_pretty())
-        }) {
-            eprintln!("warning: could not write JSON results: {e}");
-        }
+    /// Writes the table as JSON to `dir/<name>.json`, creating `dir` if
+    /// needed.
+    pub fn write_json(&self, dir: &Path, name: &str) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(path, self.to_json().to_string_pretty())
     }
 }
 
@@ -144,7 +140,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pageforge_report_test");
         let mut t = Table::new("T", &["a"]);
         t.row(vec!["1".into()]);
-        t.write_json(&dir, "test_table");
+        t.write_json(&dir, "test_table").unwrap();
         let content = std::fs::read_to_string(dir.join("test_table.json")).unwrap();
         assert!(content.contains("\"title\""));
         let _ = std::fs::remove_dir_all(&dir);

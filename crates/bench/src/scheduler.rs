@@ -2,9 +2,11 @@
 //!
 //! The evaluation suite is embarrassingly parallel — the paper itself
 //! runs one PageForge engine per memory controller independently (§3.2),
-//! and every experiment here is a pure function of `(seed, scale)` — so
-//! this module fans work units out across a worker pool while keeping
-//! the *observable output* bit-identical to a sequential run:
+//! and every unit here is a pure function of its inputs (a full-system
+//! simulation cell of its `SimConfig`, any other unit of `(seed,
+//! scale)`) — so this module fans work units out across a worker pool
+//! while keeping the *observable output* bit-identical to a sequential
+//! run:
 //!
 //! * every unit carries its own fixed seed (see
 //!   [`pageforge_types::derive_seed`]), so values never depend on which
@@ -323,20 +325,6 @@ pub struct ExperimentTiming {
     pub units: usize,
 }
 
-/// One timed configuration of the `shard_scaling` experiment: the same
-/// simulation cell at one thread count.
-/// Wall-clock lives here (under `results/meta/`) and in REPORT.md, never
-/// in the byte-identical result tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardTiming {
-    /// Configuration label (e.g. `"sharded executor"`).
-    pub label: String,
-    /// `--shards` level the cell ran at.
-    pub shards: usize,
-    /// Wall-clock seconds for the cell.
-    pub secs: f64,
-}
-
 /// Timing record for a whole scheduled run. Written by `run_all` to
 /// `<out_dir>/meta/timing.json` — *outside* the `results/*.json` globs,
 /// because timing legitimately differs between runs while the result
@@ -351,10 +339,6 @@ pub struct RunTiming {
     pub wall_secs: f64,
     /// Per-experiment busy time, in first-submission order.
     pub experiments: Vec<ExperimentTiming>,
-    /// Per-configuration wall-clock of the `shard_scaling` experiment,
-    /// in run order (first row is the reference configuration). Empty when
-    /// the experiment was not part of the run.
-    pub shard_scaling: Vec<ShardTiming>,
 }
 
 impl RunTiming {
@@ -379,7 +363,6 @@ impl RunTiming {
             units: results.len(),
             wall_secs,
             experiments,
-            shard_scaling: Vec::new(),
         }
     }
 
@@ -420,14 +403,11 @@ impl RunTiming {
         t
     }
 
-    /// Writes the record to `<out_dir>/meta/timing.json` (best-effort).
-    pub fn write(&self, out_dir: &Path) {
+    /// Writes the record to `<out_dir>/meta/timing.json`.
+    pub fn write(&self, out_dir: &Path) -> std::io::Result<()> {
         let dir = out_dir.join("meta");
-        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|_| {
-            std::fs::write(dir.join("timing.json"), self.to_json().to_string_pretty())
-        }) {
-            eprintln!("warning: could not write timing record: {e}");
-        }
+        std::fs::create_dir_all(&dir)?;
+        std::fs::write(dir.join("timing.json"), self.to_json().to_string_pretty())
     }
 
     /// Reads a record written by [`RunTiming::write`].
@@ -457,26 +437,6 @@ impl FromJson for ExperimentTiming {
     }
 }
 
-impl ToJson for ShardTiming {
-    fn to_json(&self) -> Value {
-        obj([
-            ("label", self.label.to_json()),
-            ("shards", self.shards.to_json()),
-            ("secs", self.secs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ShardTiming {
-    fn from_json(value: &Value) -> Option<Self> {
-        Some(ShardTiming {
-            label: String::from_json(value.get("label")?)?,
-            shards: usize::from_json(value.get("shards")?)?,
-            secs: f64::from_json(value.get("secs")?)?,
-        })
-    }
-}
-
 impl ToJson for RunTiming {
     fn to_json(&self) -> Value {
         obj([
@@ -484,7 +444,6 @@ impl ToJson for RunTiming {
             ("units", self.units.to_json()),
             ("wall_secs", self.wall_secs.to_json()),
             ("experiments", self.experiments.to_json()),
-            ("shard_scaling", self.shard_scaling.to_json()),
         ])
     }
 }
@@ -496,11 +455,6 @@ impl FromJson for RunTiming {
             units: usize::from_json(value.get("units")?)?,
             wall_secs: f64::from_json(value.get("wall_secs")?)?,
             experiments: Vec::from_json(value.get("experiments")?)?,
-            // Absent in records written before the sharded executor.
-            shard_scaling: value
-                .get("shard_scaling")
-                .and_then(Vec::from_json)
-                .unwrap_or_default(),
         })
     }
 }
@@ -596,11 +550,6 @@ mod tests {
                 name: "fig7".into(),
                 secs: 0.75,
                 units: 2,
-            }],
-            shard_scaling: vec![ShardTiming {
-                label: "sharded executor".into(),
-                shards: 2,
-                secs: 0.4,
             }],
         };
         let back = RunTiming::from_json(&json::parse(&t.to_json().to_string_pretty()).unwrap());

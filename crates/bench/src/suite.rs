@@ -1,26 +1,29 @@
 //! The complete evaluation, expressed as independent work units for the
 //! parallel scheduler.
 //!
-//! `run_all` used to execute the experiments one after another; this
-//! module decomposes the same work into ~30 seed-isolated units (one per
-//! app × experiment cell where an experiment is separable, one per
-//! experiment otherwise) and reassembles the exact same tables from their
-//! outputs. Because every unit derives its values only from `(seed,
-//! scale)` and the merge happens in submission order, the emitted
+//! The suite is a graph of full-system simulation cells. Every experiment
+//! that simulates the whole system declares the `SimConfig`s it reads;
+//! equal configs give equal results, so the suite schedules one unit per
+//! distinct config, and each table is a pure function of its cells'
+//! results once the pool drains. The other experiments split into one
+//! unit per app or campaign cell where they are separable, one unit
+//! otherwise. Every unit derives its values only from `(seed, scale)`
+//! and the merge happens in submission order, so the emitted
 //! `results/*.json` files are byte-identical at any `--jobs` level.
 
 use std::path::Path;
 
-use pageforge_sim::SimResult;
+use pageforge_obs::Snapshot;
+use pageforge_sim::{SimResult, System};
 use pageforge_types::stats::RunningStats;
 use pageforge_vm::AppProfile;
 
 use crate::experiments::{
-    self, ChaosCell, FaultCell, FleetCell, HashKeyOutcome, MemorySavings, SeedReplicate,
+    self, Cell, ChaosCell, FaultCell, FleetCell, HashKeyOutcome, MemorySavings,
 };
 use crate::report::Table;
 use crate::scheduler::{
-    run_units, run_units_spooled, ExperimentTiming, RunTiming, SchedulerError, ShardTiming, Unit,
+    run_units, run_units_spooled, ExperimentTiming, RunTiming, SchedulerError, Unit,
 };
 use crate::trace_report;
 use crate::BenchArgs;
@@ -41,7 +44,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "comparison_uksm",
     "sweep_scan_rate",
     "extension_heterogeneous",
-    "shard_scaling",
     "seed_sweep",
     "fleet",
     "fleet_chaos",
@@ -56,15 +58,10 @@ pub enum UnitOutput {
     Savings(MemorySavings),
     /// One app's Figure 8 measurement.
     HashKeys(HashKeyOutcome),
-    /// One (app, mode) full-system simulation of the latency suite.
-    Sim(Box<SimResult>),
+    /// One full-system simulation cell, with its metric snapshot.
+    Cell(Box<(SimResult, Snapshot)>),
     /// One app's Table 5 Scan-Table cycle distribution.
     Engine(String, RunningStats),
-    /// The shard-scaling experiment: its deterministic table plus the
-    /// wall-clock rows destined for `meta/timing.json`.
-    ShardScaling(Table, Vec<ShardTiming>),
-    /// One seed replica of the `seed_sweep` experiment.
-    SeedRep(SeedReplicate),
     /// One (density, hint policy) cell of the fleet experiment.
     Fleet(FleetCell),
     /// One (fault rate, seed replica) cell of the chaos campaign.
@@ -84,6 +81,10 @@ pub struct SuiteOutcome {
     /// was given. (Events only exist when the crate was built with
     /// `--features trace`; without it the stream holds markers only.)
     pub trace: Option<TraceSummary>,
+    /// The silo KSM and PageForge probe cells' snapshots, unioned under
+    /// the `ksm/` and `pageforge/` prefixes; `None` unless `--snapshot`
+    /// was given.
+    pub snapshot: Option<Snapshot>,
 }
 
 /// Accounting for a `--trace` run: each unit streamed its events to a
@@ -106,7 +107,9 @@ pub struct TraceSummary {
 ///
 /// Bad flags — an `--only` typo, `--only seed_sweep` without
 /// `--seeds >= 2`, a missing or malformed `--faults`/`--fleet-faults`
-/// plan — return an error naming the flag before any unit runs.
+/// plan, an `--out` directory or a `--trace`/`--snapshot` parent that
+/// cannot be created — return an error naming the flag before any unit
+/// runs.
 pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // A typo in `--only` must fail loudly *before* any work is
     // scheduled, listing what would have been accepted.
@@ -162,50 +165,91 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         None => None,
     };
 
-    // The latency suite is cached on disk across binaries; when the cache
-    // is valid there is nothing to schedule for it. Faulted runs bypass
-    // the cache entirely — reading it would mask the faults, and writing
-    // it would poison later fault-free runs.
-    let cache_path = experiments::suite_cache_path(&args.out_dir, seed, scale);
-    let cached_suite = if want("latency") && fault_plan.is_none() {
-        experiments::read_suite_cache(&cache_path)
-    } else {
-        None
-    };
-    if cached_suite.is_some() {
-        eprintln!("(reusing cached simulations from {})", cache_path.display());
+    // Every output location must exist before any unit runs, so a bad
+    // path fails at once instead of after the whole suite.
+    let outputs = [
+        ("--out", Some(args.out_dir.as_path())),
+        ("--trace", args.trace.as_deref().and_then(Path::parent)),
+        (
+            "--snapshot",
+            args.snapshot.as_deref().and_then(Path::parent),
+        ),
+    ];
+    for (flag, dir) in outputs {
+        if let Some(dir) = dir.filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| SchedulerError {
+                label: flag.into(),
+                message: format!("cannot create directory {}: {e}", dir.display()),
+            })?;
+        }
     }
 
-    // Build the unit list, heaviest experiments first so the pool stays
-    // busy. Assembly below keys on the experiment name, not position.
+    // The full-system simulation cells each experiment reads, in
+    // EXPERIMENTS order, so a shared cell's first reader owns its time.
+    // `--faults` applies to the latency suite's PageForge cells only; the
+    // plan is part of their configs, so they never merge with unfaulted
+    // cells.
+    let mut readers: Vec<(&str, Vec<Cell>)> = Vec::new();
+    if want("latency") {
+        let cells = experiments::latency_cells(seed, scale, fault_plan.as_ref());
+        readers.push(("latency", cells));
+    }
+    if want("ablation_cache_bypass") {
+        let cells = experiments::ablation_cache_bypass_cells(seed, scale);
+        readers.push(("ablation_cache_bypass", cells));
+    }
+    if want("ablation_modules") {
+        let cells = experiments::ablation_modules_cells(seed, scale);
+        readers.push(("ablation_modules", cells));
+    }
+    if want("sweep_scan_rate") {
+        let cells = experiments::sweep_scan_rate_cells(seed, scale);
+        readers.push(("sweep_scan_rate", cells));
+    }
+    if want("extension_heterogeneous") {
+        let cells = experiments::extension_heterogeneous_cells(seed, scale);
+        readers.push(("extension_heterogeneous", cells));
+    }
+    if want("seed_sweep") && args.seeds >= 2 {
+        let cells = experiments::seed_sweep_cells(seed, args.seeds, scale);
+        readers.push(("seed_sweep", cells));
+    }
+    if args.snapshot.is_some() {
+        readers.push(("snapshot", experiments::probe_cells(seed, scale)));
+    }
+
+    // One unit per distinct config. A cell is a pure function of its
+    // config, so each reader just records where its cells landed.
+    let mut cells: Vec<(&str, Cell)> = Vec::new();
+    let reads: Vec<(&str, Vec<usize>)> = readers
+        .into_iter()
+        .map(|(name, declared)| {
+            let ids = declared
+                .into_iter()
+                .map(|cell| {
+                    cells
+                        .iter()
+                        .position(|(_, c)| c.config == cell.config)
+                        .unwrap_or_else(|| {
+                            cells.push((name, cell));
+                            cells.len() - 1
+                        })
+                })
+                .collect();
+            (name, ids)
+        })
+        .collect();
+
+    // Build the unit list, heaviest first so the pool stays busy: the
+    // simulation cells, then the other experiments. Assembly below keys
+    // on the experiment name, not position.
     let shards = args.shards;
     let mut units: Vec<Unit<UnitOutput>> = Vec::new();
-    if want("shard_scaling") {
-        // Six back-to-back full-system simulations (three shard levels,
-        // best of two) in one unit — the heaviest single unit of the
-        // suite, so it goes first.
-        units.push(Unit::new("shard_scaling", "shard_scaling", move || {
-            let (table, rows) = experiments::shard_scaling(seed, scale);
-            UnitOutput::ShardScaling(table, rows)
+    for (owner, cell) in cells {
+        let Cell { label, config } = cell;
+        units.push(Unit::new(owner, label, move || {
+            UnitOutput::Cell(Box::new(System::with_shards(config, shards).run_observed()))
         }));
-    }
-    if want("latency") && cached_suite.is_none() {
-        for app in experiments::APPS {
-            for mode in experiments::suite_modes() {
-                let label = format!("latency/{app}/{}", mode.label());
-                let plan = fault_plan.clone();
-                units.push(Unit::new("latency", label, move || {
-                    UnitOutput::Sim(Box::new(experiments::run_suite_cell_with(
-                        app,
-                        mode,
-                        seed,
-                        scale,
-                        shards,
-                        plan.as_ref(),
-                    )))
-                }));
-            }
-        }
     }
     if want("fleet") {
         // One multi-host run per (density, hint policy) point; each
@@ -257,20 +301,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             }
         }
     }
-    if want("seed_sweep") && args.seeds >= 2 {
-        for i in 0..args.seeds {
-            // Replica 0 is the run's own seed; the rest are derived.
-            let rep_seed = if i == 0 {
-                seed
-            } else {
-                pageforge_types::derive_seed(seed, &format!("seed_sweep/{i}"))
-            };
-            let label = format!("seed_sweep/{rep_seed:#x}");
-            units.push(Unit::new("seed_sweep", label, move || {
-                UnitOutput::SeedRep(experiments::seed_sweep_cell(rep_seed, scale))
-            }));
-        }
-    }
     let profiles = AppProfile::tailbench_suite_scaled(scale.pages_per_vm());
     if want("table5") {
         for profile in profiles.clone() {
@@ -312,22 +342,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         }
     };
     single(
-        "sweep_scan_rate",
-        Box::new(move || experiments::sweep_scan_rate(seed, scale)),
-    );
-    single(
-        "extension_heterogeneous",
-        Box::new(move || experiments::extension_heterogeneous(seed, scale)),
-    );
-    single(
-        "ablation_cache_bypass",
-        Box::new(move || experiments::ablation_cache_bypass(seed, scale)),
-    );
-    single(
-        "ablation_modules",
-        Box::new(move || experiments::ablation_modules(seed, scale)),
-    );
-    single(
         "comparison_uksm",
         Box::new(move || experiments::comparison_uksm(seed, scale)),
     );
@@ -368,11 +382,9 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // Reassemble in paper order, keyed by experiment name.
     let mut savings = Vec::new();
     let mut hash_keys = Vec::new();
-    let mut sims = Vec::new();
+    let mut sims: Vec<(SimResult, Snapshot)> = Vec::new();
     let mut engine = Vec::new();
     let mut singles: Vec<(String, Table)> = Vec::new();
-    let mut shard_rows: Vec<ShardTiming> = Vec::new();
-    let mut seed_reps: Vec<SeedReplicate> = Vec::new();
     let mut fleet_cells: Vec<FleetCell> = Vec::new();
     let mut chaos_cells: Vec<ChaosCell> = Vec::new();
     let mut fault_cells: Vec<FaultCell> = Vec::new();
@@ -381,21 +393,47 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             UnitOutput::Table(t) => singles.push((r.experiment, t)),
             UnitOutput::Savings(s) => savings.push(s),
             UnitOutput::HashKeys(h) => hash_keys.push(h),
-            UnitOutput::Sim(s) => sims.push(*s),
+            UnitOutput::Cell(cell) => sims.push(*cell),
             UnitOutput::Engine(name, stats) => engine.push((name, stats)),
-            UnitOutput::ShardScaling(t, rows) => {
-                singles.push((r.experiment, t));
-                shard_rows = rows;
-            }
-            UnitOutput::SeedRep(rep) => seed_reps.push(rep),
             UnitOutput::Fleet(cell) => fleet_cells.push(cell),
             UnitOutput::Chaos(cell) => chaos_cells.push(cell),
             UnitOutput::Fault(cell) => fault_cells.push(cell),
         }
     }
-    timing.shard_scaling = shard_rows;
     if let Some(row) = time_analyzer_pass() {
         timing.experiments.push(row);
+    }
+    // Every simulating experiment's tables are a pure function of its
+    // cells' results. Each reader folds a copy of them in the order it
+    // declared: its cells need not sit together in the pool, and the
+    // builders sort latency recorders in place.
+    let mut latency_tables = Vec::new();
+    let mut snapshot = None;
+    for (name, ids) in reads {
+        let copy = || -> Vec<SimResult> { ids.iter().map(|&id| sims[id].0.clone()).collect() };
+        let table = match name {
+            "latency" => {
+                latency_tables = experiments::latency_tables(&mut copy());
+                continue;
+            }
+            "snapshot" => {
+                let [ksm, pf] = ids[..] else {
+                    unreachable!("two probe cells")
+                };
+                snapshot = Some(Snapshot::union([
+                    sims[ksm].1.prefixed("ksm"),
+                    sims[pf].1.prefixed("pageforge"),
+                ]));
+                continue;
+            }
+            "ablation_cache_bypass" => experiments::ablation_cache_bypass_table(&mut copy()),
+            "ablation_modules" => experiments::ablation_modules_table(&copy()),
+            "sweep_scan_rate" => experiments::sweep_scan_rate_table(&mut copy()),
+            "extension_heterogeneous" => experiments::extension_heterogeneous_table(&mut copy()),
+            "seed_sweep" => experiments::seed_sweep_table(&mut copy()),
+            _ => unreachable!("`{name}` declares no cells"),
+        };
+        singles.push((name.to_owned(), table));
     }
     let single_table = |singles: &mut Vec<(String, Table)>, name: &str| -> Option<Table> {
         let pos = singles.iter().position(|(n, _)| n == name)?;
@@ -423,47 +461,7 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             experiments::figure8_table(&hash_keys),
         );
     }
-    if want("latency") {
-        // Fresh sims arrive flat in (app-major, mode-minor) order; fold
-        // them back into per-app triples.
-        let mut suite: Vec<[SimResult; 3]> = match cached_suite {
-            Some(s) => s,
-            None => {
-                let mut suite = Vec::new();
-                let mut it = sims.into_iter();
-                while let (Some(a), Some(b), Some(c)) = (it.next(), it.next(), it.next()) {
-                    suite.push([a, b, c]);
-                }
-                // Cache before figure10 sorts the recorders, so the file's
-                // bytes never depend on which figures were generated.
-                // Faulted results never enter the cache.
-                if fault_plan.is_none() {
-                    experiments::write_suite_cache(&cache_path, &args.out_dir, &suite);
-                }
-                suite
-            }
-        };
-        push(
-            &mut tables,
-            "table4_ksm_characterization",
-            experiments::table4(&suite),
-        );
-        push(
-            &mut tables,
-            "fig9_mean_latency",
-            experiments::figure9(&suite),
-        );
-        push(
-            &mut tables,
-            "fig10_tail_latency",
-            experiments::figure10(&mut suite),
-        );
-        push(
-            &mut tables,
-            "fig11_bandwidth",
-            experiments::figure11(&suite),
-        );
-    }
+    tables.extend(latency_tables);
     if !engine.is_empty() {
         push(
             &mut tables,
@@ -475,13 +473,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         if let Some(t) = single_table(&mut singles, name) {
             push(&mut tables, name, t);
         }
-    }
-    if !seed_reps.is_empty() {
-        push(
-            &mut tables,
-            "seed_sweep",
-            experiments::seed_sweep_table(&seed_reps),
-        );
     }
     if !fleet_cells.is_empty() {
         push(
@@ -506,8 +497,12 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     }
     let trace = match (&args.trace, &spool_dir) {
         (Some(path), Some(dir)) => {
-            let events = trace_report::assemble_spooled_trace(path, dir, &labels)
-                .unwrap_or_else(|e| panic!("--trace: could not assemble {}: {e}", path.display()));
+            let events = trace_report::assemble_spooled_trace(path, dir, &labels).map_err(|e| {
+                SchedulerError {
+                    label: "--trace".into(),
+                    message: format!("could not assemble {}: {e}", path.display()),
+                }
+            })?;
             Some(TraceSummary {
                 units: labels.len(),
                 events,
@@ -520,6 +515,7 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         tables,
         timing,
         trace,
+        snapshot,
     })
 }
 
@@ -548,12 +544,13 @@ fn time_analyzer_pass() -> Option<ExperimentTiming> {
     })
 }
 
-/// Writes every table of a finished suite under `out_dir` and prints it.
-pub fn print_and_write(outcome: &SuiteOutcome, out_dir: &Path) {
+/// Prints every table of a finished suite and writes it under `out_dir`.
+pub fn print_and_write(outcome: &SuiteOutcome, out_dir: &Path) -> std::io::Result<()> {
     for (stem, table) in &outcome.tables {
         table.print();
-        table.write_json(out_dir, stem);
+        table.write_json(out_dir, stem)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -626,6 +623,33 @@ mod tests {
     }
 
     #[test]
+    fn uncreatable_output_paths_are_errors() {
+        let file = std::env::temp_dir().join("pageforge-suite-regular-file");
+        std::fs::write(&file, "not a directory").expect("write file");
+        let file_text = file.display().to_string();
+        let args = BenchArgs {
+            out_dir: file.join("out"),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--out", &file_text);
+        let out_dir = std::env::temp_dir().join("pageforge-suite-output-paths");
+        let args = BenchArgs {
+            out_dir: out_dir.clone(),
+            trace: Some(file.join("trace.jsonl")),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--trace", &file_text);
+        let args = BenchArgs {
+            out_dir: out_dir.clone(),
+            snapshot: Some(file.join("snapshot.json")),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--snapshot", &file_text);
+        let _ = std::fs::remove_file(&file);
+        let _ = std::fs::remove_dir_all(&out_dir);
+    }
+
+    #[test]
     fn seed_sweep_without_seeds_is_an_error() {
         let args = BenchArgs {
             only: vec!["seed_sweep".into()],
@@ -648,5 +672,46 @@ mod tests {
         assert_eq!(outcome.tables[0].0, "table3_apps");
         assert_eq!(outcome.tables[1].0, "ablation_inorder_core");
         assert_eq!(outcome.timing.units, 2);
+    }
+
+    /// The sweep and both silo ablations read 17 configs, 12 of them
+    /// distinct. Each distinct cell runs once, and each experiment's
+    /// table is byte-identical to the one it builds when run alone.
+    #[test]
+    fn shared_cells_run_once_and_tables_are_unchanged() {
+        use pageforge_types::json::ToJson;
+        let run = |only: &[&str]| {
+            let args = BenchArgs {
+                smoke: true,
+                jobs: 2,
+                only: only.iter().map(|name| (*name).to_owned()).collect(),
+                out_dir: std::env::temp_dir().join("pageforge-suite-cell-graph"),
+                ..BenchArgs::default()
+            };
+            run_suite(&args).expect("suite runs")
+        };
+        let names = [
+            "sweep_scan_rate",
+            "ablation_cache_bypass",
+            "ablation_modules",
+        ];
+        let together = run(&names);
+        assert_eq!(together.timing.units, 12);
+        for name in names {
+            let alone = run(&[name]);
+            let [(stem, table)] = &alone.tables[..] else {
+                panic!("{name} builds one table")
+            };
+            let (_, shared) = together
+                .tables
+                .iter()
+                .find(|(s, _)| s == stem)
+                .expect("the shared run builds every table");
+            assert_eq!(
+                shared.to_json().to_string_pretty(),
+                table.to_json().to_string_pretty(),
+                "{name}"
+            );
+        }
     }
 }

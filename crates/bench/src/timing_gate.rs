@@ -239,7 +239,6 @@ table3 = 0.5\n";
                     units: 1,
                 })
                 .collect(),
-            shard_scaling: Vec::new(),
         }
     }
 

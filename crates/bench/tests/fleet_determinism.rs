@@ -40,7 +40,7 @@ fn run_fleet(
     };
     let outcome = suite::run_suite(&args).expect("fleet suite runs");
     for (stem, table) in &outcome.tables {
-        table.write_json(&out_dir, stem);
+        table.write_json(&out_dir, stem).expect("write table");
     }
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(&out_dir).unwrap() {

@@ -62,8 +62,8 @@ fn parallel_results_are_byte_identical_to_sequential() {
     assert_eq!(par.timing.jobs, 4);
     assert_eq!(seq.timing.units, par.timing.units);
 
-    suite::print_and_write(&seq, &dir_seq);
-    suite::print_and_write(&par, &dir_par);
+    suite::print_and_write(&seq, &dir_seq).expect("write sequential tables");
+    suite::print_and_write(&par, &dir_par).expect("write parallel tables");
 
     let a = json_files(&dir_seq);
     let b = json_files(&dir_par);

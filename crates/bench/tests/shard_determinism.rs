@@ -1,16 +1,17 @@
 //! The sharded executor's byte-identity contract, end to end.
 //!
 //! `--shards N` may only change wall-clock, never bytes: every
-//! `results/*.json` artifact (tables *and* the latency-suite cache) and
-//! every observability snapshot must be identical at any worker count —
-//! including under an active fault plan, whose engine perturbations must
-//! land on the same cycles regardless of which thread simulates them.
+//! `results/*.json` artifact and every observability snapshot must be
+//! identical at any worker count — including under an active fault plan,
+//! whose engine perturbations must land on the same cycles regardless of
+//! which thread simulates them.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use pageforge_bench::experiments::{self, Scale};
 use pageforge_bench::snapshot_diff::diff;
-use pageforge_bench::{experiments, suite, BenchArgs};
+use pageforge_bench::{suite, BenchArgs};
 use pageforge_faults::FaultPlan;
 use pageforge_ksm::KsmConfig;
 use pageforge_sim::{DedupMode, SimConfig, System};
@@ -38,7 +39,7 @@ fn run_latency(shards: usize, faults: Option<&Path>, tag: &str) -> BTreeMap<Stri
     };
     let outcome = suite::run_suite(&args).expect("suite runs");
     for (stem, table) in &outcome.tables {
-        table.write_json(&out_dir, stem);
+        table.write_json(&out_dir, stem).expect("write table");
     }
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(&out_dir).unwrap() {
@@ -68,14 +69,15 @@ fn assert_identical(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
 #[test]
 fn results_are_byte_identical_across_shard_levels() {
     let one = run_latency(1, None, "s1");
-    assert!(
-        one.keys().any(|n| n.starts_with("latency_suite_")),
-        "suite cache is part of the compared artifact set"
-    );
-    assert!(
-        one.len() >= 4,
-        "tables + cache expected, got {:?}",
-        one.keys()
+    assert_eq!(
+        one.keys().collect::<Vec<_>>(),
+        [
+            "fig10_tail_latency.json",
+            "fig11_bandwidth.json",
+            "fig9_mean_latency.json",
+            "table4_ksm_characterization.json",
+        ],
+        "the latency suite's four tables are the compared artifact set"
     );
     let two = run_latency(2, None, "s2");
     let four = run_latency(4, None, "s4");
@@ -165,11 +167,6 @@ fn digest_cache_off_is_byte_identical_modulo_its_own_counters() {
 fn digest_cache_off_is_byte_identical_under_a_fault_plan() {
     let plan = FaultPlan::generate(7, 5_000_000, 24, 1, 10_000);
     assert!(!plan.is_empty(), "the generated plan must actually fault");
-    let scale = BenchArgs {
-        smoke: true,
-        ..BenchArgs::default()
-    }
-    .scale();
     let run = |cache: bool, shards: usize| {
         let ksm_cfg = KsmConfig {
             digest_cache: cache,
@@ -180,7 +177,9 @@ fn digest_cache_off_is_byte_identical_under_a_fault_plan() {
             DedupMode::PageForge(SimConfig::scaled_pageforge()),
         ];
         modes.map(|mode| {
-            experiments::run_suite_cell_with("masstree", mode, 11, scale, shards, Some(&plan))
+            let cfg = experiments::latency_config("masstree", mode, 11, Scale::Smoke, Some(&plan));
+            System::with_shards(cfg, shards)
+                .run()
                 .to_json()
                 .to_string_compact()
         })

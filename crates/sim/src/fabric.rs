@@ -6,17 +6,16 @@ use pageforge_core::fabric::{FabricRead, MemoryFabric};
 use pageforge_mem::{MemSource, MemorySystem};
 use pageforge_types::{Cycle, LineAddr};
 
-use crate::shard::ShardTally;
+use crate::shard::ShardMetrics;
 
 /// Borrows the chip's caches and memory controller for the duration of a
 /// PageForge operation.
 ///
-/// In a sharded run the fabric also carries the issuing engine module's
-/// execution domain and tallies which DRAM lines stayed within that
-/// domain's controller versus crossed into another domain's — the
-/// cross-domain traffic the barrier clock exchanges at epoch boundaries
-/// (see [`crate::shard`]). The tally is bookkeeping over the *same*
-/// access stream; it never changes an access's timing or routing.
+/// The fabric also carries the issuing engine module's execution domain
+/// and counts which DRAM lines stayed within that domain's controller
+/// versus crossed into another domain's (see [`crate::shard`]). The
+/// count is bookkeeping over the *same* access stream; it never changes
+/// an access's timing or routing.
 #[derive(Debug)]
 pub struct SimFabric<'a> {
     /// The chip caches (probed, never allocated into).
@@ -24,24 +23,28 @@ pub struct SimFabric<'a> {
     /// The memory system (PageForge-tagged traffic routes to the owning
     /// controller).
     pub mem: &'a mut MemorySystem,
+    /// The run's cross-domain line counts, incremented per DRAM line.
+    pub shard: &'a mut ShardMetrics,
     /// Execution domain of the engine module issuing through this
     /// fabric (controller domains are tagged via
     /// [`MemorySystem::assign_domains`]).
     pub domain: usize,
-    /// Lines tallied by locality during this borrow; drained into the
-    /// owning domain's stage by the caller.
-    pub tally: ShardTally,
 }
 
 impl<'a> SimFabric<'a> {
-    /// Borrows `caches` and `mem` for an engine module living in
-    /// `domain`.
-    pub fn new(caches: &'a mut SystemCaches, mem: &'a mut MemorySystem, domain: usize) -> Self {
+    /// Borrows `caches`, `mem` and the run's `shard` counts for an engine
+    /// module living in `domain`.
+    pub fn new(
+        caches: &'a mut SystemCaches,
+        mem: &'a mut MemorySystem,
+        shard: &'a mut ShardMetrics,
+        domain: usize,
+    ) -> Self {
         SimFabric {
             caches,
             mem,
+            shard,
             domain,
-            tally: ShardTally::default(),
         }
     }
 }
@@ -55,9 +58,9 @@ impl MemoryFabric for SimFabric<'_> {
             }
         } else {
             if self.mem.domain_of(addr) == self.domain {
-                self.tally.local_lines += 1;
+                self.shard.local_lines += 1;
             } else {
-                self.tally.xdomain_lines += 1;
+                self.shard.xdomain_lines += 1;
             }
             let grant = self.mem.read_line(addr, now, MemSource::PageForge);
             FabricRead {
@@ -80,7 +83,8 @@ mod tests {
         let mut mem = MemorySystem::new(MemorySystemConfig::micro50());
         // Core 0 caches line 7.
         caches.access(0, LineAddr(7), false);
-        let mut fabric = SimFabric::new(&mut caches, &mut mem, 0);
+        let mut shard = ShardMetrics::default();
+        let mut fabric = SimFabric::new(&mut caches, &mut mem, &mut shard, 0);
         let hit = fabric.read_line(LineAddr(7), 0);
         assert!(hit.on_chip);
         let miss = fabric.read_line(LineAddr(1000), 0);
@@ -96,11 +100,12 @@ mod tests {
         // Two controllers, line-interleaved: even lines -> controller 0
         // (domain 0), odd lines -> controller 1 (domain 1).
         mem.assign_domains(&[0, 1]);
-        let mut fabric = SimFabric::new(&mut caches, &mut mem, 0);
+        let mut shard = ShardMetrics::default();
+        let mut fabric = SimFabric::new(&mut caches, &mut mem, &mut shard, 0);
         let _ = fabric.read_line(LineAddr(1000), 0); // even: local
         let _ = fabric.read_line(LineAddr(1001), 0); // odd: cross-domain
         let _ = fabric.read_line(LineAddr(1003), 0); // odd: cross-domain
-        assert_eq!(fabric.tally.local_lines, 1);
-        assert_eq!(fabric.tally.xdomain_lines, 2);
+        assert_eq!(shard.local_lines, 1);
+        assert_eq!(shard.xdomain_lines, 2);
     }
 }

@@ -30,7 +30,7 @@
 //! | [`system`] | §5–§6 | the event loop, dispatcher, KSM/PageForge scheduling |
 //! | [`fabric`] | §3.2, Figure 5 | [`SimFabric`]: PageForge's cache-probe/DRAM path |
 //! | [`result`] | Figures 9–11, Table 4 | [`SimResult`]: latency/bandwidth/merge outcomes |
-//! | [`shard`] | §4.1, Figure 5 | domain plan, barrier clock, deterministic worker pool |
+//! | [`shard`] | §4.1, Figure 5 | domain plan, cross-domain line counts, deterministic worker pool |
 //!
 //! [`System::run_observed`](system::System::run_observed) additionally
 //! returns the unified metric snapshot described in OBSERVABILITY.md.
@@ -57,5 +57,5 @@ pub mod system;
 pub use config::{DedupMode, SimConfig};
 pub use fabric::SimFabric;
 pub use result::{DedupSummary, DegradedSummary, SimResult};
-pub use shard::{ordered_map, DomainPlan, ShardMetrics, ShardTally, EPOCH_CYCLES};
+pub use shard::{ordered_map, DomainPlan, ShardMetrics};
 pub use system::System;

@@ -11,12 +11,9 @@
 //! * events retire from one global heap in the canonical
 //!   `(cycle, sequence)` order, so results are byte-identical by
 //!   construction whatever the domain count;
-//! * the run is structured into fixed-length **epochs**
-//!   ([`EPOCH_CYCLES`]): at every epoch boundary the per-domain
-//!   [`ShardTally`] staging buffers (cross-domain line counts, Scan
-//!   Table slice handoffs) are folded into the global [`ShardMetrics`]
-//!   in ascending domain order — the canonical exchange the determinism
-//!   contract requires;
+//! * [`ShardMetrics`] counts, as they happen, which DRAM lines each
+//!   domain sent to its own controller or another domain's, and the Scan
+//!   Table slices handed to the engine;
 //! * [`ordered_map`] is the worker pool for the phases that are *pure*
 //!   per item — today, per-VM image content synthesis (see
 //!   `AppProfile::generate_vm_page_contents`): items are claimed from a
@@ -31,17 +28,6 @@
 //! in every other domain's controller. Under the byte-identity contract
 //! this coupling forces cross-domain events to retire in the canonical
 //! order. DESIGN.md §8 documents the argument.
-
-use pageforge_types::Cycle;
-
-/// Fixed epoch length of the barrier clock, in cycles.
-///
-/// Chosen so a full-scale run (440M cycles) has a few hundred barrier
-/// crossings — frequent enough that staged cross-domain tallies stay
-/// small, rare enough to cost nothing. The value is part of the
-/// deterministic configuration: changing it changes `sim.shard.epochs`
-/// (but never `results/*.json`).
-pub const EPOCH_CYCLES: Cycle = 1_000_000;
 
 /// Static assignment of cores, PageForge modules, and memory
 /// controllers to execution domains.
@@ -96,69 +82,18 @@ impl DomainPlan {
     }
 }
 
-/// Cross-domain traffic staged by one domain during an epoch, exchanged
-/// at the barrier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTally {
-    /// Demand/engine lines this domain sent to a controller owned by
-    /// another domain (line interleaving makes this the common case).
-    pub xdomain_lines: u64,
-    /// Lines that stayed within the issuing domain's own controller.
-    pub local_lines: u64,
-    /// Scan Table slices the driver handed to the engine (refills) —
-    /// the §4.2 slice handoff, re-published at epoch boundaries.
-    pub table_handoffs: u64,
-}
-
-impl ShardTally {
-    /// Folds `other` into `self`.
-    pub fn absorb(&mut self, other: &ShardTally) {
-        self.xdomain_lines += other.xdomain_lines;
-        self.local_lines += other.local_lines;
-        self.table_handoffs += other.table_handoffs;
-    }
-
-    /// `true` when nothing was staged.
-    pub fn is_zero(&self) -> bool {
-        *self == ShardTally::default()
-    }
-}
-
-/// Totals accumulated across all barrier exchanges, exported as the
-/// `sim.shard.*` metrics (see OBSERVABILITY.md).
+/// Cross-domain traffic totals, exported as the `sim.shard.*` metrics
+/// (see OBSERVABILITY.md). Counted directly as lines and slices move.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
-    /// Epoch boundaries crossed (barrier count).
-    pub epochs: u64,
-    /// Barrier exchanges that actually carried staged traffic.
-    pub exchanges: u64,
-    /// Total cross-domain lines (see [`ShardTally::xdomain_lines`]).
+    /// Demand/engine DRAM lines a domain sent to a controller owned by
+    /// another domain (line interleaving makes this the common case).
     pub xdomain_lines: u64,
-    /// Total domain-local lines.
+    /// DRAM lines that stayed within the issuing domain's own controller.
     pub local_lines: u64,
-    /// Total Scan Table slice handoffs.
+    /// Scan Table slices handed to the engine (refills) — the §4.2
+    /// slice handoff.
     pub table_handoffs: u64,
-}
-
-impl ShardMetrics {
-    /// Folds every domain's staged tally into the totals **in ascending
-    /// domain order** (the canonical exchange order) and clears the
-    /// stage.
-    pub fn exchange(&mut self, stage: &mut [ShardTally]) {
-        let mut carried = false;
-        for tally in stage.iter_mut() {
-            if !tally.is_zero() {
-                carried = true;
-            }
-            self.xdomain_lines += tally.xdomain_lines;
-            self.local_lines += tally.local_lines;
-            self.table_handoffs += tally.table_handoffs;
-            *tally = ShardTally::default();
-        }
-        if carried {
-            self.exchanges += 1;
-        }
-    }
 }
 
 /// Runs `f` over `0..items` on up to `threads` workers and returns the
@@ -230,24 +165,6 @@ mod tests {
         assert_eq!(p4.domains(), 4);
         assert_eq!(p4.module(3), 3);
         assert_eq!(p4.controller(1), 1);
-    }
-
-    #[test]
-    fn exchange_folds_in_domain_order_and_clears() {
-        let mut m = ShardMetrics::default();
-        let mut stage = vec![ShardTally::default(); 2];
-        stage[0].xdomain_lines = 3;
-        stage[1].local_lines = 5;
-        stage[1].table_handoffs = 2;
-        m.exchange(&mut stage);
-        assert_eq!(m.xdomain_lines, 3);
-        assert_eq!(m.local_lines, 5);
-        assert_eq!(m.table_handoffs, 2);
-        assert_eq!(m.exchanges, 1);
-        assert!(stage.iter().all(ShardTally::is_zero));
-        // An empty exchange counts no traffic.
-        m.exchange(&mut stage);
-        assert_eq!(m.exchanges, 1);
     }
 
     #[test]
