@@ -40,11 +40,11 @@ for stem in fleet_serverless fleet_chaos fault_campaign; do
   test -f "$root/base/$stem.json"
 done
 
-# 2. Determinism across scheduler jobs and in-simulation shards: results
-#    byte-identical, snapshot metrics identical at zero tolerance.
-smoke_run --jobs 4 --shards 4 --out "$root/j4s4" --snapshot "$root/j4s4-snap.json"
-same_results "$root/base" "$root/j4s4"
-"$bin/snapshot_diff" "$root/base-snap.json" "$root/j4s4-snap.json" --threshold 0
+# 2. Determinism across scheduler jobs: results byte-identical, snapshot
+#    metrics identical at zero tolerance.
+smoke_run --jobs 4 --out "$root/j4" --snapshot "$root/j4-snap.json"
+same_results "$root/base" "$root/j4"
+"$bin/snapshot_diff" "$root/base-snap.json" "$root/j4-snap.json" --threshold 0
 
 # 3. An empty fault plan takes exactly the no-flag path.
 echo '{"seed":0,"events":[],"stalls":[]}' > "$root/empty_plan.json"
@@ -60,11 +60,10 @@ same_results "$root/base" "$root/traced"
 grep -q "Trace attribution" "$root/base/REPORT.md"
 
 # 5. The committed fleet plan (crashes, a gray window, an engine wedge,
-#    two migration failures) is byte-identical across jobs and shards.
+#    two migration failures) is byte-identical across jobs.
 smoke_run --jobs 2 --only fleet --fleet-faults ci/chaos_plan.json --out "$root/chaos"
-smoke_run --jobs 4 --shards 4 --only fleet --fleet-faults ci/chaos_plan.json \
-  --out "$root/chaos-j4s4"
-same_results "$root/chaos" "$root/chaos-j4s4"
+smoke_run --jobs 4 --only fleet --fleet-faults ci/chaos_plan.json --out "$root/chaos-j4"
+same_results "$root/chaos" "$root/chaos-j4"
 
 # 6. An empty fleet plan takes exactly the no-flag path.
 echo '{"version":1,"seed":0,"events":[]}' > "$root/empty_fleet_plan.json"

@@ -200,35 +200,6 @@ impl CallGraph {
             .collect::<Vec<_>>()
             .join(" -> ")
     }
-
-    /// Shortest deterministic path from `from` to any function with
-    /// `is_target` true, as fn indices (`from` first). `None` when no
-    /// target is reachable.
-    pub fn path_to(&self, from: usize, is_target: impl Fn(usize) -> bool) -> Option<Vec<usize>> {
-        let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-        parent.insert(from, None);
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        queue.push_back(from);
-        while let Some(f) = queue.pop_front() {
-            if is_target(f) {
-                let mut path = vec![f];
-                let mut cur = f;
-                while let Some(Some(p)) = parent.get(&cur) {
-                    path.push(*p);
-                    cur = *p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &callee in &self.edges[f] {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(callee) {
-                    e.insert(Some(f));
-                    queue.push_back(callee);
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Which crates each file can plausibly call into: its own crate plus
@@ -626,8 +597,6 @@ mod tests {
         let reach = g.reachable(&[root]);
         assert!(reach.contains_key(&leaf));
         assert_eq!(g.chain(&reach, leaf), "a::root -> a::mid -> a::leaf");
-        let path = g.path_to(root, |i| i == leaf).unwrap();
-        assert_eq!(path, vec![root, idx(&g, "a::mid"), leaf]);
     }
 
     #[test]

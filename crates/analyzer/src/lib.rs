@@ -7,26 +7,23 @@
 //! matching the metrics and trace events the code actually emits
 //! (registry consistency), and uniform crate hygiene. This crate
 //! *proves them statically*: it lexes every workspace source file and
-//! enforces six rules, with a reviewed, justification-carrying
+//! enforces seven rules, with a reviewed, justification-carrying
 //! allowlist (`analyzer.toml`) as the only escape hatch.
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `DET-HASH`     | no `HashMap`/`HashSet` in result-affecting crates |
-//! | `DET-TIME`     | no wall clock / OS rng / env reads outside bench timing |
+//! | `DET-TIME`     | no wall clock / OS rng / env reads / thread starts outside bench |
 //! | `PANIC-PATH`   | no `unwrap`/`expect`/panicking macro/indexing on the hot path |
 //! | `PANIC-PATH-T` | no explicit panic construct *reachable* from the hot path |
-//! | `LOCK-ORDER`   | the fleet's mutex-acquisition order is acyclic |
-//! | `SPEC-SAFE`    | domain worker closures touch no unsanctioned shared state |
 //! | `REG-METRIC`   | metric names ⊆ OBSERVABILITY.md, and nothing documented is dead |
 //! | `REG-TRACE`    | trace `(component, kind)` pairs likewise |
 //! | `HYG-CRATE`    | every lib crate forbids unsafe and denies missing docs |
 //!
-//! The first six rules up to `SPEC-SAFE` are flow-aware: the analyzer
-//! parses every file into an item tree ([`parse`]), builds a
-//! workspace-wide function-level call graph ([`callgraph`]) with
-//! ambiguous calls *reported rather than dropped*, and computes
-//! shared-state dataflow facts over it ([`dataflow`]).
+//! `PANIC-PATH-T` is flow-aware: the analyzer parses every file into an
+//! item tree ([`parse`]) and builds a workspace-wide function-level call
+//! graph ([`callgraph`]) with ambiguous calls *reported rather than
+//! dropped*.
 //!
 //! See ANALYSIS.md for the full rationale and the allowlist policy.
 //! Run as `cargo run --release -p pageforge-analyzer`; CI runs it as
@@ -37,19 +34,16 @@
 
 pub mod callgraph;
 pub mod config;
-pub mod dataflow;
 pub mod findings;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use callgraph::{CallGraph, Unresolved};
 use config::AllowEntry;
-use dataflow::Marker;
 use findings::{sort_findings, Finding};
 use lexer::Tok;
 
@@ -61,34 +55,24 @@ pub const RULE_IDS: &[&str] = &[
     "DET-TIME",
     "PANIC-PATH",
     "PANIC-PATH-T",
-    "LOCK-ORDER",
-    "SPEC-SAFE",
     "REG-METRIC",
     "REG-TRACE",
     "HYG-CRATE",
 ];
 
-/// The parsed, resolved view of the workspace the flow-aware rules
-/// run against: test-stripped token streams, the call graph, and the
-/// precomputed shared-state dataflow facts.
+/// The parsed, resolved view of the workspace the flow-aware rule runs
+/// against: test-stripped token streams and the call graph.
 #[derive(Debug)]
 pub struct Workspace {
     /// `(workspace-relative path, test-stripped tokens)`, sorted by path.
     pub files: Vec<(String, Vec<Tok>)>,
     /// The resolved call graph over every parsed function.
     pub graph: CallGraph,
-    /// Per-function direct shared-state markers (indexed like
-    /// `graph.fns`).
-    pub markers: Vec<Vec<Marker>>,
-    /// Per-function transitive lock classes.
-    pub lock_classes: Vec<BTreeSet<String>>,
-    /// Per-function flag: reaches any marker transitively.
-    pub marker_reach: Vec<bool>,
 }
 
 impl Workspace {
-    /// Parses, resolves, and closes over `files` (test-stripped token
-    /// streams keyed by workspace-relative path).
+    /// Parses and resolves `files` (test-stripped token streams keyed by
+    /// workspace-relative path).
     pub fn build(mut files: Vec<(String, Vec<Tok>)>) -> Workspace {
         files.sort_by(|a, b| a.0.cmp(&b.0));
         let mut fns = Vec::new();
@@ -96,27 +80,7 @@ impl Workspace {
             fns.extend(parse::parse_file(rel, toks));
         }
         let graph = CallGraph::build(&files, fns);
-        let markers: Vec<Vec<Marker>> = graph
-            .fns
-            .iter()
-            .map(|f| {
-                let toks = files
-                    .iter()
-                    .find(|(rel, _)| *rel == f.path)
-                    .map(|(_, t)| t.as_slice())
-                    .unwrap_or(&[]);
-                dataflow::direct_markers(f, toks)
-            })
-            .collect();
-        let lock_classes = dataflow::transitive_lock_classes(&graph, &markers);
-        let marker_reach = dataflow::reaches_marker(&graph, &markers);
-        Workspace {
-            files,
-            graph,
-            markers,
-            lock_classes,
-            marker_reach,
-        }
+        Workspace { files, graph }
     }
 
     /// The token stream for a workspace-relative path (empty when the
@@ -187,8 +151,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
 
     let ws = Workspace::build(stripped);
     rules::panic_path_t::run(&ws, &mut findings);
-    rules::lock_order::run(&ws, &mut findings);
-    rules::spec_safe::run(&ws, &mut findings);
 
     let obs_path = root.join("OBSERVABILITY.md");
     let obs = fs::read_to_string(&obs_path)

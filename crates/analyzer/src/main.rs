@@ -40,8 +40,8 @@ fn main() -> ExitCode {
                 println!(
                     "pageforge-analyzer — workspace invariant linter\n\n\
                      USAGE: pageforge-analyzer [--root <workspace-root>] [--json <out.json>]\n\n\
-                     Rules: DET-HASH, DET-TIME, PANIC-PATH, PANIC-PATH-T, LOCK-ORDER,\n\
-                     SPEC-SAFE, REG-METRIC, REG-TRACE, HYG-CRATE — see ANALYSIS.md.\n\
+                     Rules: DET-HASH, DET-TIME, PANIC-PATH, PANIC-PATH-T, REG-METRIC,\n\
+                     REG-TRACE, HYG-CRATE — see ANALYSIS.md.\n\
                      Exceptions live in analyzer.toml and must carry a written\n\
                      justification; stale entries fail the run.\n\
                      --json writes the machine-readable report (findings, call-graph\n\

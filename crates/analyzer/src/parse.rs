@@ -1,9 +1,8 @@
 //! A dependency-free item/brace-tree parser over the lexer's token
 //! stream.
 //!
-//! The flow-aware rules (`PANIC-PATH-T`, `LOCK-ORDER`, `SPEC-SAFE`)
-//! need to know *which function* a token belongs to, not just which
-//! file — so this module recovers the item tree the lexer flattened:
+//! The flow-aware rule (`PANIC-PATH-T`) needs to know *which function*
+//! a token belongs to, not just which file — so this module recovers the item tree the lexer flattened:
 //! `mod` nesting, `impl`/`trait` blocks with their self type, and every
 //! `fn` with its qualified name and body token range. It is a
 //! brace-matcher, not a grammar: it only reacts to the five tokens that
@@ -33,19 +32,6 @@ pub struct FnDef {
     /// Token range of the body *contents* (between the braces,
     /// exclusive) as indices into the file's test-stripped stream.
     pub body: (usize, usize),
-    /// Identifiers appearing in the signature after the argument list
-    /// (return type and where clause) — enough to spot guard-returning
-    /// functions (`-> MutexGuard<..>`) without a type system.
-    pub ret_idents: Vec<String>,
-}
-
-impl FnDef {
-    /// Whether the signature says this function returns a lock guard.
-    pub fn returns_guard(&self) -> bool {
-        self.ret_idents
-            .iter()
-            .any(|id| id == "MutexGuard" || id == "RwLockReadGuard" || id == "RwLockWriteGuard")
-    }
 }
 
 /// Parses one file's test-stripped token stream into its `fn` items.
@@ -89,25 +75,6 @@ pub fn module_path(rel: &str) -> (String, String) {
         }
     }
     (crate_name.to_owned(), module.join("::"))
-}
-
-/// Finds the index of the closer matching the opener at `open` (e.g.
-/// the `)` for a `(`); returns `toks.len()` when unbalanced.
-pub fn match_delim(toks: &[Tok], open: usize, open_c: char, close_c: char) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if toks[i].is_punct(open_c) {
-            depth += 1;
-        } else if toks[i].is_punct(close_c) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    toks.len()
 }
 
 /// Finds the index of the `}` matching the `{` at `open`.
@@ -318,11 +285,7 @@ fn parse_items(
                 j += 1;
             }
             // Return type / where clause up to the body or `;`.
-            let mut ret_idents = Vec::new();
             while j < end && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                if toks[j].kind == TokKind::Ident {
-                    ret_idents.push(toks[j].text.clone());
-                }
                 j += 1;
             }
             if j < end && toks[j].is_punct('{') {
@@ -340,7 +303,6 @@ fn parse_items(
                     path: rel.to_owned(),
                     line,
                     body: (j + 1, close),
-                    ret_idents,
                 });
                 // Recurse for nested `fn` items (rare but legal).
                 parse_items(rel, crate_name, toks, j + 1, close, module, None, out);
@@ -427,15 +389,6 @@ mod tests {
                 "sim::shard::Wrapper::wrap"
             ]
         );
-    }
-
-    #[test]
-    fn guard_returning_signature_is_detected() {
-        let src = "fn lock_host<'a>(m: &'a Mutex<Host>) -> MutexGuard<'a, Host> { body() }
-                   fn plain() -> u32 { 0 }";
-        let fns = parse("crates/fleet/src/plane.rs", src);
-        assert!(fns[0].returns_guard());
-        assert!(!fns[1].returns_guard());
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   OS randomness (`rand::thread_rng`) and environment reads
 //!   (`env::var`) are per-run inputs. They are banned everywhere except
 //!   explicitly-allowlisted bench timing code whose output lands in
-//!   `results/meta/` (outside the determinism contract).
+//!   `results/meta/` (outside the determinism contract). So are thread
+//!   starts (`thread::spawn`, `thread::scope`): a simulation runs on one
+//!   thread, and the experiment scheduler's allowlisted unit pool is the
+//!   only place a thread begins.
 
 use crate::findings::Finding;
 use crate::lexer::{Tok, TokKind};
@@ -103,15 +106,27 @@ pub fn det_time(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                     i += 3;
                     continue;
                 }
-                // The sharded executor runs on std::thread, which is
-                // fine — but thread *identity* is scheduler-assigned, so
-                // letting it reach a result breaks the `--shards`
-                // byte-identity contract.
+                // Thread identity is assigned by the host scheduler, and a
+                // thread started inside a simulation would make its event
+                // order depend on it too. Each simulation runs whole on
+                // one thread.
                 "thread" if path2(toks, i, "current") => {
                     push(
                         t.line,
                         "thread::current",
                         "exposes nondeterministic thread identity",
+                    );
+                    i += 3;
+                    continue;
+                }
+                "thread" if path2(toks, i, "spawn") || path2(toks, i, "scope") => {
+                    // `path2` checked that `toks[i + 3]` exists.
+                    let item = format!("thread::{}", toks[i + 3].text);
+                    push(
+                        t.line,
+                        &item,
+                        "starts a thread; simulations run on one thread and only \
+                         the experiment scheduler's unit pool may start one",
                     );
                     i += 3;
                     continue;
@@ -193,11 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_thread_spawn_is_not_flagged() {
-        // Worker pools themselves are fine; only identity reads are not.
+    fn thread_spawn_and_scope_are_flagged() {
+        // A thread started inside a simulation fails the rule; the
+        // scope's own `s.spawn` is a method call, not a second start.
         let src = "std::thread::scope(|s| { s.spawn(|| {}); });\n\
                    let h = std::thread::spawn(|| 1);";
-        assert!(run_time(src).is_empty());
+        let items: Vec<_> = run_time(src).into_iter().map(|f| f.item).collect();
+        assert_eq!(items, ["thread::scope", "thread::spawn"]);
     }
 
     #[test]

@@ -3,8 +3,6 @@
 
 pub mod determinism;
 pub mod hygiene;
-pub mod lock_order;
 pub mod panic_path_t;
 pub mod panics;
 pub mod registry;
-pub mod spec_safe;

@@ -17,10 +17,8 @@ use crate::experiments::Scale;
 /// * `--smoke` — even smaller CI-sized configuration (2 cores, tiny
 ///   images); implies everything `--quick` implies;
 /// * `--jobs <N>` — worker threads for `run_all`'s experiment scheduler
-///   (default 1; results are byte-identical at any level);
-/// * `--shards <N>` — worker threads *inside* each full-system
-///   simulation (the sharded executor's pool; default 1). Like `--jobs`,
-///   any value produces byte-identical `results/*.json`;
+///   (default 1; results are byte-identical at any level). Each
+///   simulation runs on one thread;
 /// * `--seeds <N>` — seed replicas for the `seed_sweep` experiment
 ///   (default 1; the sweep itself needs at least 2);
 /// * `--only <a,b,...>` — run only the named experiments (`run_all`);
@@ -40,9 +38,9 @@ use crate::experiments::Scale;
 ///   (metric names prefixed `ksm/`, `pageforge/`, `fleet/`) of the silo
 ///   KSM and PageForge cells, which join the suite's cell graph, and of
 ///   one fleet probe run after the suite, all at this run's
-///   scale/seed/shards. Snapshots are part of the determinism contract,
-///   so CI diffs two of these from different `--jobs`/`--shards` levels
-///   with `snapshot_diff --threshold 0`.
+///   scale/seed. Snapshots are part of the determinism contract, so CI
+///   diffs two of these from different `--jobs` levels with
+///   `snapshot_diff --threshold 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// RNG seed.
@@ -53,8 +51,6 @@ pub struct BenchArgs {
     pub smoke: bool,
     /// Worker threads for the experiment scheduler.
     pub jobs: usize,
-    /// Worker threads inside each simulation (sharded executor pool).
-    pub shards: usize,
     /// Seed replicas for the `seed_sweep` experiment.
     pub seeds: usize,
     /// Restrict `run_all` to these experiment names (empty = all).
@@ -78,7 +74,6 @@ impl Default for BenchArgs {
             quick: false,
             smoke: false,
             jobs: 1,
-            shards: 1,
             seeds: 1,
             only: Vec::new(),
             out_dir: PathBuf::from("results"),
@@ -116,9 +111,8 @@ impl fmt::Display for ArgsError {
                 f,
                 "unknown argument `{arg}`; \
                  usage: [--seed N] [--quick] [--smoke] [--jobs N] \
-                 [--shards N] [--seeds N] [--only a,b] \
-                 [--out DIR] [--trace FILE] [--faults FILE] \
-                 [--fleet-faults FILE] [--snapshot FILE]"
+                 [--seeds N] [--only a,b] [--out DIR] [--trace FILE] \
+                 [--faults FILE] [--fleet-faults FILE] [--snapshot FILE]"
             ),
             ArgsError::MissingValue(flag) => write!(f, "{flag} requires a value"),
             ArgsError::BadValue {
@@ -160,7 +154,6 @@ impl BenchArgs {
                 "--quick" => out.quick = true,
                 "--smoke" => out.smoke = true,
                 "--jobs" => out.jobs = parse_count(&flag, value()?)?,
-                "--shards" => out.shards = parse_count(&flag, value()?)?,
                 "--seeds" => out.seeds = parse_count(&flag, value()?)?,
                 "--only" => out.only.extend(
                     value()?
@@ -235,7 +228,6 @@ mod tests {
         assert!(!a.quick);
         assert!(!a.smoke);
         assert_eq!(a.jobs, 1);
-        assert_eq!(a.shards, 1);
         assert_eq!(a.seeds, 1);
         assert!(a.only.is_empty());
         assert_eq!(a.scale(), Scale::Full);
@@ -251,8 +243,6 @@ mod tests {
                 "--smoke",
                 "--jobs",
                 "4",
-                "--shards",
-                "2",
                 "--seeds",
                 "5",
                 "--only",
@@ -268,7 +258,6 @@ mod tests {
         assert!(a.quick);
         assert!(a.smoke);
         assert_eq!(a.jobs, 4);
-        assert_eq!(a.shards, 2);
         assert_eq!(a.seeds, 5);
         assert_eq!(a.only, vec!["fig7".to_string(), "fig8".to_string()]);
         assert_eq!(a.out_dir, PathBuf::from("/tmp/x"));
@@ -343,6 +332,10 @@ mod tests {
         assert!(e
             .to_string()
             .starts_with("unknown argument `--frobnicate`; usage:"));
+        // Simulations are single-threaded: the old per-cell thread count
+        // is not a flag.
+        let e = parse(&["--shards", "2"]).unwrap_err();
+        assert_eq!(e, ArgsError::Unknown("--shards".into()));
     }
 
     #[test]
@@ -351,15 +344,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "--jobs takes an integer of at least 1, not `0`"
-        );
-    }
-
-    #[test]
-    fn zero_shards_is_an_error() {
-        let e = parse(&["--shards", "0"]).unwrap_err();
-        assert_eq!(
-            e.to_string(),
-            "--shards takes an integer of at least 1, not `0`"
         );
     }
 
@@ -374,7 +358,7 @@ mod tests {
 
     #[test]
     fn malformed_values_are_errors() {
-        for flag in ["--jobs", "--shards", "--seeds"] {
+        for flag in ["--jobs", "--seeds"] {
             for bad in ["abc", "-1", "1.5", ""] {
                 assert!(
                     matches!(parse(&[flag, bad]), Err(ArgsError::BadValue { .. })),
@@ -395,7 +379,6 @@ mod tests {
         for flag in [
             "--seed",
             "--jobs",
-            "--shards",
             "--seeds",
             "--only",
             "--out",

@@ -64,14 +64,14 @@ fn main() {
     }
 
     // `--snapshot`: union the suite's silo KSM and PageForge probe cells
-    // with one fleet probe at this run's scale/seed/shards and write the
+    // with one fleet probe at this run's scale/seed and write the
     // observability snapshot. Snapshots are part of the determinism
-    // contract — byte-identical at every `--jobs`/`--shards` level — so
-    // CI diffs two of these from different parallelism levels with
+    // contract — byte-identical at every `--jobs` level — so CI diffs two
+    // of these from different parallelism levels with
     // `snapshot_diff --threshold 0`.
     if let (Some(path), Some(probes)) = (&args.snapshot, outcome.snapshot) {
         let fleet_probe = ControlPlane::new(args.scale().fleet_config(args.seed))
-            .run(args.shards)
+            .run()
             .1;
         let snap = Snapshot::union([probes, fleet_probe.prefixed("fleet")]);
         if let Err(e) = std::fs::write(path, snap.to_json().to_string_pretty()) {

@@ -361,8 +361,8 @@ pub fn suite_modes() -> [DedupMode; 3] {
 }
 
 /// One full-system simulation an experiment reads. Its config alone
-/// determines its result (`--shards` never moves a byte), so experiments
-/// that declare equal configs share one simulation.
+/// determines its result, so experiments that declare equal configs
+/// share one simulation.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Scheduler and trace label, e.g. `latency/silo/KSM`.
@@ -547,19 +547,17 @@ pub fn fleet_cell_config(
     cfg
 }
 
-/// Runs one fleet cell on up to `shards` worker threads. Byte-identical
-/// at any `--jobs`/`--shards` level.
+/// Runs one fleet cell. Byte-identical at any `--jobs` level.
 pub fn fleet_cell(
     density: u32,
     hinted: bool,
     seed: u64,
     scale: Scale,
-    shards: usize,
     plan: Option<&FaultPlan>,
     fleet_plan: Option<&FleetFaultPlan>,
 ) -> FleetCell {
     let cfg = fleet_cell_config(density, hinted, seed, scale, plan, fleet_plan);
-    let (result, _snapshot) = ControlPlane::new(cfg).run(shards);
+    let (result, _snapshot) = ControlPlane::new(cfg).run();
     FleetCell {
         density,
         hinted,
@@ -637,7 +635,7 @@ pub struct ChaosCell {
 
 /// Builds the configuration for one chaos cell. The cell derives its own
 /// seed from the run seed and its label — the same derivation at every
-/// `--jobs`/`--shards` level — and rate > 0 cells generate their fault
+/// `--jobs` level — and rate > 0 cells generate their fault
 /// plan from that derived seed, so the whole campaign is a pure function
 /// of `(seed, scale)`.
 pub fn fleet_chaos_config(rate: u32, rep: usize, seed: u64, scale: Scale) -> FleetConfig {
@@ -667,16 +665,10 @@ pub fn fleet_chaos_config(rate: u32, rep: usize, seed: u64, scale: Scale) -> Fle
 ///
 /// Panics if the invariant is violated — a chaos campaign that loses a
 /// VM must fail the run, not print a table.
-pub fn fleet_chaos_cell(
-    rate: u32,
-    rep: usize,
-    seed: u64,
-    scale: Scale,
-    shards: usize,
-) -> ChaosCell {
+pub fn fleet_chaos_cell(rate: u32, rep: usize, seed: u64, scale: Scale) -> ChaosCell {
     let cfg = fleet_chaos_config(rate, rep, seed, scale);
     let label = cfg.label.clone();
-    let (result, _snapshot) = ControlPlane::new(cfg).run(shards);
+    let (result, _snapshot) = ControlPlane::new(cfg).run();
     if let Some(c) = &result.chaos {
         assert_eq!(c.vms_lost, 0, "{label}: lost {} VMs", c.vms_lost);
         assert_eq!(

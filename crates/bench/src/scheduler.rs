@@ -19,8 +19,9 @@
 //!   being silently dropped.
 //!
 //! The pool is plain scoped `std::thread` workers pulling indices off a
-//! shared queue. Inside one simulation, `--shards` fans work out with the
-//! same take-once shape ([`pageforge_sim::ordered_map`]).
+//! shared queue. It is the only place the suite starts a thread: each
+//! unit, a whole simulation included, runs on the one worker that
+//! claimed it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -130,12 +131,20 @@ pub fn run_units<T: Send>(
 /// feature compiled out no file is ever created). Use
 /// [`crate::trace_report::assemble_spooled_trace`] to fold the spools
 /// into the final single-stream JSONL in submission order.
+///
+/// # Errors
+///
+/// Returns an error labelled with `spool_dir` if that directory cannot
+/// be created, before any unit runs; otherwise as [`run_units`].
 pub fn run_units_spooled<T: Send>(
     jobs: usize,
     units: Vec<Unit<T>>,
     spool_dir: &Path,
 ) -> Result<Vec<UnitResult<T>>, SchedulerError> {
-    std::fs::create_dir_all(spool_dir).expect("create trace spool directory");
+    std::fs::create_dir_all(spool_dir).map_err(|e| SchedulerError {
+        label: spool_dir.display().to_string(),
+        message: format!("cannot create the trace spool directory: {e}"),
+    })?;
     let mk = |idx: usize| {
         let path = spool_path(spool_dir, idx);
         let mut writer: Option<std::io::BufWriter<std::fs::File>> = None;

@@ -108,8 +108,9 @@ pub struct TraceSummary {
 /// Bad flags — an `--only` typo, `--only seed_sweep` without
 /// `--seeds >= 2`, a missing or malformed `--faults`/`--fleet-faults`
 /// plan, an `--out` directory or a `--trace`/`--snapshot` parent that
-/// cannot be created — return an error naming the flag before any unit
-/// runs.
+/// cannot be created, a `--trace` path that is a directory or whose
+/// spool directory cannot be created — return an error naming the flag
+/// before any unit runs.
 pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // A typo in `--only` must fail loudly *before* any work is
     // scheduled, listing what would have been accepted.
@@ -184,6 +185,33 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         }
     }
 
+    // With `--trace`, units stream their events to per-unit spool files
+    // beside the trace mid-run (nothing buffers or drops); the spools are
+    // folded into the final JSONL after the pool drains.
+    let spool_dir = match &args.trace {
+        Some(path) => {
+            let trace_error = |message| SchedulerError {
+                label: "--trace".into(),
+                message,
+            };
+            if path.is_dir() {
+                return Err(trace_error(format!(
+                    "{} is a directory, not a trace file",
+                    path.display()
+                )));
+            }
+            let dir = std::path::PathBuf::from(format!("{}.spool.d", path.display()));
+            std::fs::create_dir_all(&dir).map_err(|e| {
+                trace_error(format!(
+                    "cannot create the spool directory {}: {e}",
+                    dir.display()
+                ))
+            })?;
+            Some(dir)
+        }
+        None => None,
+    };
+
     // The full-system simulation cells each experiment reads, in
     // EXPERIMENTS order, so a shared cell's first reader owns its time.
     // `--faults` applies to the latency suite's PageForge cells only; the
@@ -243,12 +271,11 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
     // Build the unit list, heaviest first so the pool stays busy: the
     // simulation cells, then the other experiments. Assembly below keys
     // on the experiment name, not position.
-    let shards = args.shards;
     let mut units: Vec<Unit<UnitOutput>> = Vec::new();
     for (owner, cell) in cells {
         let Cell { label, config } = cell;
         units.push(Unit::new(owner, label, move || {
-            UnitOutput::Cell(Box::new(System::with_shards(config, shards).run_observed()))
+            UnitOutput::Cell(Box::new(System::new(config).run_observed()))
         }));
     }
     if want("fleet") {
@@ -266,7 +293,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
                         hinted,
                         seed,
                         scale,
-                        shards,
                         plan.as_ref(),
                         fleet_plan.as_ref(),
                     ))
@@ -282,9 +308,7 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             for rep in 0..experiments::CHAOS_SEEDS {
                 let label = format!("fleet_chaos/r{rate}/s{rep}");
                 units.push(Unit::new("fleet_chaos", label, move || {
-                    UnitOutput::Chaos(experiments::fleet_chaos_cell(
-                        rate, rep, seed, scale, shards,
-                    ))
+                    UnitOutput::Chaos(experiments::fleet_chaos_cell(rate, rep, seed, scale))
                 }));
             }
         }
@@ -363,13 +387,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         Box::new(experiments::ablation_inorder_core),
     );
 
-    // With `--trace`, units stream their events to per-unit spool files
-    // mid-run (nothing buffers or drops); the spools are folded into the
-    // final JSONL after the pool drains.
-    let spool_dir = args
-        .trace
-        .as_ref()
-        .map(|path| std::path::PathBuf::from(format!("{}.spool.d", path.display())));
     let started = std::time::Instant::now();
     let results = match &spool_dir {
         Some(dir) => run_units_spooled(args.jobs, units, dir)?,
@@ -647,6 +664,30 @@ mod tests {
         rejected_before_any_unit(&args, "--snapshot", &file_text);
         let _ = std::fs::remove_file(&file);
         let _ = std::fs::remove_dir_all(&out_dir);
+    }
+
+    #[test]
+    fn unusable_trace_paths_are_errors() {
+        let dir = std::env::temp_dir().join("pageforge-suite-trace-paths");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let out_dir = dir.join("out");
+        // An existing directory is not a trace file.
+        let args = BenchArgs {
+            out_dir: out_dir.clone(),
+            trace: Some(dir.clone()),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--trace", "is a directory");
+        // A regular file where the spool directory goes.
+        let spool = dir.join("trace.jsonl.spool.d");
+        std::fs::write(&spool, "not a directory").expect("write file");
+        let args = BenchArgs {
+            out_dir,
+            trace: Some(dir.join("trace.jsonl")),
+            ..BenchArgs::default()
+        };
+        rejected_before_any_unit(&args, "--trace", &spool.display().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,14 +46,16 @@ pub struct PerfBudget {
     pub experiments: BTreeMap<String, f64>,
 }
 
-/// Parses `perf_budget.toml` (the same deliberately minimal TOML subset
-/// `analyzer.toml` uses: `[section]` headers and `key = number` lines).
+/// Parses a budget file such as `perf_budget.toml` (the same
+/// deliberately minimal TOML subset `analyzer.toml` uses: `[section]`
+/// headers and `key = number` lines). `path` names the file in error
+/// messages.
 ///
 /// # Errors
 ///
-/// Returns a `file:line:`-prefixed message for unknown sections or keys,
+/// Returns a `path:line:`-prefixed message for unknown sections or keys,
 /// non-numeric values, duplicates, and missing required fields.
-pub fn parse_budget(src: &str) -> Result<PerfBudget, String> {
+pub fn parse_budget(path: &str, src: &str) -> Result<PerfBudget, String> {
     let mut total_secs: Option<f64> = None;
     let mut slack_frac: Option<f64> = None;
     let mut experiments: BTreeMap<String, f64> = BTreeMap::new();
@@ -71,21 +73,19 @@ pub fn parse_budget(src: &str) -> Result<PerfBudget, String> {
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             section = name.trim().to_owned();
             if section != "total" && section != "experiments" {
-                return Err(format!(
-                    "perf_budget.toml:{lineno}: unknown section `[{section}]`"
-                ));
+                return Err(format!("{path}:{lineno}: unknown section `[{section}]`"));
             }
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!(
-                "perf_budget.toml:{lineno}: expected `key = number`, got `{line}`"
+                "{path}:{lineno}: expected `key = number`, got `{line}`"
             ));
         };
         let key = key.trim();
         let secs: f64 = value.trim().parse().map_err(|_| {
             format!(
-                "perf_budget.toml:{lineno}: value for `{key}` is not a number: `{}`",
+                "{path}:{lineno}: value for `{key}` is not a number: `{}`",
                 value.trim()
             )
         })?;
@@ -93,31 +93,26 @@ pub fn parse_budget(src: &str) -> Result<PerfBudget, String> {
             ("total", "wall_secs") if total_secs.is_none() => total_secs = Some(secs),
             ("total", "slack_frac") if slack_frac.is_none() => slack_frac = Some(secs),
             ("total", k @ ("wall_secs" | "slack_frac")) => {
-                return Err(format!("perf_budget.toml:{lineno}: duplicate key `{k}`"));
+                return Err(format!("{path}:{lineno}: duplicate key `{k}`"));
             }
             ("total", other) => {
-                return Err(format!(
-                    "perf_budget.toml:{lineno}: unknown key `{other}` in [total]"
-                ));
+                return Err(format!("{path}:{lineno}: unknown key `{other}` in [total]"));
             }
             ("experiments", name) => {
                 if experiments.insert(name.to_owned(), secs).is_some() {
-                    return Err(format!(
-                        "perf_budget.toml:{lineno}: duplicate experiment `{name}`"
-                    ));
+                    return Err(format!("{path}:{lineno}: duplicate experiment `{name}`"));
                 }
             }
             _ => {
                 return Err(format!(
-                    "perf_budget.toml:{lineno}: `{key}` before the first section header"
+                    "{path}:{lineno}: `{key}` before the first section header"
                 ));
             }
         }
     }
-    let total_secs =
-        total_secs.ok_or("perf_budget.toml: missing `wall_secs` in [total]".to_owned())?;
+    let total_secs = total_secs.ok_or_else(|| format!("{path}: missing `wall_secs` in [total]"))?;
     if experiments.is_empty() {
-        return Err("perf_budget.toml: empty [experiments] section".to_owned());
+        return Err(format!("{path}: empty [experiments] section"));
     }
     Ok(PerfBudget {
         total_secs,
@@ -244,7 +239,7 @@ table3 = 0.5\n";
 
     #[test]
     fn parses_the_documented_format() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         assert_eq!(b.total_secs, 100.0);
         assert_eq!(b.slack_frac, 0.15);
         assert_eq!(b.experiments["latency"], 10.0);
@@ -252,28 +247,40 @@ table3 = 0.5\n";
     }
 
     #[test]
+    fn parse_errors_name_the_file_given() {
+        let e = parse_budget("bad.toml", "[total]\nwall_secs = fast\n").unwrap_err();
+        assert!(e.starts_with("bad.toml:2: "), "{e}");
+        let e = parse_budget("bad.toml", "[experiments]\nlatency = 1\n").unwrap_err();
+        assert!(e.starts_with("bad.toml: missing `wall_secs`"), "{e}");
+    }
+
+    #[test]
     fn parse_rejects_unknown_sections_keys_and_garbage() {
-        assert!(parse_budget("[nope]\n").unwrap_err().contains("[nope]"));
-        assert!(parse_budget("[total]\nbogus = 1\n")
+        assert!(parse_budget("b.toml", "[nope]\n")
+            .unwrap_err()
+            .contains("[nope]"));
+        assert!(parse_budget("b.toml", "[total]\nbogus = 1\n")
             .unwrap_err()
             .contains("bogus"));
-        assert!(parse_budget("[total]\nwall_secs = fast\n")
+        assert!(parse_budget("b.toml", "[total]\nwall_secs = fast\n")
             .unwrap_err()
             .contains("not a number"));
-        assert!(parse_budget("loose = 1\n")
+        assert!(parse_budget("b.toml", "loose = 1\n")
             .unwrap_err()
             .contains("before the first section"));
-        assert!(parse_budget("[total]\nwall_secs = 1\nwall_secs = 2\n")
-            .unwrap_err()
-            .contains("duplicate"));
-        assert!(parse_budget("[total]\nwall_secs = 1\n")
+        assert!(
+            parse_budget("b.toml", "[total]\nwall_secs = 1\nwall_secs = 2\n")
+                .unwrap_err()
+                .contains("duplicate")
+        );
+        assert!(parse_budget("b.toml", "[total]\nwall_secs = 1\n")
             .unwrap_err()
             .contains("empty [experiments]"));
     }
 
     #[test]
     fn within_budget_passes() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         let t = timing(50.0, &[("latency", 9.0), ("table3", 0.4)]);
         let r = evaluate(&b, &[t]);
         assert!(!r.failed(), "{r:?}");
@@ -281,7 +288,7 @@ table3 = 0.5\n";
 
     #[test]
     fn per_experiment_regression_beyond_slack_fails() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         // 11.6s > 10.0 * 1.15: breach. (11.4s would pass.)
         let t = timing(50.0, &[("latency", 11.6), ("table3", 0.4)]);
         let r = evaluate(&b, &[t]);
@@ -294,7 +301,7 @@ table3 = 0.5\n";
 
     #[test]
     fn total_wall_breach_fails_even_when_experiments_pass() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         let t = timing(100.5, &[("latency", 9.0), ("table3", 0.4)]);
         let r = evaluate(&b, &[t]);
         assert!(r.failed());
@@ -303,7 +310,7 @@ table3 = 0.5\n";
 
     #[test]
     fn best_of_two_keeps_the_minimum_per_experiment() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         // Each run breaches a different experiment; their best-of passes.
         let noisy1 = timing(120.0, &[("latency", 20.0), ("table3", 0.4)]);
         let noisy2 = timing(60.0, &[("latency", 9.0), ("table3", 5.0)]);
@@ -314,7 +321,7 @@ table3 = 0.5\n";
 
     #[test]
     fn mapping_must_stay_live_in_both_directions() {
-        let b = parse_budget(BUDGET).unwrap();
+        let b = parse_budget("perf_budget.toml", BUDGET).unwrap();
         // `table3` budgeted but never ran.
         let r = evaluate(&b, &[timing(50.0, &[("latency", 9.0)])]);
         assert!(r.failed());

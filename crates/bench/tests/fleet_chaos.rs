@@ -1,7 +1,7 @@
 //! The chaos campaign's determinism and no-op contracts, end to end.
 //!
 //! `results/fleet_chaos.json` is a pure function of `(config, seed)`:
-//! `--jobs` and `--shards` may only change wall-clock, never bytes. And
+//! `--jobs` may only change wall-clock, never bytes. And
 //! `--fleet-faults` obeys the same empty-plan rule as `--faults`: an
 //! empty plan is collapsed before any unit is built, so its run is
 //! byte-identical to a run with no flag at all.
@@ -19,12 +19,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the smoke-scale experiments in `only` at one `--jobs`/`--shards`
-/// level and returns every JSON artifact produced, keyed by file name.
+/// Runs the smoke-scale experiments in `only` at one `--jobs` level and
+/// returns every JSON artifact produced, keyed by file name.
 fn run_experiments(
     only: &[&str],
     jobs: usize,
-    shards: usize,
     fleet_faults: Option<&Path>,
     tag: &str,
 ) -> BTreeMap<String, Vec<u8>> {
@@ -32,7 +31,6 @@ fn run_experiments(
     let args = BenchArgs {
         smoke: true,
         jobs,
-        shards,
         only: only.iter().map(|s| s.to_string()).collect(),
         out_dir: out_dir.clone(),
         fleet_faults: fleet_faults.map(Path::to_path_buf),
@@ -68,17 +66,15 @@ fn assert_identical(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
 }
 
 #[test]
-fn chaos_campaign_is_byte_identical_across_jobs_and_shard_levels() {
-    let reference = run_experiments(&["fleet_chaos"], 2, 1, None, "c-j2s1");
+fn chaos_campaign_is_byte_identical_across_jobs_levels() {
+    let reference = run_experiments(&["fleet_chaos"], 2, None, "c-j2");
     assert!(
         reference.contains_key("fleet_chaos.json"),
         "the chaos table is part of the compared artifact set: {:?}",
         reference.keys()
     );
-    let jobs4 = run_experiments(&["fleet_chaos"], 4, 1, None, "c-j4s1");
-    let shards4 = run_experiments(&["fleet_chaos"], 2, 4, None, "c-j2s4");
+    let jobs4 = run_experiments(&["fleet_chaos"], 4, None, "c-j4");
     assert_identical(&reference, &jobs4, "chaos jobs 2 vs 4");
-    assert_identical(&reference, &shards4, "chaos shards 1 vs 4");
 }
 
 #[test]
@@ -89,9 +85,9 @@ fn fleet_fault_plans_are_deterministic_and_empty_plans_are_no_ops() {
     let plan = FleetFaultPlan::generate(13, 4, 160, 2, 2, 2, 2);
     assert!(!plan.is_empty(), "the generated plan must schedule faults");
     plan.write_file(&plan_path).unwrap();
-    let one = run_experiments(&["fleet"], 2, 1, Some(&plan_path), "p-s1");
-    let four = run_experiments(&["fleet"], 2, 4, Some(&plan_path), "p-s4");
-    assert_identical(&one, &four, "planned fleet shards 1 vs 4");
+    let one = run_experiments(&["fleet"], 2, Some(&plan_path), "p-j2");
+    let four = run_experiments(&["fleet"], 4, Some(&plan_path), "p-j4");
+    assert_identical(&one, &four, "planned fleet jobs 2 vs 4");
 
     // The empty-plan rule: `--fleet-faults empty.json` must produce the
     // bytes of a run with no flag at all — and a non-empty plan must not
@@ -102,8 +98,8 @@ fn fleet_fault_plans_are_deterministic_and_empty_plans_are_no_ops() {
         format!("{{\"version\":{PLAN_VERSION},\"seed\":0,\"events\":[]}}"),
     )
     .unwrap();
-    let unflagged = run_experiments(&["fleet"], 2, 1, None, "p-none");
-    let empty = run_experiments(&["fleet"], 2, 1, Some(&empty_path), "p-empty");
+    let unflagged = run_experiments(&["fleet"], 2, None, "p-none");
+    let empty = run_experiments(&["fleet"], 2, Some(&empty_path), "p-empty");
     assert_identical(&unflagged, &empty, "empty plan vs no flag");
     assert_eq!(
         unflagged.keys().collect::<Vec<_>>(),

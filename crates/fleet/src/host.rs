@@ -9,9 +9,8 @@
 //! backpressure boundary: admission, migration, and periodic rescans all
 //! *request* scan work, and a full queue rejects the request back to the
 //! control plane (which takes a lease and retries later; see
-//! `plane`). All host state is private to the host, so the control plane
-//! can step hosts on worker threads ([`pageforge_sim::ordered_map`])
-//! without any cross-host ordering ambiguity.
+//! `plane`). All host state is private to the host, so stepping one host
+//! never reads or writes another.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -22,8 +22,7 @@
 //! in [`result::FleetChaos`].
 //!
 //! The run is a pure function of its [`FleetConfig`] (seed included):
-//! byte-identical across `--jobs` and `--shards`, with or without a
-//! fault plan. DESIGN.md §7 and §10 give the architecture and the
+//! byte-identical across `--jobs`, with or without a fault plan. DESIGN.md §7 and §10 give the architecture and the
 //! determinism argument; OBSERVABILITY.md documents the `fleet.*`
 //! metrics and the `fleet` trace events; EXPERIMENTS.md covers the
 //! serverless-churn and fleet-chaos experiments built on top.
@@ -33,11 +32,11 @@
 //!
 //! let mut cfg = FleetConfig::smoke(42);
 //! cfg.ticks = 40; // keep the doctest fast
-//! let (result, snapshot) = ControlPlane::new(cfg.clone()).run(2);
+//! let (result, snapshot) = ControlPlane::new(cfg.clone()).run();
 //! assert!(result.arrivals > 0);
 //! assert_eq!(snapshot.gauge("fleet.hosts"), Some(4.0));
-//! // Same config, different worker count: same bytes.
-//! let (again, _) = ControlPlane::new(cfg).run(4);
+//! // Same config: same result.
+//! let (again, _) = ControlPlane::new(cfg).run();
 //! assert_eq!(result, again);
 //! ```
 

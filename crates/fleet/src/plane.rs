@@ -13,10 +13,7 @@
 //! Determinism (DESIGN.md §10): every control-plane decision happens in
 //! one sequential phase per tick, in a total order (VM-id order for
 //! departures, `(retry_tick, lease_seq)` order for retries, arrival
-//! order for admissions, host-id order for scans). Host *stepping* — the
-//! only parallel phase — touches exclusively per-host state, fanned out
-//! with [`pageforge_sim::ordered_map`], so `--shards` changes wall
-//! clock, never bytes.
+//! order for admissions, host-id order for scans and host stepping).
 //!
 //! Chaos (DESIGN.md §7): when a fleet fault plan is installed, two
 //! sequential phases run before departures — a heartbeat (deliver due
@@ -33,11 +30,9 @@
 //! plan-free runs are byte-identical to pre-chaos builds.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use pageforge_faults::FleetFaultKind;
 use pageforge_obs::{trace_event, CounterId, GaugeId, HistogramId, Registry, Snapshot};
-use pageforge_sim::ordered_map;
 use pageforge_types::derive_seed;
 use pageforge_vm::AppProfile;
 use pageforge_workloads::ServerlessWorkload;
@@ -160,11 +155,11 @@ impl ControlPlane {
         &self.cfg
     }
 
-    /// Runs the scenario on up to `shards` worker threads and returns
-    /// the result plus a unified observability snapshot (the plane's
-    /// `fleet.*` metrics merged with every host's engine/driver/memory
-    /// metrics — per-host counters add up fleet-wide).
-    pub fn run(&self, shards: usize) -> (FleetResult, Snapshot) {
+    /// Runs the scenario and returns the result plus a unified
+    /// observability snapshot (the plane's `fleet.*` metrics merged with
+    /// every host's engine/driver/memory metrics — per-host counters add
+    /// up fleet-wide).
+    pub fn run(&self) -> (FleetResult, Snapshot) {
         let cfg = &self.cfg;
         assert!(cfg.hosts > 0, "a fleet needs at least one host");
         let mut reg = Registry::new();
@@ -201,14 +196,14 @@ impl ControlPlane {
                 .push(vm);
         }
 
-        let hosts: Vec<Mutex<Host>> = (0..cfg.hosts)
+        let mut hosts: Vec<Host> = (0..cfg.hosts)
             .map(|_| {
-                Mutex::new(Host::new(
+                Host::new(
                     cfg.pf.clone(),
                     cfg.queue_capacity,
                     cfg.user_hints,
                     cfg.faults.as_ref(),
-                ))
+                )
             })
             .collect();
 
@@ -231,7 +226,7 @@ impl ControlPlane {
             // Phase 0a: heartbeat — deliver due fault events, toggle
             // engine wedges, count quarantine/recovery transitions.
             if let Some(ch) = chaos.as_mut() {
-                chaos_heartbeat(ch, t, cycle, &hosts, &mut reg, &ids);
+                chaos_heartbeat(ch, t, cycle, &mut hosts, &mut reg, &ids);
             }
 
             // Phase 0b: evacuation drain — move VMs off crashed hosts
@@ -241,7 +236,7 @@ impl ControlPlane {
                     ch,
                     t,
                     cycle,
-                    &hosts,
+                    &mut hosts,
                     cfg,
                     &profiles,
                     &content_seeds,
@@ -265,8 +260,10 @@ impl ControlPlane {
                         // departed VM (a double placement).
                         ch.cancel_evac(vm, h);
                     }
-                    let Some(host) = hosts.get(h) else { continue };
-                    let pages = lock_host(host).depart(vm);
+                    let Some(host) = hosts.get_mut(h) else {
+                        continue;
+                    };
+                    let pages = host.depart(vm);
                     reg.inc(ids.departures);
                     totals.departures += 1;
                     trace_event!(cycle, "fleet", "depart", {
@@ -289,9 +286,9 @@ impl ControlPlane {
                 totals.retries += 1;
                 let quarantined = chaos.as_ref().is_some_and(|ch| !ch.healthy(lease.host, t));
                 let enqueued = !quarantined
-                    && hosts.get(lease.host).is_some_and(|host| {
-                        lock_host(host).try_enqueue(ScanJob { pages: lease.pages })
-                    });
+                    && hosts
+                        .get_mut(lease.host)
+                        .is_some_and(|host| host.try_enqueue(ScanJob { pages: lease.pages }));
                 if enqueued {
                     reg.inc(ids.q_enqueued);
                     totals.enqueued += 1;
@@ -329,13 +326,13 @@ impl ControlPlane {
                     };
                     let Some((h, _)) = pick else { continue };
                     let (Some(host), Some(profile), Some(&cseed)) = (
-                        hosts.get(h),
+                        hosts.get_mut(h),
                         profiles.get(vm.func),
                         content_seeds.get(vm.func),
                     ) else {
                         continue;
                     };
-                    let hinted = lock_host(host).admit(vm.id, profile, cseed);
+                    let hinted = host.admit(vm.id, profile, cseed);
                     placement.insert(vm.id, (h, vm.func));
                     departures_by_tick
                         .entry(t + vm.lifetime_ticks)
@@ -387,11 +384,10 @@ impl ControlPlane {
                     if max_h == min_h || max_n.saturating_sub(min_n) <= cfg.migration_threshold {
                         break;
                     }
-                    let (Some(src_host), Some(dst_host)) = (hosts.get(max_h), hosts.get(min_h))
-                    else {
+                    let Ok([src_host, dst_host]) = hosts.get_disjoint_mut([max_h, min_h]) else {
                         break;
                     };
-                    let Some(vm) = lock_host(src_host).lowest_resident() else {
+                    let Some(vm) = src_host.lowest_resident() else {
                         break;
                     };
                     let Some(&(_, func)) = placement.get(&vm) else {
@@ -402,15 +398,15 @@ impl ControlPlane {
                     else {
                         break;
                     };
-                    let pages = lock_host(src_host).depart(vm);
+                    let pages = src_host.depart(vm);
                     let cost = pages as u64 * cfg.migrate_cycles_per_page;
                     if chaos.as_mut().is_some_and(|ch| ch.take_migfail(max_h)) {
                         // Mid-copy failure: the destination burned half
                         // the copy cost, the source re-materialises the
                         // instance and stays authoritative.
-                        lock_host(dst_host).advance(cost / 2);
+                        dst_host.advance(cost / 2);
                         totals.migration_cycles += cost / 2;
-                        let _ = lock_host(src_host).admit(vm, profile, cseed);
+                        let _ = src_host.admit(vm, profile, cseed);
                         reg.inc(ids.evac_rollbacks);
                         if let Some(ch) = chaos.as_mut() {
                             ch.tally.migration_rollbacks += 1;
@@ -423,11 +419,8 @@ impl ControlPlane {
                         });
                         continue;
                     }
-                    let hinted = {
-                        let mut dst = lock_host(dst_host);
-                        dst.advance(cost);
-                        dst.admit(vm, profile, cseed)
-                    };
+                    dst_host.advance(cost);
+                    let hinted = dst_host.admit(vm, profile, cseed);
                     placement.insert(vm, (min_h, func));
                     reg.inc(ids.migrations);
                     reg.add(ids.migrated_pages, pages as u64);
@@ -461,14 +454,14 @@ impl ControlPlane {
             // their driver degrades the work to the software-KSM path,
             // which is exactly the fallback the chaos campaign measures.
             if cfg.rescan_every > 0 && t > 0 && t % cfg.rescan_every == 0 {
-                for (h, host) in hosts.iter().enumerate() {
+                for (h, host) in hosts.iter_mut().enumerate() {
                     if chaos
                         .as_ref()
                         .is_some_and(|ch| ch.down(h, t) || ch.gray(h, t))
                     {
                         continue;
                     }
-                    let pages = lock_host(host).hint_count();
+                    let pages = host.hint_count();
                     offer_scan(
                         h,
                         host,
@@ -484,26 +477,24 @@ impl ControlPlane {
                 }
             }
 
-            // Phase 6: step every host — churn, then queue draining.
-            // Per-host state only, so the fan-out is shard-invariant.
-            // Down hosts are dark (no churn, no scanning); gray hosts
-            // run on a divided budget.
+            // Phase 6: step every host in host-id order — churn, then
+            // queue draining. Down hosts are dark (no churn, no
+            // scanning); gray hosts run on a divided budget.
             let churn_tick = cfg.churn_every > 0 && t > 0 && t % cfg.churn_every == 0;
-            let reports = ordered_map(shards, hosts.len(), |h| {
-                let Some(host) = hosts.get(h) else {
-                    return HostTickReport::default();
-                };
-                if let Some(ch) = chaos.as_ref() {
-                    if ch.down(h, t) {
+            let reports: Vec<HostTickReport> = hosts
+                .iter_mut()
+                .enumerate()
+                .map(|(h, host)| {
+                    if chaos.as_ref().is_some_and(|ch| ch.down(h, t)) {
                         return HostTickReport::default();
                     }
-                }
-                let budget = chaos.as_ref().map_or(cfg.scan_pages_per_tick, |ch| {
-                    ch.scan_budget(h, t, cfg.scan_pages_per_tick)
-                });
-                let churn_seed = churn_tick.then(|| mix64(churn_base, h as u64, t));
-                lock_host(host).step(budget, churn_seed)
-            });
+                    let budget = chaos.as_ref().map_or(cfg.scan_pages_per_tick, |ch| {
+                        ch.scan_budget(h, t, cfg.scan_pages_per_tick)
+                    });
+                    let churn_seed = churn_tick.then(|| mix64(churn_base, h as u64, t));
+                    host.step(budget, churn_seed)
+                })
+                .collect();
 
             // Phase 7: sequential sampling.
             let mut resident = 0u64;
@@ -515,7 +506,6 @@ impl ControlPlane {
                 totals.scanned += r.scanned;
                 totals.merged += r.merged;
                 totals.churn += r.churn_events;
-                let host = lock_host(host);
                 let depth = host.queue_depth() as u64;
                 reg.observe(ids.q_depth, depth as f64);
                 totals.depth_sum += depth;
@@ -545,7 +535,6 @@ impl ControlPlane {
         let mut agg = Registry::new();
         agg.absorb(&reg);
         for host in &hosts {
-            let host = lock_host(host);
             agg.absorb(&host.export_metrics());
             let s = host.engine().stats();
             degraded.degraded_candidates += s.degraded_candidates;
@@ -593,13 +582,6 @@ impl ControlPlane {
     }
 }
 
-/// Locks a host, recovering a poisoned lock instead of propagating the
-/// panic (the host's state is a pure function of prior phases; the
-/// poison flag carries no extra information here).
-fn lock_host(m: &Mutex<Host>) -> std::sync::MutexGuard<'_, Host> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Exponential lease backoff: retry `attempt` waits
 /// `lease_ticks << min(attempt, max_lease_backoff_shift)` ticks (at
 /// least one; saturating at `u64::MAX` for pathological shifts).
@@ -621,16 +603,13 @@ fn mix64(base: u64, a: u64, b: u64) -> u64 {
 
 /// Eligible host with the fewest residents; ties go to the lowest host
 /// id. `None` when no host is eligible.
-fn least_loaded_of(
-    hosts: &[Mutex<Host>],
-    eligible: impl Fn(usize) -> bool,
-) -> Option<(usize, usize)> {
+fn least_loaded_of(hosts: &[Host], eligible: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize)> = None;
     for (h, host) in hosts.iter().enumerate() {
         if !eligible(h) {
             continue;
         }
-        let n = lock_host(host).resident_count();
+        let n = host.resident_count();
         if best.is_none_or(|(_, bn)| n < bn) {
             best = Some((h, n));
         }
@@ -640,16 +619,13 @@ fn least_loaded_of(
 
 /// Eligible host with the most residents; ties go to the lowest host
 /// id. `None` when no host is eligible.
-fn most_loaded_of(
-    hosts: &[Mutex<Host>],
-    eligible: impl Fn(usize) -> bool,
-) -> Option<(usize, usize)> {
+fn most_loaded_of(hosts: &[Host], eligible: impl Fn(usize) -> bool) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize)> = None;
     for (h, host) in hosts.iter().enumerate() {
         if !eligible(h) {
             continue;
         }
-        let n = lock_host(host).resident_count();
+        let n = host.resident_count();
         if best.is_none_or(|(_, bn)| n > bn) {
             best = Some((h, n));
         }
@@ -664,7 +640,7 @@ fn chaos_heartbeat(
     ch: &mut ChaosState,
     t: u64,
     cycle: u64,
-    hosts: &[Mutex<Host>],
+    hosts: &mut [Host],
     reg: &mut Registry,
     ids: &Ids,
 ) {
@@ -675,15 +651,13 @@ fn chaos_heartbeat(
                 // A crash must leave at least one other host up (the
                 // evacuation destination); inadmissible crashes are
                 // counted and skipped, never partially applied.
-                let Some(host) = (ch.crash_admissible(h, t)).then(|| hosts.get(h)).flatten() else {
+                let Some(host) = hosts.get_mut(h).filter(|_| ch.crash_admissible(h, t)) else {
                     ch.tally.crashes_skipped += 1;
                     reg.inc(ids.health_crashes_skipped);
                     continue;
                 };
-                let (dropped, vms) = {
-                    let mut host = lock_host(host);
-                    (host.crash(), host.resident_vms())
-                };
+                let dropped = host.crash();
+                let vms = host.resident_vms();
                 ch.record_crash(h, t, down_ticks, &vms);
                 ch.tally.crashes += 1;
                 ch.tally.dropped_jobs += dropped as u64;
@@ -704,10 +678,10 @@ fn chaos_heartbeat(
     }
     // Engine-wedge transitions: toggle each host's injector only on
     // window edges (the flag, not the window, is what the driver sees).
-    for (h, host) in hosts.iter().enumerate() {
+    for (h, host) in hosts.iter_mut().enumerate() {
         let want = ch.wedged(h, t);
         if ch.wedge_transition(h, want) {
-            lock_host(host).set_wedged(want);
+            host.set_wedged(want);
         }
     }
     // Health check over every host.
@@ -755,7 +729,7 @@ fn chaos_evacuate(
     ch: &mut ChaosState,
     t: u64,
     cycle: u64,
-    hosts: &[Mutex<Host>],
+    hosts: &mut [Host],
     cfg: &FleetConfig,
     profiles: &[AppProfile],
     content_seeds: &[u64],
@@ -785,22 +759,18 @@ fn chaos_evacuate(
             ch.repark_evac(crash_tick, vm);
             break;
         };
-        let (Some(src_host), Some(dst_host), Some(profile), Some(&cseed)) = (
-            hosts.get(src),
-            hosts.get(dst),
+        let (Ok([src_host, dst_host]), Some(profile), Some(&cseed)) = (
+            hosts.get_disjoint_mut([src, dst]),
             profiles.get(func),
             content_seeds.get(func),
         ) else {
             ch.repark_evac(crash_tick, vm);
             break;
         };
-        let pages = lock_host(src_host).depart(vm);
+        let pages = src_host.depart(vm);
         let cost = pages as u64 * cfg.migrate_cycles_per_page;
-        let hinted = {
-            let mut d = lock_host(dst_host);
-            d.advance(cost);
-            d.admit(vm, profile, cseed)
-        };
+        dst_host.advance(cost);
+        let hinted = dst_host.admit(vm, profile, cseed);
         placement.insert(vm, (dst, func));
         ch.evac_done(src);
         let waited = t.saturating_sub(crash_tick);
@@ -828,15 +798,11 @@ fn chaos_evacuate(
 /// exactly its placed host, and every resident VM must be placed.
 /// Violations are counted, not panicked on — the campaign asserts the
 /// counts are zero.
-fn chaos_audit(
-    ch: &mut ChaosState,
-    hosts: &[Mutex<Host>],
-    placement: &BTreeMap<u32, (usize, usize)>,
-) {
+fn chaos_audit(ch: &mut ChaosState, hosts: &[Host], placement: &BTreeMap<u32, (usize, usize)>) {
     ch.tally.placement_audits += 1;
     let mut seen: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (h, host) in hosts.iter().enumerate() {
-        for vm in lock_host(host).resident_vms() {
+        for vm in host.resident_vms() {
             seen.entry(vm).or_default().push(h);
         }
     }
@@ -857,7 +823,7 @@ fn chaos_audit(
 #[allow(clippy::too_many_arguments)]
 fn offer_scan(
     host_idx: usize,
-    host: &Mutex<Host>,
+    host: &mut Host,
     pages: usize,
     tick: u64,
     cfg: &FleetConfig,
@@ -870,7 +836,7 @@ fn offer_scan(
     if pages == 0 {
         return;
     }
-    if lock_host(host).try_enqueue(ScanJob { pages }) {
+    if host.try_enqueue(ScanJob { pages }) {
         reg.inc(ids.q_enqueued);
         totals.enqueued += 1;
         return;
@@ -923,22 +889,8 @@ mod tests {
     }
 
     #[test]
-    fn run_is_shard_invariant_to_the_byte() {
-        let bytes = |shards| {
-            let (r, s) = ControlPlane::new(tiny(5)).run(shards);
-            (
-                r.to_json().to_string_compact(),
-                s.to_json().to_string_compact(),
-            )
-        };
-        let one = bytes(1);
-        assert_eq!(one, bytes(2), "shards 1 vs 2");
-        assert_eq!(one, bytes(4), "shards 1 vs 4");
-    }
-
-    #[test]
     fn churn_and_merging_actually_happen() {
-        let (r, snap) = ControlPlane::new(tiny(9)).run(2);
+        let (r, snap) = ControlPlane::new(tiny(9)).run();
         assert!(r.arrivals > 20, "arrivals: {}", r.arrivals);
         assert!(r.departures > 0);
         assert!(r.merged_pages > 0, "shared runtime images must merge");
@@ -962,7 +914,7 @@ mod tests {
         cfg.queue_capacity = 1;
         cfg.scan_pages_per_tick = 4;
         cfg.density = 4.0;
-        let (r, _) = ControlPlane::new(cfg).run(2);
+        let (r, _) = ControlPlane::new(cfg).run();
         assert!(r.queue_rejected > 0, "queue must reject under starvation");
         assert!(r.lease_retries > 0, "leases must retry");
         assert!(r.queue_depth_max >= 1);
@@ -973,7 +925,7 @@ mod tests {
         let mut cfg = tiny(11);
         cfg.migration_threshold = 0;
         cfg.rebalance_every = 4;
-        let (r, _) = ControlPlane::new(cfg).run(1);
+        let (r, _) = ControlPlane::new(cfg).run();
         assert!(r.migrations > 0, "rebalancer must migrate");
         assert!(r.migrated_pages > 0);
         assert!(r.migration_cycles > 0);
@@ -982,13 +934,13 @@ mod tests {
     #[test]
     fn user_hints_shrink_the_scan_load() {
         let all = {
-            let (r, _) = ControlPlane::new(tiny(13)).run(2);
+            let (r, _) = ControlPlane::new(tiny(13)).run();
             r
         };
         let hinted = {
             let mut cfg = tiny(13);
             cfg.user_hints = true;
-            let (r, _) = ControlPlane::new(cfg).run(2);
+            let (r, _) = ControlPlane::new(cfg).run();
             r
         };
         assert_eq!(all.arrivals, hinted.arrivals, "same arrival stream");
@@ -1004,15 +956,15 @@ mod tests {
     fn fault_plans_work_per_host_and_stay_deterministic() {
         let mut cfg = tiny(7);
         cfg.faults = Some(FaultPlan::generate(7, 50_000_000, 200, 4, 50_000));
-        let run = |shards| {
-            let (r, s) = ControlPlane::new(cfg.clone()).run(shards);
+        let run = || {
+            let (r, s) = ControlPlane::new(cfg.clone()).run();
             (
                 r.to_json().to_string_compact(),
                 s.to_json().to_string_compact(),
             )
         };
-        let one = run(1);
-        assert_eq!(one, run(4), "faulted fleet, shards 1 vs 4");
+        let one = run();
+        assert_eq!(one, run(), "faulted fleet, run twice");
         assert!(
             one.1.contains("faults."),
             "per-host injectors must export faults.* metrics"
@@ -1020,19 +972,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_runs_are_shard_invariant_and_lose_nothing() {
-        let cfg = tiny_chaos(17);
-        let run = |shards| {
-            let (r, s) = ControlPlane::new(cfg.clone()).run(shards);
-            (
-                r.to_json().to_string_compact(),
-                s.to_json().to_string_compact(),
-            )
-        };
-        let one = run(1);
-        assert_eq!(one, run(2), "chaos fleet, shards 1 vs 2");
-        assert_eq!(one, run(4), "chaos fleet, shards 1 vs 4");
-        let (r, _) = ControlPlane::new(cfg).run(2);
+    fn chaos_runs_lose_nothing() {
+        let (r, _) = ControlPlane::new(tiny_chaos(17)).run();
         let c = r.chaos.expect("plan installed: chaos section present");
         assert_eq!(c.vms_lost, 0, "zero-loss: no VM lost");
         assert_eq!(c.vms_double_placed, 0, "zero-loss: no double placement");
@@ -1062,7 +1003,7 @@ mod tests {
                 kind: FleetFaultKind::Crash { down_ticks: 8 },
             }],
         });
-        let (r, snap) = ControlPlane::new(cfg).run(2);
+        let (r, snap) = ControlPlane::new(cfg).run();
         let c = r.chaos.expect("chaos section present");
         assert_eq!(c.crashes, 1);
         assert!(c.evacuated_vms > 0, "residents must evacuate");
@@ -1097,7 +1038,7 @@ mod tests {
                 })
                 .collect(),
         });
-        let (r, _) = ControlPlane::new(cfg).run(2);
+        let (r, _) = ControlPlane::new(cfg).run();
         let c = r.chaos.expect("chaos section present");
         assert!(c.migration_rollbacks > 0, "armed failures must fire");
         assert_eq!(c.vms_lost, 0);
@@ -1113,10 +1054,10 @@ mod tests {
         // The bench suite collapses empty plans to `None`; the plane
         // itself treats an installed empty plan as "chaos on, nothing
         // scheduled": same traffic, all-zero tally.
-        let base = ControlPlane::new(tiny(5)).run(2).0;
+        let base = ControlPlane::new(tiny(5)).run().0;
         let mut cfg = tiny(5);
         cfg.fleet_faults = Some(FleetFaultPlan::empty());
-        let with_plan = ControlPlane::new(cfg).run(2).0;
+        let with_plan = ControlPlane::new(cfg).run().0;
         let c = with_plan.chaos.expect("chaos section present");
         assert_eq!(c.crashes, 0);
         assert_eq!(c.quarantines, 0);

@@ -7,7 +7,6 @@
 
 use pageforge_faults::{FleetFaultEvent, FleetFaultKind, FleetFaultPlan};
 use pageforge_fleet::{lease_backoff, ControlPlane, FleetConfig};
-use pageforge_types::json::ToJson;
 
 #[test]
 fn lease_backoff_is_monotone_and_caps_at_the_shift_limit() {
@@ -44,8 +43,7 @@ fn pathological_shifts_saturate_instead_of_overflowing() {
 
 /// A starved fleet with a mid-run wedge window: leases that come due
 /// while their host is quarantined re-park with the next backoff step,
-/// then drain in `(retry_tick, grant_seq)` order after recovery —
-/// byte-identically at any shard count.
+/// then drain in `(retry_tick, grant_seq)` order after recovery.
 #[test]
 fn quarantined_leases_repark_and_drain_deterministically() {
     let mut cfg = FleetConfig::smoke(31);
@@ -70,17 +68,7 @@ fn quarantined_leases_repark_and_drain_deterministically() {
             .collect(),
     });
 
-    let run = |shards| {
-        let (r, s) = ControlPlane::new(cfg.clone()).run(shards);
-        (
-            r.to_json().to_string_compact(),
-            s.to_json().to_string_compact(),
-        )
-    };
-    let two = run(2);
-    assert_eq!(two, run(4), "jobs/shards must not change bytes");
-
-    let (r, snap) = ControlPlane::new(cfg).run(2);
+    let (r, snap) = ControlPlane::new(cfg).run();
     let chaos = r.chaos.expect("plan installed");
     assert!(
         chaos.leases_reparked > 0,
@@ -124,7 +112,7 @@ fn a_wedged_fleet_degrades_to_software_ksm_and_still_merges() {
             })
             .collect(),
     });
-    let (r, _) = ControlPlane::new(cfg).run(2);
+    let (r, _) = ControlPlane::new(cfg).run();
     let degraded = r.degraded.expect("wedged engines must degrade");
     assert!(degraded.degraded_candidates > 0, "software path exercised");
     assert!(degraded.stall_retries > 0, "the retry budget was consumed");

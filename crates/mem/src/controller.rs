@@ -444,11 +444,6 @@ pub struct MemoryController {
     ids: McMetricIds,
     meter: BandwidthMeter,
     ecc: EccEngine,
-    /// Execution domain this controller belongs to in a sharded run
-    /// (see `pageforge_sim::shard::DomainPlan`). Purely structural: set
-    /// once at system build, never consulted by the timing model, so it
-    /// can never affect results.
-    domain: usize,
 }
 
 impl MemoryController {
@@ -464,18 +459,7 @@ impl MemoryController {
             meter: BandwidthMeter::new(cfg.meter_window),
             cfg,
             ecc: EccEngine::default(),
-            domain: 0,
         }
-    }
-
-    /// The execution domain owning this controller.
-    pub fn domain(&self) -> usize {
-        self.domain
-    }
-
-    /// Tags the controller with its owning execution domain.
-    pub fn set_domain(&mut self, domain: usize) {
-        self.domain = domain;
     }
 
     /// The configuration.

@@ -70,37 +70,9 @@ impl MemorySystem {
         (addr.0 % self.cfg.controllers as u64) as usize
     }
 
-    /// The controller index hosting the PageForge module (Figure 5 places
-    /// it in one controller; we use controller 0).
-    pub const PAGEFORGE_HOME: usize = 0;
-
-    /// Number of controllers (the natural shard-domain count of the
-    /// Figure 5 layout).
+    /// Number of controllers.
     pub fn controllers(&self) -> usize {
         self.cfg.controllers
-    }
-
-    /// Tags each controller with its owning execution domain
-    /// (`domains[i]` for controller `i`). Structural metadata for the
-    /// sharded simulator; never consulted by the timing model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domains.len()` differs from the controller count.
-    pub fn assign_domains(&mut self, domains: &[usize]) {
-        assert_eq!(
-            domains.len(),
-            self.mcs.len(),
-            "one domain tag per controller"
-        );
-        for (mc, &d) in self.mcs.iter_mut().zip(domains) {
-            mc.set_domain(d);
-        }
-    }
-
-    /// The execution domain owning the controller that services `addr`.
-    pub fn domain_of(&self, addr: LineAddr) -> usize {
-        self.mcs[self.route(addr)].domain()
     }
 
     /// Reads one line through the owning controller.
@@ -240,12 +212,6 @@ mod tests {
         assert_eq!(sys.window_bytes(0), 128);
         assert!(sys.window_count() >= 1);
         assert!(sys.window_gbps(0, 2e9) > 0.0);
-    }
-
-    #[test]
-    fn pageforge_home_is_a_valid_controller() {
-        let sys = MemorySystem::new(MemorySystemConfig::micro50());
-        let _ = sys.controller(MemorySystem::PAGEFORGE_HOME);
     }
 
     #[test]

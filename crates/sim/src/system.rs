@@ -28,7 +28,6 @@ use pageforge_faults::FaultInjector;
 use crate::config::{DedupMode, SimConfig};
 use crate::fabric::SimFabric;
 use crate::result::{DedupSummary, DegradedSummary, SimResult};
-use crate::shard::{ordered_map, DomainPlan, ShardMetrics};
 
 /// Maximum cycles a dispatcher slice may run before yielding.
 pub const SLICE_CYCLES: Cycle = 100_000;
@@ -141,10 +140,6 @@ pub struct System {
     /// Pending events, popped in the canonical global `(cycle, seq)`
     /// total order.
     events: BinaryHeap<Reverse<(Cycle, u64, Event)>>,
-    /// Static domain assignment (cores / modules / controllers).
-    plan: DomainPlan,
-    /// Cross-domain traffic counts (`sim.shard.*` metrics).
-    shard_metrics: ShardMetrics,
     seq: u64,
     clock: Cycle,
     next_victim: usize,
@@ -160,27 +155,9 @@ pub struct System {
 
 impl System {
     /// Builds the system: generates the VM images, optionally pre-merges to
-    /// steady state, and arms the initial events. Single-threaded
-    /// construction — equivalent to [`with_shards`](Self::with_shards)
-    /// with one thread.
+    /// steady state, and arms the initial events.
     pub fn new(cfg: SimConfig) -> Self {
-        Self::with_shards(cfg, 1)
-    }
-
-    /// Builds the system with up to `threads` worker threads for the
-    /// order-independent construction phases (per-VM image content
-    /// synthesis). The thread count never affects any output byte:
-    /// contents are a pure function of `(profile, vm, seed)`, computed
-    /// via [`ordered_map`], and mapped into host memory sequentially in
-    /// VM order so frame numbers come out identically.
-    pub fn with_shards(cfg: SimConfig, threads: usize) -> Self {
-        let modules = match &cfg.dedup {
-            DedupMode::PageForge(_) => cfg.pf_modules.max(1),
-            _ => 1,
-        };
-        let plan = DomainPlan::new(cfg.cores, cfg.mem.controllers, modules);
-
-        let (mem, images, mut dedup) = Self::premerged_state(&cfg, threads);
+        let (mem, images, mut dedup) = Self::premerged_state(&cfg);
 
         // Fault injection starts only after premerge: the plan's cycle
         // schedule is relative to the timed run, and premerge is a
@@ -203,25 +180,17 @@ impl System {
             })
             .collect();
 
-        let mut mems = MemorySystem::new(cfg.mem);
-        let controller_domains: Vec<usize> = (0..cfg.mem.controllers)
-            .map(|c| plan.controller(c))
-            .collect();
-        mems.assign_domains(&controller_domains);
-
         let regions = (0..cfg.cores)
             .map(|c| TouchRegions::for_profile(cfg.profile_for(c)))
             .collect();
 
         let mut system = System {
             caches: SystemCaches::new(cfg.hierarchy),
-            mems,
+            mems: MemorySystem::new(cfg.mem),
             cores,
             dedup,
             churn_rng: SmallRng::seed_from_u64(cfg.seed ^ 0xCAFE),
             events: BinaryHeap::new(),
-            shard_metrics: ShardMetrics::default(),
-            plan,
             seq: 0,
             clock: 0,
             next_victim: 0,
@@ -241,34 +210,17 @@ impl System {
     }
 
     /// The post-premerge content state `(host memory, images, dedup
-    /// engines)` — a pure function of the config (the `threads` fan-out
-    /// never changes a byte, see [`ordered_map`]).
-    fn premerged_state(
-        cfg: &SimConfig,
-        threads: usize,
-    ) -> (HostMemory, Vec<MemoryImage>, DedupState) {
+    /// engines)`, a pure function of the config.
+    fn premerged_state(cfg: &SimConfig) -> (HostMemory, Vec<MemoryImage>, DedupState) {
         let mut mem = HostMemory::new();
         // One image per VM, each from its own profile (heterogeneous mixes
-        // share the full-span library groups via the common seed).
-        // Synthesis fans out across shard workers; mapping stays
-        // sequential in VM order (frame assignment order is part of the
-        // byte-identity contract).
-        let contents = ordered_map(threads, cfg.cores, |c| {
-            cfg.profile_for(c)
-                .generate_vm_page_contents(VmId(c as u32), cfg.seed)
-        });
-        let images: Vec<MemoryImage> = contents
-            .into_iter()
-            .enumerate()
-            .map(|(c, vm_contents)| {
-                let profile = cfg.profile_for(c);
-                let mut pages = Vec::with_capacity(vm_contents.len());
-                profile.map_vm_page_contents(&mut mem, VmId(c as u32), vm_contents, &mut pages);
-                MemoryImage {
-                    app: profile.name.clone(),
-                    n_vms: 1,
-                    pages,
-                }
+        // share the full-span library groups via the common seed), mapped
+        // in VM order: frame assignment order is part of the byte-identity
+        // contract.
+        let images: Vec<MemoryImage> = (0..cfg.cores)
+            .map(|c| {
+                cfg.profile_for(c)
+                    .generate_image_for_vm(&mut mem, VmId(c as u32), cfg.seed)
             })
             .collect();
         let hints: Vec<_> = images.iter().flat_map(|i| i.mergeable_hints()).collect();
@@ -346,16 +298,6 @@ impl System {
         self.events.push(Reverse((at, self.seq, event)));
     }
 
-    /// Counts one DRAM line sent by `domain` as local or cross-domain
-    /// traffic, depending on which domain's controller services it.
-    fn count_line(&mut self, domain: usize, addr: pageforge_types::LineAddr) {
-        if self.mems.domain_of(addr) == domain {
-            self.shard_metrics.local_lines += 1;
-        } else {
-            self.shard_metrics.xdomain_lines += 1;
-        }
-    }
-
     /// Runs the simulation to completion and collects the result.
     pub fn run(self) -> SimResult {
         self.run_observed().0
@@ -423,21 +365,11 @@ impl System {
         reg.add(merged, self.merged_during_run);
         let clock = reg.gauge("sim.clock");
         reg.set(clock, self.clock as f64);
-        // Sharding metrics: all deterministic functions of the config and
-        // the event stream, identical at every `--shards` level (the
-        // thread count is deliberately never exported).
-        let domains = reg.gauge("sim.shard.domains");
-        reg.set(domains, self.plan.domains() as f64);
         // Whole millions of simulated cycles, the clock's coarse progress
-        // (`perfbench` reports it as `sim.epochs`).
+        // (`perfbench` reports it as `sim.epochs`). The name outlives the
+        // sharded executor because perfbench reads it.
         let epochs = reg.counter("sim.shard.epochs");
         reg.add(epochs, self.clock / 1_000_000);
-        let xdomain = reg.counter("sim.shard.xdomain_lines");
-        reg.add(xdomain, self.shard_metrics.xdomain_lines);
-        let local = reg.counter("sim.shard.local_lines");
-        reg.add(local, self.shard_metrics.local_lines);
-        let handoffs = reg.counter("sim.shard.table_handoffs");
-        reg.add(handoffs, self.shard_metrics.table_handoffs);
         reg
     }
 
@@ -551,7 +483,6 @@ impl System {
             let addr = ppn.line_addr(touch.line);
             let acc = self.caches.access(core, addr, write);
             let stall = if acc.level == HitLevel::Memory {
-                self.count_line(self.plan.core(core), addr);
                 let grant = self.mems.read_line(addr, t, MemSource::Demand);
                 acc.latency + (grant.ready_at - t)
             } else {
@@ -612,14 +543,12 @@ impl System {
                     // full memory latency on every line, and less MLP
                     // (uncached reads occupy MSHRs without the cache's
                     // overlap machinery): charge the stall unshrunk.
-                    self.count_line(self.plan.core(core), addr);
                     let grant = self.mems.read_line(addr, t, MemSource::Demand);
                     t += grant.ready_at - t;
                     continue;
                 } else {
                     let acc = self.caches.access(core, addr, false);
                     if acc.level == HitLevel::Memory {
-                        self.count_line(self.plan.core(core), addr);
                         let grant = self.mems.read_line(addr, t, MemSource::Demand);
                         acc.latency + (grant.ready_at - t)
                     } else {
@@ -664,16 +593,8 @@ impl System {
             }
             DedupState::PageForge(pfs) => {
                 let pf = &mut pfs[module];
-                let domain = self.plan.module(module);
-                let refills_before = pf.stats().refills;
-                let mut fabric = SimFabric::new(
-                    &mut self.caches,
-                    &mut self.mems,
-                    &mut self.shard_metrics,
-                    domain,
-                );
+                let mut fabric = SimFabric::new(&mut self.caches, &mut self.mems);
                 let report = pf.scan_interval(&mut self.mem, &mut fabric, t);
-                self.shard_metrics.table_handoffs += pf.stats().refills - refills_before;
                 self.merged_during_run += report.merged;
                 // The tiny OS-side work lands on a round-robin core.
                 let core = self.next_victim;
@@ -1015,45 +936,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_thread_count_never_changes_output() {
-        use pageforge_types::json::ToJson;
-        let cell = |threads| {
-            let cfg = SimConfig::quick(
-                "silo",
-                DedupMode::PageForge(SimConfig::scaled_pageforge()),
-                11,
-            );
-            let (r, snap) = System::with_shards(cfg, threads).run_observed();
-            (
-                r.to_json().to_string_compact(),
-                snap.to_json().to_string_compact(),
-            )
-        };
-        let one = cell(1);
-        assert_eq!(one, cell(2), "2 threads must be byte-identical");
-        assert_eq!(one, cell(4), "4 threads must be byte-identical");
-    }
-
-    #[test]
     fn shard_metrics_are_exported_and_consistent() {
         let cfg = SimConfig::quick(
             "silo",
             DedupMode::PageForge(SimConfig::scaled_pageforge()),
             11,
         );
-        let (_, snap) = System::with_shards(cfg, 2).run_observed();
-        // Figure 5: two controllers, one module -> 2 domains.
-        assert_eq!(snap.gauge("sim.shard.domains"), Some(2.0));
+        let (_, snap) = System::new(cfg).run_observed();
         // Whole millions of cycles on the final clock.
         let clock = snap.gauge("sim.clock").unwrap() as u64;
         assert_eq!(snap.counter("sim.shard.epochs"), Some(clock / 1_000_000));
-        // Line-interleaved controllers: a 2-domain run sees both local
-        // and cross-domain lines, and Scan Table slices reach the engine.
-        // Pinned, so a change to how they are counted shows here.
         assert_eq!(snap.counter("sim.shard.epochs"), Some(22));
-        assert_eq!(snap.counter("sim.shard.xdomain_lines"), Some(102_688));
-        assert_eq!(snap.counter("sim.shard.local_lines"), Some(107_178));
-        assert_eq!(snap.counter("sim.shard.table_handoffs"), Some(1_397));
     }
 
     #[test]

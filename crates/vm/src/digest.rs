@@ -15,7 +15,8 @@
 //! *unconditionally*, exactly as if the digest had been recomputed — a
 //! hit skips the host arithmetic, never the simulated cost — so results
 //! are byte-identical with the cache on or off (asserted by the
-//! `digest_cache_off_*` tests in `crates/bench/tests/shard_determinism.rs`).
+//! `digest_cache_off_*` tests in
+//! `crates/bench/tests/fault_and_cache_determinism.rs`).
 
 use pageforge_types::Ppn;
 

@@ -209,9 +209,8 @@ impl AppProfile {
     /// function of `(profile, vm, seed)`, touching no shared state.
     ///
     /// [`generate_vm_pages`](Self::generate_image_for_vm) is exactly
-    /// "synthesize, then map sequentially", so the sharded simulator can
-    /// fan this call out across worker threads (one VM per task) and
-    /// replay the mapping in VM order with byte-identical frame
+    /// "synthesize, then [map](Self::map_vm_page_contents)"; the split
+    /// lets a caller time the two steps apart with byte-identical frame
     /// assignment and content.
     pub fn generate_vm_page_contents(
         &self,
@@ -277,9 +276,7 @@ impl AppProfile {
     }
 
     /// Maps pre-synthesized page contents into `mem` in order, recording
-    /// the layout. Split from the synthesis step so content generation
-    /// can run on shard workers while frame allocation stays sequential
-    /// (frame numbers are handed out in mapping order).
+    /// the layout (frame numbers are handed out in mapping order).
     pub fn map_vm_page_contents(
         &self,
         mem: &mut HostMemory,

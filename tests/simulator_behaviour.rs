@@ -4,7 +4,7 @@
 
 use pageforge::cache::HitLevel;
 use pageforge::mem::{McConfig, MemSource, MemoryController, MemorySystem, MemorySystemConfig};
-use pageforge::sim::{DedupMode, ShardMetrics, SimConfig, SimFabric, System};
+use pageforge::sim::{DedupMode, SimConfig, SimFabric, System};
 use pageforge::types::LineAddr;
 
 use pageforge::cache::{HierarchyConfig, SystemCaches};
@@ -18,8 +18,7 @@ fn pageforge_traffic_is_tagged_and_cache_aware() {
     let mut caches = SystemCaches::new(HierarchyConfig::micro50(2));
     let mut mem = MemorySystem::new(MemorySystemConfig::micro50());
     caches.access(0, LineAddr(64), false); // core 0 caches line 64
-    let mut shard = ShardMetrics::default();
-    let mut fabric = SimFabric::new(&mut caches, &mut mem, &mut shard, 0);
+    let mut fabric = SimFabric::new(&mut caches, &mut mem);
     let hit = fabric.read_line(LineAddr(64), 100);
     assert!(hit.on_chip);
     let miss = fabric.read_line(LineAddr(9999), 100);
