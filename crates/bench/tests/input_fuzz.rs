@@ -1,7 +1,8 @@
 //! Seeded input fuzzing of every parser a user's flags or files reach:
 //! `run_all`'s argument parser, the JSON reader behind results,
 //! snapshots, timing records and plans, fault-plan and fleet-fault-plan
-//! decoding, and the wall-time budget parser.
+//! decoding, and the wall-time budget parser. Decoded plans are then
+//! fuzzed through a run: a plan the decoder accepts must simulate.
 //!
 //! Driven by the vendored deterministic RNG with fixed seeds, so a
 //! failure replays by re-running the test. Every call must return `Ok`
@@ -14,9 +15,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pageforge_bench::args::{ArgsError, BenchArgs};
+use pageforge_bench::experiments::{self, Scale};
 use pageforge_bench::timing_gate::parse_budget;
-use pageforge_faults::{FaultPlan, FleetFaultPlan};
-use pageforge_types::json::{self, ToJson, Value};
+use pageforge_faults::{
+    FaultEvent, FaultKind, FaultPlan, FleetFaultEvent, FleetFaultKind, FleetFaultPlan, StallWindow,
+};
+use pageforge_fleet::{ControlPlane, FleetConfig};
+use pageforge_sim::{DedupMode, SimConfig, System};
+use pageforge_types::json::{self, FromJson, ToJson, Value};
+use pageforge_types::Cycle;
 
 /// Cases per target.
 const CASES: usize = 3_000;
@@ -375,4 +382,236 @@ fn budget_parsing_survives_line_mutations() {
             assert!(e.starts_with("perf_budget.toml"), "{e}");
         }
     }
+}
+
+/// Decoded plans run through a simulation per target; each runs twice.
+const PLAN_RUNS: usize = 6;
+
+/// `plan` after a trip through its JSON form: the plan a file holding it
+/// would decode to.
+fn decoded<T: ToJson + FromJson>(plan: &T) -> T {
+    T::from_json(&plan.to_json()).expect("a plan of in-range integers decodes")
+}
+
+/// Kinds of edit [`mutate_fault_plan`] makes.
+const FAULT_PLAN_EDITS: u32 = 6;
+
+/// Edit `edit` to a fault plan, one the decoder accepts but
+/// `FaultPlan::generate` never makes: overlapping, unbounded, empty or
+/// inverted stall windows, events past the horizon or out of order, and
+/// fields beyond their hardware width.
+fn mutate_fault_plan(plan: &mut FaultPlan, edit: u32, rng: &mut SmallRng, horizon: Cycle) {
+    match edit {
+        0 => {
+            let base = match plan.stalls.as_slice() {
+                [] => StallWindow {
+                    from: horizon / 2,
+                    until: horizon / 2 + 10_000,
+                },
+                windows => *pick(rng, windows),
+            };
+            let from = rng.gen_range(base.from..base.until.max(base.from + 1));
+            let until = base.until.saturating_add(rng.gen_range(1..200_000));
+            plan.stalls.push(StallWindow { from, until });
+        }
+        1 => {
+            let from = rng.gen_range(0..2 * horizon);
+            let until = *pick(rng, &[from + 1, 2 * horizon, u64::MAX]);
+            plan.stalls.push(StallWindow { from, until });
+        }
+        2 => {
+            let from = rng.gen_range(1..horizon);
+            let until = from - rng.gen_range(0..from.min(1_000));
+            plan.stalls.push(StallWindow { from, until });
+        }
+        3 => {
+            for event in &mut plan.events {
+                if rng.gen_bool(0.3) {
+                    event.at_cycle = horizon + *pick(rng, &[0, 1, horizon, u64::MAX - horizon]);
+                }
+            }
+        }
+        4 => {
+            plan.events.reverse();
+            if let Some(first) = plan.events.first().cloned() {
+                plan.events.push(first);
+            }
+        }
+        _ => {
+            let kind = match rng.gen_range(0..4u32) {
+                0 => FaultKind::DataFlip {
+                    word: *pick(rng, &[8, 200, 255]),
+                    bits: vec![64, 200, 255],
+                },
+                1 => FaultKind::CheckFlip {
+                    word: rng.gen(),
+                    bits: vec![8, 255],
+                },
+                2 => FaultKind::AliasedTriple { word: 8 },
+                _ => FaultKind::TableCorrupt {
+                    entry: *pick(rng, &[31, 200, 254, 255]),
+                    ppn_xor: rng.gen(),
+                    less_xor: rng.gen(),
+                    more_xor: rng.gen(),
+                },
+            };
+            let at_cycle = rng.gen_range(0..horizon);
+            plan.events.push(FaultEvent { at_cycle, kind });
+        }
+    }
+}
+
+#[test]
+fn decoded_fault_plans_run_without_panics_and_rerun_identically() {
+    let mode = || DedupMode::PageForge(SimConfig::scaled_pageforge());
+    let cell = |plan: Option<&FaultPlan>| {
+        experiments::latency_config("silo", mode(), 5, Scale::Smoke, plan)
+    };
+    let horizon = cell(None).horizon();
+    let mut rng = SmallRng::seed_from_u64(0x0DEC_0DED);
+    for case in 0..PLAN_RUNS {
+        // Every kind of edit once, then random extra ones.
+        let mut plan = FaultPlan::generate(case as u64, horizon, 24, 2, 20_000);
+        mutate_fault_plan(&mut plan, case as u32 % FAULT_PLAN_EDITS, &mut rng, horizon);
+        for _ in 0..rng.gen_range(0..3u32) {
+            let edit = rng.gen_range(0..FAULT_PLAN_EDITS);
+            mutate_fault_plan(&mut plan, edit, &mut rng, horizon);
+        }
+        let plan = decoded(&plan);
+        let run = || {
+            let (result, snapshot) = System::new(cell(Some(&plan))).run_observed();
+            (
+                result.to_json().to_string_compact(),
+                snapshot.to_json().to_string_compact(),
+            )
+        };
+        let first = must_not_panic("faulted smoke cell", case, &plan, run);
+        let again = must_not_panic("faulted smoke cell rerun", case, &plan, run);
+        assert!(
+            first == again,
+            "case {case}: a rerun differs under {plan:?}"
+        );
+    }
+}
+
+/// Kinds of edit [`mutate_fleet_plan`] makes.
+const FLEET_PLAN_EDITS: u32 = 5;
+
+/// Edit `edit` to a fleet fault plan, one the decoder accepts but
+/// `FleetFaultPlan::generate` never makes: events naming hosts past the
+/// fleet, windows of zero or unbounded length, a gray factor below 2,
+/// events past the horizon, and events out of order.
+fn mutate_fleet_plan(
+    plan: &mut FleetFaultPlan,
+    edit: u32,
+    rng: &mut SmallRng,
+    hosts: u32,
+    ticks: u64,
+) {
+    match edit {
+        0 => {
+            let other = match rng.gen_range(0..3u32) {
+                0 => FleetFaultKind::GraySlow {
+                    for_ticks: 8,
+                    factor: 3,
+                },
+                1 => FleetFaultKind::Wedge { for_ticks: 8 },
+                _ => FleetFaultKind::MigrationFail,
+            };
+            for kind in [FleetFaultKind::Crash { down_ticks: 8 }, other] {
+                plan.events.push(FleetFaultEvent {
+                    at_tick: rng.gen_range(0..ticks),
+                    host: *pick(rng, &[hosts, hosts + 1, u32::MAX]),
+                    kind,
+                });
+            }
+        }
+        1 => {
+            let long = *pick(rng, &[0, 1, ticks, u64::MAX]);
+            let kind = match rng.gen_range(0..3u32) {
+                0 => FleetFaultKind::Crash { down_ticks: long },
+                1 => FleetFaultKind::GraySlow {
+                    for_ticks: long,
+                    factor: *pick(rng, &[0, 1, u32::MAX]),
+                },
+                _ => FleetFaultKind::Wedge { for_ticks: long },
+            };
+            plan.events.push(FleetFaultEvent {
+                at_tick: rng.gen_range(0..ticks),
+                host: rng.gen_range(0..hosts),
+                kind,
+            });
+        }
+        2 => {
+            for event in &mut plan.events {
+                if rng.gen_bool(0.3) {
+                    event.at_tick = *pick(rng, &[ticks, ticks + 1, u64::MAX]);
+                }
+            }
+        }
+        3 => plan.events.reverse(),
+        _ => {
+            if let Some(event) = plan.events.first().cloned() {
+                plan.events.push(event);
+            }
+        }
+    }
+}
+
+#[test]
+fn decoded_fleet_plans_run_without_panics_and_rerun_identically() {
+    let base = FleetConfig::smoke(9);
+    let (hosts, ticks) = (base.hosts as u32, base.ticks);
+    let mut rng = SmallRng::seed_from_u64(0xF1EE_7DEC);
+    let mut skipped_outside = 0;
+    for case in 0..PLAN_RUNS {
+        // Every kind of edit once, then random extra ones.
+        let mut plan = FleetFaultPlan::generate(case as u64, hosts, ticks, 2, 2, 2, 2);
+        mutate_fleet_plan(
+            &mut plan,
+            case as u32 % FLEET_PLAN_EDITS,
+            &mut rng,
+            hosts,
+            ticks,
+        );
+        for _ in 0..rng.gen_range(0..3u32) {
+            let edit = rng.gen_range(0..FLEET_PLAN_EDITS);
+            mutate_fleet_plan(&mut plan, edit, &mut rng, hosts, ticks);
+        }
+        let plan = decoded(&plan);
+        let run = || {
+            let cfg = FleetConfig {
+                fleet_faults: Some(plan.clone()),
+                ..base.clone()
+            };
+            ControlPlane::new(cfg).run().0
+        };
+        let first = must_not_panic("planned smoke fleet", case, &plan, run);
+        let again = must_not_panic("planned smoke fleet rerun", case, &plan, run);
+        assert!(
+            first.to_json() == again.to_json(),
+            "case {case}: a rerun differs under {plan:?}"
+        );
+        // Every crash inside the horizon that names a host past the
+        // fleet is skipped and counted, never applied.
+        let outside = plan
+            .events
+            .iter()
+            .filter(|e| e.at_tick < ticks && e.host >= hosts)
+            .filter(|e| matches!(e.kind, FleetFaultKind::Crash { .. }))
+            .count() as u64;
+        let chaos = first.chaos.expect("a planned run reports its chaos tally");
+        assert!(
+            chaos.crashes_skipped >= outside,
+            "case {case}: {outside} out-of-fleet crashes, {} skipped",
+            chaos.crashes_skipped
+        );
+        skipped_outside += outside;
+        assert_eq!(
+            (chaos.vms_lost, chaos.vms_double_placed, chaos.memory_faults),
+            (0, 0, 0),
+            "case {case}: the zero-loss invariant broke under {plan:?}"
+        );
+    }
+    assert!(skipped_outside > 0, "no crash named a host past the fleet");
 }

@@ -232,6 +232,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
     /// Looks up `addr` in one scan of its set, updating LRU and hit/miss
     /// counters. A miss in a full set records its LRU way, found in the
     /// same pass, for [`insert`](Self::insert).
+    #[inline]
     pub fn lookup(&mut self, addr: LineAddr) -> Lookup {
         let set = self.set_index(addr);
         self.use_counter += 1;
@@ -257,6 +258,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
     }
 
     /// Finds `addr` without touching LRU or counters (snoop path).
+    #[inline]
     pub fn find(&self, addr: LineAddr) -> Option<Slot> {
         let slots = self.set_slots(self.set_index(addr));
         let base = slots.start;
@@ -267,11 +269,13 @@ impl<T: Copy + Default> SetAssocCache<T> {
     }
 
     /// The state of `addr` if resident, without touching LRU or counters.
+    #[inline]
     pub fn peek(&self, addr: LineAddr) -> Option<LineState> {
         self.find(addr).map(|slot| self.ways[slot.0].state)
     }
 
     /// Sets the state of a resident line. No-op if absent.
+    #[inline]
     pub fn set_state(&mut self, addr: LineAddr, state: LineState) {
         if let Some(slot) = self.find(addr) {
             self.set_state_at(slot, state);
@@ -304,6 +308,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
     /// # Panics
     ///
     /// Panics if the set is full but was not full at the lookup.
+    #[inline]
     pub fn insert(
         &mut self,
         miss: Miss,

@@ -402,6 +402,32 @@ impl SystemCaches {
         Ok(())
     }
 
+    /// Audits the lookup chain's conservation law: a level is looked up
+    /// exactly when the level above it missed, so each core's L2 lookups
+    /// equal its L1 misses and the L3's lookups equal the summed L2
+    /// misses. Probes and snoops look nothing up. The law survives
+    /// [`reset_stats`](Self::reset_stats), which clears every level at
+    /// once between accesses.
+    ///
+    /// Returns the first violation found.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let mut l2_misses = 0;
+        for (core, (l1, l2)) in self.l1.iter().zip(&self.l2).enumerate() {
+            let (misses, lookups) = (l1.stats().misses, l2.stats().accesses());
+            if lookups != misses {
+                return Err(format!(
+                    "core {core}: {lookups} L2 lookups != {misses} L1 misses"
+                ));
+            }
+            l2_misses += l2.stats().misses;
+        }
+        let lookups = self.l3.stats().accesses();
+        if lookups != l2_misses {
+            return Err(format!("{lookups} L3 lookups != {l2_misses} L2 misses"));
+        }
+        Ok(())
+    }
+
     /// Clears all statistics (post-warm-up).
     pub fn reset_stats(&mut self) {
         for c in &mut self.l1 {
@@ -577,6 +603,31 @@ mod tests {
         // evicted): accessing line 0 is a full miss.
         let a = s.access(0, LineAddr(0), false);
         assert_eq!(a.level, HitLevel::Memory);
+    }
+
+    #[test]
+    fn lookup_chain_is_conserved_and_a_skewed_counter_breaks_it() {
+        let mut s = small(2);
+        for i in 0..200u64 {
+            s.access((i % 2) as usize, LineAddr(i * 7 % 96), i % 5 == 0);
+            s.probe_from_mc(LineAddr(i % 40));
+            if i == 100 {
+                s.reset_stats();
+            }
+        }
+        assert_eq!(s.check_conservation(), Ok(()));
+
+        // An L2 lookup no L1 miss led to.
+        let mut skewed = s.clone();
+        skewed.l2[1].lookup(LineAddr(3));
+        let err = skewed.check_conservation().unwrap_err();
+        assert!(err.starts_with("core 1:"), "{err}");
+
+        // An L3 lookup no L2 miss led to.
+        let mut skewed = s;
+        skewed.l3.lookup(LineAddr(3));
+        let err = skewed.check_conservation().unwrap_err();
+        assert!(err.contains("L3 lookups"), "{err}");
     }
 
     #[test]

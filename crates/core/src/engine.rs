@@ -156,6 +156,8 @@ pub struct PageForgeEngine {
     key: KeyBuilder,
     metrics: Registry,
     ids: EngineMetricIds,
+    /// [`key_line_mask`] of `cfg.ecc`.
+    key_lines: u64,
     /// Deterministic fault layer; `None` (the default) means the engine
     /// behaves exactly as before the fault subsystem existed.
     faults: Option<Box<FaultInjector>>,
@@ -170,6 +172,7 @@ impl PageForgeEngine {
         PageForgeEngine {
             table: ScanTable::new(cfg.table_entries),
             key,
+            key_lines: key_line_mask(&cfg.ecc),
             cfg,
             metrics,
             ids,
@@ -198,6 +201,7 @@ impl PageForgeEngine {
 
     /// Whether the engine is unavailable at `now` (inside a scheduled
     /// stall window). Always `false` without an injector.
+    #[inline]
     pub fn stalled(&mut self, now: Cycle) -> bool {
         self.faults.as_mut().is_some_and(|f| f.stalled(now))
     }
@@ -249,12 +253,14 @@ impl PageForgeEngine {
     /// # Panics
     ///
     /// Panics if `index` exceeds the table capacity.
+    #[inline]
     pub fn insert_ppn(&mut self, index: u8, ppn: Ppn, less: u8, more: u8) {
         self.table.insert_ppn(index, ppn, less, more);
     }
 
     /// `insert_PFE`: load a new candidate page. Resets the hash-key
     /// builder — a new candidate means a new key.
+    #[inline]
     pub fn insert_pfe(&mut self, ppn: Ppn, last_refill: bool, ptr: u8) {
         self.table.insert_pfe(ppn, last_refill, ptr);
         self.key = self.cfg.ecc.builder();
@@ -262,6 +268,7 @@ impl PageForgeEngine {
 
     /// `update_PFE`: rearm for another batch of the same candidate. The
     /// partially-built hash key is retained.
+    #[inline]
     pub fn update_pfe(&mut self, last_refill: bool, ptr: u8) {
         self.table.update_pfe(last_refill, ptr);
     }
@@ -279,10 +286,12 @@ impl PageForgeEngine {
     /// Returns the [`EccKeyConfigError`] if the offsets are invalid.
     pub fn update_ecc_offset(&mut self, offsets: Vec<usize>) -> Result<(), EccKeyConfigError> {
         self.cfg.ecc = EccKeyConfig::with_offsets(offsets)?;
+        self.key_lines = key_line_mask(&self.cfg.ecc);
         Ok(())
     }
 
     /// Clears the Other Pages array (OS helper before a refill).
+    #[inline]
     pub fn clear_others(&mut self) {
         self.table.clear_others();
     }
@@ -512,17 +521,34 @@ impl PageForgeEngine {
         })
     }
 
+    /// Snatches the minikey of candidate line `line` if the hash key
+    /// samples it. The test is one bit of `key_lines`, so the 60 of 64
+    /// lines the key skips cost no call.
+    #[inline]
     fn observe_candidate_line(&mut self, cand: &PageData, line: usize, now: Cycle) {
-        if self.cfg.ecc.offsets().contains(&line) {
-            let mut minikey = LineEcc::minikey_of(cand.line(line));
-            // A scheduled key fault corrupts the snatched minikey — the
-            // hash hint lies, exactly the case §3.3 says must stay safe.
-            if let Some(f) = self.faults.as_mut() {
-                minikey = f.filter_minikey(now, minikey);
-            }
-            self.key.observe(line, minikey);
+        if self
+            .key_lines
+            .checked_shr(line as u32)
+            .is_some_and(|bits| bits & 1 != 0)
+        {
+            self.observe_key_line(cand, line, now);
         }
     }
+
+    fn observe_key_line(&mut self, cand: &PageData, line: usize, now: Cycle) {
+        let mut minikey = LineEcc::minikey_of(cand.line(line));
+        // A scheduled key fault corrupts the snatched minikey — the
+        // hash hint lies, exactly the case §3.3 says must stay safe.
+        if let Some(f) = self.faults.as_mut() {
+            minikey = f.filter_minikey(now, minikey);
+        }
+        self.key.observe(line, minikey);
+    }
+}
+
+/// Bit `l` set for every line `l` the hash key samples.
+fn key_line_mask(ecc: &EccKeyConfig) -> u64 {
+    ecc.offsets().iter().fold(0, |mask, &line| mask | 1 << line)
 }
 
 /// Line reads of one engine run, added to the registry once per run.
@@ -551,6 +577,7 @@ fn fetch(
 /// is ordered, as a big-endian `u64`. Lexicographic byte order equals
 /// big-endian word order, so the `Ordering`, and with it the first
 /// differing line, is unchanged.
+#[inline]
 fn cmp_lines(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
     let (Ok(a), Ok(b)) = (
         <&[u8; LINE_SIZE]>::try_from(a),
@@ -586,6 +613,21 @@ mod tests {
             .map(|(i, &b)| mem.map_new_page(VmId(0), Gfn(i as u64), page(b)))
             .collect();
         (mem, ppns)
+    }
+
+    #[test]
+    fn key_line_mask_marks_exactly_the_sampled_lines() {
+        let mut engine = PageForgeEngine::new(EngineConfig::default());
+        for offsets in [vec![3, 19, 35, 51], vec![0, 63], vec![7]] {
+            engine.update_ecc_offset(offsets.clone()).unwrap();
+            for line in 0..LINES_PER_PAGE {
+                assert_eq!(
+                    engine.key_lines >> line & 1 == 1,
+                    offsets.contains(&line),
+                    "line {line} of {offsets:?}"
+                );
+            }
+        }
     }
 
     #[test]

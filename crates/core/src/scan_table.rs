@@ -140,6 +140,7 @@ impl ScanTable {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[inline]
     pub fn insert_ppn(&mut self, index: u8, ppn: Ppn, less: u8, more: u8) {
         let slot = self
             .others
@@ -173,6 +174,7 @@ impl ScanTable {
     /// # Panics
     ///
     /// Panics if no candidate was inserted (`insert_PFE` first).
+    #[inline]
     pub fn update_pfe(&mut self, last_refill: bool, ptr: u8) {
         assert!(self.pfe.valid, "update_pfe before insert_pfe");
         self.pfe.last_refill = last_refill;
@@ -214,6 +216,7 @@ impl ScanTable {
     }
 
     /// The Other Pages entry at `index`, if it is in range and valid.
+    #[inline]
     pub fn other(&self, index: u8) -> Option<&OtherPage> {
         self.others.get(index as usize).filter(|o| o.valid)
     }

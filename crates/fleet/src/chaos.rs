@@ -164,7 +164,7 @@ impl ChaosState {
         if h >= self.hosts() {
             return;
         }
-        self.down_until[h] = t + down_ticks.max(1);
+        self.down_until[h] = t.saturating_add(down_ticks.max(1));
         self.pending_from[h] += vms.len();
         for &vm in vms {
             self.evac.insert((t, vm));
@@ -177,7 +177,7 @@ impl ChaosState {
         if h >= self.hosts() {
             return;
         }
-        self.gray_until[h] = self.gray_until[h].max(t + for_ticks.max(1));
+        self.gray_until[h] = self.gray_until[h].max(t.saturating_add(for_ticks.max(1)));
         self.gray_factor[h] = factor.max(2);
     }
 
@@ -186,7 +186,7 @@ impl ChaosState {
         if h >= self.hosts() {
             return;
         }
-        self.wedge_until[h] = self.wedge_until[h].max(t + for_ticks.max(1));
+        self.wedge_until[h] = self.wedge_until[h].max(t.saturating_add(for_ticks.max(1)));
     }
 
     /// Arms one mid-copy failure for the next rebalancer migration
@@ -375,6 +375,16 @@ mod tests {
         assert!(!ch.was_unhealthy(0));
         ch.set_unhealthy(0, true);
         assert!(ch.was_unhealthy(0));
+    }
+
+    #[test]
+    fn unbounded_windows_stay_open_instead_of_wrapping() {
+        let mut ch = ChaosState::new(&FleetFaultPlan::empty(), 3);
+        ch.record_crash(0, 7, u64::MAX, &[]);
+        ch.extend_gray(1, 7, u64::MAX, 2);
+        ch.extend_wedge(2, 7, u64::MAX);
+        let late = u64::MAX - 1;
+        assert!(ch.down(0, late) && ch.gray(1, late) && ch.wedged(2, late));
     }
 
     #[test]

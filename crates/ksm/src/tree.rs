@@ -128,6 +128,7 @@ impl PageTree {
     }
 
     /// Whether the referenced page is still the one the node captured.
+    #[inline]
     pub fn node_is_valid(&self, mem: &HostMemory, node: &PageRef) -> bool {
         match self.kind {
             TreeKind::Stable => mem.frame_epoch(node.ppn) == Some(node.epoch),
@@ -164,6 +165,7 @@ impl PageTree {
     }
 
     /// The page reference stored at `id`.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &PageRef {
         self.tree.value(id)
     }

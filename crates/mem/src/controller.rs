@@ -365,6 +365,9 @@ struct InflightReads {
     shift: u32,
     /// Occupied slots.
     len: usize,
+    /// Scratch for [`Self::purge_completed`]'s survivors; empty between
+    /// purges.
+    live: Vec<(u64, Cycle)>,
 }
 
 impl InflightReads {
@@ -373,6 +376,7 @@ impl InflightReads {
             slots: vec![(FREE, 0); INITIAL_SLOTS],
             shift: 64 - INITIAL_SLOTS.trailing_zeros(),
             len: 0,
+            live: Vec::new(),
         }
     }
 
@@ -411,14 +415,17 @@ impl InflightReads {
     }
 
     /// Drops every entry with `ready <= now`, in place: copies out the
-    /// survivors, clears the slots and inserts the survivors again.
+    /// survivors, clears the slots and inserts the survivors again. The
+    /// survivors pass through `live`, whose capacity every later purge
+    /// reuses.
     fn purge_completed(&mut self, now: Cycle) {
-        let live: Vec<(u64, Cycle)> = self
-            .slots
-            .iter()
-            .copied()
-            .filter(|&(line, ready)| line != FREE && ready > now)
-            .collect();
+        let mut live = std::mem::take(&mut self.live);
+        live.extend(
+            self.slots
+                .iter()
+                .copied()
+                .filter(|&(line, ready)| line != FREE && ready > now),
+        );
         let mut slots = self.slots.len();
         while live.len() * 4 > slots * 3 {
             slots *= 2;
@@ -427,9 +434,11 @@ impl InflightReads {
         self.slots.resize(slots, (FREE, 0));
         self.shift = 64 - slots.trailing_zeros();
         self.len = 0;
-        for (line, ready) in live {
+        for &(line, ready) in &live {
             self.insert(line, ready);
         }
+        live.clear();
+        self.live = live;
     }
 }
 
@@ -538,6 +547,36 @@ impl MemoryController {
         self.dram.stats()
     }
 
+    /// Audits the controller's conservation laws: every accepted request
+    /// is attributed to exactly one source, every read that did not
+    /// coalesce went to DRAM, and every write did.
+    ///
+    /// Returns the first law broken.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let mc = self.stats();
+        let dram = self.dram.stats();
+        let sourced = mc.demand_lines + mc.pageforge_lines + mc.writeback_lines;
+        if mc.reads + mc.writes != sourced {
+            return Err(format!(
+                "{} reads + {} writes != {sourced} demand + PageForge + writeback lines",
+                mc.reads, mc.writes
+            ));
+        }
+        if Some(dram.reads) != mc.reads.checked_sub(mc.coalesced_reads) {
+            return Err(format!(
+                "{} DRAM reads != {} reads - {} coalesced",
+                dram.reads, mc.reads, mc.coalesced_reads
+            ));
+        }
+        if dram.writes != mc.writes {
+            return Err(format!(
+                "{} DRAM writes != {} writes",
+                dram.writes, mc.writes
+            ));
+        }
+        Ok(())
+    }
+
     /// Controller plus DRAM metrics (`mem.controller.*` + `mem.dram.*`)
     /// as one registry, for aggregation into a simulation-wide snapshot.
     pub fn export_metrics(&self) -> Registry {
@@ -608,6 +647,55 @@ mod tests {
         assert_eq!(s.demand_lines, 1);
         assert_eq!(s.pageforge_lines, 1);
         assert_eq!(s.writeback_lines, 1);
+    }
+
+    #[test]
+    fn conservation_holds_and_a_skewed_counter_breaks_it() {
+        let fresh = || {
+            let mut mc = MemoryController::new(McConfig::micro50());
+            mc.read_line(LineAddr(0), 0, MemSource::Demand);
+            mc.read_line(LineAddr(0), 3, MemSource::PageForge); // coalesces
+            mc.read_line(LineAddr(9), 0, MemSource::Demand);
+            mc.write_line(LineAddr(2), 0, MemSource::Writeback);
+            mc
+        };
+        assert_eq!(fresh().check_conservation(), Ok(()));
+
+        // A read no source claims.
+        let mut mc = fresh();
+        mc.metrics.inc(mc.ids.reads);
+        let err = mc.check_conservation().unwrap_err();
+        assert!(err.contains("demand + PageForge + writeback"), "{err}");
+
+        // A DRAM read behind the controller's back.
+        let mut mc = fresh();
+        mc.dram.service(LineAddr(5), 0, false);
+        let err = mc.check_conservation().unwrap_err();
+        assert!(err.contains("DRAM reads"), "{err}");
+
+        // A write counted by the controller but never sent to DRAM.
+        let mut mc = fresh();
+        mc.metrics.inc(mc.ids.writes);
+        mc.metrics.inc(mc.ids.writeback_lines);
+        let err = mc.check_conservation().unwrap_err();
+        assert!(err.contains("DRAM writes"), "{err}");
+    }
+
+    #[test]
+    fn purge_reuses_its_survivor_buffer() {
+        let mut mc = MemoryController::new(McConfig::micro50());
+        let mut kept = 0;
+        for line in 0..3 * PURGE_ABOVE as u64 {
+            mc.read_line(LineAddr(line), line / 8, MemSource::Demand);
+            let live = &mc.pending_reads.live;
+            assert!(live.is_empty(), "survivors stay only for the purge");
+            assert!(live.capacity() >= kept, "the survivor buffer was dropped");
+            kept = live.capacity();
+        }
+        assert!(
+            kept > 0,
+            "no purge kept survivors, so this test proves nothing"
+        );
     }
 
     #[test]

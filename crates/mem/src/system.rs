@@ -76,6 +76,7 @@ impl MemorySystem {
     }
 
     /// Reads one line through the owning controller.
+    #[inline]
     pub fn read_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> ReadGrant {
         let mc = self.route(addr);
         // Strip the controller bits so the per-controller DRAM sees a
@@ -130,6 +131,19 @@ impl MemorySystem {
             total.queue_wait_cycles += s.queue_wait_cycles;
         }
         total
+    }
+
+    /// Audits every controller's conservation laws
+    /// ([`MemoryController::check_conservation`]); a sum across
+    /// controllers could hide two skews that cancel.
+    ///
+    /// Returns the first violation found, naming its controller.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        for (i, mc) in self.mcs.iter().enumerate() {
+            mc.check_conservation()
+                .map_err(|e| format!("controller {i}: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Controller and DRAM metrics summed across all controllers
@@ -212,6 +226,22 @@ mod tests {
         assert_eq!(sys.window_bytes(0), 128);
         assert!(sys.window_count() >= 1);
         assert!(sys.window_gbps(0, 2e9) > 0.0);
+    }
+
+    #[test]
+    fn conservation_holds_on_both_controllers() {
+        let mut sys = MemorySystem::new(MemorySystemConfig::micro50());
+        for t in 0..32u64 {
+            let source = if t % 3 == 0 {
+                MemSource::PageForge
+            } else {
+                MemSource::Demand
+            };
+            sys.read_line(LineAddr(t % 12), t, source);
+        }
+        sys.write_line(LineAddr(3), 40, MemSource::Writeback);
+        assert!(sys.stats().coalesced_reads > 0 && sys.stats().writes == 1);
+        assert_eq!(sys.check_conservation(), Ok(()));
     }
 
     #[test]

@@ -313,7 +313,9 @@ impl System {
     /// # Panics
     ///
     /// Panics if, at the end of the run, the cache hierarchy fails
-    /// [`SystemCaches::check_invariants`], host memory fails
+    /// [`SystemCaches::check_invariants`] or
+    /// [`SystemCaches::check_conservation`], a memory controller fails
+    /// [`MemorySystem::check_conservation`], host memory fails
     /// [`HostMemory::check_invariants`], or a PageForge module fails
     /// [`PageForge::check_conservation`].
     pub fn run_observed(mut self) -> (SimResult, Snapshot) {
@@ -332,6 +334,8 @@ impl System {
         let mut audit = self
             .caches
             .check_invariants()
+            .and(self.caches.check_conservation())
+            .and(self.mems.check_conservation())
             .and(self.mem.check_invariants());
         if let DedupState::PageForge(pfs) = &self.dedup {
             audit = audit.and(pfs.iter().try_for_each(PageForge::check_conservation));

@@ -35,6 +35,7 @@ impl Ppn {
     /// # Panics
     ///
     /// Panics if `line >= LINES_PER_PAGE`.
+    #[inline]
     pub fn line_addr(self, line: usize) -> LineAddr {
         assert!(
             line < PAGE_SIZE / LINE_SIZE,

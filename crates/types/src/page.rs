@@ -85,6 +85,7 @@ impl PageData {
     /// # Panics
     ///
     /// Panics if `index >= LINES_PER_PAGE`.
+    #[inline]
     pub fn line(&self, index: usize) -> &[u8] {
         assert!(index < LINES_PER_PAGE, "line index {index} out of range");
         &self.0[index * LINE_SIZE..(index + 1) * LINE_SIZE]

@@ -316,11 +316,13 @@ impl HostMemory {
     }
 
     /// Translates a guest page to its host frame.
+    #[inline]
     pub fn translate(&self, vm: VmId, gfn: Gfn) -> Option<Ppn> {
         self.mapping(vm, gfn)
     }
 
     /// The contents of a frame, if it exists.
+    #[inline]
     pub fn frame_data(&self, ppn: Ppn) -> Option<&PageData> {
         self.frame(ppn).map(|f| &f.data)
     }
@@ -331,6 +333,7 @@ impl HostMemory {
     }
 
     /// Whether a frame is CoW-protected.
+    #[inline]
     pub fn is_cow(&self, ppn: Ppn) -> bool {
         self.frame(ppn).is_some_and(|f| f.cow)
     }

@@ -50,6 +50,7 @@ impl AccessPattern {
     }
 
     /// Draws the next line touch.
+    #[inline]
     pub fn next_touch(&mut self) -> LineTouch {
         let hot = self.rng.gen::<f64>() < self.hot_access_frac;
         let page_index = if hot {
