@@ -71,4 +71,26 @@ smoke_run --jobs 2 --only fleet --fleet-faults "$root/empty_fleet_plan.json" \
   --out "$root/empty-fleet-plan"
 cmp "$root/base/fleet_serverless.json" "$root/empty-fleet-plan/fleet_serverless.json"
 
+# 7. Fault events replay in cycle order, whatever order a plan lists them
+#    in. ci/fault_plan.json is FaultPlan::generate(20, 9_000_000, 24, 2,
+#    20_000): 24 events over the smoke horizon, no two at one cycle. It
+#    must change the PageForge cells, and a copy listing its events in
+#    reverse must give byte-identical results.
+python3 - "$root/fault_plan_reversed.json" <<'PY'
+import json, sys
+with open("ci/fault_plan.json") as f:
+    plan = json.load(f)
+plan["events"].reverse()
+with open(sys.argv[1], "w") as f:
+    json.dump(plan, f)
+PY
+smoke_run --jobs 2 --only latency --faults ci/fault_plan.json --out "$root/fault-plan"
+smoke_run --jobs 2 --only latency --faults "$root/fault_plan_reversed.json" \
+  --out "$root/fault-plan-reversed"
+if cmp -s "$root/base/fig10_tail_latency.json" "$root/fault-plan/fig10_tail_latency.json"; then
+  echo "smoke: ci/fault_plan.json left the PageForge cells unchanged" >&2
+  exit 1
+fi
+same_results "$root/fault-plan" "$root/fault-plan-reversed"
+
 echo "smoke: all gates passed; results under $root"

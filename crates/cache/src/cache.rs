@@ -1,8 +1,6 @@
 //! A single set-associative cache with MESI line states and true-LRU
 //! replacement.
 
-use std::ops::Range;
-
 use pageforge_types::{Cycle, LineAddr, LINE_SIZE};
 
 /// MESI coherence state of a cached line.
@@ -122,11 +120,19 @@ struct Way<T> {
     data: T,
 }
 
-/// Where a resident line sits in its cache. Valid until a line leaves its
-/// set: an insert overwrites in place, but an invalidation moves the set's
-/// last way into the freed slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot(usize);
+/// Where a resident line sits in its cache: its index in the way arena. A
+/// line keeps its slot for as long as it stays resident, because an insert
+/// fills a hole or overwrites the way it evicts and an invalidation leaves
+/// a hole. The hierarchy links each private way to its line's slot one
+/// level down, so a `u32` keeps a way at 24 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Slot(u32);
+
+impl Slot {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A lookup that missed, for [`SetAssocCache::insert`]: the line's set
 /// and, if the set was full, the slot of its least-recently-used way.
@@ -147,21 +153,25 @@ pub enum Lookup {
 
 /// One set-associative cache. Tags only — data lives in `HostMemory`.
 ///
-/// Each way carries a `T` for the cache's owner: the hierarchy's L3 keeps
-/// its core-valid bits there, the private caches keep `()`.
+/// Each way carries a `T` for the cache's owner: the hierarchy's private
+/// caches keep the [`Slot`] of the line one level down there, its L3 keeps
+/// the line's core-valid bits.
 ///
 /// Ways are stored in one flat arena (`num_sets × ways` slots) rather than
 /// per-set `Vec`s: a set is the contiguous slice
-/// `ways[set × cfg.ways ..][.. occupancy[set]]`, which keeps lookups on a
-/// single allocation and makes the hierarchy's snoop scans cache-friendly
-/// on the host.
+/// `ways[set × cfg.ways ..][.. cfg.ways]`, whose occupied ways are the set
+/// bits of its `u64` valid mask. That keeps lookups on a single allocation
+/// and makes the hierarchy's snoop scans cache-friendly on the host.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T = ()> {
     cfg: CacheConfig,
     /// Flat way storage: slot `set * cfg.ways + i` holds way `i` of `set`.
     ways: Vec<Way<T>>,
-    /// Live ways per set (the occupied prefix of the set's slice).
-    occupancy: Vec<u8>,
+    /// Bit `i` of `valid[set]` is set when way `i` of `set` holds a line.
+    /// A clear bit is a hole: a way never filled or invalidated since.
+    valid: Vec<u64>,
+    /// The valid mask of a full set: the low `cfg.ways` bits.
+    full: u64,
     num_sets: usize,
     /// `num_sets - 1` when the set count is a power of two, so the set
     /// index is a mask rather than a 64-bit `%`.
@@ -170,18 +180,29 @@ pub struct SetAssocCache<T = ()> {
     stats: CacheStats,
 }
 
+/// The ways of a set up to its highest occupied one.
+fn span(valid: u64) -> usize {
+    (u64::BITS - valid.leading_zeros()) as usize
+}
+
 impl<T: Copy + Default> SetAssocCache<T> {
     /// Builds an empty cache with the given geometry.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.ways` exceeds the `u8` occupancy counters.
+    /// Panics if `cfg.ways` is zero or exceeds the 64 bits of a set's
+    /// valid mask, or if the slots do not fit a `u32`.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
-            cfg.ways <= u8::MAX as usize,
-            "set occupancy is tracked in u8 counters"
+            (1..=u64::BITS as usize).contains(&cfg.ways),
+            "a set's valid mask is one u64: 1 to 64 ways, not {}",
+            cfg.ways
         );
         let num_sets = cfg.num_sets();
+        assert!(
+            u32::try_from(num_sets * cfg.ways).is_ok(),
+            "slots are u32 indices"
+        );
         SetAssocCache {
             cfg,
             ways: vec![
@@ -193,7 +214,8 @@ impl<T: Copy + Default> SetAssocCache<T> {
                 };
                 num_sets * cfg.ways
             ],
-            occupancy: vec![0; num_sets],
+            valid: vec![0; num_sets],
+            full: u64::MAX >> (u64::BITS as usize - cfg.ways),
             num_sets,
             set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             use_counter: 0,
@@ -223,12 +245,6 @@ impl<T: Copy + Default> SetAssocCache<T> {
         }
     }
 
-    /// The occupied slots of `set`.
-    fn set_slots(&self, set: usize) -> Range<usize> {
-        let base = set * self.cfg.ways;
-        base..base + self.occupancy[set] as usize
-    }
-
     /// Looks up `addr` in one scan of its set, updating LRU and hit/miss
     /// counters. A miss in a full set records its LRU way, found in the
     /// same pass, for [`insert`](Self::insert).
@@ -236,16 +252,18 @@ impl<T: Copy + Default> SetAssocCache<T> {
     pub fn lookup(&mut self, addr: LineAddr) -> Lookup {
         let set = self.set_index(addr);
         self.use_counter += 1;
-        let slots = self.set_slots(set);
-        let (base, full) = (slots.start, slots.len() == self.cfg.ways);
+        let valid = self.valid[set];
+        let base = set * self.cfg.ways;
         let counter = self.use_counter;
         let mut lru = (0, u64::MAX);
-        for (i, way) in self.ways[slots].iter_mut().enumerate() {
-            if way.tag == addr.0 {
+        for (i, way) in self.ways[base..base + span(valid)].iter_mut().enumerate() {
+            if way.tag == addr.0 && valid >> i & 1 != 0 {
                 way.last_used = counter;
                 self.stats.hits += 1;
-                return Lookup::Hit(Slot(base + i), way.state);
+                return Lookup::Hit(Slot((base + i) as u32), way.state);
             }
+            // Only a full set's LRU way is used, and a full set has no
+            // holes to skip.
             if way.last_used < lru.1 {
                 lru = (i, way.last_used);
             }
@@ -253,53 +271,59 @@ impl<T: Copy + Default> SetAssocCache<T> {
         self.stats.misses += 1;
         Lookup::Miss(Miss {
             set,
-            lru: full.then_some(base + lru.0),
+            lru: (valid == self.full).then_some(base + lru.0),
         })
     }
 
     /// Finds `addr` without touching LRU or counters (snoop path).
     #[inline]
     pub fn find(&self, addr: LineAddr) -> Option<Slot> {
-        let slots = self.set_slots(self.set_index(addr));
-        let base = slots.start;
-        self.ways[slots]
+        let set = self.set_index(addr);
+        let valid = self.valid[set];
+        let base = set * self.cfg.ways;
+        self.ways[base..base + span(valid)]
             .iter()
-            .position(|w| w.tag == addr.0)
-            .map(|i| Slot(base + i))
+            .enumerate()
+            .position(|(i, w)| w.tag == addr.0 && valid >> i & 1 != 0)
+            .map(|i| Slot((base + i) as u32))
     }
 
     /// The state of `addr` if resident, without touching LRU or counters.
     #[inline]
     pub fn peek(&self, addr: LineAddr) -> Option<LineState> {
-        self.find(addr).map(|slot| self.ways[slot.0].state)
+        self.find(addr).map(|slot| self.state(slot))
     }
 
-    /// Sets the state of a resident line. No-op if absent.
-    #[inline]
-    pub fn set_state(&mut self, addr: LineAddr, state: LineState) {
-        if let Some(slot) = self.find(addr) {
-            self.set_state_at(slot, state);
-        }
+    /// The state of the line at `slot`.
+    pub(crate) fn state(&self, slot: Slot) -> LineState {
+        self.ways[slot.index()].state
     }
 
     /// Sets the state of the line at `slot`.
     pub fn set_state_at(&mut self, slot: Slot, state: LineState) {
-        self.ways[slot.0].state = state;
+        self.ways[slot.index()].state = state;
     }
 
     /// The owner's data of the line at `slot`.
     pub fn data(&self, slot: Slot) -> T {
-        self.ways[slot.0].data
+        self.ways[slot.index()].data
     }
 
     /// The owner's data of the line at `slot`, mutably.
     pub fn data_mut(&mut self, slot: Slot) -> &mut T {
-        &mut self.ways[slot.0].data
+        &mut self.ways[slot.index()].data
+    }
+
+    /// The line at `slot`, or `None` when the slot is a hole.
+    pub(crate) fn line_at(&self, slot: Slot) -> Option<LineAddr> {
+        let (set, way) = (slot.index() / self.cfg.ways, slot.index() % self.cfg.ways);
+        (self.valid[set] >> way & 1 != 0).then(|| LineAddr(self.ways[slot.index()].tag))
     }
 
     /// Installs `addr` with `state` and `data` through the `miss` of its
-    /// own lookup. A full set evicts the way that lookup recorded; the
-    /// evicted line comes back with its state and data.
+    /// own lookup, returning the slot it filled. A set with a hole fills
+    /// its lowest one; a full set evicts the way that lookup recorded, and
+    /// the evicted line comes back with its state and data.
     ///
     /// Between a lookup and its insert the set may only lose lines, never
     /// gain or re-rank one: a set still full then lost nothing, so the
@@ -315,7 +339,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
         addr: LineAddr,
         state: LineState,
         data: T,
-    ) -> Option<(LineAddr, LineState, T)> {
+    ) -> (Slot, Option<(LineAddr, LineState, T)>) {
         debug_assert!(
             self.set_index(addr) == miss.set && self.find(addr).is_none(),
             "insert of {addr} without the miss of its own lookup"
@@ -327,11 +351,13 @@ impl<T: Copy + Default> SetAssocCache<T> {
             last_used: self.use_counter,
             data,
         };
-        let slots = self.set_slots(miss.set);
-        if slots.len() < self.cfg.ways {
-            self.ways[slots.end] = way;
-            self.occupancy[miss.set] += 1;
-            return None;
+        let valid = self.valid[miss.set];
+        if valid != self.full {
+            let hole = (!valid).trailing_zeros() as usize;
+            let slot = miss.set * self.cfg.ways + hole;
+            self.ways[slot] = way;
+            self.valid[miss.set] = valid | 1 << hole;
+            return (Slot(slot as u32), None);
         }
         let lru = miss
             .lru
@@ -341,33 +367,44 @@ impl<T: Copy + Default> SetAssocCache<T> {
         if evicted.state.is_dirty() {
             self.stats.writebacks += 1;
         }
-        Some((LineAddr(evicted.tag), evicted.state, evicted.data))
+        (
+            Slot(lru as u32),
+            Some((LineAddr(evicted.tag), evicted.state, evicted.data)),
+        )
     }
 
-    /// Invalidates `addr`, returning its state if it was resident.
+    /// Invalidates `addr`, returning its state if it was resident. Its way
+    /// becomes a hole; every other line keeps its slot.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<LineState> {
-        let slot = self.find(addr)?.0;
-        let set = slot / self.cfg.ways;
-        let last = self.set_slots(set).end - 1;
-        let state = self.ways[slot].state;
-        self.ways[slot] = self.ways[last];
-        self.occupancy[set] -= 1;
-        self.stats.invalidations += 1;
-        Some(state)
+        self.find(addr).map(|slot| self.invalidate_at(slot))
     }
 
-    /// The resident lines with their states, set by set.
-    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, LineState)> + '_ {
-        (0..self.num_sets).flat_map(move |set| {
-            self.ways[self.set_slots(set)]
-                .iter()
-                .map(|w| (LineAddr(w.tag), w.state))
-        })
+    /// Invalidates the line at `slot`, returning its state. The way
+    /// becomes a hole; every other line keeps its slot.
+    pub(crate) fn invalidate_at(&mut self, slot: Slot) -> LineState {
+        let (set, way) = (slot.index() / self.cfg.ways, slot.index() % self.cfg.ways);
+        debug_assert!(self.valid[set] >> way & 1 != 0, "slot {slot:?} is a hole");
+        self.valid[set] &= !(1 << way);
+        self.stats.invalidations += 1;
+        self.ways[slot.index()].state
+    }
+
+    /// The resident lines with their owner's data, set by set.
+    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, T)> + '_ {
+        self.ways
+            .chunks(self.cfg.ways)
+            .zip(&self.valid)
+            .flat_map(|(ways, &valid)| {
+                ways.iter()
+                    .enumerate()
+                    .filter(move |&(i, _)| valid >> i & 1 != 0)
+                    .map(|(_, w)| (LineAddr(w.tag), w.data))
+            })
     }
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.occupancy.iter().map(|&n| n as usize).sum()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 }
 
@@ -390,6 +427,7 @@ mod tests {
         match c.lookup(LineAddr(addr)) {
             Lookup::Miss(miss) => c
                 .insert(miss, LineAddr(addr), state, ())
+                .1
                 .map(|(victim, vstate, ())| (victim, vstate)),
             Lookup::Hit(..) => panic!("line {addr} already resident"),
         }
@@ -445,7 +483,7 @@ mod tests {
         };
         c.invalidate(LineAddr(4));
         // The set is no longer full: nothing is evicted, 0 survives.
-        assert_eq!(c.insert(miss, LineAddr(8), LineState::Shared, ()), None);
+        assert_eq!(c.insert(miss, LineAddr(8), LineState::Shared, ()).1, None);
         assert_eq!(c.peek(LineAddr(0)), Some(LineState::Shared));
         assert_eq!(c.peek(LineAddr(8)), Some(LineState::Shared));
         assert_eq!(c.stats().evictions, 0);
@@ -466,8 +504,67 @@ mod tests {
         let Lookup::Miss(miss) = c.lookup(LineAddr(8)) else {
             panic!("8 is absent");
         };
-        let victim = c.insert(miss, LineAddr(8), LineState::Shared, 0);
+        let (filled, victim) = c.insert(miss, LineAddr(8), LineState::Shared, 0);
         assert_eq!(victim, Some((LineAddr(0), LineState::Shared, 7)));
+        assert_eq!(c.find(LineAddr(8)), Some(filled));
+    }
+
+    #[test]
+    fn invalidation_leaves_a_hole_the_next_insert_fills() {
+        // 1 set × 4 ways.
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheConfig {
+            size_bytes: 4 * LINE_SIZE,
+            ways: 4,
+            latency: 1,
+            mshrs: 4,
+        });
+        let mut slots = Vec::new();
+        for addr in 0..4 {
+            let Lookup::Miss(miss) = c.lookup(LineAddr(addr)) else {
+                panic!("{addr} is absent");
+            };
+            let (slot, victim) = c.insert(miss, LineAddr(addr), LineState::Shared, addr);
+            assert_eq!(victim, None);
+            slots.push(slot);
+        }
+        assert_eq!(c.invalidate(LineAddr(1)), Some(LineState::Shared));
+        assert_eq!(c.line_at(slots[1]), None);
+        for addr in [0, 2, 3] {
+            let slot = slots[addr as usize];
+            assert_eq!(c.find(LineAddr(addr)), Some(slot), "{addr} moved");
+            assert_eq!(
+                (c.line_at(slot), c.data(slot)),
+                (Some(LineAddr(addr)), addr)
+            );
+        }
+        // The set is no longer full: the next line takes the hole and
+        // nothing is evicted.
+        let Lookup::Miss(miss) = c.lookup(LineAddr(4)) else {
+            panic!("4 is absent");
+        };
+        assert_eq!(
+            c.insert(miss, LineAddr(4), LineState::Shared, 4),
+            (slots[1], None)
+        );
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.resident_lines(), 4);
+        let lines: Vec<_> = c.lines().collect();
+        assert_eq!(
+            lines,
+            [0, 4, 2, 3].map(|addr| (LineAddr(addr), addr)),
+            "lines are listed in slot order"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 64 ways, not 65")]
+    fn more_than_64_ways_is_refused() {
+        SetAssocCache::<()>::new(CacheConfig {
+            size_bytes: 65 * LINE_SIZE,
+            ways: 65,
+            latency: 1,
+            mshrs: 4,
+        });
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! back-invalidates L1/L2 copies.
 //!
 //! As inclusive last-level caches do in hardware, each L3 way keeps
-//! core-valid bits: one bit per core whose private caches may hold the
+//! core-valid bits: bit `c` is set exactly when core `c`'s L2 holds the
 //! line. Inclusion makes them the whole snoop directory. An L3 miss needs
 //! no snoop, an L3 hit snoops only the cores its bits name, an evicted
 //! way names the cores to back-invalidate, and a memory-controller probe
 //! that misses the L3 is done.
+//!
+//! A resident line never moves within its cache (see [`Slot`]), so each
+//! private way links to its line one level down: an L1 way carries the
+//! line's L2 slot, an L2 way its L3 slot. A dirty victim marks its copy
+//! below through the link, a write upgrade reaches its L2 and L3 ways
+//! through the links, and an L2 victim clears its core's bit in its L3
+//! way, which is what keeps the bits exact.
 //!
 //! Every level scans a set once per access: a lookup that misses records
 //! the way its insert will evict. Between the two the set can only lose
@@ -83,13 +90,16 @@ impl HierarchyConfig {
 #[derive(Debug, Clone)]
 pub struct SystemCaches {
     cfg: HierarchyConfig,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    /// Each way carries the slot of its line in the same core's L2.
+    l1: Vec<SetAssocCache<Slot>>,
+    /// Each way carries the slot of its line in the L3.
+    l2: Vec<SetAssocCache<Slot>>,
     /// The inclusive L3. Each way carries its line's core-valid bits, as
     /// inclusive last-level caches keep them in hardware: bit `c` is set
-    /// whenever core `c`'s private caches *may* hold the line (set on
-    /// fill, cleared only when a scan proves absence). Snoops scan only
-    /// those cores, and a line the L3 lacks is in no private cache.
+    /// exactly when core `c`'s L2 holds the line (set on fill, cleared
+    /// when the line leaves that L2). Snoops, probes and
+    /// back-invalidations visit only those cores, and a line the L3 lacks
+    /// is in no private cache.
     l3: SetAssocCache<u64>,
 }
 
@@ -129,7 +139,8 @@ impl SystemCaches {
     /// Walks L1 → L2 → L3, snooping peers on an L3 hit; allocates the line
     /// on the way back up. For stores, peer copies are invalidated and the
     /// line installs Modified. Each level's set is scanned once: a miss
-    /// records the way its insert will evict.
+    /// records the way its insert will evict, and the line's ways below a
+    /// hit are reached through their links.
     ///
     /// # Panics
     ///
@@ -144,8 +155,9 @@ impl SystemCaches {
                 if write && state == LineState::Shared {
                     // Upgrade: invalidate peers, go Modified.
                     latency += self.cfg.bus_latency;
-                    self.invalidate_peers(core, addr);
-                    self.l2[core].set_state(addr, LineState::Modified);
+                    let l2_slot = self.l1[core].data(slot);
+                    self.invalidate_peers(core, addr, self.l2[core].data(l2_slot));
+                    self.l2[core].set_state_at(l2_slot, LineState::Modified);
                 }
                 if write {
                     self.l1[core].set_state_at(slot, LineState::Modified);
@@ -165,14 +177,14 @@ impl SystemCaches {
                 let new_state = if write {
                     if state == LineState::Shared {
                         latency += self.cfg.bus_latency;
-                        self.invalidate_peers(core, addr);
+                        self.invalidate_peers(core, addr, self.l2[core].data(slot));
                     }
                     LineState::Modified
                 } else {
                     state
                 };
                 self.l2[core].set_state_at(slot, new_state);
-                self.fill_l1(core, l1_miss, addr, new_state);
+                self.fill_l1(core, l1_miss, addr, new_state, slot);
                 return Access {
                     level: HitLevel::L2,
                     latency,
@@ -184,26 +196,25 @@ impl SystemCaches {
         // Off-core: bus + L3, snooping the peers its bits name. Inclusion
         // means an L3 miss has no peer to snoop.
         latency += self.cfg.bus_latency + self.cfg.l3.latency;
-        let level = match self.l3.lookup(addr) {
+        let (level, l3_slot) = match self.l3.lookup(addr) {
             Lookup::Hit(slot, _) => {
                 let peer_had_it = self.snoop(core, addr, slot, write);
                 *self.l3.data_mut(slot) |= 1 << core;
                 if peer_had_it {
                     latency += self.cfg.peer_transfer_latency;
-                    HitLevel::Peer
+                    (HitLevel::Peer, slot)
                 } else {
-                    HitLevel::L3
+                    (HitLevel::L3, slot)
                 }
             }
             Lookup::Miss(miss) => {
                 // Inclusive L3: back-invalidate the victim's private
                 // copies. Its writeback is already counted by the L3 stats.
-                if let Some((victim, _, holders)) =
-                    self.l3.insert(miss, addr, LineState::Shared, 1 << core)
-                {
+                let (slot, victim) = self.l3.insert(miss, addr, LineState::Shared, 1 << core);
+                if let Some((victim, _, holders)) = victim {
                     self.invalidate_private(victim, holders);
                 }
-                HitLevel::Memory
+                (HitLevel::Memory, slot)
             }
         };
 
@@ -215,13 +226,17 @@ impl SystemCaches {
         } else {
             LineState::Exclusive
         };
-        if let Some((victim, vstate, ())) = self.l2[core].insert(l2_miss, addr, install, ()) {
+        let (l2_slot, victim) = self.l2[core].insert(l2_miss, addr, install, l3_slot);
+        if let Some((victim, vstate, victim_l3)) = victim {
+            // The victim leaves this core: its L3 way takes the dirty data
+            // and loses the core's bit.
             if vstate.is_dirty() {
-                self.l3.set_state(victim, LineState::Modified);
+                self.l3.set_state_at(victim_l3, LineState::Modified);
             }
+            *self.l3.data_mut(victim_l3) &= !(1 << core);
             self.l1[core].invalidate(victim); // L2 inclusive of L1
         }
-        self.fill_l1(core, l1_miss, addr, install);
+        self.fill_l1(core, l1_miss, addr, install, l2_slot);
         Access { level, latency }
     }
 
@@ -237,88 +252,102 @@ impl SystemCaches {
         // Inclusion: a line the L3 lacks is in no private cache.
         let slot = self.l3.find(addr)?;
         // Snoopy bus: every private cache whose bit is set is checked.
-        let mut still_held = 0u64;
-        for core in cores_in(self.l3.data(slot)) {
-            if let Some(state) = self.l1[core].peek(addr) {
-                if state == LineState::Modified {
-                    self.l1[core].set_state(addr, LineState::Shared);
-                    self.l2[core].set_state(addr, LineState::Shared);
+        let holders = self.l3.data(slot);
+        for core in cores_in(holders) {
+            if let Some(l1_slot) = self.l1[core].find(addr) {
+                if self.l1[core].state(l1_slot) == LineState::Modified {
+                    self.l1[core].set_state_at(l1_slot, LineState::Shared);
+                    let l2_slot = self.l1[core].data(l1_slot);
+                    self.l2[core].set_state_at(l2_slot, LineState::Shared);
                 }
-                still_held |= 1 << core;
-            } else if let Some(state) = self.l2[core].peek(addr) {
-                if state == LineState::Modified {
-                    self.l2[core].set_state(addr, LineState::Shared);
+            } else if let Some(l2_slot) = self.l2[core].find(addr) {
+                if self.l2[core].state(l2_slot) == LineState::Modified {
+                    self.l2[core].set_state_at(l2_slot, LineState::Shared);
                 }
-                still_held |= 1 << core;
             }
         }
-        *self.l3.data_mut(slot) = still_held;
         // An L3 hit is serviced without LRU update (the MC-side read does
         // not re-rank working sets).
-        Some(if still_held != 0 {
+        Some(if holders != 0 {
             self.cfg.bus_latency + self.cfg.peer_transfer_latency
         } else {
             self.cfg.bus_latency + self.cfg.l3.latency
         })
     }
 
-    /// Installs `addr` in `core`'s L1 through the miss of its lookup.
-    fn fill_l1(&mut self, core: usize, miss: Miss, addr: LineAddr, state: LineState) {
-        if let Some((victim, vstate, ())) = self.l1[core].insert(miss, addr, state, ()) {
+    /// Installs `addr`, held at `l2_slot` of `core`'s L2, in its L1
+    /// through the miss of its lookup.
+    fn fill_l1(
+        &mut self,
+        core: usize,
+        miss: Miss,
+        addr: LineAddr,
+        state: LineState,
+        l2_slot: Slot,
+    ) {
+        if let (_, Some((_, vstate, victim_l2))) = self.l1[core].insert(miss, addr, state, l2_slot)
+        {
             if vstate.is_dirty() {
-                self.l2[core].set_state(victim, LineState::Modified);
+                self.l2[core].set_state_at(victim_l2, LineState::Modified);
             }
+        }
+    }
+
+    /// The slots of `addr` in `core`'s L1 and L2. A line the L1 holds
+    /// reaches its L2 way through the link.
+    fn private_slots(&self, core: usize, addr: LineAddr) -> (Option<Slot>, Option<Slot>) {
+        match self.l1[core].find(addr) {
+            Some(l1_slot) => (Some(l1_slot), Some(self.l1[core].data(l1_slot))),
+            None => (None, self.l2[core].find(addr)),
         }
     }
 
     /// Snoops the peers whose core-valid bits are set in the L3 way at
     /// `l3_slot`; on a write, invalidates their copies. Returns whether
-    /// any peer held the line.
+    /// any peer held the line: the bits are exact, so whether any peer's
+    /// bit is set.
     fn snoop(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot, write: bool) -> bool {
-        let peer_mask = self.l3.data(l3_slot) & !(1u64 << requester);
-        let mut found = false;
-        let mut still_held = 0u64;
-        for core in cores_in(peer_mask) {
-            let in_l1 = self.l1[core].peek(addr).is_some();
-            let in_l2 = self.l2[core].peek(addr).is_some();
-            if in_l1 || in_l2 {
-                found = true;
-                if write {
-                    self.l1[core].invalidate(addr);
-                    self.l2[core].invalidate(addr);
-                } else {
-                    // Downgrade M/E to S; dirty data is reflected to L3.
-                    if self.l1[core].peek(addr).is_some_and(LineState::is_dirty)
-                        || self.l2[core].peek(addr).is_some_and(LineState::is_dirty)
-                    {
-                        self.l3.set_state_at(l3_slot, LineState::Modified);
-                    }
-                    self.l1[core].set_state(addr, LineState::Shared);
-                    self.l2[core].set_state(addr, LineState::Shared);
-                    still_held |= 1 << core;
-                }
+        let peers = self.l3.data(l3_slot) & !(1u64 << requester);
+        if write {
+            self.invalidate_peers(requester, addr, l3_slot);
+            return peers != 0;
+        }
+        for core in cores_in(peers) {
+            // Downgrade M/E to S; dirty data is reflected to L3.
+            let (l1_slot, l2_slot) = self.private_slots(core, addr);
+            if l1_slot.is_some_and(|s| self.l1[core].state(s).is_dirty())
+                || l2_slot.is_some_and(|s| self.l2[core].state(s).is_dirty())
+            {
+                self.l3.set_state_at(l3_slot, LineState::Modified);
+            }
+            if let Some(s) = l1_slot {
+                self.l1[core].set_state_at(s, LineState::Shared);
+            }
+            if let Some(s) = l2_slot {
+                self.l2[core].set_state_at(s, LineState::Shared);
             }
         }
-        *self.l3.data_mut(l3_slot) &= !(peer_mask & !still_held);
-        found
+        peers != 0
     }
 
-    /// Invalidates every peer copy of a line `requester` holds (so the L3
-    /// has it, by inclusion) and clears the peers' bits.
-    fn invalidate_peers(&mut self, requester: usize, addr: LineAddr) {
-        let Some(slot) = self.l3.find(addr) else {
-            return;
-        };
-        let peer_mask = self.l3.data(slot) & !(1u64 << requester);
-        self.invalidate_private(addr, peer_mask);
-        *self.l3.data_mut(slot) &= !peer_mask;
+    /// Invalidates the copies of the line whose L3 way is at `l3_slot` in
+    /// every core but `requester`, and clears those cores' bits.
+    fn invalidate_peers(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot) {
+        let peers = self.l3.data(l3_slot) & !(1u64 << requester);
+        self.invalidate_private(addr, peers);
+        *self.l3.data_mut(l3_slot) &= !peers;
     }
 
     /// Removes `addr` from the private caches of the cores in `mask`.
     fn invalidate_private(&mut self, addr: LineAddr, mask: u64) {
         for core in cores_in(mask) {
-            self.l1[core].invalidate(addr);
-            self.l2[core].invalidate(addr);
+            let (l1_slot, l2_slot) = self.private_slots(core, addr);
+            if let Some(s) = l1_slot {
+                self.l1[core].invalidate_at(s);
+            }
+            if let Some(s) = l2_slot {
+                self.l2[core].invalidate_at(s);
+            }
         }
     }
 
@@ -358,27 +387,33 @@ impl SystemCaches {
 
     /// Audits the whole hierarchy:
     ///
-    /// * every L1 line is in the same core's L2;
-    /// * every L2 line is in the L3 with that core's bit set, so the bits
-    ///   cover every private holder;
+    /// * every L1 way's L2 slot holds the same line, so every L1 line is
+    ///   in the same core's L2;
+    /// * every L2 way's L3 slot holds the same line, with that core's bit
+    ///   set, so every L2 line is in the L3;
+    /// * an L3 way's bit `c` is set exactly when core `c`'s L2 holds the
+    ///   line;
     /// * a line a core holds Modified or Exclusive is in no other core's
-    ///   caches (by the check above, only the cores whose bits are set
+    ///   caches (by the checks above, only the cores whose bits are set
     ///   need looking at).
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         for core in 0..self.cfg.cores {
-            if let Some((addr, _)) = self.l1[core]
-                .lines()
-                .find(|&(addr, _)| self.l2[core].peek(addr).is_none())
-            {
-                return Err(format!("{addr}: in core {core}'s L1 but not its L2"));
+            for (addr, l2_slot) in self.l1[core].lines() {
+                if self.l2[core].line_at(l2_slot) != Some(addr) {
+                    return Err(format!(
+                        "{addr}: core {core}'s L1 way links to an L2 way that does not hold it"
+                    ));
+                }
             }
-            for (addr, _) in self.l2[core].lines() {
-                let Some(slot) = self.l3.find(addr) else {
-                    return Err(format!("{addr}: in core {core}'s L2 but not the L3"));
-                };
-                let bits = self.l3.data(slot);
+            for (addr, l3_slot) in self.l2[core].lines() {
+                if self.l3.line_at(l3_slot) != Some(addr) {
+                    return Err(format!(
+                        "{addr}: core {core}'s L2 way links to an L3 way that does not hold it"
+                    ));
+                }
+                let bits = self.l3.data(l3_slot);
                 if bits & (1 << core) == 0 {
                     return Err(format!(
                         "{addr}: in core {core}'s L2 without its core-valid bit"
@@ -395,6 +430,22 @@ impl SystemCaches {
                 {
                     return Err(format!(
                         "{addr}: owned by core {core} but held by core {peer}"
+                    ));
+                }
+            }
+        }
+        // Each L2 line sets its own bit (checked above), so the bits are
+        // exact when there are as many as L2 lines. Only a surplus needs
+        // the search that names its line.
+        let bits: usize = self.l3.lines().map(|(_, b)| b.count_ones() as usize).sum();
+        let held: usize = self.l2.iter().map(SetAssocCache::resident_lines).sum();
+        if bits != held {
+            for (addr, bits) in self.l3.lines() {
+                if let Some(core) = cores_in(bits)
+                    .find(|&core| core >= self.cfg.cores || self.l2[core].find(addr).is_none())
+                {
+                    return Err(format!(
+                        "{addr}: core {core}'s core-valid bit is set but its L2 lacks the line"
                     ));
                 }
             }
@@ -628,6 +679,96 @@ mod tests {
         skewed.l3.lookup(LineAddr(3));
         let err = skewed.check_conservation().unwrap_err();
         assert!(err.contains("L3 lookups"), "{err}");
+    }
+
+    /// A hierarchy after a mixed stream, audited clean.
+    fn exercised() -> SystemCaches {
+        let mut s = small(3);
+        for i in 0..300u64 {
+            s.access((i % 3) as usize, LineAddr(i * 7 % 80), i % 4 == 0);
+            if i % 5 == 0 {
+                s.probe_from_mc(LineAddr(i % 40));
+            }
+        }
+        assert_eq!(s.check_invariants(), Ok(()));
+        s
+    }
+
+    /// The slot of a resident line of `cache` other than `addr`.
+    fn another_line<T: Copy + Default>(cache: &SetAssocCache<T>, addr: LineAddr) -> Slot {
+        cache
+            .lines()
+            .find(|&(a, _)| a != addr)
+            .and_then(|(a, _)| cache.find(a))
+            .expect("another line is resident")
+    }
+
+    #[test]
+    fn a_broken_link_is_named() {
+        let s = exercised();
+        let (addr, _) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
+        let l1_slot = s.l1[1].find(addr).expect("resident");
+        let mut broken = s.clone();
+        *broken.l1[1].data_mut(l1_slot) = another_line(&s.l2[1], addr);
+        let err = broken.check_invariants().unwrap_err();
+        assert_eq!(
+            err,
+            format!("{addr}: core 1's L1 way links to an L2 way that does not hold it")
+        );
+
+        let (addr, _) = s.l2[2].lines().next().expect("core 2's L2 holds lines");
+        let l2_slot = s.l2[2].find(addr).expect("resident");
+        let mut broken = s.clone();
+        *broken.l2[2].data_mut(l2_slot) = another_line(&s.l3, addr);
+        let err = broken.check_invariants().unwrap_err();
+        assert_eq!(
+            err,
+            format!("{addr}: core 2's L2 way links to an L3 way that does not hold it")
+        );
+    }
+
+    #[test]
+    fn a_wrong_core_valid_bit_is_named() {
+        let s = exercised();
+        // A bit set for a core whose L2 lacks the line.
+        let (addr, core) =
+            s.l3.lines()
+                .find_map(|(addr, bits)| {
+                    (0..3)
+                        .find(|&c| bits & 1 << c == 0)
+                        .map(|core| (addr, core))
+                })
+                .expect("some L3 line is not held by every core");
+        let slot = s.l3.find(addr).expect("resident");
+        let mut broken = s.clone();
+        *broken.l3.data_mut(slot) |= 1 << core;
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            format!("{addr}: core {core}'s core-valid bit is set but its L2 lacks the line")
+        );
+
+        // A bit cleared for a core whose L2 holds the line.
+        let (addr, l3_slot) = s.l2[0].lines().next().expect("core 0's L2 holds lines");
+        let mut broken = s;
+        *broken.l3.data_mut(l3_slot) &= !1;
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            format!("{addr}: in core 0's L2 without its core-valid bit")
+        );
+    }
+
+    #[test]
+    fn bits_follow_l2_victims() {
+        let mut s = small(1);
+        // Lines 0, 4, 8, 12 fill one 4-way L2 set; 16 evicts line 0 from
+        // the L2 while the 16-set L3 keeps it.
+        for i in 0..5 {
+            s.access(0, LineAddr(i * 4), false);
+        }
+        let slot = s.l3.find(LineAddr(0)).expect("the L3 keeps line 0");
+        assert_eq!(s.private_state(0, LineAddr(0)), None);
+        assert_eq!(s.l3.data(slot), 0, "the L2 victim cleared its bit");
+        assert_eq!(s.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! `HostMemory` substrate, which is exact because the simulation is
 //! sequentially consistent at the event level. The inclusive L3 keeps
 //! per-way core-valid bits, as inclusive last-level caches do in hardware:
-//! they name the cores whose private caches may hold the line, so an L3
-//! miss skips the snoop entirely.
+//! they name exactly the cores whose private caches hold the line, so an
+//! L3 miss skips the snoop entirely. Each private way links to its line's
+//! slot one level down, so coherence updates reach the levels below
+//! without searching a set.
 //!
 //! # Examples
 //!

@@ -153,10 +153,14 @@ impl EngineMetricIds {
 pub struct PageForgeEngine {
     cfg: EngineConfig,
     table: ScanTable,
+    /// Reset in place for each candidate; rebuilt from `cfg.ecc` by the
+    /// first [`insert_pfe`](Self::insert_pfe) after the offsets change.
     key: KeyBuilder,
+    /// `update_ecc_offset` changed `cfg.ecc` since `key` was built.
+    rekey: bool,
     metrics: Registry,
     ids: EngineMetricIds,
-    /// [`key_line_mask`] of `cfg.ecc`.
+    /// [`key_line_mask`] of `key`'s offsets.
     key_lines: u64,
     /// Deterministic fault layer; `None` (the default) means the engine
     /// behaves exactly as before the fault subsystem existed.
@@ -172,6 +176,7 @@ impl PageForgeEngine {
         PageForgeEngine {
             table: ScanTable::new(cfg.table_entries),
             key,
+            rekey: false,
             key_lines: key_line_mask(&cfg.ecc),
             cfg,
             metrics,
@@ -259,11 +264,18 @@ impl PageForgeEngine {
     }
 
     /// `insert_PFE`: load a new candidate page. Resets the hash-key
-    /// builder — a new candidate means a new key.
+    /// builder — a new candidate means a new key — and rebuilds it if
+    /// the offsets changed since the last candidate.
     #[inline]
     pub fn insert_pfe(&mut self, ppn: Ppn, last_refill: bool, ptr: u8) {
         self.table.insert_pfe(ppn, last_refill, ptr);
-        self.key = self.cfg.ecc.builder();
+        if self.rekey {
+            self.key = self.cfg.ecc.builder();
+            self.key_lines = key_line_mask(&self.cfg.ecc);
+            self.rekey = false;
+        } else {
+            self.key.reset();
+        }
     }
 
     /// `update_PFE`: rearm for another batch of the same candidate. The
@@ -279,14 +291,16 @@ impl PageForgeEngine {
     }
 
     /// `update_ECC_offset`: change the hash-key line offsets. Takes effect
-    /// for the *next* candidate ("such offsets are rarely changed", §3.6).
+    /// for the *next* candidate ("such offsets are rarely changed", §3.6):
+    /// a candidate in progress keeps building its key from the offsets it
+    /// started with.
     ///
     /// # Errors
     ///
     /// Returns the [`EccKeyConfigError`] if the offsets are invalid.
     pub fn update_ecc_offset(&mut self, offsets: Vec<usize>) -> Result<(), EccKeyConfigError> {
         self.cfg.ecc = EccKeyConfig::with_offsets(offsets)?;
-        self.key_lines = key_line_mask(&self.cfg.ecc);
+        self.rekey = true;
         Ok(())
     }
 
@@ -620,6 +634,7 @@ mod tests {
         let mut engine = PageForgeEngine::new(EngineConfig::default());
         for offsets in [vec![3, 19, 35, 51], vec![0, 63], vec![7]] {
             engine.update_ecc_offset(offsets.clone()).unwrap();
+            engine.insert_pfe(Ppn(0), true, 0);
             for line in 0..LINES_PER_PAGE {
                 assert_eq!(
                     engine.key_lines >> line & 1 == 1,
@@ -740,6 +755,45 @@ mod tests {
         eng.run_batch(&mem, &mut fabric, 100_000);
         let key1 = eng.pfe_info().hash;
         assert_ne!(key0, key1);
+    }
+
+    #[test]
+    fn first_candidate_after_an_offset_update_keys_with_the_new_offsets() {
+        let (mem, p) = mem_with(&[7, 8, 9]);
+        let mut eng = PageForgeEngine::new(EngineConfig::default());
+        let mut fabric = FlatFabric::all_dram(80);
+        eng.insert_pfe(p[0], true, 0);
+        eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
+        eng.run_batch(&mem, &mut fabric, 0);
+        let offsets = vec![0, 16, 32, 48];
+        eng.update_ecc_offset(offsets.clone()).unwrap();
+        eng.clear_others();
+        eng.insert_pfe(p[2], true, 0);
+        eng.insert_ppn(0, p[0], INVALID_INDEX, INVALID_INDEX);
+        eng.run_batch(&mem, &mut fabric, 100_000);
+        let cfg = EccKeyConfig::with_offsets(offsets).unwrap();
+        assert_eq!(
+            eng.pfe_info().hash,
+            Some(cfg.page_key(mem.frame_data(p[2]).unwrap()))
+        );
+    }
+
+    #[test]
+    fn a_candidate_in_progress_keeps_its_offsets() {
+        let (mem, p) = mem_with(&[7, 8, 9]);
+        let mut eng = PageForgeEngine::new(EngineConfig::default());
+        let mut fabric = FlatFabric::all_dram(80);
+        eng.insert_pfe(p[0], false, 0);
+        eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
+        eng.run_batch(&mem, &mut fabric, 0);
+        // The offsets change between two batches of the same candidate.
+        eng.update_ecc_offset(vec![0, 16, 32, 48]).unwrap();
+        eng.clear_others();
+        eng.insert_ppn(0, p[2], INVALID_INDEX, INVALID_INDEX);
+        eng.update_pfe(true, 0);
+        eng.run_batch(&mem, &mut fabric, 50_000);
+        let expected = EccKeyConfig::default().page_key(mem.frame_data(p[0]).unwrap());
+        assert_eq!(eng.pfe_info().hash, Some(expected));
     }
 
     #[test]

@@ -216,6 +216,14 @@ pub struct KeyBuilder {
 }
 
 impl KeyBuilder {
+    /// Forgets every observation, keeping the configuration: the builder
+    /// starts the next key as a fresh [`EccKeyConfig::builder`] would,
+    /// without cloning the offsets.
+    pub fn reset(&mut self) {
+        self.key = 0;
+        self.filled = 0;
+    }
+
     /// Feeds the minikey of one observed line. Lines that are not at a
     /// configured offset are ignored; repeated observations of the same
     /// offset overwrite the minikey (the content may have changed in
@@ -362,6 +370,24 @@ mod tests {
         b.observe(63, LineEcc::encode(page.line(63)).minikey());
         assert!(!b.is_complete());
         assert_eq!(b.missing(), cfg.offsets().to_vec());
+    }
+
+    #[test]
+    fn reset_builder_starts_a_fresh_key() {
+        let cfg = EccKeyConfig::default();
+        let mut b = cfg.builder();
+        for &off in cfg.offsets() {
+            b.observe(off, 0xA5);
+        }
+        assert!(b.is_complete());
+        b.reset();
+        assert!(!b.is_complete());
+        assert_eq!(b.missing(), cfg.offsets());
+        let page = PageData::from_fn(|i| (i * 13) as u8);
+        for &off in cfg.offsets() {
+            b.observe(off, LineEcc::minikey_of(page.line(off)));
+        }
+        assert_eq!(b.finish(), Some(cfg.page_key(&page)));
     }
 
     #[test]

@@ -91,7 +91,9 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Builds an injector replaying `plan`. The `faults.scheduled` counter
+    /// Builds an injector replaying `plan`. Events replay in arm-cycle
+    /// order whatever order the plan lists them in; events armed at the
+    /// same cycle keep the plan's order. The `faults.scheduled` counter
     /// is set immediately; outcome counters tick as hooks fire.
     pub fn new(plan: &FaultPlan) -> Self {
         let mut metrics = Registry::new();
@@ -108,8 +110,10 @@ impl FaultInjector {
             stall_hits: metrics.counter("faults.stall_hits"),
         };
         metrics.add(ids.scheduled, plan.events.len() as u64);
+        let mut events = plan.events.clone();
+        events.sort_by_key(|e| e.at_cycle);
         FaultInjector {
-            events: plan.events.iter().cloned().collect(),
+            events: events.into(),
             stalls: plan.stalls.clone(),
             pending_line: VecDeque::new(),
             pending_key: VecDeque::new(),
@@ -552,6 +556,34 @@ mod tests {
         assert_eq!(snap.counter("faults.scheduled"), Some(2));
         assert_eq!(snap.counter("faults.injected"), Some(1));
         assert_eq!(snap.counter("faults.masked"), Some(1));
+    }
+
+    #[test]
+    fn events_listed_out_of_order_replay_in_cycle_order() {
+        let key_fault = |at_cycle, xor| FaultEvent {
+            at_cycle,
+            kind: FaultKind::KeyFault { xor },
+        };
+        // A hand-edited plan: the later event is listed first, and two
+        // events share a cycle.
+        let mut inj = FaultInjector::new(&plan_with(vec![
+            key_fault(100, 0x01),
+            key_fault(10, 0x02),
+            key_fault(10, 0x04),
+        ]));
+        assert_eq!(inj.filter_minikey(50, 0), 0x02);
+        assert_eq!(
+            inj.filter_minikey(50, 0),
+            0x04,
+            "ties keep the plan's order"
+        );
+        assert_eq!(
+            inj.filter_minikey(50, 0),
+            0,
+            "the cycle-100 event is not armed"
+        );
+        assert_eq!(inj.filter_minikey(100, 0), 0x01);
+        assert_eq!(inj.counter("faults.key_faults"), 3);
     }
 
     #[test]
