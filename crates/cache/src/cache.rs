@@ -112,21 +112,29 @@ impl CacheStats {
     }
 }
 
+/// One way: a `u32` tag and LRU stamp, the owner's `T` and the state. With
+/// a 4-byte `T` (a [`Slot`], an L2 way's link or the L3's core-valid bits)
+/// a way takes 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Way<T> {
-    tag: u64,
-    state: LineState,
-    last_used: u64,
+    tag: u32,
+    last_used: u32,
     data: T,
+    state: LineState,
+}
+
+/// The bytes one way of a `SetAssocCache<T>` takes on the host.
+pub(crate) const fn way_bytes<T>() -> usize {
+    std::mem::size_of::<Way<T>>()
 }
 
 /// Where a resident line sits in its cache: its index in the way arena. A
 /// line keeps its slot for as long as it stays resident, because an insert
 /// fills a hole or overwrites the way it evicts and an invalidation leaves
 /// a hole. The hierarchy links each private way to its line's slot one
-/// level down, so a `u32` keeps a way at 24 bytes.
+/// level down, in a `u32` beside the tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Slot(u32);
+pub struct Slot(pub(crate) u32);
 
 impl Slot {
     fn index(self) -> usize {
@@ -176,13 +184,24 @@ pub struct SetAssocCache<T = ()> {
     /// `num_sets - 1` when the set count is a power of two, so the set
     /// index is a mask rather than a 64-bit `%`.
     set_mask: Option<u64>,
-    use_counter: u64,
+    /// The LRU clock: the stamp of the latest lookup or insert. Before it
+    /// would wrap, [`renumber`](Self::renumber) ranks every set's stamps
+    /// anew.
+    use_counter: u32,
     stats: CacheStats,
 }
 
 /// The ways of a set up to its highest occupied one.
 fn span(valid: u64) -> usize {
     (u64::BITS - valid.leading_zeros()) as usize
+}
+
+/// Refuses a line whose address does not fit a way's `u32` tag. Lookups
+/// compare the widened tag, so such a line is simply never found.
+#[cold]
+#[inline(never)]
+fn tag_overflow(addr: LineAddr) -> ! {
+    panic!("line {addr} does not fit a 32-bit tag")
 }
 
 impl<T: Copy + Default> SetAssocCache<T> {
@@ -245,19 +264,54 @@ impl<T: Copy + Default> SetAssocCache<T> {
         }
     }
 
+    /// Advances the LRU clock and returns the new stamp.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.use_counter == u32::MAX {
+            self.renumber();
+        }
+        self.use_counter += 1;
+        self.use_counter
+    }
+
+    /// Ranks each set's resident ways `1..=n` by their LRU stamps, oldest
+    /// first, and restarts the clock above every rank. Victims are chosen
+    /// by comparing stamps within one set, so LRU order is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let mut ranked = Vec::with_capacity(self.cfg.ways);
+        for (set, &valid) in self.valid.iter().enumerate() {
+            let ways = &mut self.ways[set * self.cfg.ways..][..self.cfg.ways];
+            ranked.clear();
+            ranked.extend((0..self.cfg.ways).filter(|&i| valid >> i & 1 != 0));
+            ranked.sort_unstable_by_key(|&i| ways[i].last_used);
+            for (rank, &i) in (1..).zip(&ranked) {
+                ways[i].last_used = rank;
+            }
+        }
+        // Ranks run to at most `ways`, so the next stamp is above them all.
+        self.use_counter = self.cfg.ways as u32;
+    }
+
+    /// Sets the LRU clock, so a test can start it just below the wrap.
+    #[cfg(test)]
+    fn set_clock(&mut self, stamp: u32) {
+        self.use_counter = stamp;
+    }
+
     /// Looks up `addr` in one scan of its set, updating LRU and hit/miss
     /// counters. A miss in a full set records its LRU way, found in the
     /// same pass, for [`insert`](Self::insert).
     #[inline]
     pub fn lookup(&mut self, addr: LineAddr) -> Lookup {
         let set = self.set_index(addr);
-        self.use_counter += 1;
+        let counter = self.tick();
         let valid = self.valid[set];
         let base = set * self.cfg.ways;
-        let counter = self.use_counter;
-        let mut lru = (0, u64::MAX);
+        let mut lru = (0, u32::MAX);
         for (i, way) in self.ways[base..base + span(valid)].iter_mut().enumerate() {
-            if way.tag == addr.0 && valid >> i & 1 != 0 {
+            if u64::from(way.tag) == addr.0 && valid >> i & 1 != 0 {
                 way.last_used = counter;
                 self.stats.hits += 1;
                 return Lookup::Hit(Slot((base + i) as u32), way.state);
@@ -284,7 +338,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
         self.ways[base..base + span(valid)]
             .iter()
             .enumerate()
-            .position(|(i, w)| w.tag == addr.0 && valid >> i & 1 != 0)
+            .position(|(i, w)| u64::from(w.tag) == addr.0 && valid >> i & 1 != 0)
             .map(|i| Slot((base + i) as u32))
     }
 
@@ -317,7 +371,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
     /// The line at `slot`, or `None` when the slot is a hole.
     pub(crate) fn line_at(&self, slot: Slot) -> Option<LineAddr> {
         let (set, way) = (slot.index() / self.cfg.ways, slot.index() % self.cfg.ways);
-        (self.valid[set] >> way & 1 != 0).then(|| LineAddr(self.ways[slot.index()].tag))
+        (self.valid[set] >> way & 1 != 0).then(|| LineAddr(self.ways[slot.index()].tag.into()))
     }
 
     /// Installs `addr` with `state` and `data` through the `miss` of its
@@ -331,7 +385,8 @@ impl<T: Copy + Default> SetAssocCache<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the set is full but was not full at the lookup.
+    /// Panics if the set is full but was not full at the lookup, or if
+    /// `addr` does not fit the `u32` tag.
     #[inline]
     pub fn insert(
         &mut self,
@@ -344,12 +399,14 @@ impl<T: Copy + Default> SetAssocCache<T> {
             self.set_index(addr) == miss.set && self.find(addr).is_none(),
             "insert of {addr} without the miss of its own lookup"
         );
-        self.use_counter += 1;
+        let Ok(tag) = u32::try_from(addr.0) else {
+            tag_overflow(addr)
+        };
         let way = Way {
-            tag: addr.0,
-            state,
-            last_used: self.use_counter,
+            tag,
+            last_used: self.tick(),
             data,
+            state,
         };
         let valid = self.valid[miss.set];
         if valid != self.full {
@@ -369,7 +426,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
         }
         (
             Slot(lru as u32),
-            Some((LineAddr(evicted.tag), evicted.state, evicted.data)),
+            Some((LineAddr(evicted.tag.into()), evicted.state, evicted.data)),
         )
     }
 
@@ -398,7 +455,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
                 ways.iter()
                     .enumerate()
                     .filter(move |&(i, _)| valid >> i & 1 != 0)
-                    .map(|(_, w)| (LineAddr(w.tag), w.data))
+                    .map(|(_, w)| (LineAddr(w.tag.into()), w.data))
             })
     }
 
@@ -613,6 +670,63 @@ mod tests {
         }
         assert_eq!(c.peek(LineAddr(1)), None);
         assert_eq!(c.lines().count(), 2);
+    }
+
+    /// A seeded stream of lookups, inserts on a miss and invalidations on
+    /// a 4-set, 4-way cache whose LRU clock starts at `clock`, as the
+    /// victims it evicts in order.
+    fn victims_from(clock: u32) -> Vec<LineAddr> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut c = SetAssocCache::<()>::new(CacheConfig {
+            size_bytes: 16 * LINE_SIZE,
+            ways: 4,
+            latency: 1,
+            mshrs: 4,
+        });
+        c.set_clock(clock);
+        let mut rng = SmallRng::seed_from_u64(0x51A3);
+        let mut victims = Vec::new();
+        for _ in 0..4_000 {
+            let addr = LineAddr(rng.gen_range(0..40));
+            if rng.gen_range(0..8) == 0 {
+                c.invalidate(addr);
+            } else if let Lookup::Miss(miss) = c.lookup(addr) {
+                victims.extend(c.insert(miss, addr, LineState::Shared, ()).1.map(|v| v.0));
+            }
+        }
+        victims
+    }
+
+    #[test]
+    fn lru_survives_the_clock_wrapping() {
+        let from_zero = victims_from(0);
+        assert!(from_zero.len() > 1_000, "too few evictions to compare");
+        // 4,000 operations tick the clock past u32::MAX several hundred
+        // operations in, so the stream renumbers with full sets.
+        assert_eq!(victims_from(u32::MAX - 700), from_zero);
+        assert_eq!(victims_from(u32::MAX), from_zero);
+    }
+
+    #[test]
+    fn a_line_past_32_bits_is_never_found() {
+        let mut c = tiny();
+        fill(&mut c, 5, LineState::Shared);
+        let wide = LineAddr(5 + (1 << 32));
+        assert_eq!(c.find(wide), None, "the widened tag differs");
+        assert!(matches!(c.lookup(wide), Lookup::Miss(_)));
+        assert_eq!(c.peek(LineAddr(5)), Some(LineState::Shared));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit tag")]
+    fn insert_refuses_a_line_past_32_bits() {
+        let mut c = tiny();
+        let wide = LineAddr(1 << 32);
+        let Lookup::Miss(miss) = c.lookup(wide) else {
+            panic!("nothing is resident");
+        };
+        c.insert(miss, wide, LineState::Shared, ());
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! through the links, and an L2 victim clears its core's bit in its L3
 //! way, which is what keeps the bits exact.
 //!
+//! An L2 way's link also says whether the same core's L1 holds the line:
+//! an L1 fill sets that bit and an L1 victim clears it through its own
+//! link. A core's L1 is searched for a line only when the bit is set, so
+//! an L2 victim, a snoop, a probe or a back-invalidation of a line the L1
+//! lacks scans no L1 set.
+//!
 //! Every level scans a set once per access: a lookup that misses records
 //! the way its insert will evict. Between the two the set can only lose
 //! lines (to back-invalidation or an L2 victim's L1 invalidation), so a
@@ -27,7 +33,40 @@
 
 use pageforge_types::{Cycle, LineAddr};
 
-use crate::cache::{CacheConfig, CacheStats, LineState, Lookup, Miss, SetAssocCache, Slot};
+use crate::cache::{
+    way_bytes, CacheConfig, CacheStats, LineState, Lookup, Miss, SetAssocCache, Slot,
+};
+
+/// An L2 way's link: its line's L3 slot in the low 31 bits, and in the top
+/// bit whether the same core's L1 holds the line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct L3Link(u32);
+
+/// The top bit of an [`L3Link`]: the core's L1 holds the line.
+const IN_L1: u32 = 1 << 31;
+
+impl L3Link {
+    /// The link of a line just filled into the L2: its L3 slot, with the
+    /// L1 bit clear.
+    fn to(slot: Slot) -> Self {
+        L3Link(slot.0)
+    }
+
+    /// The line's slot in the L3.
+    fn slot(self) -> Slot {
+        Slot(self.0 & !IN_L1)
+    }
+
+    /// Whether the same core's L1 holds the line.
+    fn in_l1(self) -> bool {
+        self.0 & IN_L1 != 0
+    }
+}
+
+// Every level's ways take 16 bytes: L1 ways carry a `Slot`, L2 ways an
+// `L3Link` and L3 ways the `u32` core-valid bits.
+const _: () =
+    assert!(way_bytes::<Slot>() == 16 && way_bytes::<L3Link>() == 16 && way_bytes::<u32>() == 16);
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,23 +131,24 @@ pub struct SystemCaches {
     cfg: HierarchyConfig,
     /// Each way carries the slot of its line in the same core's L2.
     l1: Vec<SetAssocCache<Slot>>,
-    /// Each way carries the slot of its line in the L3.
-    l2: Vec<SetAssocCache<Slot>>,
+    /// Each way carries the slot of its line in the L3 and whether the
+    /// same core's L1 holds it.
+    l2: Vec<SetAssocCache<L3Link>>,
     /// The inclusive L3. Each way carries its line's core-valid bits, as
     /// inclusive last-level caches keep them in hardware: bit `c` is set
     /// exactly when core `c`'s L2 holds the line (set on fill, cleared
     /// when the line leaves that L2). Snoops, probes and
     /// back-invalidations visit only those cores, and a line the L3 lacks
     /// is in no private cache.
-    l3: SetAssocCache<u64>,
+    l3: SetAssocCache<u32>,
 }
 
 /// The cores whose bits are set in `mask`, in ascending order.
-fn cores_in(mut mask: u64) -> impl Iterator<Item = usize> {
+fn cores_in(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         let core = mask.trailing_zeros() as usize;
         mask &= mask.wrapping_sub(1);
-        (core < 64).then_some(core)
+        (core < 32).then_some(core)
     })
 }
 
@@ -117,10 +157,20 @@ impl SystemCaches {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores` is zero or exceeds the 64 core-valid bits.
+    /// Panics if `cfg.cores` is zero or exceeds the 32 core-valid bits, or
+    /// if the L3 has 2^31 slots or more, which an L2 way's link cannot
+    /// name beside its L1 bit.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores > 0, "at least one core required");
-        assert!(cfg.cores <= 64, "core-valid bits pack cores into a u64");
+        assert!(
+            cfg.cores <= 32,
+            "core-valid bits pack cores into a u32: at most 32 cores, not {}",
+            cfg.cores
+        );
+        assert!(
+            cfg.l3.num_sets() * cfg.l3.ways < IN_L1 as usize,
+            "an L2 way links to an L3 slot in 31 bits: fewer than 2^31 L3 slots"
+        );
         SystemCaches {
             l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
@@ -156,7 +206,7 @@ impl SystemCaches {
                     // Upgrade: invalidate peers, go Modified.
                     latency += self.cfg.bus_latency;
                     let l2_slot = self.l1[core].data(slot);
-                    self.invalidate_peers(core, addr, self.l2[core].data(l2_slot));
+                    self.invalidate_peers(core, addr, self.l2[core].data(l2_slot).slot());
                     self.l2[core].set_state_at(l2_slot, LineState::Modified);
                 }
                 if write {
@@ -177,7 +227,7 @@ impl SystemCaches {
                 let new_state = if write {
                     if state == LineState::Shared {
                         latency += self.cfg.bus_latency;
-                        self.invalidate_peers(core, addr, self.l2[core].data(slot));
+                        self.invalidate_peers(core, addr, self.l2[core].data(slot).slot());
                     }
                     LineState::Modified
                 } else {
@@ -226,15 +276,17 @@ impl SystemCaches {
         } else {
             LineState::Exclusive
         };
-        let (l2_slot, victim) = self.l2[core].insert(l2_miss, addr, install, l3_slot);
-        if let Some((victim, vstate, victim_l3)) = victim {
+        let (l2_slot, victim) = self.l2[core].insert(l2_miss, addr, install, L3Link::to(l3_slot));
+        if let Some((victim, vstate, link)) = victim {
             // The victim leaves this core: its L3 way takes the dirty data
             // and loses the core's bit.
             if vstate.is_dirty() {
-                self.l3.set_state_at(victim_l3, LineState::Modified);
+                self.l3.set_state_at(link.slot(), LineState::Modified);
             }
-            *self.l3.data_mut(victim_l3) &= !(1 << core);
-            self.l1[core].invalidate(victim); // L2 inclusive of L1
+            *self.l3.data_mut(link.slot()) &= !(1 << core);
+            if link.in_l1() {
+                self.l1[core].invalidate(victim); // L2 inclusive of L1
+            }
         }
         self.fill_l1(core, l1_miss, addr, install, l2_slot);
         Access { level, latency }
@@ -254,16 +306,17 @@ impl SystemCaches {
         // Snoopy bus: every private cache whose bit is set is checked.
         let holders = self.l3.data(slot);
         for core in cores_in(holders) {
-            if let Some(l1_slot) = self.l1[core].find(addr) {
-                if self.l1[core].state(l1_slot) == LineState::Modified {
+            match self.private_slots(core, addr) {
+                (Some(l1_slot), Some(l2_slot))
+                    if self.l1[core].state(l1_slot) == LineState::Modified =>
+                {
                     self.l1[core].set_state_at(l1_slot, LineState::Shared);
-                    let l2_slot = self.l1[core].data(l1_slot);
                     self.l2[core].set_state_at(l2_slot, LineState::Shared);
                 }
-            } else if let Some(l2_slot) = self.l2[core].find(addr) {
-                if self.l2[core].state(l2_slot) == LineState::Modified {
+                (None, Some(l2_slot)) if self.l2[core].state(l2_slot) == LineState::Modified => {
                     self.l2[core].set_state_at(l2_slot, LineState::Shared);
                 }
+                _ => {}
             }
         }
         // An L3 hit is serviced without LRU update (the MC-side read does
@@ -276,7 +329,8 @@ impl SystemCaches {
     }
 
     /// Installs `addr`, held at `l2_slot` of `core`'s L2, in its L1
-    /// through the miss of its lookup.
+    /// through the miss of its lookup, and sets the L2 way's L1 bit. The
+    /// L1 victim clears its own through its link.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -285,21 +339,30 @@ impl SystemCaches {
         state: LineState,
         l2_slot: Slot,
     ) {
+        let l2 = &mut self.l2[core];
         if let (_, Some((_, vstate, victim_l2))) = self.l1[core].insert(miss, addr, state, l2_slot)
         {
             if vstate.is_dirty() {
-                self.l2[core].set_state_at(victim_l2, LineState::Modified);
+                l2.set_state_at(victim_l2, LineState::Modified);
             }
+            l2.data_mut(victim_l2).0 &= !IN_L1;
         }
+        l2.data_mut(l2_slot).0 |= IN_L1;
     }
 
-    /// The slots of `addr` in `core`'s L1 and L2. A line the L1 holds
-    /// reaches its L2 way through the link.
+    /// The slots of `addr` in `core`'s L1 and L2. The L2 is searched
+    /// first, and the L1 only when the L2 way's bit says it holds the
+    /// line.
     fn private_slots(&self, core: usize, addr: LineAddr) -> (Option<Slot>, Option<Slot>) {
-        match self.l1[core].find(addr) {
-            Some(l1_slot) => (Some(l1_slot), Some(self.l1[core].data(l1_slot))),
-            None => (None, self.l2[core].find(addr)),
-        }
+        let Some(l2_slot) = self.l2[core].find(addr) else {
+            return (None, None);
+        };
+        let l1_slot = if self.l2[core].data(l2_slot).in_l1() {
+            self.l1[core].find(addr)
+        } else {
+            None
+        };
+        (l1_slot, Some(l2_slot))
     }
 
     /// Snoops the peers whose core-valid bits are set in the L3 way at
@@ -307,7 +370,7 @@ impl SystemCaches {
     /// any peer held the line: the bits are exact, so whether any peer's
     /// bit is set.
     fn snoop(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot, write: bool) -> bool {
-        let peers = self.l3.data(l3_slot) & !(1u64 << requester);
+        let peers = self.l3.data(l3_slot) & !(1u32 << requester);
         if write {
             self.invalidate_peers(requester, addr, l3_slot);
             return peers != 0;
@@ -333,13 +396,13 @@ impl SystemCaches {
     /// Invalidates the copies of the line whose L3 way is at `l3_slot` in
     /// every core but `requester`, and clears those cores' bits.
     fn invalidate_peers(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot) {
-        let peers = self.l3.data(l3_slot) & !(1u64 << requester);
+        let peers = self.l3.data(l3_slot) & !(1u32 << requester);
         self.invalidate_private(addr, peers);
         *self.l3.data_mut(l3_slot) &= !peers;
     }
 
     /// Removes `addr` from the private caches of the cores in `mask`.
-    fn invalidate_private(&mut self, addr: LineAddr, mask: u64) {
+    fn invalidate_private(&mut self, addr: LineAddr, mask: u32) {
         for core in cores_in(mask) {
             let (l1_slot, l2_slot) = self.private_slots(core, addr);
             if let Some(s) = l1_slot {
@@ -387,8 +450,10 @@ impl SystemCaches {
 
     /// Audits the whole hierarchy:
     ///
-    /// * every L1 way's L2 slot holds the same line, so every L1 line is
-    ///   in the same core's L2;
+    /// * every L1 way's L2 slot holds the same line, with its L1 bit set,
+    ///   so every L1 line is in the same core's L2;
+    /// * an L2 way's L1 bit is set exactly when the core's L1 holds the
+    ///   line;
     /// * every L2 way's L3 slot holds the same line, with that core's bit
     ///   set, so every L2 line is in the L3;
     /// * an L3 way's bit `c` is set exactly when core `c`'s L2 holds the
@@ -406,8 +471,28 @@ impl SystemCaches {
                         "{addr}: core {core}'s L1 way links to an L2 way that does not hold it"
                     ));
                 }
+                if !self.l2[core].data(l2_slot).in_l1() {
+                    return Err(format!(
+                        "{addr}: in core {core}'s L1 but its L2 way's L1 bit is clear"
+                    ));
+                }
             }
-            for (addr, l3_slot) in self.l2[core].lines() {
+            // Each L1 line sets the bit of a distinct L2 way (checked
+            // above), so the L1 bits are exact when they number the L1's
+            // lines. Only a surplus needs the search that names its line.
+            let flagged = self.l2[core].lines().filter(|(_, link)| link.in_l1());
+            if flagged.count() != self.l1[core].resident_lines() {
+                if let Some((addr, _)) = self.l2[core]
+                    .lines()
+                    .find(|&(addr, link)| link.in_l1() && self.l1[core].find(addr).is_none())
+                {
+                    return Err(format!(
+                        "{addr}: core {core}'s L2 way has its L1 bit set but its L1 lacks the line"
+                    ));
+                }
+            }
+            for (addr, link) in self.l2[core].lines() {
+                let l3_slot = link.slot();
                 if self.l3.line_at(l3_slot) != Some(addr) {
                     return Err(format!(
                         "{addr}: core {core}'s L2 way links to an L3 way that does not hold it"
@@ -716,15 +801,59 @@ mod tests {
             format!("{addr}: core 1's L1 way links to an L2 way that does not hold it")
         );
 
-        let (addr, _) = s.l2[2].lines().next().expect("core 2's L2 holds lines");
+        let (addr, link) = s.l2[2].lines().next().expect("core 2's L2 holds lines");
         let l2_slot = s.l2[2].find(addr).expect("resident");
         let mut broken = s.clone();
-        *broken.l2[2].data_mut(l2_slot) = another_line(&s.l3, addr);
+        // Swap the L3 slot and keep the L1 bit.
+        let swapped = another_line(&s.l3, addr).0 | link.0 & IN_L1;
+        broken.l2[2].data_mut(l2_slot).0 = swapped;
         let err = broken.check_invariants().unwrap_err();
         assert_eq!(
             err,
             format!("{addr}: core 2's L2 way links to an L3 way that does not hold it")
         );
+    }
+
+    #[test]
+    fn a_wrong_l1_bit_is_named() {
+        let s = exercised();
+        // A bit cleared for a line the L1 holds.
+        let (addr, l2_slot) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
+        let mut broken = s.clone();
+        broken.l2[1].data_mut(l2_slot).0 &= !IN_L1;
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            format!("{addr}: in core 1's L1 but its L2 way's L1 bit is clear")
+        );
+
+        // A bit set for a line the L1 lacks.
+        let (addr, _) = s.l2[0]
+            .lines()
+            .find(|&(addr, link)| !link.in_l1() && s.l1[0].find(addr).is_none())
+            .expect("core 0's L2 holds a line its L1 lacks");
+        let l2_slot = s.l2[0].find(addr).expect("resident");
+        let mut broken = s;
+        broken.l2[0].data_mut(l2_slot).0 |= IN_L1;
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            format!("{addr}: core 0's L2 way has its L1 bit set but its L1 lacks the line")
+        );
+    }
+
+    #[test]
+    fn l2_victims_held_only_by_the_l2_leave_the_l1_alone() {
+        let mut s = small(1);
+        // Lines 0, 2 and 4 share set 0 of the 2-set, 2-way L1, so filling
+        // 4 evicts 0 from the L1 and clears its bit; 0 stays in the L2.
+        for line in [0, 2, 4] {
+            s.access(0, LineAddr(line), false);
+        }
+        let l2_slot = s.l2[0].find(LineAddr(0)).expect("the L2 keeps line 0");
+        assert_eq!(s.l1[0].find(LineAddr(0)), None);
+        assert!(!s.l2[0].data(l2_slot).in_l1());
+        let l2_slot = s.l2[0].find(LineAddr(4)).expect("resident");
+        assert!(s.l2[0].data(l2_slot).in_l1());
+        assert_eq!(s.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -748,9 +877,9 @@ mod tests {
         );
 
         // A bit cleared for a core whose L2 holds the line.
-        let (addr, l3_slot) = s.l2[0].lines().next().expect("core 0's L2 holds lines");
+        let (addr, link) = s.l2[0].lines().next().expect("core 0's L2 holds lines");
         let mut broken = s;
-        *broken.l3.data_mut(l3_slot) &= !1;
+        *broken.l3.data_mut(link.slot()) &= !1;
         assert_eq!(
             broken.check_invariants().unwrap_err(),
             format!("{addr}: in core 0's L2 without its core-valid bit")
@@ -776,6 +905,22 @@ mod tests {
     fn bad_core_panics() {
         let mut s = small(1);
         s.access(1, LineAddr(0), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 cores, not 33")]
+    fn a_33_core_hierarchy_is_refused() {
+        SystemCaches::new(HierarchyConfig::micro50(33));
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^31 L3 slots")]
+    fn an_l3_of_2_pow_31_slots_is_refused() {
+        let mut cfg = HierarchyConfig::micro50(1);
+        cfg.l3.ways = 16;
+        cfg.l3.size_bytes = (1 << 31) * LINE_SIZE;
+        // Refused before any cache is built, so nothing is allocated.
+        SystemCaches::new(cfg);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! they name exactly the cores whose private caches hold the line, so an
 //! L3 miss skips the snoop entirely. Each private way links to its line's
 //! slot one level down, so coherence updates reach the levels below
-//! without searching a set.
+//! without searching a set, and an L2 way's link says whether the core's
+//! L1 holds the line, so an L1 set is searched only for a line it holds.
 //!
 //! # Examples
 //!

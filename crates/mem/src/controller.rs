@@ -1,5 +1,5 @@
-//! The memory controller: request buffers, coalescing, the ECC engine
-//! position, and bandwidth metering.
+//! The memory controller: request buffers, coalescing, and bandwidth
+//! metering.
 //!
 //! Figure 3 of the paper shows the controller PageForge plugs into: read
 //! and write request buffers in front of the command-generation engine,
@@ -9,10 +9,7 @@
 //! line arrives at the memory controller, then the incoming request is
 //! coalesced with the pending request".
 
-use std::collections::BTreeMap;
-
-use pageforge_ecc::LineEcc;
-use pageforge_obs::{CounterId, GaugeId, Registry};
+use pageforge_obs::Registry;
 use pageforge_types::{Cycle, LineAddr, LINE_SIZE};
 
 use crate::dram::{Dram, DramConfig, DramStats};
@@ -39,10 +36,8 @@ pub struct ReadGrant {
     pub coalesced: bool,
 }
 
-/// Controller-level counters.
-///
-/// A *view* assembled on demand from the controller's metric registry
-/// (names `mem.controller.*`, see OBSERVABILITY.md).
+/// Controller-level counters, exported as `mem.controller.*` (see
+/// OBSERVABILITY.md).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McStats {
     /// Read requests accepted.
@@ -64,10 +59,14 @@ pub struct McStats {
 /// Records bytes per fixed-width cycle window; the paper reports the
 /// bandwidth of "the most memory-intensive phase of the page deduplication
 /// process", i.e. the peak window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BandwidthMeter {
     window_cycles: Cycle,
     windows: Vec<u64>,
+    /// The window of the last record and its first cycle, so a record
+    /// divides by the width only when it leaves that window.
+    last: usize,
+    last_start: Cycle,
 }
 
 impl BandwidthMeter {
@@ -81,16 +80,24 @@ impl BandwidthMeter {
         BandwidthMeter {
             window_cycles,
             windows: Vec::new(),
+            last: 0,
+            last_start: 0,
         }
     }
 
     /// Records `bytes` transferred at `now`.
     pub fn record(&mut self, now: Cycle, bytes: u64) {
-        let idx = (now / self.window_cycles) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, 0);
+        // A cycle before the last window's start wraps to a large
+        // difference.
+        if now.wrapping_sub(self.last_start) >= self.window_cycles {
+            let idx = now / self.window_cycles;
+            self.last = idx as usize;
+            self.last_start = idx * self.window_cycles;
         }
-        if let Some(window) = self.windows.get_mut(idx) {
+        if self.last >= self.windows.len() {
+            self.windows.resize(self.last + 1, 0);
+        }
+        if let Some(window) = self.windows.get_mut(self.last) {
             *window += bytes;
         }
     }
@@ -125,154 +132,6 @@ impl BandwidthMeter {
     }
 }
 
-/// The ECC engine at the memory controller (Figure 3): encodes on writes,
-/// decodes on reads, and corrects/detects injected DRAM faults.
-///
-/// The paper's hash keys ride on exactly this machinery (§3.3); this model
-/// supports fault injection so the SECDED guarantees — single-bit errors
-/// corrected transparently, double-bit errors detected — can be exercised
-/// end-to-end through the read path.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EccEngine {
-    /// Lines encoded (write path).
-    pub encodes: u64,
-    /// Lines decoded (read path).
-    pub decodes: u64,
-    /// Single-bit errors corrected on the read path.
-    pub corrected: u64,
-    /// Uncorrectable (double-bit) errors detected.
-    pub uncorrectable: u64,
-    /// Silent miscorrections: ≥3 aliased flips that SECDED "fixed" into
-    /// the wrong word (its documented detection limit).
-    pub miscorrected: u64,
-    /// Outstanding injected faults: line → bit positions flipped within
-    /// the line's 512 data bits (at most 2 tracked per line).
-    faults: BTreeMap<LineAddr, Vec<u16>>,
-}
-
-/// A read hit an uncorrectable (multi-bit) DRAM error: SECDED detected it
-/// and the controller must raise a machine-check instead of returning data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UncorrectableError {
-    /// The poisoned line.
-    pub addr: LineAddr,
-}
-
-impl std::fmt::Display for UncorrectableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "uncorrectable ECC error at line {}", self.addr)
-    }
-}
-
-impl std::error::Error for UncorrectableError {}
-
-impl EccEngine {
-    /// Encodes a 64-byte line, counting the operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line.len() != 64`.
-    pub fn encode_line(&mut self, line: &[u8]) -> LineEcc {
-        self.encodes += 1;
-        LineEcc::encode(line)
-    }
-
-    /// "Decodes" a fault-free line on the read path and counts the
-    /// operation. Use [`read_line_checked`](Self::read_line_checked) when
-    /// injected faults should be considered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line.len() != 64`.
-    pub fn decode_line(&mut self, line: &[u8]) -> LineEcc {
-        self.decodes += 1;
-        LineEcc::encode(line)
-    }
-
-    /// Injects a DRAM fault: `bit` (0..512) of the stored copy of `addr`
-    /// flips. A second injection on the same line makes it uncorrectable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 512`.
-    pub fn inject_fault(&mut self, addr: LineAddr, bit: u16) {
-        assert!(bit < 512, "a line holds 512 data bits");
-        self.faults.entry(addr).or_default().push(bit);
-    }
-
-    /// Lines currently carrying injected faults.
-    pub fn faulty_lines(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Reads `line` (the true stored content) through the decoder, applying
-    /// any injected faults for `addr`. Single-bit faults are corrected —
-    /// the returned ECC matches the *true* content and the fault is
-    /// scrubbed. Double-bit faults are detected and reported.
-    ///
-    /// # Errors
-    ///
-    /// [`UncorrectableError`] when two or more bits of the same 64-bit word
-    /// were flipped (SECDED's detection limit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line.len() != 64`.
-    pub fn read_line_checked(
-        &mut self,
-        addr: LineAddr,
-        line: &[u8],
-    ) -> Result<LineEcc, UncorrectableError> {
-        assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
-        self.decodes += 1;
-        let Some(bits) = self.faults.get(&addr) else {
-            return Ok(LineEcc::encode(line));
-        };
-        // Reconstruct the corrupted words and run real SECDED decode on
-        // each affected one.
-        let true_ecc = LineEcc::encode(line);
-        let mut per_word: [u64; 8] = [0; 8];
-        for (slot, chunk) in per_word.iter_mut().zip(line.chunks_exact(8)) {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(chunk);
-            *slot = u64::from_le_bytes(bytes);
-        }
-        let mut corrupted = per_word;
-        for &bit in bits {
-            // Fault positions are within the line's 512 data bits, so the
-            // word index is always in range; ignore any that are not.
-            if let Some(word) = corrupted.get_mut((bit / 64) as usize) {
-                *word ^= 1u64 << (bit % 64);
-            }
-        }
-        for ((&cor, &raw), &ecc) in corrupted.iter().zip(&per_word).zip(&true_ecc.0) {
-            if cor == raw {
-                continue;
-            }
-            match pageforge_ecc::Secded72::decode(cor, ecc) {
-                pageforge_ecc::Decoded::CorrectedData { data, .. } if data == raw => {
-                    self.corrected += 1;
-                }
-                pageforge_ecc::Decoded::DoubleError => {
-                    self.uncorrectable += 1;
-                    return Err(UncorrectableError { addr });
-                }
-                // Three or more aliased flips can decode to a *wrong*
-                // single-bit "correction" (or a clean/check-bit verdict):
-                // SECDED's silent-miscorrect limit. The controller cannot
-                // tell, so the read succeeds; we only count it.
-                _ => {
-                    self.miscorrected += 1;
-                }
-            }
-        }
-        // Corrected: scrub the fault (the controller writes back the
-        // repaired line).
-        self.faults.remove(&addr);
-        Ok(true_ecc)
-    }
-}
-
 /// Memory-controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
@@ -298,33 +157,6 @@ impl McConfig {
             pipeline_latency: 10,
             meter_window: 200_000, // 100 µs at 2 GHz
             coalesce_window: 1_000,
-        }
-    }
-}
-
-/// Ids of the controller counters in the metric registry
-/// (`mem.controller.*`).
-#[derive(Debug, Clone, Copy)]
-struct McMetricIds {
-    reads: CounterId,
-    writes: CounterId,
-    coalesced_reads: CounterId,
-    demand_lines: CounterId,
-    pageforge_lines: CounterId,
-    writeback_lines: CounterId,
-    queue_occupancy: GaugeId,
-}
-
-impl McMetricIds {
-    fn register(reg: &mut Registry) -> Self {
-        McMetricIds {
-            reads: reg.counter("mem.controller.reads"),
-            writes: reg.counter("mem.controller.writes"),
-            coalesced_reads: reg.counter("mem.controller.coalesced_reads"),
-            demand_lines: reg.counter("mem.controller.demand_lines"),
-            pageforge_lines: reg.counter("mem.controller.pageforge_lines"),
-            writeback_lines: reg.counter("mem.controller.writeback_lines"),
-            queue_occupancy: reg.gauge("mem.controller.queue_occupancy"),
         }
     }
 }
@@ -395,17 +227,19 @@ impl InflightReads {
         i
     }
 
-    /// The ready cycle of `line`'s in-flight read, if any.
-    fn get(&self, line: u64) -> Option<Cycle> {
-        match self.slots.get(self.probe(line)) {
+    /// The ready cycle of the in-flight read of `line` at slot `i`, the
+    /// slot [`probe`](Self::probe) returned for it, if any.
+    fn ready_at(&self, i: usize, line: u64) -> Option<Cycle> {
+        match self.slots.get(i) {
             Some(&(held, ready)) if held == line => Some(ready),
             _ => None,
         }
     }
 
-    /// Records `line → ready`, overwriting an entry for `line`.
-    fn insert(&mut self, line: u64, ready: Cycle) {
-        let i = self.probe(line);
+    /// Records `line → ready` at slot `i`, the slot
+    /// [`probe`](Self::probe) returned for `line` with no insert since,
+    /// overwriting an entry for `line`.
+    fn fill(&mut self, i: usize, line: u64, ready: Cycle) {
         if let Some(slot) = self.slots.get_mut(i) {
             if slot.0 == FREE {
                 self.len += 1;
@@ -435,7 +269,7 @@ impl InflightReads {
         self.shift = 64 - slots.trailing_zeros();
         self.len = 0;
         for &(line, ready) in &live {
-            self.insert(line, ready);
+            self.fill(self.probe(line), line, ready);
         }
         live.clear();
         self.live = live;
@@ -449,25 +283,19 @@ pub struct MemoryController {
     dram: Dram,
     /// In-flight reads: line → ready cycle (for coalescing).
     pending_reads: InflightReads,
-    metrics: Registry,
-    ids: McMetricIds,
+    stats: McStats,
     meter: BandwidthMeter,
-    ecc: EccEngine,
 }
 
 impl MemoryController {
     /// Builds an idle controller.
     pub fn new(cfg: McConfig) -> Self {
-        let mut metrics = Registry::new();
-        let ids = McMetricIds::register(&mut metrics);
         MemoryController {
             dram: Dram::new(cfg.dram),
             pending_reads: InflightReads::new(),
-            metrics,
-            ids,
+            stats: McStats::default(),
             meter: BandwidthMeter::new(cfg.meter_window),
             cfg,
-            ecc: EccEngine::default(),
         }
     }
 
@@ -477,14 +305,19 @@ impl MemoryController {
     }
 
     /// Reads one line. Coalesces with an in-flight read of the same line.
+    ///
+    /// One probe of the in-flight table serves both the coalescing check
+    /// and the insert: the DRAM service in between never touches the
+    /// table.
     pub fn read_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> ReadGrant {
-        self.metrics.inc(self.ids.reads);
+        self.stats.reads += 1;
         self.count_source(source);
+        let slot = self.pending_reads.probe(addr.0);
         // A read completed by `now` is overwritten below; one too far
         // ahead in another requester's clock is serviced independently.
-        if let Some(ready) = self.pending_reads.get(addr.0) {
+        if let Some(ready) = self.pending_reads.ready_at(slot, addr.0) {
             if ready > now && ready - now <= self.cfg.coalesce_window {
-                self.metrics.inc(self.ids.coalesced_reads);
+                self.stats.coalesced_reads += 1;
                 return ReadGrant {
                     ready_at: ready,
                     coalesced: true,
@@ -495,13 +328,11 @@ impl MemoryController {
             .dram
             .service(addr, now + self.cfg.pipeline_latency, false);
         let ready_at = done + self.cfg.pipeline_latency;
-        self.pending_reads.insert(addr.0, ready_at);
+        self.pending_reads.fill(slot, addr.0, ready_at);
         self.meter.record(done, LINE_SIZE as u64);
         if self.pending_reads.len > PURGE_ABOVE {
             self.pending_reads.purge_completed(now);
         }
-        self.metrics
-            .set(self.ids.queue_occupancy, self.pending_reads.len as f64);
         ReadGrant {
             ready_at,
             coalesced: false,
@@ -511,7 +342,7 @@ impl MemoryController {
     /// Writes one line; returns the completion cycle. Writes are posted
     /// (buffered), so callers normally don't wait on this.
     pub fn write_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> Cycle {
-        self.metrics.inc(self.ids.writes);
+        self.stats.writes += 1;
         self.count_source(source);
         let done = self
             .dram
@@ -521,28 +352,19 @@ impl MemoryController {
     }
 
     fn count_source(&mut self, source: MemSource) {
-        let id = match source {
-            MemSource::Demand => self.ids.demand_lines,
-            MemSource::PageForge => self.ids.pageforge_lines,
-            MemSource::Writeback => self.ids.writeback_lines,
-        };
-        self.metrics.inc(id);
-    }
-
-    /// Controller counters, assembled from the metric registry
-    /// (`mem.controller.*`). Returned by value: the struct is a view.
-    pub fn stats(&self) -> McStats {
-        McStats {
-            reads: self.metrics.counter_value(self.ids.reads),
-            writes: self.metrics.counter_value(self.ids.writes),
-            coalesced_reads: self.metrics.counter_value(self.ids.coalesced_reads),
-            demand_lines: self.metrics.counter_value(self.ids.demand_lines),
-            pageforge_lines: self.metrics.counter_value(self.ids.pageforge_lines),
-            writeback_lines: self.metrics.counter_value(self.ids.writeback_lines),
+        match source {
+            MemSource::Demand => self.stats.demand_lines += 1,
+            MemSource::PageForge => self.stats.pageforge_lines += 1,
+            MemSource::Writeback => self.stats.writeback_lines += 1,
         }
     }
 
-    /// DRAM counters (view over the device's `mem.dram.*` metrics).
+    /// Controller counters (`mem.controller.*`).
+    pub fn stats(&self) -> McStats {
+        self.stats
+    }
+
+    /// DRAM counters (`mem.dram.*`).
     pub fn dram_stats(&self) -> DramStats {
         self.dram.stats()
     }
@@ -579,9 +401,24 @@ impl MemoryController {
 
     /// Controller plus DRAM metrics (`mem.controller.*` + `mem.dram.*`)
     /// as one registry, for aggregation into a simulation-wide snapshot.
+    /// The `queue_occupancy` gauge is the in-flight table's entry count.
     pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.metrics.clone();
-        reg.absorb(self.dram.metrics());
+        let mut reg = Registry::new();
+        let s = self.stats;
+        for (name, value) in [
+            ("mem.controller.reads", s.reads),
+            ("mem.controller.writes", s.writes),
+            ("mem.controller.coalesced_reads", s.coalesced_reads),
+            ("mem.controller.demand_lines", s.demand_lines),
+            ("mem.controller.pageforge_lines", s.pageforge_lines),
+            ("mem.controller.writeback_lines", s.writeback_lines),
+        ] {
+            let id = reg.counter(name);
+            reg.add(id, value);
+        }
+        let occupancy = reg.gauge("mem.controller.queue_occupancy");
+        reg.set(occupancy, self.pending_reads.len as f64);
+        reg.absorb(&self.dram.export_metrics());
         reg
     }
 
@@ -589,22 +426,15 @@ impl MemoryController {
     pub fn meter(&self) -> &BandwidthMeter {
         &self.meter
     }
-
-    /// The ECC engine (shared by the read/write path and PageForge).
-    pub fn ecc_engine_mut(&mut self) -> &mut EccEngine {
-        &mut self.ecc
-    }
-
-    /// ECC engine counters.
-    pub fn ecc_engine(&self) -> &EccEngine {
-        &self.ecc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use std::collections::BTreeMap;
+
+    use crate::dram::PlainDram;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -663,7 +493,7 @@ mod tests {
 
         // A read no source claims.
         let mut mc = fresh();
-        mc.metrics.inc(mc.ids.reads);
+        mc.stats.reads += 1;
         let err = mc.check_conservation().unwrap_err();
         assert!(err.contains("demand + PageForge + writeback"), "{err}");
 
@@ -675,8 +505,8 @@ mod tests {
 
         // A write counted by the controller but never sent to DRAM.
         let mut mc = fresh();
-        mc.metrics.inc(mc.ids.writes);
-        mc.metrics.inc(mc.ids.writeback_lines);
+        mc.stats.writes += 1;
+        mc.stats.writeback_lines += 1;
         let err = mc.check_conservation().unwrap_err();
         assert!(err.contains("DRAM writes"), "{err}");
     }
@@ -727,93 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn ecc_engine_counts() {
-        let mut e = EccEngine::default();
-        let line = [7u8; 64];
-        let enc = e.encode_line(&line);
-        let dec = e.decode_line(&line);
-        assert_eq!(enc, dec);
-        assert_eq!(e.encodes, 1);
-        assert_eq!(e.decodes, 1);
-    }
-
-    #[test]
-    fn single_bit_fault_is_corrected_and_scrubbed() {
-        let mut e = EccEngine::default();
-        let line = [0xA5u8; 64];
-        e.inject_fault(LineAddr(7), 133); // word 2, bit 5
-        assert_eq!(e.faulty_lines(), 1);
-        let ecc = e.read_line_checked(LineAddr(7), &line).expect("corrected");
-        assert_eq!(ecc, LineEcc::encode(&line), "ECC reflects the true data");
-        assert_eq!(e.corrected, 1);
-        assert_eq!(e.faulty_lines(), 0, "fault scrubbed after correction");
-        // Subsequent reads are clean.
-        e.read_line_checked(LineAddr(7), &line).expect("clean");
-        assert_eq!(e.corrected, 1);
-    }
-
-    #[test]
-    fn double_bit_fault_is_detected() {
-        let mut e = EccEngine::default();
-        let line = [0x3Cu8; 64];
-        e.inject_fault(LineAddr(9), 10);
-        e.inject_fault(LineAddr(9), 20); // same word (word 0)
-        let err = e.read_line_checked(LineAddr(9), &line).unwrap_err();
-        assert_eq!(err.addr, LineAddr(9));
-        assert_eq!(e.uncorrectable, 1);
-        assert!(err.to_string().contains("uncorrectable"));
-    }
-
-    #[test]
-    fn aliased_triple_fault_miscorrects_silently() {
-        // Data bits 0, 1, 2 sit in H-matrix columns 3, 5, 6, which XOR to
-        // zero: flipping all three yields an even syndrome with odd parity,
-        // so SECDED "corrects" into the wrong word. The controller cannot
-        // detect this — the read succeeds and the event is only counted.
-        let mut e = EccEngine::default();
-        let line = [0u8; 64];
-        e.inject_fault(LineAddr(4), 0);
-        e.inject_fault(LineAddr(4), 1);
-        e.inject_fault(LineAddr(4), 2); // all in word 0
-        e.read_line_checked(LineAddr(4), &line)
-            .expect("silent miscorrect still returns Ok");
-        assert_eq!(e.miscorrected, 1);
-        assert_eq!(e.uncorrectable, 0);
-    }
-
-    #[test]
-    fn two_faults_in_different_words_both_corrected() {
-        // SECDED protects each 64-bit word independently: one flip per
-        // word is still correctable.
-        let mut e = EccEngine::default();
-        let line = [0x11u8; 64];
-        e.inject_fault(LineAddr(3), 5); // word 0
-        e.inject_fault(LineAddr(3), 100); // word 1
-        e.read_line_checked(LineAddr(3), &line)
-            .expect("both corrected");
-        assert_eq!(e.corrected, 2);
-    }
-
-    #[test]
-    fn faults_do_not_corrupt_hash_keys() {
-        // The PageForge key rides on the decoded (corrected) ECC: a
-        // single-bit DRAM fault must not change the minikey.
-        let mut e = EccEngine::default();
-        let line: Vec<u8> = (0..64u8).collect();
-        let clean_key = LineEcc::encode(&line).minikey();
-        e.inject_fault(LineAddr(0), 3);
-        let ecc = e.read_line_checked(LineAddr(0), &line).expect("corrected");
-        assert_eq!(ecc.minikey(), clean_key);
-    }
-
-    #[test]
-    #[should_panic(expected = "512 data bits")]
-    fn fault_bit_out_of_range_panics() {
-        let mut e = EccEngine::default();
-        e.inject_fault(LineAddr(0), 512);
-    }
-
-    #[test]
     fn pending_set_is_purged() {
         let mut mc = MemoryController::new(McConfig::micro50());
         // Far more in-flight lines than the purge threshold; all complete
@@ -839,10 +582,12 @@ mod tests {
     }
 
     /// The in-flight map the table replaced, kept as its oracle: the read
-    /// path as it was, with a DRAM of its own.
+    /// path as it was, with a DRAM and a meter of its own that find every
+    /// address and window by division.
     struct MapController {
         cfg: McConfig,
-        dram: Dram,
+        dram: PlainDram,
+        meter: Vec<u64>,
         pending_reads: BTreeMap<LineAddr, Cycle>,
         coalesced_reads: u64,
         purges: u64,
@@ -867,6 +612,11 @@ mod tests {
                 .service(addr, now + self.cfg.pipeline_latency, false);
             let ready_at = done + self.cfg.pipeline_latency;
             self.pending_reads.insert(addr, ready_at);
+            let window = (done / self.cfg.meter_window) as usize;
+            if window >= self.meter.len() {
+                self.meter.resize(window + 1, 0);
+            }
+            self.meter[window] += LINE_SIZE as u64;
             if self.pending_reads.len() > 4096 {
                 self.pending_reads.retain(|_, &mut r| r > now);
                 self.purges += 1;
@@ -887,12 +637,16 @@ mod tests {
 
     impl Twins {
         fn new() -> Self {
-            let cfg = McConfig::micro50();
+            Twins::with(McConfig::micro50())
+        }
+
+        fn with(cfg: McConfig) -> Self {
             Twins {
                 mc: MemoryController::new(cfg),
                 oracle: MapController {
                     cfg,
-                    dram: Dram::new(cfg.dram),
+                    dram: PlainDram::new(cfg.dram),
+                    meter: Vec::new(),
                     pending_reads: BTreeMap::new(),
                     coalesced_reads: 0,
                     purges: 0,
@@ -914,11 +668,22 @@ mod tests {
                 "read {n}"
             );
             assert_eq!(
-                self.mc.metrics.gauge_value(self.mc.ids.queue_occupancy),
-                self.oracle.pending_reads.len() as f64,
+                self.mc.pending_reads.len,
+                self.oracle.pending_reads.len(),
                 "read {n}"
             );
+            assert_eq!(self.mc.dram_stats(), self.oracle.dram.stats, "read {n}");
+            assert_eq!(self.mc.meter().windows(), self.oracle.meter, "read {n}");
             got
+        }
+
+        /// The exported occupancy gauge is the oracle's entry count.
+        fn check_export(&self) {
+            let snapshot = self.mc.export_metrics().snapshot();
+            assert_eq!(
+                snapshot.gauge("mem.controller.queue_occupancy"),
+                Some(self.oracle.pending_reads.len() as f64)
+            );
         }
     }
 
@@ -959,6 +724,40 @@ mod tests {
                 twins.oracle.coalesced_reads > 0,
                 "seed {seed} never coalesced"
             );
+            twins.check_export();
+        }
+    }
+
+    /// Requesters whose clocks start up to three utilization windows
+    /// apart, on windows short enough that the channels queue, so reads
+    /// arrive out of order across `util_window` and `meter_window`
+    /// boundaries. Every grant, DRAM counter and meter window must match
+    /// the division-based reference.
+    #[test]
+    fn inflight_table_matches_the_map_across_window_boundaries() {
+        let mut cfg = McConfig::micro50();
+        cfg.dram.util_window = 3_000;
+        cfg.meter_window = 1_100;
+        for seed in 0..3u64 {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x3D);
+            let mut twins = Twins::with(cfg);
+            let mut clocks: Vec<Cycle> = (0..4)
+                .map(|_| rng.gen_range(0..3 * cfg.dram.util_window))
+                .collect();
+            for _ in 0..20_000 {
+                let clock = &mut clocks[rng.gen_range(0..4)];
+                let line = rng.gen_range(0..512u64) * 33;
+                let grant = twins.read(line, *clock);
+                *clock = match rng.gen_range(0..8) {
+                    0 => grant.ready_at,
+                    1 => *clock + rng.gen_range(0..2 * cfg.dram.util_window),
+                    _ => *clock + rng.gen_range(0..40),
+                };
+            }
+            let dram = twins.mc.dram_stats();
+            assert!(dram.queue_wait_cycles > 0, "seed {seed} never queued");
+            assert!(twins.oracle.coalesced_reads > 0, "seed {seed}");
+            twins.check_export();
         }
     }
 

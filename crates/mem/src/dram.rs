@@ -17,7 +17,7 @@
 //! about.
 
 use pageforge_obs::trace_event;
-use pageforge_obs::{CounterId, Registry};
+use pageforge_obs::Registry;
 use pageforge_types::{Cycle, LineAddr, LINE_SIZE};
 
 /// DRAM geometry and timing, in CPU cycles.
@@ -65,7 +65,12 @@ impl DramConfig {
 
     /// Total banks across the device.
     pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
+        self.channels * self.banks_per_channel()
+    }
+
+    /// Banks behind one channel.
+    fn banks_per_channel(&self) -> usize {
+        self.ranks_per_channel * self.banks_per_rank
     }
 
     /// Peak data bandwidth of the device in GB/s at the given CPU clock:
@@ -75,10 +80,8 @@ impl DramConfig {
     }
 }
 
-/// Row-hit/miss and traffic counters.
-///
-/// A *view* assembled on demand from the device's metric registry
-/// (names `mem.dram.*`, see OBSERVABILITY.md).
+/// Row-hit/miss and traffic counters, exported as `mem.dram.*` (see
+/// OBSERVABILITY.md).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Reads serviced.
@@ -95,18 +98,6 @@ pub struct DramStats {
     pub queue_wait_cycles: u64,
 }
 
-impl DramStats {
-    /// Row-buffer hit rate in `[0, 1]`.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
@@ -119,23 +110,51 @@ const RING: usize = 16;
 /// Busy-cycle accounting in absolute-indexed window buckets, so requesters
 /// on skewed clocks each read the utilization of *their own* previous
 /// window.
+///
+/// The channel keeps the index and first cycle of the window of its last
+/// request, so a request divides by the window width only when its cycle
+/// lies outside that window. It also keeps the queue-wait factor
+/// `u / (1 - u)` of the last busy count it read: the factor depends on
+/// nothing else, so a hit returns the bits the expression would.
 #[derive(Debug, Clone, Copy)]
 struct Channel {
     /// `(window_index, busy_cycles)` per ring slot.
     slots: [(u64, Cycle); RING],
+    /// The window of the last request and its first cycle.
+    window: u64,
+    window_start: Cycle,
+    /// The busy count the cached factor was computed from, and the factor.
+    factor_busy: Cycle,
+    factor: f64,
 }
 
 impl Default for Channel {
     fn default() -> Self {
         Channel {
             slots: [(u64::MAX, 0); RING],
+            // Window 0 starts at cycle 0; no busy cycles give no wait.
+            window: 0,
+            window_start: 0,
+            factor_busy: 0,
+            factor: 0.0,
         }
     }
 }
 
 impl Channel {
-    fn note(&mut self, now: Cycle, busy: Cycle, window: Cycle) {
-        let w = now / window;
+    /// The index of the window `now` falls in.
+    #[inline]
+    fn window_of(&mut self, now: Cycle, width: Cycle) -> u64 {
+        // A cycle before the window's start wraps to a large difference.
+        if now.wrapping_sub(self.window_start) >= width {
+            self.window = now / width;
+            self.window_start = self.window * width;
+        }
+        self.window
+    }
+
+    /// Charges `busy` cycles to window `w`.
+    fn note(&mut self, w: u64, busy: Cycle) {
         let slot = &mut self.slots[(w as usize) % RING];
         if slot.0 != w {
             *slot = (w, 0);
@@ -143,45 +162,41 @@ impl Channel {
         slot.1 += busy;
     }
 
-    /// Utilization of the window preceding `now`'s, in [0, 0.98].
-    fn utilization(&self, now: Cycle, window: Cycle) -> f64 {
-        let w = (now / window).saturating_sub(1);
-        let slot = self.slots[(w as usize) % RING];
-        if slot.0 == w {
-            (slot.1 as f64 / window as f64).min(0.98)
+    /// Busy cycles charged to the window preceding window `w` (to window
+    /// 0 itself when `w` is 0).
+    fn previous_busy(&self, w: u64) -> Cycle {
+        let prev = w.saturating_sub(1);
+        let slot = self.slots[(prev as usize) % RING];
+        if slot.0 == prev {
+            slot.1
         } else {
-            0.0
+            0
         }
     }
 
-    fn queue_wait(&self, now: Cycle, window: Cycle, service: Cycle, cap: Cycle) -> Cycle {
-        let util = self.utilization(now, window);
-        let wait = util / (1.0 - util) * service as f64;
+    /// The queue-wait factor `u / (1 - u)` of a window with `busy` busy
+    /// cycles, where `u` is its utilization capped at 0.98.
+    fn wait_factor(&mut self, busy: Cycle, width: Cycle) -> f64 {
+        if busy != self.factor_busy {
+            let util = (busy as f64 / width as f64).min(0.98);
+            self.factor_busy = busy;
+            self.factor = util / (1.0 - util);
+        }
+        self.factor
+    }
+
+    /// The queueing wait of a request in window `w` whose service takes
+    /// `service` cycles, capped at `cap`.
+    fn queue_wait(&mut self, w: u64, width: Cycle, service: Cycle, cap: Cycle) -> Cycle {
+        let busy = self.previous_busy(w);
+        let wait = self.wait_factor(busy, width) * service as f64;
         (wait as Cycle).min(cap)
     }
-}
 
-/// Ids of the device counters in the metric registry (`mem.dram.*`).
-#[derive(Debug, Clone, Copy)]
-struct DramMetricIds {
-    reads: CounterId,
-    writes: CounterId,
-    row_hits: CounterId,
-    row_misses: CounterId,
-    bytes: CounterId,
-    queue_wait_cycles: CounterId,
-}
-
-impl DramMetricIds {
-    fn register(reg: &mut Registry) -> Self {
-        DramMetricIds {
-            reads: reg.counter("mem.dram.reads"),
-            writes: reg.counter("mem.dram.writes"),
-            row_hits: reg.counter("mem.dram.row_hits"),
-            row_misses: reg.counter("mem.dram.row_misses"),
-            bytes: reg.counter("mem.dram.bytes"),
-            queue_wait_cycles: reg.counter("mem.dram.queue_wait_cycles"),
-        }
+    /// Utilization of the window preceding window `w`, in [0, 0.98].
+    #[cfg(test)]
+    fn utilization(&self, w: u64, width: Cycle) -> f64 {
+        (self.previous_busy(w) as f64 / width as f64).min(0.98)
     }
 }
 
@@ -191,21 +206,42 @@ pub struct Dram {
     cfg: DramConfig,
     banks: Vec<Bank>,
     channels: Vec<Channel>,
-    metrics: Registry,
-    ids: DramMetricIds,
+    stats: DramStats,
+    /// `log2` of the channel count, banks per channel and lines per row:
+    /// the address map shifts and masks by them.
+    channel_bits: u32,
+    bank_bits: u32,
+    row_bits: u32,
 }
 
 impl Dram {
     /// Builds an idle DRAM with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the channel count, the banks per channel
+    /// (`ranks_per_channel × banks_per_rank`) and the lines per row are
+    /// powers of two.
     pub fn new(cfg: DramConfig) -> Self {
-        let mut metrics = Registry::new();
-        let ids = DramMetricIds::register(&mut metrics);
+        let banks = cfg.banks_per_channel();
+        for (what, n) in [
+            ("channels", cfg.channels as u64),
+            ("banks per channel", banks as u64),
+            ("lines per row", cfg.lines_per_row),
+        ] {
+            assert!(
+                n.is_power_of_two(),
+                "the address map shifts by log2: {what} must be a power of two, not {n}"
+            );
+        }
         Dram {
             banks: vec![Bank::default(); cfg.total_banks()],
             channels: vec![Channel::default(); cfg.channels],
+            stats: DramStats::default(),
+            channel_bits: cfg.channels.trailing_zeros(),
+            bank_bits: banks.trailing_zeros(),
+            row_bits: cfg.lines_per_row.trailing_zeros(),
             cfg,
-            metrics,
-            ids,
         }
     }
 
@@ -214,84 +250,94 @@ impl Dram {
         &self.cfg
     }
 
-    /// Counter snapshot, assembled from the metric registry
-    /// (`mem.dram.*`). Returned by value: the struct is a view.
+    /// Counter snapshot (`mem.dram.*`).
     pub fn stats(&self) -> DramStats {
-        DramStats {
-            reads: self.metrics.counter_value(self.ids.reads),
-            writes: self.metrics.counter_value(self.ids.writes),
-            row_hits: self.metrics.counter_value(self.ids.row_hits),
-            row_misses: self.metrics.counter_value(self.ids.row_misses),
-            bytes: self.metrics.counter_value(self.ids.bytes),
-            queue_wait_cycles: self.metrics.counter_value(self.ids.queue_wait_cycles),
+        self.stats
+    }
+
+    /// The device counters as a registry (`mem.dram.*` namespace).
+    pub fn export_metrics(&self) -> Registry {
+        let mut reg = Registry::new();
+        let s = self.stats;
+        for (name, value) in [
+            ("mem.dram.reads", s.reads),
+            ("mem.dram.writes", s.writes),
+            ("mem.dram.row_hits", s.row_hits),
+            ("mem.dram.row_misses", s.row_misses),
+            ("mem.dram.bytes", s.bytes),
+            ("mem.dram.queue_wait_cycles", s.queue_wait_cycles),
+        ] {
+            let id = reg.counter(name);
+            reg.add(id, value);
         }
+        reg
     }
 
-    /// The underlying metric registry (`mem.dram.*` namespace).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Utilization estimate a request at `now` on `channel` would observe,
-    /// for tests and reporting.
-    pub fn channel_utilization_at(&self, channel: usize, now: Cycle) -> f64 {
-        self.channels[channel].utilization(now, self.cfg.util_window)
+    /// Utilization estimate a request at `now` on `channel` would observe.
+    #[cfg(test)]
+    fn channel_utilization_at(&self, channel: usize, now: Cycle) -> f64 {
+        let width = self.cfg.util_window;
+        self.channels[channel].utilization(now / width, width)
     }
 
     /// Address mapping: line-interleaved across channels, then banks, so
     /// consecutive lines spread across channels (the paper interleaves
     /// pages across controllers/channels/ranks/banks for parallelism,
-    /// §4.1).
+    /// §4.1). Returns the channel, the bank's index across the device and
+    /// the row.
+    #[inline]
     fn map(&self, addr: LineAddr) -> (usize, usize, u64) {
-        let channel = (addr.0 % self.cfg.channels as u64) as usize;
-        let within = addr.0 / self.cfg.channels as u64;
-        let banks = (self.cfg.ranks_per_channel * self.cfg.banks_per_rank) as u64;
-        let row_seq = within / self.cfg.lines_per_row;
-        let bank = (row_seq % banks) as usize;
-        let row = row_seq / banks;
-        (channel, bank, row)
+        let channel = addr.0 & ((1 << self.channel_bits) - 1);
+        let row_seq = addr.0 >> self.channel_bits >> self.row_bits;
+        let bank = row_seq & ((1 << self.bank_bits) - 1);
+        let row = row_seq >> self.bank_bits;
+        (
+            channel as usize,
+            (channel << self.bank_bits | bank) as usize,
+            row,
+        )
     }
 
     /// Services one line access issued at `now`; returns the completion
     /// cycle (`now` + queueing + access + burst).
     pub fn service(&mut self, addr: LineAddr, now: Cycle, write: bool) -> Cycle {
-        let (channel_idx, bank_in_channel, row) = self.map(addr);
-        let bank_idx =
-            channel_idx * self.cfg.ranks_per_channel * self.cfg.banks_per_rank + bank_in_channel;
+        let (channel_idx, bank_idx, row) = self.map(addr);
 
-        let row_hit = matches!(self.banks[bank_idx].open_row, Some(open) if open == row);
-        let access_latency = match self.banks[bank_idx].open_row {
+        let bank = &mut self.banks[bank_idx];
+        let row_hit = bank.open_row == Some(row);
+        let access_latency = match bank.open_row {
             Some(open) if open == row => {
-                self.metrics.inc(self.ids.row_hits);
+                self.stats.row_hits += 1;
                 self.cfg.t_cas
             }
             Some(_) => {
-                self.metrics.inc(self.ids.row_misses);
+                self.stats.row_misses += 1;
                 self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas
             }
             None => {
-                self.metrics.inc(self.ids.row_misses);
+                self.stats.row_misses += 1;
                 self.cfg.t_rcd + self.cfg.t_cas
             }
         };
-        self.banks[bank_idx].open_row = Some(row);
+        bank.open_row = Some(row);
 
         let channel = &mut self.channels[channel_idx];
+        let window = channel.window_of(now, self.cfg.util_window);
         let wait = channel.queue_wait(
-            now,
+            window,
             self.cfg.util_window,
             access_latency + self.cfg.t_burst,
             self.cfg.max_queue_wait,
         );
-        channel.note(now, self.cfg.t_burst, self.cfg.util_window);
+        channel.note(window, self.cfg.t_burst);
 
         if write {
-            self.metrics.inc(self.ids.writes);
+            self.stats.writes += 1;
         } else {
-            self.metrics.inc(self.ids.reads);
+            self.stats.reads += 1;
         }
-        self.metrics.add(self.ids.bytes, LINE_SIZE as u64);
-        self.metrics.add(self.ids.queue_wait_cycles, wait);
+        self.stats.bytes += LINE_SIZE as u64;
+        self.stats.queue_wait_cycles += wait;
         trace_event!(now, "dram", "command", {
             channel: channel_idx as f64,
             bank: bank_idx as f64,
@@ -301,6 +347,78 @@ impl Dram {
             latency: (wait + access_latency + self.cfg.t_burst) as f64,
         });
         now + wait + access_latency + self.cfg.t_burst
+    }
+}
+
+/// The DRAM model with every address and window found by division, as it
+/// was before the shifts and the window caches: the reference the tests
+/// hold [`Dram`] to.
+#[cfg(test)]
+pub(crate) struct PlainDram {
+    cfg: DramConfig,
+    open_rows: Vec<Option<u64>>,
+    /// `(window_index, busy_cycles)` ring per channel.
+    channels: Vec<[(u64, Cycle); RING]>,
+    pub(crate) stats: DramStats,
+}
+
+#[cfg(test)]
+impl PlainDram {
+    pub(crate) fn new(cfg: DramConfig) -> Self {
+        PlainDram {
+            cfg,
+            open_rows: vec![None; cfg.total_banks()],
+            channels: vec![[(u64::MAX, 0); RING]; cfg.channels],
+            stats: DramStats::default(),
+        }
+    }
+
+    pub(crate) fn service(&mut self, addr: LineAddr, now: Cycle, write: bool) -> Cycle {
+        let cfg = self.cfg;
+        let channel = (addr.0 % cfg.channels as u64) as usize;
+        let banks = (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
+        let row_seq = addr.0 / cfg.channels as u64 / cfg.lines_per_row;
+        let bank = channel * banks as usize + (row_seq % banks) as usize;
+        let row = row_seq / banks;
+        let access = match self.open_rows[bank] {
+            Some(open) if open == row => {
+                self.stats.row_hits += 1;
+                cfg.t_cas
+            }
+            Some(_) => {
+                self.stats.row_misses += 1;
+                cfg.t_rp + cfg.t_rcd + cfg.t_cas
+            }
+            None => {
+                self.stats.row_misses += 1;
+                cfg.t_rcd + cfg.t_cas
+            }
+        };
+        self.open_rows[bank] = Some(row);
+        let slots = &mut self.channels[channel];
+        let prev = (now / cfg.util_window).saturating_sub(1);
+        let slot = slots[(prev as usize) % RING];
+        let util = if slot.0 == prev {
+            (slot.1 as f64 / cfg.util_window as f64).min(0.98)
+        } else {
+            0.0
+        };
+        let wait = util / (1.0 - util) * (access + cfg.t_burst) as f64;
+        let wait = (wait as Cycle).min(cfg.max_queue_wait);
+        let w = now / cfg.util_window;
+        let slot = &mut slots[(w as usize) % RING];
+        if slot.0 != w {
+            *slot = (w, 0);
+        }
+        slot.1 += cfg.t_burst;
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        self.stats.bytes += LINE_SIZE as u64;
+        self.stats.queue_wait_cycles += wait;
+        now + wait + access + cfg.t_burst
     }
 }
 
@@ -399,14 +517,13 @@ mod tests {
         let cfg = DramConfig::micro50();
         let mut ch = Channel::default();
         // Saturate window 0 completely.
-        ch.note(0, cfg.util_window, cfg.util_window);
-        let now = cfg.util_window; // window 1 reads window 0's utilization
-        let wait = ch.queue_wait(now, cfg.util_window, 1000, cfg.max_queue_wait);
+        ch.note(0, cfg.util_window);
+        // Window 1 reads window 0's utilization.
+        let wait = ch.queue_wait(1, cfg.util_window, 1000, cfg.max_queue_wait);
         assert_eq!(wait, cfg.max_queue_wait);
         // A request whose previous window is empty pays nothing.
-        let far = 10 * cfg.util_window;
         assert_eq!(
-            ch.queue_wait(far, cfg.util_window, 1000, cfg.max_queue_wait),
+            ch.queue_wait(10, cfg.util_window, 1000, cfg.max_queue_wait),
             0
         );
     }
@@ -419,7 +536,80 @@ mod tests {
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().bytes, 128);
-        assert!(d.stats().row_hit_rate() > 0.0);
+        assert_eq!((d.stats().row_hits, d.stats().row_misses), (1, 1));
+    }
+
+    /// Requesters whose clocks start up to three windows apart issue reads
+    /// and writes in turn, so `now` moves back and forth across window
+    /// boundaries. Every completion and counter must match the
+    /// division-based reference. Returns the requests that queued.
+    fn agrees_with_the_plain_model(cfg: DramConfig, seed: u64) -> u64 {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut dram, mut plain) = (Dram::new(cfg), PlainDram::new(cfg));
+        let mut clocks: Vec<Cycle> = (0..4)
+            .map(|_| rng.gen_range(0..3 * cfg.util_window))
+            .collect();
+        let mut waited = 0;
+        for op in 0..20_000 {
+            let clock = &mut clocks[rng.gen_range(0..4)];
+            let addr = LineAddr(rng.gen_range(0..1u64 << 16));
+            let write = rng.gen_range(0..8) == 0;
+            let now = if rng.gen_range(0..100) == 0 {
+                *clock + rng.gen_range(0..40 * cfg.util_window)
+            } else {
+                *clock
+            };
+            let done = dram.service(addr, now, write);
+            assert_eq!(done, plain.service(addr, now, write), "op {op} at {now}");
+            assert_eq!(dram.stats(), plain.stats, "op {op}");
+            waited += u64::from(done - now > 28 + 28 + 28 + 8);
+            *clock += rng.gen_range(0..cfg.util_window / 50);
+        }
+        waited
+    }
+
+    #[test]
+    fn shifts_and_window_caches_match_division() {
+        let small = DramConfig {
+            util_window: 1_000,
+            ..DramConfig::micro50()
+        };
+        // A short window keeps the channels busy enough to charge waits.
+        for seed in 0..3 {
+            assert!(agrees_with_the_plain_model(small, seed) > 1_000);
+        }
+        let mut one_channel = DramConfig::micro50();
+        one_channel.channels = 1;
+        agrees_with_the_plain_model(one_channel, 7);
+    }
+
+    #[test]
+    fn non_power_of_two_geometry_is_refused() {
+        let cfg = DramConfig::micro50();
+        for (what, bad) in [
+            ("channels", DramConfig { channels: 3, ..cfg }),
+            (
+                "banks per channel",
+                DramConfig {
+                    banks_per_rank: 6,
+                    ..cfg
+                },
+            ),
+            (
+                "lines per row",
+                DramConfig {
+                    lines_per_row: 24,
+                    ..cfg
+                },
+            ),
+        ] {
+            let refused = std::panic::catch_unwind(|| Dram::new(bad));
+            let err = refused.expect_err("non-power-of-two geometry was accepted");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(what), "{msg}");
+        }
     }
 
     #[test]
@@ -432,12 +622,13 @@ mod tests {
     #[test]
     fn mapping_is_total_and_stable() {
         let d = Dram::new(DramConfig::micro50());
+        let banks = d.cfg.banks_per_channel();
         for raw in [0u64, 1, 63, 64, 12345, 1 << 30] {
             let (c1, b1, r1) = d.map(LineAddr(raw));
             let (c2, b2, r2) = d.map(LineAddr(raw));
             assert_eq!((c1, b1, r1), (c2, b2, r2));
             assert!(c1 < d.cfg.channels);
-            assert!(b1 < d.cfg.ranks_per_channel * d.cfg.banks_per_rank);
+            assert!((c1 * banks..(c1 + 1) * banks).contains(&b1));
         }
     }
 }

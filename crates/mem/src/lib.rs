@@ -10,9 +10,14 @@
 //!   ([`dram`]);
 //! * [`MemoryController`] — read/write request buffers, request
 //!   *coalescing* (a PageForge request merges with an in-flight demand
-//!   request for the same line and vice versa, §3.2.2), the ECC engine
-//!   position on the read/write path (Figure 3), and windowed bandwidth
-//!   metering for Figure 11 ([`controller`]).
+//!   request for the same line and vice versa, §3.2.2), and windowed
+//!   bandwidth metering for Figure 11 ([`controller`]);
+//! * [`MemorySystem`] — the controllers of Figure 5 behind line
+//!   interleaving ([`system`]).
+//!
+//! Controllers, channels, banks per channel and lines per row are powers
+//! of two, so routing and the address map shift and mask instead of
+//! dividing; the constructors refuse other geometry.
 //!
 //! # Examples
 //!
@@ -36,8 +41,6 @@ pub mod controller;
 pub mod dram;
 pub mod system;
 
-pub use controller::{
-    BandwidthMeter, EccEngine, McConfig, McStats, MemSource, MemoryController, ReadGrant,
-};
+pub use controller::{BandwidthMeter, McConfig, McStats, MemSource, MemoryController, ReadGrant};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use system::{MemorySystem, MemorySystemConfig};

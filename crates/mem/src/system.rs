@@ -42,6 +42,8 @@ impl MemorySystemConfig {
 pub struct MemorySystem {
     cfg: MemorySystemConfig,
     mcs: Vec<MemoryController>,
+    /// `log2(controllers)`: routing masks by it and shifts it away.
+    controller_bits: u32,
 }
 
 impl MemorySystem {
@@ -49,13 +51,19 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.controllers` is zero.
+    /// Panics if `cfg.controllers` is zero or not a power of two.
     pub fn new(cfg: MemorySystemConfig) -> Self {
         assert!(cfg.controllers > 0, "at least one controller required");
+        assert!(
+            cfg.controllers.is_power_of_two(),
+            "lines route by their low bits: controllers must be a power of two, not {}",
+            cfg.controllers
+        );
         MemorySystem {
             mcs: (0..cfg.controllers)
                 .map(|_| MemoryController::new(cfg.mc))
                 .collect(),
+            controller_bits: cfg.controllers.trailing_zeros(),
             cfg,
         }
     }
@@ -67,7 +75,14 @@ impl MemorySystem {
 
     /// Which controller services `addr` (line-interleaved).
     pub fn route(&self, addr: LineAddr) -> usize {
-        (addr.0 % self.cfg.controllers as u64) as usize
+        (addr.0 & ((1 << self.controller_bits) - 1)) as usize
+    }
+
+    /// `addr` with the controller bits stripped, so the per-controller
+    /// DRAM sees a dense address space (its own channel/bank interleave
+    /// applies to the quotient).
+    fn local(&self, addr: LineAddr) -> LineAddr {
+        LineAddr(addr.0 >> self.controller_bits)
     }
 
     /// Number of controllers.
@@ -78,29 +93,14 @@ impl MemorySystem {
     /// Reads one line through the owning controller.
     #[inline]
     pub fn read_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> ReadGrant {
-        let mc = self.route(addr);
-        // Strip the controller bits so the per-controller DRAM sees a
-        // dense address space (its own channel/bank interleave applies
-        // to the quotient).
-        let local = LineAddr(addr.0 / self.cfg.controllers as u64);
+        let (mc, local) = (self.route(addr), self.local(addr));
         self.mcs[mc].read_line(local, now, source)
     }
 
     /// Writes one line through the owning controller.
     pub fn write_line(&mut self, addr: LineAddr, now: Cycle, source: MemSource) -> Cycle {
-        let mc = self.route(addr);
-        let local = LineAddr(addr.0 / self.cfg.controllers as u64);
+        let (mc, local) = (self.route(addr), self.local(addr));
         self.mcs[mc].write_line(local, now, source)
-    }
-
-    /// One controller, by index (for PageForge's ECC engine access).
-    pub fn controller(&self, idx: usize) -> &MemoryController {
-        &self.mcs[idx]
-    }
-
-    /// Mutable access to one controller.
-    pub fn controller_mut(&mut self, idx: usize) -> &mut MemoryController {
-        &mut self.mcs[idx]
     }
 
     /// Aggregated controller statistics.
@@ -242,6 +242,29 @@ mod tests {
         sys.write_line(LineAddr(3), 40, MemSource::Writeback);
         assert!(sys.stats().coalesced_reads > 0 && sys.stats().writes == 1);
         assert_eq!(sys.check_conservation(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "controllers must be a power of two, not 3")]
+    fn three_controllers_are_refused() {
+        let _ = MemorySystem::new(MemorySystemConfig {
+            controllers: 3,
+            mc: McConfig::micro50(),
+        });
+    }
+
+    #[test]
+    fn routing_matches_division() {
+        let mut mc = McConfig::micro50();
+        mc.dram.channels = 1;
+        for controllers in [1, 2, 4, 8] {
+            let sys = MemorySystem::new(MemorySystemConfig { controllers, mc });
+            for raw in [0u64, 1, 5, 6, 63, 1 << 33, (1 << 33) + 7] {
+                let n = controllers as u64;
+                assert_eq!(sys.route(LineAddr(raw)), (raw % n) as usize);
+                assert_eq!(sys.local(LineAddr(raw)), LineAddr(raw / n));
+            }
+        }
     }
 
     #[test]
