@@ -416,11 +416,11 @@ impl PageForge {
         now: Cycle,
     ) -> (bool, Cycle) {
         self.stats.candidates += 1;
-        let Some(ppn) = mem.translate(vm, gfn) else {
+        let Some((ppn, cow)) = mem.translate_cow(vm, gfn) else {
             self.stats.unmapped += 1;
             return (false, now);
         };
-        if mem.is_cow(ppn) {
+        if cow {
             self.stats.already_shared += 1;
             return (false, now);
         }

@@ -242,11 +242,14 @@ impl Secded72 {
 pub struct LineEcc(pub [EccCode; WORDS_PER_LINE]);
 
 impl LineEcc {
-    /// Encodes a 64-byte line (little-endian words).
+    /// Encodes a 64-byte line (little-endian words). The simulator reads
+    /// only the minikeys ([`minikey_of`](Self::minikey_of)), so only the
+    /// tests encode whole lines, as the reference the minikeys match.
     ///
     /// # Panics
     ///
     /// Panics if `line.len() != 64`.
+    #[cfg(test)]
     pub fn encode(line: &[u8]) -> Self {
         assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
         let mut codes = [EccCode::default(); WORDS_PER_LINE];
@@ -266,13 +269,14 @@ impl LineEcc {
     }
 
     /// The [`minikey`](Self::minikey) of a 64-byte line, encoding only
-    /// word 0 — the seven other codes never reach a hash key. Equal to
-    /// `LineEcc::encode(line).minikey()`.
+    /// word 0 — the seven other codes never reach a hash key. Equal to the
+    /// minikey of the whole line's encoding.
     ///
     /// ```
-    /// use pageforge_ecc::LineEcc;
+    /// use pageforge_ecc::{LineEcc, Secded72};
     /// let line: Vec<u8> = (0..64).collect();
-    /// assert_eq!(LineEcc::minikey_of(&line), LineEcc::encode(&line).minikey());
+    /// let word0 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
+    /// assert_eq!(LineEcc::minikey_of(&line), u8::from(Secded72::encode(word0)));
     /// ```
     ///
     /// # Panics
@@ -304,8 +308,11 @@ impl fmt::Debug for LineEcc {
 mod tests {
     use super::*;
 
+    use pageforge_types::{derive_seed, PageData, LINES_PER_PAGE};
     use rand::rngs::SmallRng;
     use rand::{Rng, RngCore, SeedableRng};
+
+    use crate::EccKeyConfig;
 
     /// Random inputs per table test; Miri runs the same checks on fewer.
     const RANDOM_CASES: usize = if cfg!(miri) { 64 } else { 20_000 };
@@ -586,6 +593,52 @@ mod tests {
     #[should_panic(expected = "cache line")]
     fn line_ecc_wrong_length_panics() {
         let _ = LineEcc::encode(&[0u8; 32]);
+    }
+
+    /// The ECC of a line tracks each word independently.
+    #[test]
+    fn line_ecc_word_independence() {
+        let mut rng = SmallRng::seed_from_u64(derive_seed(0xECC, "word_independence"));
+        for _ in 0..128 {
+            let mut line = vec![0u8; LINE_SIZE];
+            rng.fill_bytes(&mut line);
+            let w = rng.gen_range(0usize..8);
+            let ecc = LineEcc::encode(&line);
+            let mut other = line.clone();
+            // Flip a bit in word w; only that word's code may change.
+            other[w * 8] ^= 1;
+            let ecc2 = LineEcc::encode(&other);
+            for k in 0..8 {
+                if k != w {
+                    assert_eq!(ecc.0[k], ecc2.0[k]);
+                }
+            }
+            assert_ne!(ecc.0[w], ecc2.0[w]);
+        }
+    }
+
+    /// Builder fed in a random order produces the same key as the direct
+    /// computation.
+    #[test]
+    fn builder_order_invariance() {
+        let mut rng = SmallRng::seed_from_u64(derive_seed(0xECC, "builder_order"));
+        for _ in 0..64 {
+            let mut seedbytes = vec![0u8; 16];
+            rng.fill_bytes(&mut seedbytes);
+            let page = PageData::from_fn(|i| seedbytes[i % seedbytes.len()].wrapping_mul(i as u8));
+            let cfg = EccKeyConfig::default();
+            let mut order: Vec<usize> = (0..LINES_PER_PAGE).collect();
+            // Fisher–Yates driven by the test RNG.
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(0usize..i + 1);
+                order.swap(i, j);
+            }
+            let mut b = cfg.builder();
+            for &line in &order {
+                b.observe(line, LineEcc::encode(page.line(line)).minikey());
+            }
+            assert_eq!(b.finish(), Some(cfg.page_key(&page)));
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! failure exactly).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
-use pageforge_ecc::{Decoded, EccKeyConfig, LineEcc, Secded72};
-use pageforge_types::{derive_seed, PageData, LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
+use pageforge_ecc::{Decoded, EccKeyConfig, Secded72};
+use pageforge_types::{derive_seed, PageData, LINE_SIZE, PAGE_SIZE};
 
 fn rng_for(label: &str) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(0xECC, label))
@@ -97,28 +97,6 @@ fn encode_is_deterministic() {
     }
 }
 
-/// The ECC of a line tracks each word independently.
-#[test]
-fn line_ecc_word_independence() {
-    let mut rng = rng_for("word_independence");
-    for _ in 0..128 {
-        let mut line = vec![0u8; LINE_SIZE];
-        rng.fill_bytes(&mut line);
-        let w = rng.gen_range(0usize..8);
-        let ecc = LineEcc::encode(&line);
-        let mut other = line.clone();
-        // Flip a bit in word w; only that word's code may change.
-        other[w * 8] ^= 1;
-        let ecc2 = LineEcc::encode(&other);
-        for k in 0..8 {
-            if k != w {
-                assert_eq!(ecc.0[k], ecc2.0[k]);
-            }
-        }
-        assert_ne!(ecc.0[w], ecc2.0[w]);
-    }
-}
-
 /// Key is insensitive to changes outside its sampled lines, and changes
 /// to word 0 of a sampled line always change the key.
 #[test]
@@ -143,29 +121,5 @@ fn key_sensitivity() {
             miss.as_bytes_mut()[poke] ^= 0xFF;
             assert_eq!(cfg.page_key(&base), cfg.page_key(&miss));
         }
-    }
-}
-
-/// Builder fed in a random order produces the same key as the direct
-/// computation.
-#[test]
-fn builder_order_invariance() {
-    let mut rng = rng_for("builder_order");
-    for _ in 0..64 {
-        let mut seedbytes = vec![0u8; 16];
-        rng.fill_bytes(&mut seedbytes);
-        let page = PageData::from_fn(|i| seedbytes[i % seedbytes.len()].wrapping_mul(i as u8));
-        let cfg = EccKeyConfig::default();
-        let mut order: Vec<usize> = (0..LINES_PER_PAGE).collect();
-        // Fisher–Yates driven by the test RNG.
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0usize..i + 1);
-            order.swap(i, j);
-        }
-        let mut b = cfg.builder();
-        for &line in &order {
-            b.observe(line, LineEcc::encode(page.line(line)).minikey());
-        }
-        assert_eq!(b.finish(), Some(cfg.page_key(&page)));
     }
 }

@@ -385,11 +385,11 @@ impl Ksm {
         self.stats.candidates += 1;
         work.candidates += 1;
 
-        let Some(ppn) = mem.translate(vm, gfn) else {
+        let Some((ppn, cow)) = mem.translate_cow(vm, gfn) else {
             self.stats.unmapped += 1;
             return CandidateOutcome::Unmapped;
         };
-        if mem.is_cow(ppn) {
+        if cow {
             // Already a merged KSM page; not rescanned as a candidate.
             self.stats.already_shared += 1;
             return CandidateOutcome::AlreadyShared;

@@ -9,6 +9,8 @@
 //! line arrives at the memory controller, then the incoming request is
 //! coalesced with the pending request".
 
+use std::cell::Cell;
+
 use pageforge_obs::Registry;
 use pageforge_types::{Cycle, LineAddr, LINE_SIZE};
 
@@ -248,18 +250,26 @@ impl InflightReads {
         }
     }
 
-    /// Drops every entry with `ready <= now`, in place: copies out the
-    /// survivors, clears the slots and inserts the survivors again. The
-    /// survivors pass through `live`, whose capacity every later purge
-    /// reuses.
+    /// Drops every entry with `ready <= now`. The survivors are compacted
+    /// to the table's front in place: every slot is copied to the write
+    /// cursor, which moves past survivors only, so no slot takes a branch
+    /// on its contents. A free slot's ready cycle is 0, never above `now`,
+    /// so the one compare drops free and completed slots alike. The
+    /// survivors then pass through `live`, whose capacity every later purge
+    /// reuses, while the slots are cleared and refilled.
     fn purge_completed(&mut self, now: Cycle) {
+        let cells = Cell::from_mut(self.slots.as_mut_slice()).as_slice_of_cells();
+        let mut kept = 0;
+        for cell in cells {
+            let entry = cell.get();
+            // `kept` never passes the slot being read, so it is in bounds.
+            if let Some(front) = cells.get(kept) {
+                front.set(entry);
+            }
+            kept += usize::from(entry.1 > now);
+        }
         let mut live = std::mem::take(&mut self.live);
-        live.extend(
-            self.slots
-                .iter()
-                .copied()
-                .filter(|&(line, ready)| line != FREE && ready > now),
-        );
+        live.extend_from_slice(self.slots.get(..kept).unwrap_or_default());
         let mut slots = self.slots.len();
         while live.len() * 4 > slots * 3 {
             slots *= 2;

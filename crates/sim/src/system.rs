@@ -21,7 +21,7 @@ use pageforge_obs::{Registry, Snapshot};
 use pageforge_types::stats::LatencyRecorder;
 use pageforge_types::{Cycle, Gfn, VmId};
 use pageforge_vm::{HostMemory, MemoryImage};
-use pageforge_workloads::{AccessPattern, ArrivalProcess, Query};
+use pageforge_workloads::{AccessPattern, AppSpec, ArrivalProcess, Query};
 
 use pageforge_faults::FaultInjector;
 
@@ -84,6 +84,9 @@ enum Task {
 
 struct CoreState {
     vm: VmId,
+    /// The guest frame of each pattern page index, [`TouchRegions::map_touch`]
+    /// evaluated once per index.
+    gfns: Vec<Gfn>,
     arrivals: ArrivalProcess,
     pending: Option<Query>,
     queue: VecDeque<Task>,
@@ -93,9 +96,24 @@ struct CoreState {
     recorder: LatencyRecorder,
 }
 
-/// Precomputed page-region bounds for [`System::map_touch`]: the hot loop
-/// resolves every touch through these integers instead of re-deriving them
-/// from the profile's float fractions on each access.
+impl CoreState {
+    fn new(cfg: &SimConfig, core: usize) -> Self {
+        let app = cfg.app_for(core);
+        CoreState {
+            vm: VmId(core as u32),
+            gfns: TouchRegions::for_profile(cfg.profile_for(core)).gfn_table(app),
+            arrivals: ArrivalProcess::new(app.clone(), cfg.seed ^ (core as u64) << 17),
+            pending: None,
+            queue: VecDeque::new(),
+            dispatching: false,
+            dedup_busy: 0,
+            recorder: LatencyRecorder::new(),
+        }
+    }
+}
+
+/// A VM's page-region bounds, from which [`TouchRegions::map_touch`]
+/// places pattern pages in its image.
 #[derive(Debug, Clone, Copy)]
 struct TouchRegions {
     /// Total pages in the VM's image.
@@ -115,6 +133,35 @@ impl TouchRegions {
             private: ((pages as f64 * profile.unmergeable_frac) as u64).max(1),
         }
     }
+
+    /// Maps a pattern page index to a guest frame. The pattern indexes
+    /// pages hottest-first; hot indices land on the VM's *private*
+    /// (unmergeable) pages — the application's own data — and a small
+    /// fixed fraction (1 in 16) of accesses divert to the shared
+    /// library/zero region. Latency-critical apps touch their own state
+    /// overwhelmingly; the mergeable half of memory is mostly cold OS and
+    /// library pages (§6.1: "the large majority of them are OS pages"),
+    /// which is why the paper's L3 miss rates barely move when those pages
+    /// merge (Table 4).
+    fn map_touch(&self, page_index: usize) -> Gfn {
+        if page_index % 16 == 15 {
+            // Shared-region access: the mergeable pages sit at the front
+            // of the generated image.
+            Gfn((page_index as u64 / 16) % self.mergeable)
+        } else {
+            // Private access: confined to the unmergeable region, which is
+            // generated at the end of the image (hottest-last mapping).
+            Gfn(self.pages - 1 - (page_index as u64 % self.private))
+        }
+    }
+
+    /// [`map_touch`](Self::map_touch) of every page index a pattern of
+    /// `spec` draws.
+    fn gfn_table(&self, spec: &AppSpec) -> Vec<Gfn> {
+        (0..AccessPattern::page_bound(spec))
+            .map(|i| self.map_touch(i))
+            .collect()
+    }
 }
 
 enum DedupState {
@@ -130,8 +177,6 @@ pub struct System {
     cfg: SimConfig,
     mem: HostMemory,
     images: Vec<MemoryImage>,
-    /// Per-core page-region bounds, precomputed from the profiles.
-    regions: Vec<TouchRegions>,
     caches: SystemCaches,
     mems: MemorySystem,
     cores: Vec<CoreState>,
@@ -168,21 +213,7 @@ impl System {
                 pf.set_fault_injector(Some(injector.clone()));
             }
         }
-        let cores = (0..cfg.cores)
-            .map(|c| CoreState {
-                vm: VmId(c as u32),
-                arrivals: ArrivalProcess::new(cfg.app_for(c).clone(), cfg.seed ^ (c as u64) << 17),
-                pending: None,
-                queue: VecDeque::new(),
-                dispatching: false,
-                dedup_busy: 0,
-                recorder: LatencyRecorder::new(),
-            })
-            .collect();
-
-        let regions = (0..cfg.cores)
-            .map(|c| TouchRegions::for_profile(cfg.profile_for(c)))
-            .collect();
+        let cores = (0..cfg.cores).map(|c| CoreState::new(&cfg, c)).collect();
 
         let mut system = System {
             caches: SystemCaches::new(cfg.hierarchy),
@@ -202,7 +233,6 @@ impl System {
             queries_completed: 0,
             mem,
             images,
-            regions,
             cfg,
         };
         system.arm_initial_events();
@@ -469,21 +499,22 @@ impl System {
         rq: &mut RunningQuery,
         start: Cycle,
     ) -> (bool, Cycle) {
+        let CoreState { vm, ref gfns, .. } = self.cores[core];
+        // The L1-hit latency is already part of the CPU demand.
+        let l1 = self.cfg.hierarchy.l1.latency;
         let mut t = start;
         let budget_end = start + SLICE_CYCLES;
         while rq.accesses_left > 0 && t < budget_end {
             t += rq.cpu_per_access;
             rq.accesses_left -= 1;
             let touch = rq.pattern.next_touch();
-            let vm = self.cores[core].vm;
-            let gfn = self.map_touch(core, touch.page_index);
-            let Some(ppn) = self.mem.translate(vm, gfn) else {
+            let Some((ppn, cow)) = self.mem.translate_cow(vm, gfns[touch.page_index]) else {
                 continue;
             };
             // Writes to CoW (merged) frames would fault in reality; the
             // synthetic pattern treats them as reads (content churn is
             // modeled separately).
-            let write = touch.is_write && !self.mem.is_cow(ppn);
+            let write = touch.is_write && !cow;
             let addr = ppn.line_addr(touch.line);
             let acc = self.caches.access(core, addr, write);
             let stall = if acc.level == HitLevel::Memory {
@@ -492,9 +523,8 @@ impl System {
             } else {
                 acc.latency
             };
-            // The L1-hit latency is already part of the CPU demand; charge
-            // the excess, shrunk by the OoO overlap factor.
-            let l1 = self.cfg.hierarchy.l1.latency;
+            // Charge the excess over the L1 hit, shrunk by the OoO overlap
+            // factor.
             t += stall.saturating_sub(l1) * 10 / OVERLAP_X10;
         }
         if rq.accesses_left == 0 {
@@ -503,28 +533,6 @@ impl System {
             (true, t)
         } else {
             (false, t)
-        }
-    }
-
-    /// Maps a pattern page index to a guest frame. The pattern indexes
-    /// pages hottest-first; hot indices land on the VM's *private*
-    /// (unmergeable) pages — the application's own data — and a small
-    /// fixed fraction (1 in 16) of accesses divert to the shared
-    /// library/zero region. Latency-critical apps touch their own state
-    /// overwhelmingly; the mergeable half of memory is mostly cold OS and
-    /// library pages (§6.1: "the large majority of them are OS pages"),
-    /// which is why the paper's L3 miss rates barely move when those pages
-    /// merge (Table 4).
-    fn map_touch(&self, core: usize, page_index: usize) -> Gfn {
-        let r = &self.regions[core];
-        if page_index % 16 == 15 {
-            // Shared-region access: the mergeable pages sit at the front
-            // of the generated image.
-            Gfn((page_index as u64 / 16) % r.mergeable)
-        } else {
-            // Private access: confined to the unmergeable region, which is
-            // generated at the end of the image (hottest-last mapping).
-            Gfn(r.pages - 1 - (page_index as u64 % r.private))
         }
     }
 
@@ -845,15 +853,15 @@ mod tests {
     #[test]
     fn map_touch_respects_regions() {
         let cfg = SimConfig::quick("silo", DedupMode::None, 1);
-        let sys = System::new(cfg);
-        let profile = sys.cfg.profile_for(0);
+        let profile = cfg.profile_for(0);
+        let regions = TouchRegions::for_profile(profile);
         let pages = profile.pages_per_vm as u64;
         let mergeable = (pages as f64 * (1.0 - profile.unmergeable_frac)) as u64;
         let unmergeable_start = pages - ((pages as f64 * profile.unmergeable_frac) as u64).max(1);
         let mut shared = 0usize;
         let total = 4096;
         for idx in 0..total {
-            let gfn = sys.map_touch(0, idx);
+            let gfn = regions.map_touch(idx);
             assert!(gfn.0 < pages, "gfn in range");
             if idx % 16 == 15 {
                 shared += 1;
@@ -867,6 +875,42 @@ mod tests {
         }
         // Exactly 1/16 of accesses divert to the shared region.
         assert_eq!(shared, total / 16);
+    }
+
+    /// Every core's table holds `map_touch` of every page index its
+    /// pattern can draw, at each scale and in a heterogeneous mix.
+    #[test]
+    fn gfn_tables_match_map_touch() {
+        let mut configs = vec![
+            SimConfig::smoke("silo", DedupMode::None, 1),
+            SimConfig::quick("masstree", DedupMode::None, 1),
+            SimConfig::micro50("img_dnn", DedupMode::None, 1),
+            SimConfig::heterogeneous(
+                &["silo", "masstree", "img_dnn", "moses", "sphinx"],
+                DedupMode::None,
+                1,
+            ),
+        ];
+        // A hot set wider than the working set still stays in the table.
+        let mut wide = SimConfig::smoke("moses", DedupMode::None, 1);
+        wide.apps[0].hot_frac = 1.5;
+        configs.push(wide);
+        for cfg in &configs {
+            for c in 0..cfg.cores {
+                let spec = cfg.app_for(c);
+                let regions = TouchRegions::for_profile(cfg.profile_for(c));
+                let core = CoreState::new(cfg, c);
+                assert_eq!(core.gfns.len(), AccessPattern::page_bound(spec));
+                assert!(core.gfns.len() >= spec.working_set_pages);
+                for (i, &gfn) in core.gfns.iter().enumerate() {
+                    assert_eq!(gfn, regions.map_touch(i), "core {c}, page index {i}");
+                }
+                let mut pattern = AccessPattern::new(spec, c as u64);
+                for touch in pattern.touches(20_000) {
+                    assert!(touch.page_index < core.gfns.len());
+                }
+            }
+        }
     }
 
     #[test]

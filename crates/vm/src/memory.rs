@@ -11,11 +11,11 @@ use pageforge_obs::{CounterId, Registry};
 use pageforge_types::json::{obj, FromJson, ToJson, Value};
 use pageforge_types::{Gfn, PageData, Ppn, VmId};
 
-/// A host physical frame: its contents plus the CoW protection bit.
+/// A host physical frame. Its CoW protection bit lives in the guest
+/// entries that map it (see [`HostMemory`]).
 #[derive(Debug, Clone)]
 struct Frame {
     data: PageData,
-    cow: bool,
     /// Allocation epoch: frame numbers are recycled, so holders of a `Ppn`
     /// (e.g. KSM tree nodes) compare epochs to detect staleness.
     epoch: u64,
@@ -141,20 +141,26 @@ impl std::error::Error for MergeError {}
 /// (recycling freed frames LIFO) and all iteration runs in sorted order.
 ///
 /// Frame numbers and guest frame numbers are dense small integers, so both
-/// tables are flat arenas indexed by value: `translate`, `is_cow`, and
-/// `frame_data` — the per-access hot path of the simulator's query loop —
-/// are O(1) slice lookups rather than tree walks. The arenas grow on
-/// demand and keep `None` holes for freed entries, preserving the exact
-/// iteration orders (ascending `Ppn`, ascending `(VmId, Gfn)`) that the
-/// byte-identity contract depends on.
+/// tables are flat arenas indexed by value. The arenas grow on demand and
+/// keep holes for freed entries, preserving the exact iteration orders
+/// (ascending `Ppn`, ascending `(VmId, Gfn)`) that the byte-identity
+/// contract depends on.
+///
+/// Like a host page-table entry, each guest entry is one `u64` holding the
+/// frame number and the mapping's write-protect (CoW) bit, so
+/// [`translate_cow`](Self::translate_cow), the per-access hot path of the
+/// simulator's query loop, is a single slice read. Every mapping of a frame
+/// carries the same bit, so a frame's CoW state is read through its first
+/// reverse mapping.
 #[derive(Debug, Clone)]
 pub struct HostMemory {
     /// Frame arena indexed by `Ppn`; `None` marks a freed (recyclable) slot.
     frames: Vec<Option<Frame>>,
     /// Live entries in `frames`.
     live_frames: usize,
-    /// Guest page tables: `guest[vm][gfn]` holds the mapped frame.
-    guest: Vec<Vec<Option<Ppn>>>,
+    /// Guest page tables: `guest[vm][gfn]` is `ppn << 1 | cow` for a mapped
+    /// page and [`UNMAPPED`] otherwise.
+    guest: Vec<Vec<u64>>,
     /// Live mappings across all of `guest`.
     mapped_pages: usize,
     free_list: Vec<Ppn>,
@@ -163,6 +169,21 @@ pub struct HostMemory {
     version_counter: u64,
     metrics: Registry,
     ids: MemMetricIds,
+}
+
+/// The CoW bit of a guest entry.
+const COW: u64 = 1;
+
+/// A guest entry that maps nothing: a frame number of all ones, which no
+/// frame reaches, and a clear CoW bit. Every entry at or above it is
+/// unmapped.
+const UNMAPPED: u64 = !COW;
+
+#[cfg(test)]
+thread_local! {
+    /// Guest entries this thread wrote with the CoW bit set, so a test can
+    /// bound the marking work of a merge.
+    static COW_BITS_WRITTEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Ids of the cumulative merge counters in the metric registry
@@ -244,13 +265,24 @@ impl HostMemory {
         Some(frame)
     }
 
-    fn mapping(&self, vm: VmId, gfn: Gfn) -> Option<Ppn> {
-        *self.guest.get(vm.0 as usize)?.get(gfn.0 as usize)?
+    /// The guest entry of `(vm, gfn)`, [`UNMAPPED`] past the table's end.
+    #[inline]
+    fn entry(&self, vm: VmId, gfn: Gfn) -> u64 {
+        self.guest
+            .get(vm.0 as usize)
+            .and_then(|table| table.get(gfn.0 as usize))
+            .copied()
+            .unwrap_or(UNMAPPED)
     }
 
-    /// Points `(vm, gfn)` at `ppn`, growing the page table as needed.
-    /// Counts the mapping only when the slot was previously empty.
-    fn set_mapping(&mut self, vm: VmId, gfn: Gfn, ppn: Ppn) {
+    /// Points `(vm, gfn)` at `ppn` with the CoW bit `cow`, growing the page
+    /// table as needed. Counts the mapping only when the slot was
+    /// previously empty.
+    fn set_mapping(&mut self, vm: VmId, gfn: Gfn, ppn: Ppn, cow: bool) {
+        debug_assert!(
+            ppn.0 < UNMAPPED >> 1,
+            "frame {ppn} does not fit a guest entry"
+        );
         let v = vm.0 as usize;
         if v >= self.guest.len() {
             self.guest.resize_with(v + 1, Vec::new);
@@ -258,21 +290,50 @@ impl HostMemory {
         let table = &mut self.guest[v];
         let g = gfn.0 as usize;
         if g >= table.len() {
-            table.resize(g + 1, None);
+            table.resize(g + 1, UNMAPPED);
         }
-        if table[g].replace(ppn).is_none() {
+        if std::mem::replace(&mut table[g], ppn.0 << 1 | u64::from(cow)) >= UNMAPPED {
             self.mapped_pages += 1;
         }
+        #[cfg(test)]
+        COW_BITS_WRITTEN.with(|n| n.set(n.get() + u64::from(cow)));
     }
 
     fn clear_mapping(&mut self, vm: VmId, gfn: Gfn) -> Option<Ppn> {
-        let ppn = self
+        let entry = self
             .guest
             .get_mut(vm.0 as usize)?
-            .get_mut(gfn.0 as usize)?
-            .take()?;
+            .get_mut(gfn.0 as usize)
+            .filter(|e| **e < UNMAPPED)?;
+        let ppn = Ppn(std::mem::replace(entry, UNMAPPED) >> 1);
         self.mapped_pages -= 1;
         Some(ppn)
+    }
+
+    /// Sets the CoW bit in every mapping of `ppn`.
+    fn protect_mappings(&mut self, ppn: Ppn) {
+        let Some(frame) = self.frames.get(ppn.0 as usize).and_then(Option::as_ref) else {
+            return;
+        };
+        for &(vm, gfn) in &frame.rmap {
+            if let Some(entry) = self
+                .guest
+                .get_mut(vm.0 as usize)
+                .and_then(|table| table.get_mut(gfn.0 as usize))
+            {
+                *entry |= COW;
+                #[cfg(test)]
+                COW_BITS_WRITTEN.with(|n| n.set(n.get() + 1));
+            }
+        }
+    }
+
+    /// The CoW bit of `frame`, read through its first mapping.
+    fn frame_cow(&self, frame: &Frame) -> bool {
+        frame
+            .rmap
+            .first()
+            .is_some_and(|&(vm, gfn)| self.entry(vm, gfn) & COW != 0)
     }
 
     /// Allocates a fresh frame holding `data` and maps it at `(vm, gfn)`.
@@ -282,7 +343,7 @@ impl HostMemory {
     /// Panics if `(vm, gfn)` is already mapped; unmap first.
     pub fn map_new_page(&mut self, vm: VmId, gfn: Gfn, data: PageData) -> Ppn {
         assert!(
-            self.mapping(vm, gfn).is_none(),
+            self.translate(vm, gfn).is_none(),
             "({vm}, {gfn}) is already mapped"
         );
         let ppn = self.alloc_ppn();
@@ -292,13 +353,12 @@ impl HostMemory {
             ppn,
             Frame {
                 data,
-                cow: false,
                 epoch: self.epoch_counter,
                 version: self.version_counter,
                 rmap: vec![(vm, gfn)],
             },
         );
-        self.set_mapping(vm, gfn, ppn);
+        self.set_mapping(vm, gfn, ppn, false);
         ppn
     }
 
@@ -318,7 +378,15 @@ impl HostMemory {
     /// Translates a guest page to its host frame.
     #[inline]
     pub fn translate(&self, vm: VmId, gfn: Gfn) -> Option<Ppn> {
-        self.mapping(vm, gfn)
+        self.translate_cow(vm, gfn).map(|(ppn, _)| ppn)
+    }
+
+    /// Translates a guest page to its host frame and whether that frame is
+    /// CoW-protected, in one read of the guest entry.
+    #[inline]
+    pub fn translate_cow(&self, vm: VmId, gfn: Gfn) -> Option<(Ppn, bool)> {
+        let entry = self.entry(vm, gfn);
+        (entry < UNMAPPED).then_some((Ppn(entry >> 1), entry & COW != 0))
     }
 
     /// The contents of a frame, if it exists.
@@ -333,9 +401,8 @@ impl HostMemory {
     }
 
     /// Whether a frame is CoW-protected.
-    #[inline]
-    pub fn is_cow(&self, ppn: Ppn) -> bool {
-        self.frame(ppn).is_some_and(|f| f.cow)
+    fn is_cow(&self, ppn: Ppn) -> bool {
+        self.frame(ppn).is_some_and(|f| self.frame_cow(f))
     }
 
     /// Marks a frame CoW-protected (write-protects all its mappings).
@@ -344,9 +411,10 @@ impl HostMemory {
     ///
     /// Panics if the frame does not exist.
     pub fn cow_protect(&mut self, ppn: Ppn) {
-        self.frame_mut(ppn)
-            .unwrap_or_else(|| panic!("cow_protect: frame {ppn} does not exist"))
-            .cow = true;
+        if self.frame(ppn).is_none() {
+            panic!("cow_protect: frame {ppn} does not exist");
+        }
+        self.protect_mappings(ppn);
     }
 
     /// Reads the page mapped at `(vm, gfn)`.
@@ -365,15 +433,15 @@ impl HostMemory {
     ///
     /// Panics if `(vm, gfn)` is not mapped, or the write overruns the page.
     pub fn guest_write(&mut self, vm: VmId, gfn: Gfn, offset: usize, bytes: &[u8]) -> WriteOutcome {
-        let ppn = self
-            .translate(vm, gfn)
+        let (ppn, cow) = self
+            .translate_cow(vm, gfn)
             .unwrap_or_else(|| panic!("guest_write: ({vm}, {gfn}) is not mapped"));
         let frame = self.frame_mut(ppn).expect("mapped frame exists");
         assert!(
             offset + bytes.len() <= pageforge_types::PAGE_SIZE,
             "write overruns the page"
         );
-        if frame.cow {
+        if cow {
             // Copy-on-write: give the writer a private copy. Like Linux KSM
             // pages, a CoW frame is *never* written in place — even a sole
             // mapper gets a fresh copy, keeping the merged (stable) frame
@@ -382,7 +450,6 @@ impl HostMemory {
             copy.as_bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
             frame.rmap.retain(|&m| m != (vm, gfn));
             let orphaned = frame.rmap.is_empty();
-            self.clear_mapping(vm, gfn);
             self.metrics.inc(self.ids.cow_breaks);
             // Allocate the copy *before* freeing an orphaned frame so the
             // writer never receives the frame number it just left.
@@ -397,13 +464,13 @@ impl HostMemory {
                 new_ppn,
                 Frame {
                     data: copy,
-                    cow: false,
                     epoch: self.epoch_counter,
                     version: self.version_counter,
                     rmap: vec![(vm, gfn)],
                 },
             );
-            self.set_mapping(vm, gfn, new_ppn);
+            // Repointing the writer's entry clears its CoW bit.
+            self.set_mapping(vm, gfn, new_ppn, false);
             WriteOutcome::CowBroken {
                 new_frame: new_ppn,
                 old_frame: ppn,
@@ -420,6 +487,12 @@ impl HostMemory {
     /// Merges frame `drop` into frame `keep`: verifies the contents are
     /// identical, repoints every mapping of `drop` at `keep`, CoW-protects
     /// `keep`, and frees `drop`.
+    ///
+    /// Only the guest entries whose bit changes are written: `drop`'s
+    /// mappings, and `keep`'s own the first time `keep` is protected. A
+    /// popular frame such as the zero page collects thousands of mappings,
+    /// so re-marking its whole reverse map on every merge would be
+    /// quadratic.
     ///
     /// This is the `merge` step of Algorithm 1 (and what the hypervisor does
     /// when PageForge reports a duplicate).
@@ -449,12 +522,16 @@ impl HostMemory {
             return Err(MergeError::ContentMismatch);
         }
         let dropped = self.remove_frame(drop).expect("checked above");
-        for &(vm, gfn) in &dropped.rmap {
-            self.set_mapping(vm, gfn, keep);
+        if !self.is_cow(keep) {
+            self.protect_mappings(keep);
         }
-        let kept = self.frame_mut(keep).expect("checked above");
-        kept.rmap.extend(dropped.rmap);
-        kept.cow = true;
+        for &(vm, gfn) in &dropped.rmap {
+            self.set_mapping(vm, gfn, keep, true);
+        }
+        self.frame_mut(keep)
+            .expect("checked above")
+            .rmap
+            .extend(dropped.rmap);
         self.free_list.push(drop);
         self.metrics.inc(self.ids.merges);
         self.metrics.inc(self.ids.frames_freed_by_merge);
@@ -490,20 +567,23 @@ impl HostMemory {
         self.frame(ppn).map_or(&[], |f| &f.rmap)
     }
 
-    /// Iterates over all allocated frames in frame-number order.
+    /// Iterates over all allocated frames in frame-number order, with
+    /// each frame's CoW bit.
     pub fn iter_frames(&self) -> impl Iterator<Item = (Ppn, &PageData, bool)> {
-        self.frames
-            .iter()
-            .enumerate()
-            .filter_map(|(p, slot)| slot.as_ref().map(|f| (Ppn(p as u64), &f.data, f.cow)))
+        self.frames.iter().enumerate().filter_map(|(p, slot)| {
+            slot.as_ref()
+                .map(|f| (Ppn(p as u64), &f.data, self.frame_cow(f)))
+        })
     }
 
     /// Iterates over all guest mappings in (VM, GFN) order.
     pub fn iter_mappings(&self) -> impl Iterator<Item = (VmId, Gfn, Ppn)> + '_ {
         self.guest.iter().enumerate().flat_map(|(vm, table)| {
-            table.iter().enumerate().filter_map(move |(gfn, slot)| {
-                slot.map(|ppn| (VmId(vm as u32), Gfn(gfn as u64), ppn))
-            })
+            table
+                .iter()
+                .enumerate()
+                .filter(|&(_, &entry)| entry < UNMAPPED)
+                .map(move |(gfn, &entry)| (VmId(vm as u32), Gfn(gfn as u64), Ppn(entry >> 1)))
         })
     }
 
@@ -531,7 +611,7 @@ impl HostMemory {
         reg
     }
 
-    /// Checks internal invariants; used by tests and debug assertions.
+    /// Checks internal invariants; used by tests and the end-of-run audit.
     ///
     /// Invariants:
     /// 1. every guest mapping points at an allocated frame whose rmap
@@ -539,8 +619,20 @@ impl HostMemory {
     /// 2. every rmap entry is a live guest mapping pointing back at the
     ///    frame;
     /// 3. no frame has an empty rmap;
-    /// 4. frames shared by >1 mapping are CoW-protected *only if* marked.
+    /// 4. all mappings of a frame carry the same CoW bit;
+    /// 5. no unmapped guest entry carries a CoW bit.
     pub fn check_invariants(&self) -> Result<(), String> {
+        for (v, table) in self.guest.iter().enumerate() {
+            for (g, &entry) in table.iter().enumerate() {
+                if entry > UNMAPPED {
+                    return Err(format!(
+                        "unmapped entry ({},{}) carries the CoW bit",
+                        VmId(v as u32),
+                        Gfn(g as u64)
+                    ));
+                }
+            }
+        }
         for (vm, gfn, ppn) in self.iter_mappings() {
             let frame = self
                 .frame(ppn)
@@ -552,12 +644,19 @@ impl HostMemory {
         for (idx, slot) in self.frames.iter().enumerate() {
             let Some(frame) = slot else { continue };
             let ppn = Ppn(idx as u64);
-            if frame.rmap.is_empty() {
+            let Some(&(vm0, gfn0)) = frame.rmap.first() else {
                 return Err(format!("frame {ppn} has an empty rmap"));
-            }
+            };
+            let cow = self.entry(vm0, gfn0) & COW;
             for &(vm, gfn) in &frame.rmap {
-                if self.mapping(vm, gfn) != Some(ppn) {
+                if self.translate(vm, gfn) != Some(ppn) {
                     return Err(format!("rmap entry ({vm},{gfn}) of {ppn} is stale"));
+                }
+                if self.entry(vm, gfn) & COW != cow {
+                    return Err(format!(
+                        "mapping ({vm},{gfn}) of {ppn} has CoW bit {} but ({vm0},{gfn0}) has {cow}",
+                        cow ^ COW
+                    ));
                 }
             }
         }
@@ -742,6 +841,148 @@ mod tests {
         assert!(rmap.contains(&(VmId(0), Gfn(5))));
         assert!(rmap.contains(&(VmId(3), Gfn(8))));
         assert_eq!(mem.reverse_map(Ppn(12345)), &[]);
+    }
+
+    #[test]
+    fn a_flipped_cow_bit_is_named() {
+        let mut mem = HostMemory::new();
+        let a = mem.map_new_page(VmId(0), Gfn(0), page(7));
+        let b = mem.map_new_page(VmId(1), Gfn(3), page(7));
+        mem.map_new_page(VmId(1), Gfn(5), page(1));
+        mem.merge_into(a, b).unwrap();
+        mem.unmap(VmId(1), Gfn(5));
+        mem.check_invariants().unwrap();
+
+        // One mapping of the shared frame loses its bit.
+        let mut broken = mem.clone();
+        broken.guest[1][3] ^= COW;
+        let err = broken.check_invariants().unwrap_err();
+        assert!(
+            err.contains("mapping (vm1,0x3)") && err.contains("CoW bit 0"),
+            "{err}"
+        );
+
+        // An unmapped entry gains one.
+        let mut broken = mem.clone();
+        broken.guest[1][5] ^= COW;
+        let err = broken.check_invariants().unwrap_err();
+        assert!(err.contains("unmapped entry (vm1,0x5)"), "{err}");
+    }
+
+    /// A seeded sequence of maps, merges, protections, writes and unmaps
+    /// keeps every guest entry's frame and CoW bit equal to a reference
+    /// model: a map of the mappings plus the set of protected frames.
+    #[test]
+    fn cow_bits_match_a_reference_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        const VMS: u32 = 3;
+        const GFNS: u64 = 12;
+        let (mut merges, mut breaks) = (0, 0);
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut mem = HostMemory::new();
+            let mut model: BTreeMap<(VmId, Gfn), Ppn> = BTreeMap::new();
+            let mut protected: BTreeSet<Ppn> = BTreeSet::new();
+            for step in 0..400 {
+                let vm = VmId(rng.gen_range(0..VMS));
+                let gfn = Gfn(rng.gen_range(0..GFNS));
+                let frames: Vec<Ppn> = model.values().copied().collect();
+                match rng.gen_range(0u32..10) {
+                    0..=2 => {
+                        if let std::collections::btree_map::Entry::Vacant(e) =
+                            model.entry((vm, gfn))
+                        {
+                            let ppn = mem.map_new_page(vm, gfn, page(rng.gen_range(0..3)));
+                            e.insert(ppn);
+                            protected.remove(&ppn);
+                        }
+                    }
+                    3..=5 if !frames.is_empty() => {
+                        let keep = frames[rng.gen_range(0..frames.len())];
+                        let drop = frames[rng.gen_range(0..frames.len())];
+                        if mem.merge_into(keep, drop).is_ok() {
+                            merges += 1;
+                            for ppn in model.values_mut() {
+                                if *ppn == drop {
+                                    *ppn = keep;
+                                }
+                            }
+                            protected.remove(&drop);
+                            protected.insert(keep);
+                        }
+                    }
+                    6 if !frames.is_empty() => {
+                        let ppn = frames[rng.gen_range(0..frames.len())];
+                        mem.cow_protect(ppn);
+                        protected.insert(ppn);
+                    }
+                    7..=8 => {
+                        if let Some(&old) = model.get(&(vm, gfn)) {
+                            let outcome = mem.guest_write(vm, gfn, 0, &[rng.gen_range(0..3)]);
+                            assert_eq!(outcome.broke_cow(), protected.contains(&old));
+                            breaks += usize::from(outcome.broke_cow());
+                            let new = outcome.frame();
+                            model.insert((vm, gfn), new);
+                            if new != old {
+                                protected.remove(&new);
+                                if !model.values().any(|&p| p == old) {
+                                    protected.remove(&old);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        assert_eq!(mem.unmap(vm, gfn), model.remove(&(vm, gfn)));
+                        protected.retain(|p| model.values().any(|q| q == p));
+                    }
+                }
+                for v in 0..VMS {
+                    for g in 0..GFNS {
+                        let (vm, gfn) = (VmId(v), Gfn(g));
+                        let want = model.get(&(vm, gfn)).copied();
+                        let cow = want.map(|p| (p, protected.contains(&p)));
+                        assert_eq!(mem.translate_cow(vm, gfn), cow, "seed {seed} step {step}");
+                        assert_eq!(mem.translate(vm, gfn), want, "seed {seed} step {step}");
+                    }
+                }
+                for p in 0..=mem.next_ppn {
+                    let ppn = Ppn(p);
+                    assert_eq!(
+                        mem.is_cow(ppn),
+                        protected.contains(&ppn),
+                        "seed {seed} step {step}: {ppn}"
+                    );
+                }
+                mem.check_invariants().unwrap();
+            }
+        }
+        assert!(
+            merges > 100 && breaks > 100,
+            "{merges} merges, {breaks} CoW breaks"
+        );
+    }
+
+    /// Merging n pages into one frame marks each mapping once: n bits in
+    /// all, where re-marking the kept frame's reverse map on every merge
+    /// would write n²/2.
+    #[test]
+    fn merging_n_pages_writes_n_cow_bits() {
+        let n = 1000u32;
+        let written = || COW_BITS_WRITTEN.with(std::cell::Cell::get);
+        let before = written();
+        let mut mem = HostMemory::new();
+        let keep = mem.map_new_page(VmId(0), Gfn(0), page(0));
+        for vm in 1..n {
+            let p = mem.map_new_page(VmId(vm), Gfn(0), page(0));
+            mem.merge_into(keep, p).unwrap();
+        }
+        assert_eq!(mem.refcount(keep), n as usize);
+        assert_eq!(written() - before, u64::from(n));
+        assert!(mem.iter_frames().all(|(_, _, cow)| cow));
+        mem.check_invariants().unwrap();
     }
 
     #[test]
