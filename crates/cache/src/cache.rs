@@ -30,29 +30,24 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Round-trip hit latency in cycles.
     pub latency: Cycle,
-    /// Miss-status-holding registers (bookkeeping only; outstanding-miss
-    /// limits are enforced by the core model).
-    pub mshrs: usize,
 }
 
 impl CacheConfig {
-    /// The paper's L1: 32 KB, 8-way, 2-cycle round trip, 16 MSHRs.
+    /// The paper's L1: 32 KB, 8-way, 2-cycle round trip.
     pub fn l1_micro50() -> Self {
         CacheConfig {
             size_bytes: 32 << 10,
             ways: 8,
             latency: 2,
-            mshrs: 16,
         }
     }
 
-    /// The paper's L2: 256 KB, 8-way, 6-cycle round trip, 16 MSHRs.
+    /// The paper's L2: 256 KB, 8-way, 6-cycle round trip.
     pub fn l2_micro50() -> Self {
         CacheConfig {
             size_bytes: 256 << 10,
             ways: 8,
             latency: 6,
-            mshrs: 16,
         }
     }
 
@@ -62,7 +57,6 @@ impl CacheConfig {
             size_bytes: 32 << 20,
             ways: 20,
             latency: 20,
-            mshrs: 24 * 10, // 24 per slice, 10 slices
         }
     }
 
@@ -475,7 +469,6 @@ mod tests {
             size_bytes: 8 * LINE_SIZE,
             ways: 2,
             latency: 1,
-            mshrs: 4,
         })
     }
 
@@ -573,7 +566,6 @@ mod tests {
             size_bytes: 4 * LINE_SIZE,
             ways: 4,
             latency: 1,
-            mshrs: 4,
         });
         let mut slots = Vec::new();
         for addr in 0..4 {
@@ -620,7 +612,6 @@ mod tests {
             size_bytes: 65 * LINE_SIZE,
             ways: 65,
             latency: 1,
-            mshrs: 4,
         });
     }
 
@@ -663,7 +654,6 @@ mod tests {
             size_bytes: 6 * LINE_SIZE,
             ways: 2,
             latency: 1,
-            mshrs: 4,
         });
         for addr in [1, 4, 7] {
             fill(&mut c, addr, LineState::Shared);
@@ -682,7 +672,6 @@ mod tests {
             size_bytes: 16 * LINE_SIZE,
             ways: 4,
             latency: 1,
-            mshrs: 4,
         });
         c.set_clock(clock);
         let mut rng = SmallRng::seed_from_u64(0x51A3);

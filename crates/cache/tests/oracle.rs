@@ -20,7 +20,6 @@ fn cache(sets: usize, ways: usize, latency: u64) -> CacheConfig {
         size_bytes: sets * ways * LINE_SIZE,
         ways,
         latency,
-        mshrs: 4,
     }
 }
 

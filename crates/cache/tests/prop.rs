@@ -45,19 +45,16 @@ fn small_hierarchy(cores: usize) -> SystemCaches {
             size_bytes: 4 * LINE_SIZE,
             ways: 2,
             latency: 2,
-            mshrs: 4,
         },
         l2: CacheConfig {
             size_bytes: 16 * LINE_SIZE,
             ways: 4,
             latency: 6,
-            mshrs: 4,
         },
         l3: CacheConfig {
             size_bytes: 64 * LINE_SIZE,
             ways: 4,
             latency: 20,
-            mshrs: 8,
         },
         peer_transfer_latency: 12,
         bus_latency: 4,

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use pageforge_ecc::{EccHashKey, EccKeyConfig};
+use pageforge_ecc::EccHashKey;
 use pageforge_faults::FaultInjector;
 use pageforge_ksm::rbtree::{NodeId, Side};
 use pageforge_ksm::tree::{PageRef, PageTree, SearchInsert, TreeKind};
@@ -255,7 +255,7 @@ impl PageForge {
     }
 
     /// Hardware engine statistics (Table 5's cycle distribution).
-    pub fn engine_stats(&self) -> EngineStats {
+    pub fn engine_stats(&self) -> &EngineStats {
         self.engine.stats()
     }
 
@@ -263,7 +263,7 @@ impl PageForge {
     /// engine's own `engine.*` metrics plus the driver's `pageforge.*`
     /// counters and tree gauges (see OBSERVABILITY.md).
     pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.engine.metrics().clone();
+        let mut reg = self.engine.export_metrics();
         let s = &self.stats;
         for (name, v) in [
             ("pageforge.passes", s.passes),
@@ -309,11 +309,6 @@ impl PageForge {
             f.export_metrics(&mut reg);
         }
         reg
-    }
-
-    /// The ECC key configuration in use.
-    pub fn ecc_config(&self) -> &EccKeyConfig {
-        &self.engine.config().ecc
     }
 
     /// The stable tree.
@@ -1015,7 +1010,7 @@ mod tests {
         let mut f = fabric();
         pf.scan_batch(&mut mem, &mut f, 0, 2);
         // Mutate one of the ECC-sampled lines so the key changes.
-        let off = pf.ecc_config().offsets()[0] * 64;
+        let off = PageForgeConfig::default().engine.ecc.offsets()[0] * 64;
         mem.guest_write(VmId(0), Gfn(0), off, &[0xEE]);
         let r = pf.scan_batch(&mut mem, &mut f, 1_000_000, 2);
         assert_eq!(r.merged, 0);
@@ -1141,12 +1136,15 @@ mod tests {
                 }
                 tree.insert_at(parent, side, me);
                 if rng.gen_range(0u32..4) == 0 {
-                    let ids: Vec<NodeId> = tree.raw().iter_ids().map(|(id, _)| id).collect();
+                    let ids = tree.raw().bfs_from(tree.raw().root().unwrap(), tree.len());
                     tree.remove(ids[rng.gen_range(0usize..ids.len())]);
                 }
             }
             let size = tree.len();
-            let nodes: Vec<NodeId> = tree.raw().iter_ids().map(|(id, _)| id).collect();
+            let nodes = match tree.raw().root() {
+                Some(root) => tree.raw().bfs_from(root, size),
+                None => Vec::new(),
+            };
             assert_eq!(nodes.len(), size);
             for &n in &nodes {
                 let exact = count_subtree(&tree, n);

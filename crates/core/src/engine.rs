@@ -11,10 +11,10 @@
 
 use std::fmt;
 
-use pageforge_ecc::{EccKeyConfig, EccKeyConfigError, KeyBuilder, LineEcc};
+use pageforge_ecc::{EccKeyConfig, EccKeyConfigError, KeyBuilder};
 use pageforge_faults::FaultInjector;
 use pageforge_obs::trace_event;
-use pageforge_obs::{CounterId, HistogramId, Registry};
+use pageforge_obs::Registry;
 use pageforge_types::stats::RunningStats;
 use pageforge_types::{Cycle, PageData, Ppn, LINES_PER_PAGE, LINE_SIZE};
 use pageforge_vm::HostMemory;
@@ -46,12 +46,8 @@ impl Default for EngineConfig {
 }
 
 /// Counters and the per-batch cycle distribution (Table 5 reports a mean of
-/// 7,486 cycles with σ ≈ 1,296 for processing the Scan Table).
-///
-/// Since the observability layer landed, this struct is a *view*
-/// assembled on demand from the engine's [`Registry`] (metric names
-/// `engine.*`, see OBSERVABILITY.md) — the registry is the single
-/// source of truth, and this keeps the long-standing accessor shape.
+/// 7,486 cycles with σ ≈ 1,296 for processing the Scan Table), exported as
+/// the `engine.*` metrics (see OBSERVABILITY.md).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Batches processed (engine triggers).
@@ -119,35 +115,6 @@ pub struct EngineRun {
     pub comparisons: u64,
 }
 
-/// Ids of the engine's metrics in its [`Registry`] (registered once at
-/// construction so hot-path updates are plain array indexing).
-#[derive(Debug, Clone, Copy)]
-struct EngineMetricIds {
-    runs: CounterId,
-    comparisons: CounterId,
-    lines_fetched: CounterId,
-    lines_on_chip: CounterId,
-    lines_from_dram: CounterId,
-    duplicates: CounterId,
-    keys_completed: CounterId,
-    run_cycles: HistogramId,
-}
-
-impl EngineMetricIds {
-    fn register(reg: &mut Registry) -> Self {
-        EngineMetricIds {
-            runs: reg.counter("engine.runs"),
-            comparisons: reg.counter("engine.comparisons"),
-            lines_fetched: reg.counter("engine.lines_fetched"),
-            lines_on_chip: reg.counter("engine.lines_on_chip"),
-            lines_from_dram: reg.counter("engine.lines_from_dram"),
-            duplicates: reg.counter("engine.duplicates"),
-            keys_completed: reg.counter("engine.keys_completed"),
-            run_cycles: reg.histogram("engine.run_cycles"),
-        }
-    }
-}
-
 /// The PageForge module: Scan Table + comparator FSM + key snatcher.
 #[derive(Debug, Clone)]
 pub struct PageForgeEngine {
@@ -158,8 +125,7 @@ pub struct PageForgeEngine {
     key: KeyBuilder,
     /// `update_ecc_offset` changed `cfg.ecc` since `key` was built.
     rekey: bool,
-    metrics: Registry,
-    ids: EngineMetricIds,
+    stats: EngineStats,
     /// [`key_line_mask`] of `key`'s offsets.
     key_lines: u64,
     /// Deterministic fault layer; `None` (the default) means the engine
@@ -171,16 +137,16 @@ impl PageForgeEngine {
     /// Builds an idle engine.
     pub fn new(cfg: EngineConfig) -> Self {
         let key = cfg.ecc.builder();
-        let mut metrics = Registry::new();
-        let ids = EngineMetricIds::register(&mut metrics);
         PageForgeEngine {
             table: ScanTable::new(cfg.table_entries),
             key,
             rekey: false,
             key_lines: key_line_mask(&cfg.ecc),
             cfg,
-            metrics,
-            ids,
+            stats: EngineStats {
+                run_cycles: RunningStats::new(),
+                ..EngineStats::default()
+            },
             faults: None,
         }
     }
@@ -223,25 +189,31 @@ impl PageForgeEngine {
         &self.cfg
     }
 
-    /// Counter snapshot, assembled from the metric registry (names
-    /// `engine.*`). Returned by value: the struct is a view, not storage.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            runs: self.metrics.counter_value(self.ids.runs),
-            comparisons: self.metrics.counter_value(self.ids.comparisons),
-            lines_fetched: self.metrics.counter_value(self.ids.lines_fetched),
-            lines_on_chip: self.metrics.counter_value(self.ids.lines_on_chip),
-            lines_from_dram: self.metrics.counter_value(self.ids.lines_from_dram),
-            duplicates: self.metrics.counter_value(self.ids.duplicates),
-            keys_completed: self.metrics.counter_value(self.ids.keys_completed),
-            run_cycles: *self.metrics.histogram_stats(self.ids.run_cycles),
-        }
+    /// The engine's counters.
+    pub fn stats(&self) -> &EngineStats {
+        &self.stats
     }
 
-    /// The underlying metric registry (`engine.*` namespace), for
-    /// aggregation into a simulation-wide snapshot.
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
+    /// The counters as `engine.*` metrics, for aggregation into a
+    /// simulation-wide snapshot.
+    pub fn export_metrics(&self) -> Registry {
+        let s = &self.stats;
+        let mut reg = Registry::new();
+        for (name, v) in [
+            ("engine.runs", s.runs),
+            ("engine.comparisons", s.comparisons),
+            ("engine.lines_fetched", s.lines_fetched),
+            ("engine.lines_on_chip", s.lines_on_chip),
+            ("engine.lines_from_dram", s.lines_from_dram),
+            ("engine.duplicates", s.duplicates),
+            ("engine.keys_completed", s.keys_completed),
+        ] {
+            let id = reg.counter(name);
+            reg.add(id, v);
+        }
+        let h = reg.histogram("engine.run_cycles");
+        reg.merge_into(h, &s.run_cycles);
+        reg
     }
 
     /// The Scan Table (read-only; the OS mutates it through the API calls).
@@ -385,10 +357,9 @@ impl PageForgeEngine {
         let run = self.run_counting(mem, fabric, start, &mut lines);
         // Once per run, failed runs included: the fault campaign's engine
         // counters count the lines a run fetched before its error.
-        self.metrics.add(self.ids.lines_fetched, lines.fetched);
-        self.metrics.add(self.ids.lines_on_chip, lines.on_chip);
-        self.metrics
-            .add(self.ids.lines_from_dram, lines.fetched - lines.on_chip);
+        self.stats.lines_fetched += lines.fetched;
+        self.stats.lines_on_chip += lines.on_chip;
+        self.stats.lines_from_dram += lines.fetched - lines.on_chip;
         run
     }
 
@@ -476,7 +447,7 @@ impl PageForgeEngine {
                     let pfe = self.table.pfe_mut();
                     pfe.duplicate = true;
                     pfe.scanned = true;
-                    self.metrics.inc(self.ids.duplicates);
+                    self.stats.duplicates += 1;
                     trace_event!(now, "scan_table", "transition", {
                         ptr: ptr as f64,
                         outcome: 0.0, // duplicate: Scanned and Duplicate set
@@ -515,14 +486,14 @@ impl PageForgeEngine {
         if self.key.is_complete() && !self.table.pfe().hash_ready {
             self.table.pfe_mut().hash = self.key.finish();
             self.table.pfe_mut().hash_ready = true;
-            self.metrics.inc(self.ids.keys_completed);
+            self.stats.keys_completed += 1;
             trace_event!(now, "engine", "key_complete", {});
         }
 
         let cycles = now - start;
-        self.metrics.inc(self.ids.runs);
-        self.metrics.add(self.ids.comparisons, comparisons);
-        self.metrics.observe(self.ids.run_cycles, cycles as f64);
+        self.stats.runs += 1;
+        self.stats.comparisons += comparisons;
+        self.stats.run_cycles.push(cycles as f64);
         trace_event!(now, "engine", "batch", {
             cycles: cycles as f64,
             comparisons: comparisons as f64,
@@ -550,7 +521,7 @@ impl PageForgeEngine {
     }
 
     fn observe_key_line(&mut self, cand: &PageData, line: usize, now: Cycle) {
-        let mut minikey = LineEcc::minikey_of(cand.line(line));
+        let mut minikey = pageforge_ecc::minikey(cand.line(line));
         // A scheduled key fault corrupts the snatched minikey — the
         // hash hint lies, exactly the case §3.3 says must stay safe.
         if let Some(f) = self.faults.as_mut() {

@@ -53,5 +53,5 @@ pub mod scan_table;
 pub use driver::{IntervalReport, PageForge, PageForgeConfig, PageForgeStats, OS_CHECK_INTERVAL};
 pub use engine::{EngineConfig, EngineError, EngineRun, EngineStats, PageForgeEngine};
 pub use fabric::{FabricRead, FlatFabric, MemoryFabric};
-pub use power::{AreaPower, PowerModel, TechNode};
+pub use power::{AreaPower, PowerModel};
 pub use scan_table::{OtherPage, PfeEntry, PfeInfo, ScanTable, DEFAULT_OTHER_PAGES, INVALID_INDEX};

@@ -26,15 +26,6 @@ impl AreaPower {
     }
 }
 
-/// Process technology node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TechNode {
-    /// 22 nm, high-performance devices (the paper's evaluation point).
-    Hp22nm,
-    /// 22 nm, low-operating-power devices (used for the A9 comparison).
-    Lop22nm,
-}
-
 /// The analytic model.
 ///
 /// SRAM structures scale with capacity; logic blocks are fixed design
@@ -42,8 +33,6 @@ pub enum TechNode {
 /// out exactly at 22 nm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
-    /// Technology node.
-    pub node: TechNode,
     /// SRAM area density, mm² per KB (cache-like structure incl. tag and
     /// periphery overhead).
     pub sram_mm2_per_kb: f64,
@@ -57,7 +46,6 @@ impl PowerModel {
     /// The calibrated 22 nm high-performance model.
     pub fn hp_22nm() -> Self {
         PowerModel {
-            node: TechNode::Hp22nm,
             // 512 B Scan Table → 0.010 mm², 0.028 W (Table 5).
             sram_mm2_per_kb: 0.020,
             sram_w_per_kb: 0.056,

@@ -13,7 +13,9 @@
 
 use std::fmt;
 
-use pageforge_types::{LINE_SIZE, WORDS_PER_LINE};
+use pageforge_types::LINE_SIZE;
+#[cfg(test)]
+use pageforge_types::WORDS_PER_LINE;
 
 /// Highest codeword position used by the truncated Hamming code.
 const MAX_POS: u32 = 71;
@@ -156,11 +158,6 @@ impl Decoded {
             Decoded::DoubleError => None,
         }
     }
-
-    /// `true` if any error was observed (corrected or not).
-    pub fn saw_error(self) -> bool {
-        !matches!(self, Decoded::Clean(_))
-    }
 }
 
 /// The (72,64) SECDED codec. All methods are associated functions; the codec
@@ -236,20 +233,43 @@ impl Secded72 {
     }
 }
 
-/// The stored ECC of one 64-byte cache line: one [`EccCode`] per 64-bit word,
-/// 8 bytes total ("for each line, an 8B ECC code", §3.3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct LineEcc(pub [EccCode; WORDS_PER_LINE]);
+/// The "minikey" of a 64-byte line that PageForge extracts for hash-key
+/// generation (Figure 6): the least-significant 8 bits of the line's 64-bit
+/// ECC code. With little-endian word order these are the code bits of word
+/// 0, so only word 0 is encoded — the seven other codes never reach a hash
+/// key.
+///
+/// ```
+/// use pageforge_ecc::{minikey, Secded72};
+/// let line: Vec<u8> = (0..64).collect();
+/// let word0 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
+/// assert_eq!(minikey(&line), u8::from(Secded72::encode(word0)));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `line.len() != 64`.
+pub fn minikey(line: &[u8]) -> u8 {
+    assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
+    let word0 = line.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
+    Secded72::encode(word0).0
+}
 
+/// The stored ECC of one 64-byte cache line: one [`EccCode`] per 64-bit word,
+/// 8 bytes total ("for each line, an 8B ECC code", §3.3.1). The simulator
+/// reads only the [`minikey`]; the tests encode whole lines as the reference
+/// it must match.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+pub(crate) struct LineEcc(pub [EccCode; WORDS_PER_LINE]);
+
+#[cfg(test)]
 impl LineEcc {
-    /// Encodes a 64-byte line (little-endian words). The simulator reads
-    /// only the minikeys ([`minikey_of`](Self::minikey_of)), so only the
-    /// tests encode whole lines, as the reference the minikeys match.
+    /// Encodes a 64-byte line (little-endian words).
     ///
     /// # Panics
     ///
     /// Panics if `line.len() != 64`.
-    #[cfg(test)]
     pub fn encode(line: &[u8]) -> Self {
         assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
         let mut codes = [EccCode::default(); WORDS_PER_LINE];
@@ -260,32 +280,9 @@ impl LineEcc {
         LineEcc(codes)
     }
 
-    /// The least-significant 8 bits of the line's 64-bit ECC code: the
-    /// "minikey" PageForge extracts for hash-key generation (Figure 6).
-    ///
-    /// With little-endian word order, these are the code bits of word 0.
+    /// The least-significant 8 bits of the line's 64-bit ECC code.
     pub fn minikey(self) -> u8 {
         self.0[0].0
-    }
-
-    /// The [`minikey`](Self::minikey) of a 64-byte line, encoding only
-    /// word 0 — the seven other codes never reach a hash key. Equal to the
-    /// minikey of the whole line's encoding.
-    ///
-    /// ```
-    /// use pageforge_ecc::{LineEcc, Secded72};
-    /// let line: Vec<u8> = (0..64).collect();
-    /// let word0 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
-    /// assert_eq!(LineEcc::minikey_of(&line), u8::from(Secded72::encode(word0)));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line.len() != 64`.
-    pub fn minikey_of(line: &[u8]) -> u8 {
-        assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
-        let word0 = line.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
-        Secded72::encode(word0).0
     }
 
     /// The ECC bytes as stored in the spare DRAM chip.
@@ -295,12 +292,6 @@ impl LineEcc {
             *b = code.0;
         }
         out
-    }
-}
-
-impl fmt::Debug for LineEcc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LineEcc({:02x?})", self.as_bytes())
     }
 }
 
@@ -536,8 +527,6 @@ mod tests {
         assert_eq!(Decoded::CorrectedData { data: 5, bit: 0 }.data(), Some(5));
         assert_eq!(Decoded::CorrectedCheck(5).data(), Some(5));
         assert_eq!(Decoded::DoubleError.data(), None);
-        assert!(!Decoded::Clean(5).saw_error());
-        assert!(Decoded::DoubleError.saw_error());
     }
 
     #[test]
@@ -573,7 +562,7 @@ mod tests {
         }
         for line in lines {
             assert_eq!(
-                LineEcc::minikey_of(&line),
+                minikey(&line),
                 LineEcc::encode(&line).minikey(),
                 "{line:02x?}"
             );

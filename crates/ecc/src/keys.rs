@@ -12,7 +12,7 @@ use std::fmt;
 
 use pageforge_types::{PageData, LINES_PER_PAGE};
 
-use crate::hamming::LineEcc;
+use crate::hamming::minikey;
 
 /// Number of minikeys (and page sections) in the paper's configuration.
 pub const DEFAULT_MINIKEYS: usize = 4;
@@ -159,8 +159,7 @@ impl EccKeyConfig {
     pub fn page_key(&self, page: &PageData) -> EccHashKey {
         let mut key = 0u64;
         for (i, &line) in self.offsets.iter().enumerate() {
-            let minikey = LineEcc::minikey_of(page.line(line));
-            key |= u64::from(minikey) << (8 * i);
+            key |= u64::from(minikey(page.line(line))) << (8 * i);
         }
         EccHashKey(key)
     }
@@ -196,7 +195,7 @@ impl Default for EccKeyConfig {
 /// reports completion once every configured offset has been seen.
 ///
 /// ```
-/// use pageforge_ecc::{EccKeyConfig, LineEcc};
+/// use pageforge_ecc::{minikey, EccKeyConfig};
 /// use pageforge_types::PageData;
 ///
 /// let cfg = EccKeyConfig::default();
@@ -204,7 +203,7 @@ impl Default for EccKeyConfig {
 /// let mut b = cfg.builder();
 /// // Feed the sampled lines in reverse order: order does not matter.
 /// for &off in cfg.offsets().iter().rev() {
-///     b.observe(off, LineEcc::minikey_of(page.line(off)));
+///     b.observe(off, minikey(page.line(off)));
 /// }
 /// assert_eq!(b.finish(), Some(cfg.page_key(&page)));
 /// ```
@@ -238,15 +237,6 @@ impl KeyBuilder {
         }
     }
 
-    /// Whether a given line index is one this builder still needs.
-    pub fn wants(&self, line_index: usize) -> bool {
-        self.cfg
-            .offsets
-            .iter()
-            .enumerate()
-            .any(|(i, &off)| off == line_index && self.filled & (1 << i) == 0)
-    }
-
     /// `true` once every configured offset has been observed.
     pub fn is_complete(&self) -> bool {
         self.filled == (1u8 << self.cfg.offsets.len()).wrapping_sub(1)
@@ -277,6 +267,7 @@ impl KeyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamming::LineEcc;
 
     #[test]
     fn default_config_matches_figure6() {
@@ -353,9 +344,7 @@ mod tests {
         let mut order = cfg.offsets().to_vec();
         order.reverse();
         for off in order {
-            assert!(b.wants(off));
             b.observe(off, LineEcc::encode(page.line(off)).minikey());
-            assert!(!b.wants(off));
         }
         assert!(b.is_complete());
         assert_eq!(b.finish(), Some(cfg.page_key(&page)));
@@ -385,7 +374,7 @@ mod tests {
         assert_eq!(b.missing(), cfg.offsets());
         let page = PageData::from_fn(|i| (i * 13) as u8);
         for &off in cfg.offsets() {
-            b.observe(off, LineEcc::minikey_of(page.line(off)));
+            b.observe(off, minikey(page.line(off)));
         }
         assert_eq!(b.finish(), Some(cfg.page_key(&page)));
     }

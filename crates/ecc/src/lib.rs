@@ -16,7 +16,8 @@
 //!
 //! * [`Secded72`] — the (72,64) codec with encode, decode/correct, and error
 //!   injection ([`hamming`]);
-//! * [`LineEcc`] — the 8-byte ECC of one 64-byte cache line;
+//! * [`minikey`] — the 8 ECC bits of one 64-byte cache line that reach a
+//!   page hash key;
 //! * [`EccKeyConfig`], [`EccHashKey`], [`KeyBuilder`] — ECC-based page hash
 //!   keys with out-of-order incremental assembly ([`keys`]).
 //!
@@ -45,5 +46,5 @@
 pub mod hamming;
 pub mod keys;
 
-pub use hamming::{Decoded, EccCode, LineEcc, Secded72};
+pub use hamming::{minikey, Decoded, EccCode, Secded72};
 pub use keys::{EccHashKey, EccKeyConfig, EccKeyConfigError, KeyBuilder};

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use pageforge_ecc::{Decoded, EccCode, Secded72};
-use pageforge_obs::{trace_event, CounterId, Registry};
+use pageforge_obs::{trace_event, Registry};
 use pageforge_types::{Cycle, LINE_SIZE};
 
 use crate::plan::{FaultEvent, FaultKind, FaultPlan, StallWindow};
@@ -45,18 +45,19 @@ pub struct TableFault {
     pub more_xor: u8,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Ids {
-    scheduled: CounterId,
-    injected: CounterId,
-    data_corrected: CounterId,
-    data_detected: CounterId,
-    miscorrected: CounterId,
-    check_corrected: CounterId,
-    key_faults: CounterId,
-    key_collisions: CounterId,
-    table_corruptions: CounterId,
-    stall_hits: CounterId,
+/// The `faults.*` counters (OBSERVABILITY.md).
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    scheduled: u64,
+    injected: u64,
+    data_corrected: u64,
+    data_detected: u64,
+    miscorrected: u64,
+    check_corrected: u64,
+    key_faults: u64,
+    key_collisions: u64,
+    table_corruptions: u64,
+    stall_hits: u64,
 }
 
 /// Deterministic replayer of one [`FaultPlan`].
@@ -86,8 +87,7 @@ pub struct FaultInjector {
     pending_collide: u32,
     pending_table: VecDeque<TableFault>,
     wedged: bool,
-    metrics: Registry,
-    ids: Ids,
+    counts: Counts,
 }
 
 impl FaultInjector {
@@ -96,20 +96,6 @@ impl FaultInjector {
     /// same cycle keep the plan's order. The `faults.scheduled` counter
     /// is set immediately; outcome counters tick as hooks fire.
     pub fn new(plan: &FaultPlan) -> Self {
-        let mut metrics = Registry::new();
-        let ids = Ids {
-            scheduled: metrics.counter("faults.scheduled"),
-            injected: metrics.counter("faults.injected"),
-            data_corrected: metrics.counter("faults.data_corrected"),
-            data_detected: metrics.counter("faults.data_detected"),
-            miscorrected: metrics.counter("faults.miscorrected"),
-            check_corrected: metrics.counter("faults.check_corrected"),
-            key_faults: metrics.counter("faults.key_faults"),
-            key_collisions: metrics.counter("faults.key_collisions"),
-            table_corruptions: metrics.counter("faults.table_corruptions"),
-            stall_hits: metrics.counter("faults.stall_hits"),
-        };
-        metrics.add(ids.scheduled, plan.events.len() as u64);
         let mut events = plan.events.clone();
         events.sort_by_key(|e| e.at_cycle);
         FaultInjector {
@@ -120,8 +106,10 @@ impl FaultInjector {
             pending_collide: 0,
             pending_table: VecDeque::new(),
             wedged: false,
-            metrics,
-            ids,
+            counts: Counts {
+                scheduled: plan.events.len() as u64,
+                ..Counts::default()
+            },
         }
     }
 
@@ -200,27 +188,27 @@ impl FaultInjector {
         let seen_word = true_word ^ data_xor;
         let seen_code = EccCode(u8::from(stored_code) ^ check_xor);
         let decoded = Secded72::decode(seen_word, seen_code);
-        self.metrics.inc(self.ids.injected);
+        self.counts.injected += 1;
         let trusted = match decoded {
             Decoded::Clean(d) | Decoded::CorrectedData { data: d, .. } => {
                 // Single data-bit flips land here with d == true_word; the
                 // fault was absorbed by the code exactly as §6.2 promises.
-                self.metrics.inc(self.ids.data_corrected);
+                self.counts.data_corrected += 1;
                 bytes[word * 8..word * 8 + 8].copy_from_slice(&d.to_le_bytes());
                 true
             }
             Decoded::CorrectedCheck(d) => {
                 if d == true_word {
-                    self.metrics.inc(self.ids.check_corrected);
+                    self.counts.check_corrected += 1;
                 } else {
                     // The aliased triple: decode accepted wrong data.
-                    self.metrics.inc(self.ids.miscorrected);
+                    self.counts.miscorrected += 1;
                 }
                 bytes[word * 8..word * 8 + 8].copy_from_slice(&d.to_le_bytes());
                 true
             }
             Decoded::DoubleError => {
-                self.metrics.inc(self.ids.data_detected);
+                self.counts.data_detected += 1;
                 bytes[word * 8..word * 8 + 8].copy_from_slice(&seen_word.to_le_bytes());
                 false
             }
@@ -241,8 +229,8 @@ impl FaultInjector {
         self.poll(now);
         match self.pending_key.pop_front() {
             Some(xor) => {
-                self.metrics.inc(self.ids.injected);
-                self.metrics.inc(self.ids.key_faults);
+                self.counts.injected += 1;
+                self.counts.key_faults += 1;
                 trace_event!(now, "faults", "inject", {
                     class: f64::from(class_code(&FaultKind::KeyFault { xor })),
                 });
@@ -260,8 +248,8 @@ impl FaultInjector {
             return false;
         }
         self.pending_collide -= 1;
-        self.metrics.inc(self.ids.injected);
-        self.metrics.inc(self.ids.key_collisions);
+        self.counts.injected += 1;
+        self.counts.key_collisions += 1;
         trace_event!(now, "faults", "inject", {
             class: f64::from(class_code(&FaultKind::KeyCollision)),
         });
@@ -273,8 +261,8 @@ impl FaultInjector {
     pub fn take_table_fault(&mut self, now: Cycle) -> Option<TableFault> {
         self.poll(now);
         let fault = self.pending_table.pop_front()?;
-        self.metrics.inc(self.ids.injected);
-        self.metrics.inc(self.ids.table_corruptions);
+        self.counts.injected += 1;
+        self.counts.table_corruptions += 1;
         trace_event!(now, "faults", "inject", {
             class: 5.0,
             entry: f64::from(fault.entry),
@@ -286,11 +274,11 @@ impl FaultInjector {
     /// that lands in a window ticks `faults.stall_hits`.
     pub fn stalled(&mut self, now: Cycle) -> bool {
         if self.wedged {
-            self.metrics.inc(self.ids.stall_hits);
+            self.counts.stall_hits += 1;
             return true;
         }
         if self.stalls.iter().any(|w| w.contains(now)) {
-            self.metrics.inc(self.ids.stall_hits);
+            self.counts.stall_hits += 1;
             return true;
         }
         false
@@ -311,20 +299,27 @@ impl FaultInjector {
         }
     }
 
-    /// Reads one outcome counter back (campaign assertions).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.snapshot().counter(name).unwrap_or(0)
-    }
-
     /// Merges the `faults.*` counters into `out`, adding the derived
     /// `faults.masked` count (scheduled but never reached an injection
     /// point — e.g. armed after the last batch of the run).
     pub fn export_metrics(&self, out: &mut Registry) {
-        out.absorb(&self.metrics);
-        let scheduled = self.metrics.counter_value(self.ids.scheduled);
-        let injected = self.metrics.counter_value(self.ids.injected);
-        let masked = out.counter("faults.masked");
-        out.add(masked, scheduled.saturating_sub(injected));
+        let c = &self.counts;
+        for (name, v) in [
+            ("faults.scheduled", c.scheduled),
+            ("faults.injected", c.injected),
+            ("faults.data_corrected", c.data_corrected),
+            ("faults.data_detected", c.data_detected),
+            ("faults.miscorrected", c.miscorrected),
+            ("faults.check_corrected", c.check_corrected),
+            ("faults.key_faults", c.key_faults),
+            ("faults.key_collisions", c.key_collisions),
+            ("faults.table_corruptions", c.table_corruptions),
+            ("faults.stall_hits", c.stall_hits),
+            ("faults.masked", c.scheduled.saturating_sub(c.injected)),
+        ] {
+            let id = out.counter(name);
+            out.add(id, v);
+        }
     }
 }
 
@@ -368,7 +363,7 @@ mod tests {
         assert!(!inj.collide_key(u64::MAX));
         assert!(inj.take_table_fault(u64::MAX).is_none());
         assert!(!inj.stalled(u64::MAX));
-        assert_eq!(inj.counter("faults.injected"), 0);
+        assert_eq!(inj.counts.injected, 0);
     }
 
     #[test]
@@ -385,8 +380,8 @@ mod tests {
         let view = inj.view_line(100, &line_of(0x3C)).expect("armed");
         assert!(view.trusted);
         assert_eq!(view.bytes, line_of(0x3C), "SECDED must undo a single flip");
-        assert_eq!(inj.counter("faults.data_corrected"), 1);
-        assert_eq!(inj.counter("faults.injected"), 1);
+        assert_eq!(inj.counts.data_corrected, 1);
+        assert_eq!(inj.counts.injected, 1);
         // Consumed: next fetch is clean.
         assert!(inj.view_line(101, &line_of(0x3C)).is_none());
     }
@@ -403,7 +398,7 @@ mod tests {
         let view = inj.view_line(0, &line_of(0x55)).expect("armed");
         assert!(!view.trusted);
         assert_ne!(view.bytes, line_of(0x55));
-        assert_eq!(inj.counter("faults.data_detected"), 1);
+        assert_eq!(inj.counts.data_detected, 1);
     }
 
     #[test]
@@ -419,7 +414,7 @@ mod tests {
         assert!(view.trusted);
         assert_eq!(view.bytes[8], 0b111);
         assert_eq!(&view.bytes[9..], &pristine[9..]);
-        assert_eq!(inj.counter("faults.miscorrected"), 1);
+        assert_eq!(inj.counts.miscorrected, 1);
     }
 
     #[test]
@@ -434,7 +429,7 @@ mod tests {
         let view = inj.view_line(0, &line_of(0x9D)).expect("armed");
         assert!(view.trusted);
         assert_eq!(view.bytes, line_of(0x9D));
-        assert_eq!(inj.counter("faults.check_corrected"), 1);
+        assert_eq!(inj.counts.check_corrected, 1);
     }
 
     #[test]
@@ -448,7 +443,7 @@ mod tests {
         }]));
         let view = inj.view_line(0, &line_of(0xE1)).expect("armed");
         assert!(!view.trusted);
-        assert_eq!(inj.counter("faults.data_detected"), 1);
+        assert_eq!(inj.counts.data_detected, 1);
     }
 
     #[test]
@@ -460,7 +455,7 @@ mod tests {
         assert_eq!(inj.filter_minikey(49, 0xA0), 0xA0);
         assert_eq!(inj.filter_minikey(50, 0xA0), 0xAF);
         assert_eq!(inj.filter_minikey(51, 0xA0), 0xA0);
-        assert_eq!(inj.counter("faults.key_faults"), 1);
+        assert_eq!(inj.counts.key_faults, 1);
     }
 
     #[test]
@@ -472,7 +467,7 @@ mod tests {
         assert!(!inj.collide_key(9));
         assert!(inj.collide_key(10));
         assert!(!inj.collide_key(11));
-        assert_eq!(inj.counter("faults.key_collisions"), 1);
+        assert_eq!(inj.counts.key_collisions, 1);
     }
 
     #[test]
@@ -491,7 +486,7 @@ mod tests {
         assert_eq!(fault.entry, 3);
         assert_eq!(fault.ppn_xor, 1 << 20);
         assert!(inj.take_table_fault(6).is_none());
-        assert_eq!(inj.counter("faults.table_corruptions"), 1);
+        assert_eq!(inj.counts.table_corruptions, 1);
     }
 
     #[test]
@@ -519,7 +514,7 @@ mod tests {
         // Overlapping windows resolve transitively.
         assert_eq!(inj.stall_clears_at(150), 260);
         assert_eq!(inj.stall_clears_at(50), 50);
-        assert_eq!(inj.counter("faults.stall_hits"), 3);
+        assert_eq!(inj.counts.stall_hits, 3);
     }
 
     #[test]
@@ -534,7 +529,7 @@ mod tests {
         inj.set_wedged(false);
         assert!(inj.is_inert());
         assert!(!inj.stalled(2_000_000));
-        assert_eq!(inj.counter("faults.stall_hits"), 2);
+        assert_eq!(inj.counts.stall_hits, 2);
     }
 
     #[test]
@@ -583,7 +578,7 @@ mod tests {
             "the cycle-100 event is not armed"
         );
         assert_eq!(inj.filter_minikey(100, 0), 0x01);
-        assert_eq!(inj.counter("faults.key_faults"), 3);
+        assert_eq!(inj.counts.key_faults, 3);
     }
 
     #[test]
@@ -598,7 +593,7 @@ mod tests {
                 }
                 log.push((t, inj.collide_key(t), line_of(inj.filter_minikey(t, 9))));
             }
-            (log, inj.counter("faults.injected"))
+            (log, inj.counts.injected)
         };
         assert_eq!(run(&plan), run(&plan));
     }

@@ -23,7 +23,7 @@ use pageforge_ecc::{EccHashKey, EccKeyConfig};
 use pageforge_obs::trace_event;
 use pageforge_obs::Registry;
 use pageforge_types::{Gfn, VmId};
-use pageforge_vm::{DigestCache, DigestCacheStats, HostMemory};
+use pageforge_vm::{DigestCache, HostMemory};
 
 use crate::cost::{CostModel, KsmCycles, KsmWork};
 use crate::jhash::{page_checksum, KSM_HASH_BYTES};
@@ -190,10 +190,47 @@ impl Ksm {
         &self.stats
     }
 
-    /// Digest-cache hit/miss/invalidation counters (all zero when
-    /// [`KsmConfig::digest_cache`] is off).
-    pub fn digest_stats(&self) -> DigestCacheStats {
-        self.digests.stats()
+    /// Audits KSM's three conservation laws and names the first that fails:
+    ///
+    /// * the candidate law: every candidate ends in exactly one outcome, so
+    ///   `candidates` equals `merged_stable + merged_zero + merged_unstable
+    ///   + inserted_unstable + dropped_changed + already_shared + unmapped`;
+    /// * the hash law: each hash op decides one checksum comparison, so
+    ///   `jhash_matches + jhash_mismatches` equals `work.hash_ops`, which
+    ///   equals the digest cache's hits plus misses when the cache is on;
+    /// * the merge law: this daemon is `mem`'s only merger, so `mem`'s
+    ///   merge count equals `merged_stable + merged_unstable + merged_zero`.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken law and both of its sides.
+    pub fn check_conservation(&self, mem: &HostMemory) -> Result<(), String> {
+        let s = &self.stats;
+        let merged = s.merged_stable + s.merged_zero + s.merged_unstable;
+        let outcomes =
+            merged + s.inserted_unstable + s.dropped_changed + s.already_shared + s.unmapped;
+        if s.candidates != outcomes {
+            return Err(format!(
+                "KSM candidate law: {} candidates, {outcomes} outcomes",
+                s.candidates
+            ));
+        }
+        let decisions = s.jhash_matches + s.jhash_mismatches;
+        let digests = self.digests.stats();
+        let lookups = digests.hits + digests.misses;
+        if decisions != s.work.hash_ops || (self.cfg.digest_cache && lookups != s.work.hash_ops) {
+            return Err(format!(
+                "KSM hash law: {decisions} jhash decisions, {} hash ops, {lookups} digest lookups",
+                s.work.hash_ops
+            ));
+        }
+        let mem_merges = mem.stats().merges;
+        if mem_merges != merged {
+            return Err(format!(
+                "KSM merge law: {mem_merges} host merges, {merged} KSM merges"
+            ));
+        }
+        Ok(())
     }
 
     /// Projects the cumulative statistics into a metric registry under
@@ -416,6 +453,7 @@ impl Ksm {
                     mem.cow_protect(ppn);
                     let epoch = mem.frame_epoch(ppn).expect("frame exists");
                     self.zero_frame = Some((ppn, epoch));
+                    self.stats.already_shared += 1;
                     return CandidateOutcome::AlreadyShared;
                 }
             }
@@ -539,6 +577,45 @@ mod tests {
     }
 
     #[test]
+    fn conservation_laws_hold_and_a_skewed_counter_is_named() {
+        let (mut mem, mut hints) = identical_vms(4, 1);
+        for v in 0..2 {
+            mem.map_new_page(VmId(v), Gfn(1), PageData::zeroed());
+            hints.push((VmId(v), Gfn(1)));
+        }
+        let cfg = KsmConfig {
+            use_zero_pages: true,
+            ..KsmConfig::default()
+        };
+        let mut ksm = Ksm::new(cfg, hints);
+        ksm.run_to_steady_state(&mut mem, 8);
+        mem.guest_write(VmId(2), Gfn(0), 0, &[0xEE]);
+        ksm.run_to_steady_state(&mut mem, 8);
+        let s = ksm.stats();
+        assert!(s.merged_zero > 0 && s.merged_stable + s.merged_unstable > 0);
+        ksm.check_conservation(&mem).unwrap();
+
+        // Each skew keeps the laws before its own, so the audit names it.
+        let audit = |skew: fn(&mut KsmStats)| {
+            let mut skewed = ksm.clone();
+            skew(&mut skewed.stats);
+            skewed.check_conservation(&mem).unwrap_err()
+        };
+        assert!(audit(|s| s.candidates += 1).contains("candidate law"));
+        assert!(audit(|s| s.jhash_matches += 1).contains("hash law"));
+        let digest_skew = audit(|s| {
+            s.jhash_matches += 1;
+            s.work.hash_ops += 1;
+        });
+        assert!(digest_skew.contains("hash law"), "{digest_skew}");
+        let merge_skew = audit(|s| {
+            s.merged_stable += 1;
+            s.dropped_changed -= 1;
+        });
+        assert!(merge_skew.contains("merge law"), "{merge_skew}");
+    }
+
+    #[test]
     fn first_pass_only_inserts() {
         let (mut mem, hints) = identical_vms(4, 1);
         let mut ksm = Ksm::new(KsmConfig::default(), hints);
@@ -614,7 +691,7 @@ mod tests {
         let passes = ksm.run_to_steady_state(&mut mem, 10);
         assert!(passes <= 4, "took {passes} passes");
         assert_eq!(mem.allocated_frames(), 1);
-        assert_eq!(mem.refcount(mem.translate(VmId(0), Gfn(0)).unwrap()), 6);
+        assert_eq!(mem.mapped_guest_pages(), 6);
     }
 
     #[test]
@@ -746,12 +823,12 @@ mod tests {
         let mut ksm = Ksm::new(KsmConfig::default(), hints);
         ksm.scan_batch(&mut mem, 1); // pass 1: miss, digest stored
         ksm.scan_batch(&mut mem, 1); // pass 2: unchanged → hit
-        assert_eq!(ksm.digest_stats().hits, 1);
-        assert_eq!(ksm.digest_stats().misses, 1);
+        assert_eq!(ksm.digests.stats().hits, 1);
+        assert_eq!(ksm.digests.stats().misses, 1);
         mem.guest_write(VmId(0), Gfn(0), 0, &[0xAA]);
         ksm.scan_batch(&mut mem, 1); // pass 3: version bumped → refill
-        assert_eq!(ksm.digest_stats().invalidations, 1);
-        assert_eq!(ksm.digest_stats().misses, 2);
+        assert_eq!(ksm.digests.stats().invalidations, 1);
+        assert_eq!(ksm.digests.stats().misses, 2);
     }
 
     #[test]

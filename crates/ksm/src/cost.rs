@@ -40,8 +40,9 @@ impl KsmWork {
         Self::default()
     }
 
-    /// Accumulates another record into this one. `touched` lists are
-    /// concatenated.
+    /// Adds another record's counters into this one. `touched` is not
+    /// carried over: the simulator replays each batch's own list, and a
+    /// cumulative one would grow for the whole run with no reader.
     pub fn absorb(&mut self, other: &KsmWork) {
         self.candidates += other.candidates;
         self.comparisons += other.comparisons;
@@ -50,12 +51,6 @@ impl KsmWork {
         self.hash_bytes += other.hash_bytes;
         self.tree_ops += other.tree_ops;
         self.merges += other.merges;
-        self.touched.extend_from_slice(&other.touched);
-    }
-
-    /// Total cache lines touched by comparisons and hashing.
-    pub fn lines_touched(&self) -> u64 {
-        self.touched.iter().map(|&(_, l)| u64::from(l)).sum()
     }
 }
 
@@ -195,7 +190,7 @@ mod tests {
         b.touched.push((Ppn(2), 16));
         a.absorb(&b);
         assert_eq!(a.candidates, 3);
-        assert_eq!(a.lines_touched(), 80);
+        assert_eq!(a.touched, vec![(Ppn(1), 64)]);
     }
 
     #[test]

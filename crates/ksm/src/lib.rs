@@ -42,7 +42,6 @@
 pub mod algorithm;
 pub mod cost;
 pub mod jhash;
-pub mod madvise;
 pub mod rbtree;
 pub mod tree;
 pub mod uksm;
@@ -50,6 +49,5 @@ pub mod uksm;
 pub use algorithm::{BatchReport, CandidateOutcome, Ksm, KsmConfig, KsmStats};
 pub use cost::{CostModel, KsmCycles, KsmWork};
 pub use jhash::{jhash2, page_checksum};
-pub use madvise::MergeRegistry;
 pub use tree::{PageRef, PageTree, SearchInsert, TreeKind};
 pub use uksm::{Uksm, UksmConfig};

@@ -174,11 +174,6 @@ impl<T> RbTree<T> {
         self.wrap(self.nodes[id.0 as usize].right)
     }
 
-    /// Parent of `id`.
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.wrap(self.nodes[id.0 as usize].parent)
-    }
-
     /// The value stored at `id`.
     ///
     /// # Panics
@@ -188,18 +183,6 @@ impl<T> RbTree<T> {
         self.nodes[id.0 as usize]
             .value
             .as_ref()
-            .expect("stale NodeId")
-    }
-
-    /// Mutable access to the value stored at `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale (already removed).
-    pub fn value_mut(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.0 as usize]
-            .value
-            .as_mut()
             .expect("stale NodeId")
     }
 
@@ -505,17 +488,6 @@ impl<T> RbTree<T> {
         Iter { tree: self, stack }
     }
 
-    /// In-order iterator over `(NodeId, &T)` pairs.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (NodeId, &T)> {
-        IterIds {
-            inner: self.iter_ids_raw(),
-        }
-    }
-
-    fn iter_ids_raw(&self) -> Iter<'_, T> {
-        self.iter()
-    }
-
     /// Breadth-first traversal of the first `max_nodes` nodes starting at
     /// `start` — the slice of the tree the OS loads into PageForge's Scan
     /// Table (§3.4: "the root of the red-black tree... and a few subsequent
@@ -623,29 +595,8 @@ impl<'a, T> Iterator for Iter<'a, T> {
     }
 }
 
-struct IterIds<'a, T> {
-    inner: Iter<'a, T>,
-}
-
-impl<'a, T> Iterator for IterIds<'a, T> {
-    type Item = (NodeId, &'a T);
-
-    fn next(&mut self) -> Option<(NodeId, &'a T)> {
-        let cur = self.inner.stack.pop()?;
-        let mut next = self.inner.tree.nodes[cur as usize].right;
-        while next != NIL {
-            self.inner.stack.push(next);
-            next = self.inner.tree.nodes[next as usize].left;
-        }
-        self.inner.tree.nodes[cur as usize]
-            .value
-            .as_ref()
-            .map(|v| (NodeId(cur), v))
-    }
-}
-
-/// Convenience: ordered insert/search for `T: Ord`, used by tests and by
-/// callers that don't need cost accounting.
+/// Convenience: ordered insert for `T: Ord`, used by tests and by callers
+/// that don't need cost accounting.
 impl<T: Ord> RbTree<T> {
     /// Inserts `value` by its `Ord`, allowing duplicates (placed right).
     pub fn insert_ord(&mut self, value: T) -> NodeId {
@@ -663,19 +614,6 @@ impl<T: Ord> RbTree<T> {
             }
         }
         self.insert_at(parent, side, value)
-    }
-
-    /// Finds a node equal to `value`.
-    pub fn find_ord(&self, value: &T) -> Option<NodeId> {
-        let mut cur = self.root();
-        while let Some(n) = cur {
-            cur = match value.cmp(self.value(n)) {
-                std::cmp::Ordering::Less => self.left(n),
-                std::cmp::Ordering::Greater => self.right(n),
-                std::cmp::Ordering::Equal => return Some(n),
-            };
-        }
-        None
     }
 }
 
@@ -715,27 +653,8 @@ mod tests {
         let expected: Vec<_> = (0..1000).collect();
         assert_eq!(inorder, expected);
         // Balanced: depth of a 1000-node RB tree is at most 2*log2(1001).
-        let mut max_depth = 0;
-        for (id, _) in t.iter_ids() {
-            let mut d = 0;
-            let mut cur = Some(id);
-            while let Some(n) = cur {
-                d += 1;
-                cur = t.parent(n);
-            }
-            max_depth = max_depth.max(d);
-        }
+        let max_depth = t.depth();
         assert!(max_depth <= 20, "depth {max_depth}");
-    }
-
-    #[test]
-    fn find_ord_hits_and_misses() {
-        let mut t = RbTree::new();
-        for i in (0..100).step_by(2) {
-            t.insert_ord(i);
-        }
-        assert!(t.find_ord(&42).is_some());
-        assert!(t.find_ord(&43).is_none());
     }
 
     #[test]
@@ -835,17 +754,5 @@ mod tests {
         }
         let bfs = t.bfs_from(t.root().unwrap(), 31);
         assert_eq!(bfs.len(), 3);
-    }
-
-    #[test]
-    fn iter_ids_matches_iter() {
-        let mut t = RbTree::new();
-        for i in [5, 3, 8, 1, 4, 7, 9] {
-            t.insert_ord(i);
-        }
-        let by_val: Vec<_> = t.iter().copied().collect();
-        let by_id: Vec<_> = t.iter_ids().map(|(_, v)| *v).collect();
-        assert_eq!(by_val, by_id);
-        assert_eq!(by_val, vec![1, 3, 4, 5, 7, 8, 9]);
     }
 }

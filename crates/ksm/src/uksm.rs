@@ -1,23 +1,22 @@
 //! UKSM: Ultra KSM, the alternative software deduplicator of §7.2.
 //!
 //! UKSM differs from KSM in three documented ways (the paper's related
-//! work, citing [kerneldedup.org]):
+//! work, citing [kerneldedup.org]). This model runs the first two:
 //!
 //! 1. **whole-system scanning** — it does not rely on
 //!    `madvise(MADV_MERGEABLE)` hints; every anonymous page in the system
 //!    is a candidate (so a cloud provider cannot exempt VMs);
 //! 2. **CPU-budget governor** — the user sets a target CPU share for the
 //!    daemon, and UKSM adapts its per-interval page quota to hit it,
-//!    instead of KSM's fixed `pages_to_scan`/`sleep_millisecs` pair;
-//! 3. **a different hash generation algorithm** — modeled here as a
-//!    sampled FNV-style rolling hash whose sampled byte count adapts with
-//!    the same governor.
+//!    instead of KSM's fixed `pages_to_scan`/`sleep_millisecs` pair.
 //!
-//! The same stable/unstable tree machinery, cost model, and merge
-//! operations are reused, so UKSM-vs-KSM comparisons isolate exactly these
-//! three policy differences.
+//! The third, a different hash generation algorithm, is not modelled: the
+//! daemon hashes with its inner [`Ksm`]'s `jhash2` page checksum. The same
+//! stable/unstable tree machinery, cost model, and merge operations are
+//! reused, so UKSM-vs-KSM comparisons isolate exactly the two policy
+//! differences above.
 
-use pageforge_types::{Cycle, Gfn, PageData, VmId};
+use pageforge_types::{Cycle, Gfn, VmId};
 use pageforge_vm::HostMemory;
 
 use crate::algorithm::{BatchReport, Ksm, KsmConfig};
@@ -31,9 +30,6 @@ pub struct UksmConfig {
     pub interval_cycles: Cycle,
     /// Initial pages per interval (adapted thereafter).
     pub initial_quota: usize,
-    /// Bytes sampled per page by the UKSM hash (adaptive in real UKSM;
-    /// fixed here).
-    pub hash_sample_bytes: usize,
 }
 
 impl Default for UksmConfig {
@@ -42,23 +38,8 @@ impl Default for UksmConfig {
             cpu_share: 0.2,
             interval_cycles: 200_000,
             initial_quota: 16,
-            hash_sample_bytes: 128,
         }
     }
-}
-
-/// Sampled FNV-1a over `n` bytes spread across the page — UKSM's cheap
-/// "strength-adaptive" page digest stand-in.
-pub fn uksm_digest(page: &PageData, sample_bytes: usize) -> u64 {
-    let bytes = page.as_bytes();
-    let n = sample_bytes.clamp(1, bytes.len());
-    let stride = bytes.len() / n;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..n {
-        h ^= u64::from(bytes[i * stride]);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The UKSM daemon: KSM's trees and merge machinery under UKSM's policies.
@@ -69,19 +50,13 @@ pub struct Uksm {
     quota: usize,
     /// Cycles consumed in the last interval (for the governor).
     last_interval_cycles: Cycle,
-    intervals: u64,
 }
 
 impl Uksm {
     /// Creates a daemon scanning *all* guest pages of `mem` — UKSM takes
     /// no hints ("performs a whole-system memory scan", §7.2).
     pub fn new(cfg: UksmConfig, mem: &HostMemory) -> Self {
-        let hints: Vec<(VmId, Gfn)> = mem.iter_mappings().map(|(vm, gfn, _)| (vm, gfn)).collect();
-        Self::with_pages(cfg, hints)
-    }
-
-    /// Creates a daemon over an explicit page list (tests).
-    pub fn with_pages(cfg: UksmConfig, pages: Vec<(VmId, Gfn)>) -> Self {
+        let pages: Vec<(VmId, Gfn)> = mem.iter_mappings().map(|(vm, gfn, _)| (vm, gfn)).collect();
         let inner_cfg = KsmConfig {
             pages_to_scan: cfg.initial_quota,
             sleep_millisecs: 0,
@@ -95,13 +70,7 @@ impl Uksm {
             inner: Ksm::new(inner_cfg, pages),
             cfg,
             last_interval_cycles: 0,
-            intervals: 0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &UksmConfig {
-        &self.cfg
     }
 
     /// Current adaptive per-interval quota.
@@ -120,7 +89,6 @@ impl Uksm {
     pub fn work_interval(&mut self, mem: &mut HostMemory) -> BatchReport {
         let report = self.inner.scan_batch(mem, self.quota);
         self.last_interval_cycles = report.cycles.total();
-        self.intervals += 1;
 
         // Multiplicative-increase / multiplicative-decrease governor.
         let budget = (self.cfg.cpu_share * self.cfg.interval_cycles as f64) as Cycle;
@@ -129,11 +97,6 @@ impl Uksm {
         let adjusted = (self.quota as f64 * ratio.clamp(0.5, 2.0)).round() as usize;
         self.quota = adjusted.clamp(1, 100_000);
         report
-    }
-
-    /// Work intervals executed.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
     }
 
     /// Cycles the last interval consumed (what the governor saw).
@@ -168,6 +131,7 @@ impl Uksm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pageforge_types::PageData;
 
     fn identical_vms(n: u32, b: u8) -> HostMemory {
         let mut mem = HostMemory::new();
@@ -241,25 +205,5 @@ mod tests {
             uksm.work_interval(&mut mem);
         }
         assert!(uksm.quota() > q0, "quota {} should grow", uksm.quota());
-    }
-
-    #[test]
-    fn digest_is_content_sensitive_and_sampled() {
-        let a = PageData::zeroed();
-        let mut b = PageData::zeroed();
-        b.as_bytes_mut()[0] = 1; // byte 0 is always sampled
-        assert_ne!(uksm_digest(&a, 128), uksm_digest(&b, 128));
-        // Fewer samples → blinder digest: a change between sample points
-        // is missed.
-        let mut c = PageData::zeroed();
-        c.as_bytes_mut()[1] = 1;
-        assert_eq!(uksm_digest(&a, 16), uksm_digest(&c, 16));
-    }
-
-    #[test]
-    fn digest_handles_extreme_sample_counts() {
-        let p = PageData::from_fn(|i| i as u8);
-        let _ = uksm_digest(&p, 0); // clamps to 1
-        let _ = uksm_digest(&p, 100_000); // clamps to page size
     }
 }

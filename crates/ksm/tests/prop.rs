@@ -82,15 +82,8 @@ fn rbtree_height_is_logarithmic() {
         }
         let n = tree.len();
         let bound = 2 * ((n + 1) as f64).log2().ceil() as usize + 1;
-        for (id, _) in tree.iter_ids() {
-            let mut depth = 0;
-            let mut cur = Some(id);
-            while let Some(x) = cur {
-                depth += 1;
-                cur = tree.parent(x);
-            }
-            assert!(depth <= bound, "depth {depth} > bound {bound} for n={n}");
-        }
+        let depth = tree.depth();
+        assert!(depth <= bound, "depth {depth} > bound {bound} for n={n}");
     }
 }
 

@@ -108,30 +108,6 @@ impl BandwidthMeter {
     pub fn windows(&self) -> &[u64] {
         &self.windows
     }
-
-    /// Converts a window's byte count to GB/s given the CPU frequency.
-    pub fn window_gbps(&self, idx: usize, cpu_hz: f64) -> f64 {
-        let bytes = *self.windows.get(idx).unwrap_or(&0) as f64;
-        let seconds = self.window_cycles as f64 / cpu_hz;
-        bytes / seconds / 1e9
-    }
-
-    /// The highest-bandwidth window in GB/s (Figure 11's reporting point).
-    pub fn peak_gbps(&self, cpu_hz: f64) -> f64 {
-        (0..self.windows.len())
-            .map(|i| self.window_gbps(i, cpu_hz))
-            .fold(0.0, f64::max)
-    }
-
-    /// Mean bandwidth over all complete windows in GB/s.
-    pub fn mean_gbps(&self, cpu_hz: f64) -> f64 {
-        if self.windows.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.windows.iter().sum();
-        let seconds = (self.windows.len() as f64 * self.window_cycles as f64) / cpu_hz;
-        total as f64 / seconds / 1e9
-    }
 }
 
 /// Memory-controller configuration.
@@ -545,19 +521,6 @@ mod tests {
         m.record(999, 64);
         m.record(1000, 64);
         assert_eq!(m.windows(), &[128, 64]);
-        // 128 bytes / (1000 cycles / 2 GHz) = 128 / 0.5µs = 256 MB/s.
-        assert!((m.window_gbps(0, 2e9) - 0.256).abs() < 1e-9);
-        assert!(m.peak_gbps(2e9) > m.window_gbps(1, 2e9));
-    }
-
-    #[test]
-    fn meter_mean_spans_all_windows() {
-        let mut m = BandwidthMeter::new(100);
-        m.record(0, 100);
-        m.record(250, 100);
-        let mean = m.mean_gbps(1e9);
-        assert!(mean > 0.0);
-        assert!(m.peak_gbps(1e9) >= mean);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl DramConfig {
     fn banks_per_channel(&self) -> usize {
         self.ranks_per_channel * self.banks_per_rank
     }
-
-    /// Peak data bandwidth of the device in GB/s at the given CPU clock:
-    /// one line per `t_burst` per channel.
-    pub fn peak_gbps(&self, cpu_hz: f64) -> f64 {
-        self.channels as f64 * LINE_SIZE as f64 / (self.t_burst as f64 / cpu_hz) / 1e9
-    }
 }
 
 /// Row-hit/miss and traffic counters, exported as `mem.dram.*` (see
@@ -610,13 +604,6 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("a formatted message");
             assert!(msg.contains(what), "{msg}");
         }
-    }
-
-    #[test]
-    fn peak_bandwidth_is_plausible() {
-        // 2 channels × 64 B / 4 ns = 32 GB/s.
-        let gbps = DramConfig::micro50().peak_gbps(2e9);
-        assert!((gbps - 32.0).abs() < 0.1, "{gbps}");
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The metric registry: counters, gauges, and histograms under
 //! hierarchical dotted names, snapshotted into deterministic JSON.
 //!
-//! Components own a [`Registry`] and register each metric **once** at
-//! construction, holding on to the returned id ([`CounterId`],
-//! [`GaugeId`], [`HistogramId`]). Updates are then plain array indexing —
-//! no name hashing on hot paths — which is what lets the simulation
-//! crates store their statistics here without perturbing timing-sensitive
-//! code. Because ids are indices into the owning registry (not shared
-//! pointers), a cloned component gets an independent copy of its metrics,
-//! preserving the value semantics the simulator relies on.
+//! A component registers each metric **once**, holding on to the returned
+//! id ([`CounterId`], [`GaugeId`], [`HistogramId`]); updates are then plain
+//! array indexing, with no name lookup. Because ids are indices into the
+//! owning registry (not shared pointers), a cloned component gets an
+//! independent copy of its metrics. The simulator's components keep their
+//! counters in plain fields instead and build a registry only in
+//! `export_metrics`.
 //!
 //! Aggregation across components (e.g. the two memory controllers, or
 //! several PageForge modules) goes through [`Registry::absorb`], which
@@ -76,7 +75,6 @@ struct Metric {
 /// reg.inc(comparisons);
 /// reg.observe(run_cycles, 7486.0);
 ///
-/// assert_eq!(reg.counter_value(comparisons), 4);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("engine.comparisons"), Some(4));
 /// assert!(snap.to_json().to_string_pretty().contains("engine.run_cycles"));
@@ -192,27 +190,11 @@ impl Registry {
         }
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        match &self.metrics[id.0].value {
-            MetricValue::Counter(c) => *c,
-            _ => unreachable!("CounterId always points at a counter"),
-        }
-    }
-
     /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
+    fn gauge_value(&self, id: GaugeId) -> f64 {
         match &self.metrics[id.0].value {
             MetricValue::Gauge(g) => *g,
             _ => unreachable!("GaugeId always points at a gauge"),
-        }
-    }
-
-    /// The accumulated distribution of a histogram.
-    pub fn histogram_stats(&self, id: HistogramId) -> &RunningStats {
-        match &self.metrics[id.0].value {
-            MetricValue::Histogram(h) => h,
-            _ => unreachable!("HistogramId always points at a histogram"),
         }
     }
 
@@ -494,9 +476,6 @@ mod tests {
         reg.set(g, 2.5);
         reg.observe(h, 1.0);
         reg.observe(h, 3.0);
-        assert_eq!(reg.counter_value(c), 5);
-        assert_eq!(reg.gauge_value(g), 2.5);
-        assert_eq!(reg.histogram_stats(h).count(), 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a.count"), Some(5));
         assert_eq!(snap.gauge("a.level"), Some(2.5));
@@ -515,7 +494,7 @@ mod tests {
         assert_eq!(a, b);
         reg.inc(a);
         reg.inc(b);
-        assert_eq!(reg.counter_value(a), 2);
+        assert_eq!(reg.snapshot().counter("x"), Some(2));
         assert_eq!(reg.len(), 1);
     }
 
@@ -614,7 +593,7 @@ mod tests {
         a.add(c, 1);
         let mut b = a.clone();
         b.add(c, 10);
-        assert_eq!(a.counter_value(c), 1);
-        assert_eq!(b.counter_value(c), 11);
+        assert_eq!(a.snapshot().counter("c"), Some(1));
+        assert_eq!(b.snapshot().counter("c"), Some(11));
     }
 }

@@ -19,7 +19,7 @@ use pageforge_ksm::Ksm;
 use pageforge_mem::{MemSource, MemorySystem};
 use pageforge_obs::{Registry, Snapshot};
 use pageforge_types::stats::LatencyRecorder;
-use pageforge_types::{Cycle, Gfn, VmId};
+use pageforge_types::{Cycle, Gfn, LineAddr, VmId};
 use pageforge_vm::{HostMemory, MemoryImage};
 use pageforge_workloads::{AccessPattern, AppSpec, ArrivalProcess, Query};
 
@@ -346,8 +346,9 @@ impl System {
     /// [`SystemCaches::check_invariants`] or
     /// [`SystemCaches::check_conservation`], a memory controller fails
     /// [`MemorySystem::check_conservation`], host memory fails
-    /// [`HostMemory::check_invariants`], or a PageForge module fails
-    /// [`PageForge::check_conservation`].
+    /// [`HostMemory::check_invariants`], a PageForge module fails
+    /// [`PageForge::check_conservation`], or the KSM daemon fails
+    /// [`Ksm::check_conservation`].
     pub fn run_observed(mut self) -> (SimResult, Snapshot) {
         while let Some(Reverse((t, _, event))) = self.events.pop() {
             self.clock = t.max(self.clock);
@@ -367,8 +368,12 @@ impl System {
             .and(self.caches.check_conservation())
             .and(self.mems.check_conservation())
             .and(self.mem.check_invariants());
-        if let DedupState::PageForge(pfs) = &self.dedup {
-            audit = audit.and(pfs.iter().try_for_each(PageForge::check_conservation));
+        match &self.dedup {
+            DedupState::None => {}
+            DedupState::Ksm(ksm) => audit = audit.and(ksm.check_conservation(&self.mem)),
+            DedupState::PageForge(pfs) => {
+                audit = audit.and(pfs.iter().try_for_each(PageForge::check_conservation));
+            }
         }
         if let Err(violation) = audit {
             panic!("audit failed at the end of the run: {violation}");
@@ -499,9 +504,9 @@ impl System {
         rq: &mut RunningQuery,
         start: Cycle,
     ) -> (bool, Cycle) {
-        let CoreState { vm, ref gfns, .. } = self.cores[core];
-        // The L1-hit latency is already part of the CPU demand.
-        let l1 = self.cfg.hierarchy.l1.latency;
+        let vm = self.cores[core].vm;
+        // Lent out of the core for the slice, so `access` may borrow `self`.
+        let gfns = std::mem::take(&mut self.cores[core].gfns);
         let mut t = start;
         let budget_end = start + SLICE_CYCLES;
         while rq.accesses_left > 0 && t < budget_end {
@@ -515,18 +520,9 @@ impl System {
             // synthetic pattern treats them as reads (content churn is
             // modeled separately).
             let write = touch.is_write && !cow;
-            let addr = ppn.line_addr(touch.line);
-            let acc = self.caches.access(core, addr, write);
-            let stall = if acc.level == HitLevel::Memory {
-                let grant = self.mems.read_line(addr, t, MemSource::Demand);
-                acc.latency + (grant.ready_at - t)
-            } else {
-                acc.latency
-            };
-            // Charge the excess over the L1 hit, shrunk by the OoO overlap
-            // factor.
-            t += stall.saturating_sub(l1) * 10 / OVERLAP_X10;
+            t += self.access(core, ppn.line_addr(touch.line), write, t).1;
         }
+        self.cores[core].gfns = gfns;
         if rq.accesses_left == 0 {
             t += rq.tail_cpu_left;
             rq.tail_cpu_left = 0;
@@ -534,6 +530,24 @@ impl System {
         } else {
             (false, t)
         }
+    }
+
+    /// One cached access: `core` touches `addr` at `t` through its caches,
+    /// and a miss reads the line from memory. Returns where the access was
+    /// satisfied and the cycles it charged: the stall beyond the L1 hit
+    /// (already part of the CPU demand), shrunk by the out-of-order overlap
+    /// factor.
+    #[inline]
+    fn access(&mut self, core: usize, addr: LineAddr, write: bool, t: Cycle) -> (HitLevel, Cycle) {
+        let acc = self.caches.access(core, addr, write);
+        let stall = if acc.level == HitLevel::Memory {
+            let grant = self.mems.read_line(addr, t, MemSource::Demand);
+            acc.latency + (grant.ready_at - t)
+        } else {
+            acc.latency
+        };
+        let l1 = self.cfg.hierarchy.l1.latency;
+        (acc.level, stall.saturating_sub(l1) * 10 / OVERLAP_X10)
     }
 
     /// Executes one KSM work interval on `core`: the content-level scan,
@@ -546,28 +560,18 @@ impl System {
         let report = ksm.scan_interval(&mut self.mem);
         self.merged_during_run += report.merged;
         let mut t = start + report.cycles.total();
-        let l1 = self.cfg.hierarchy.l1.latency;
         for &(ppn, lines) in &report.work.touched {
             for line in 0..(lines as usize).min(pageforge_types::LINES_PER_PAGE) {
                 let addr = ppn.line_addr(line);
-                let stall = if bypass {
+                if bypass {
                     // §4.3: uncacheable reads — no allocation, no pollution,
                     // full memory latency on every line, and less MLP
                     // (uncached reads occupy MSHRs without the cache's
                     // overlap machinery): charge the stall unshrunk.
-                    let grant = self.mems.read_line(addr, t, MemSource::Demand);
-                    t += grant.ready_at - t;
-                    continue;
+                    t = self.mems.read_line(addr, t, MemSource::Demand).ready_at;
                 } else {
-                    let acc = self.caches.access(core, addr, false);
-                    if acc.level == HitLevel::Memory {
-                        let grant = self.mems.read_line(addr, t, MemSource::Demand);
-                        acc.latency + (grant.ready_at - t)
-                    } else {
-                        acc.latency
-                    }
-                };
-                t += stall.saturating_sub(l1) * 10 / OVERLAP_X10;
+                    t += self.access(core, addr, false, t).1;
+                }
             }
         }
         t

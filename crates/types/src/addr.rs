@@ -110,11 +110,6 @@ impl PhysAddr {
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 / LINE_SIZE as u64)
     }
-
-    /// Byte offset within the containing page.
-    pub fn page_offset(self) -> usize {
-        (self.0 % PAGE_SIZE as u64) as usize
-    }
 }
 
 impl fmt::Debug for PhysAddr {
@@ -195,7 +190,6 @@ mod tests {
     fn phys_addr_round_trips() {
         let a = PhysAddr(4096 * 5 + 100);
         assert_eq!(a.ppn(), Ppn(5));
-        assert_eq!(a.page_offset(), 100);
         assert_eq!(a.line(), LineAddr((4096 * 5 + 100) / 64));
     }
 

@@ -12,8 +12,8 @@
 //!   confused;
 //! * [`Cycle`] — the simulation time unit;
 //! * small statistics helpers ([`stats::RunningStats`],
-//!   [`stats::LatencyRecorder`], [`stats::Histogram`]) used by the
-//!   simulator and the workload models.
+//!   [`stats::LatencyRecorder`]) used by the simulator and the workload
+//!   models.
 //!
 //! # Examples
 //!

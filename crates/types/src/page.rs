@@ -54,22 +54,6 @@ impl PageData {
         page
     }
 
-    /// Creates a page from a byte slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes.len() != PAGE_SIZE`.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert_eq!(
-            bytes.len(),
-            PAGE_SIZE,
-            "a page is exactly {PAGE_SIZE} bytes"
-        );
-        let mut page = Self::zeroed();
-        page.0.copy_from_slice(bytes);
-        page
-    }
-
     /// Returns the full page as a byte slice.
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.0
@@ -123,16 +107,6 @@ impl PageData {
     /// and the number of lines the hardware had to fetch.
     pub fn first_diverging_line(&self, other: &PageData) -> Option<usize> {
         (0..LINES_PER_PAGE).find(|&i| self.line(i) != other.line(i))
-    }
-
-    /// Number of 64-byte lines that a lockstep line-by-line comparison
-    /// examines before deciding: the diverging line (inclusive), or all 64
-    /// lines when the pages are identical.
-    pub fn lines_examined(&self, other: &PageData) -> usize {
-        match self.first_diverging_line(other) {
-            Some(i) => i + 1,
-            None => LINES_PER_PAGE,
-        }
     }
 
     /// Number of *bytes* examined by a byte-by-byte comparison (KSM's
@@ -260,14 +234,12 @@ mod tests {
         let mut b = PageData::zeroed();
         b.line_mut(17)[5] = 9;
         assert_eq!(a.first_diverging_line(&b), Some(17));
-        assert_eq!(a.lines_examined(&b), 18);
     }
 
     #[test]
     fn identical_pages_have_no_diverging_line() {
         let a = PageData::from_fn(|i| i as u8);
         assert_eq!(a.first_diverging_line(&a.clone()), None);
-        assert_eq!(a.lines_examined(&a.clone()), LINES_PER_PAGE);
         assert_eq!(a.bytes_examined(&a.clone()), PAGE_SIZE);
     }
 
@@ -315,13 +287,6 @@ mod tests {
     fn line_index_out_of_range_panics() {
         let p = PageData::zeroed();
         let _ = p.line(LINES_PER_PAGE);
-    }
-
-    #[test]
-    fn from_bytes_round_trips() {
-        let bytes = [0xABu8; PAGE_SIZE];
-        let p = PageData::from_bytes(&bytes);
-        assert_eq!(p.as_bytes(), &bytes);
     }
 
     #[test]

@@ -72,16 +72,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation (n−1 denominator); 0 with fewer than 2
-    /// samples.
-    pub fn sample_stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-
     /// Smallest sample; +∞ when empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -245,86 +235,6 @@ impl FromJson for LatencyRecorder {
     }
 }
 
-/// A log₂-bucketed histogram for latency distributions.
-///
-/// Percentile extraction from [`LatencyRecorder`] is exact but stores every
-/// sample; the histogram is the constant-space companion used for
-/// distribution *shape* reporting (e.g. latency CCDFs across millions of
-/// queries). Buckets are powers of two: bucket *i* covers `[2^i, 2^(i+1))`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram (64 power-of-two buckets).
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-        }
-    }
-
-    /// Records a value (non-negative; values < 1 land in bucket 0).
-    pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()).saturating_sub(1) as usize;
-        self.buckets[bucket.min(63)] += 1;
-        self.count += 1;
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate percentile `p` in `[0, 1]`: the upper bound of the
-    /// bucket containing the rank. Error is bounded by the 2× bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn percentile_bound(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "percentile must be in [0,1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64.checked_shl(i as u32 + 1).unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, for reporting.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (1u64 << i, n))
-            .collect()
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +254,7 @@ mod tests {
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
-        assert_eq!(s.sample_stddev(), 0.0);
+        assert_eq!(s.population_stddev(), 0.0);
     }
 
     #[test]
@@ -417,67 +327,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), 2.0);
         assert_eq!(a.percentile(1.0), 3.0);
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count(), 5);
-        let buckets = h.nonzero_buckets();
-        assert!(buckets.contains(&(1, 2))); // 0 and 1 both land in bucket 0
-        assert!(buckets.contains(&(2, 2))); // 2 and 3
-        assert!(buckets.contains(&(1024, 1)));
-    }
-
-    #[test]
-    fn histogram_percentile_bounds_contain_exact() {
-        let mut h = Histogram::new();
-        let mut exact = LatencyRecorder::new();
-        for v in (1..=1000u64).map(|i| i * 37 % 9973 + 1) {
-            h.record(v);
-            exact.record(v as f64);
-        }
-        for p in [0.5, 0.9, 0.95, 0.99] {
-            let bound = h.percentile_bound(p) as f64;
-            let truth = exact.percentile(p);
-            assert!(bound >= truth, "p{p}: bound {bound} < exact {truth}");
-            assert!(
-                bound <= truth * 2.0 + 2.0,
-                "p{p}: bound {bound} too loose for {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(5);
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        // 500 lands in bucket [256, 512): the bound is 512.
-        assert_eq!(a.percentile_bound(1.0), 512);
-    }
-
-    #[test]
-    fn histogram_empty_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile_bound(0.95), 0);
-        assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn histogram_huge_values_saturate() {
-        let mut h = Histogram::new();
-        h.record(u64::MAX);
-        assert_eq!(h.percentile_bound(1.0), u64::MAX);
     }
 
     #[test]

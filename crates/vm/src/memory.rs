@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use pageforge_obs::{CounterId, Registry};
+use pageforge_obs::Registry;
 use pageforge_types::json::{obj, FromJson, ToJson, Value};
 use pageforge_types::{Gfn, PageData, Ppn, VmId};
 
@@ -152,23 +152,20 @@ impl std::error::Error for MergeError {}
 /// simulator's query loop, is a single slice read. Every mapping of a frame
 /// carries the same bit, so a frame's CoW state is read through its first
 /// reverse mapping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostMemory {
     /// Frame arena indexed by `Ppn`; `None` marks a freed (recyclable) slot.
     frames: Vec<Option<Frame>>,
-    /// Live entries in `frames`.
-    live_frames: usize,
     /// Guest page tables: `guest[vm][gfn]` is `ppn << 1 | cow` for a mapped
     /// page and [`UNMAPPED`] otherwise.
     guest: Vec<Vec<u64>>,
-    /// Live mappings across all of `guest`.
-    mapped_pages: usize,
     free_list: Vec<Ppn>,
     next_ppn: u64,
     epoch_counter: u64,
     version_counter: u64,
-    metrics: Registry,
-    ids: MemMetricIds,
+    /// Live entries in `frames`, live mappings across all of `guest`, and
+    /// the cumulative merge counters.
+    stats: MemoryStats,
 }
 
 /// The CoW bit of a guest entry.
@@ -184,44 +181,6 @@ thread_local! {
     /// Guest entries this thread wrote with the CoW bit set, so a test can
     /// bound the marking work of a merge.
     static COW_BITS_WRITTEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Ids of the cumulative merge counters in the metric registry
-/// (`mem.*` namespace; see OBSERVABILITY.md).
-#[derive(Debug, Clone, Copy)]
-struct MemMetricIds {
-    merges: CounterId,
-    cow_breaks: CounterId,
-    frames_freed_by_merge: CounterId,
-}
-
-impl MemMetricIds {
-    fn register(reg: &mut Registry) -> Self {
-        MemMetricIds {
-            merges: reg.counter("mem.merges"),
-            cow_breaks: reg.counter("mem.cow_breaks"),
-            frames_freed_by_merge: reg.counter("mem.frames_freed_by_merge"),
-        }
-    }
-}
-
-impl Default for HostMemory {
-    fn default() -> Self {
-        let mut metrics = Registry::new();
-        let ids = MemMetricIds::register(&mut metrics);
-        HostMemory {
-            frames: Vec::new(),
-            live_frames: 0,
-            guest: Vec::new(),
-            mapped_pages: 0,
-            free_list: Vec::new(),
-            next_ppn: 0,
-            epoch_counter: 0,
-            version_counter: 0,
-            metrics,
-            ids,
-        }
-    }
 }
 
 impl HostMemory {
@@ -255,13 +214,13 @@ impl HostMemory {
         }
         debug_assert!(self.frames[idx].is_none(), "frame {ppn} double-allocated");
         self.frames[idx] = Some(frame);
-        self.live_frames += 1;
+        self.stats.allocated_frames += 1;
     }
 
     fn remove_frame(&mut self, ppn: Ppn) -> Option<Frame> {
         let slot = self.frames.get_mut(ppn.0 as usize)?;
         let frame = slot.take()?;
-        self.live_frames -= 1;
+        self.stats.allocated_frames -= 1;
         Some(frame)
     }
 
@@ -293,7 +252,7 @@ impl HostMemory {
             table.resize(g + 1, UNMAPPED);
         }
         if std::mem::replace(&mut table[g], ppn.0 << 1 | u64::from(cow)) >= UNMAPPED {
-            self.mapped_pages += 1;
+            self.stats.mapped_guest_pages += 1;
         }
         #[cfg(test)]
         COW_BITS_WRITTEN.with(|n| n.set(n.get() + u64::from(cow)));
@@ -306,7 +265,7 @@ impl HostMemory {
             .get_mut(gfn.0 as usize)
             .filter(|e| **e < UNMAPPED)?;
         let ppn = Ppn(std::mem::replace(entry, UNMAPPED) >> 1);
-        self.mapped_pages -= 1;
+        self.stats.mapped_guest_pages -= 1;
         Some(ppn)
     }
 
@@ -395,11 +354,6 @@ impl HostMemory {
         self.frame(ppn).map(|f| &f.data)
     }
 
-    /// Number of guest pages mapping a frame (0 if it does not exist).
-    pub fn refcount(&self, ppn: Ppn) -> usize {
-        self.frame(ppn).map_or(0, |f| f.rmap.len())
-    }
-
     /// Whether a frame is CoW-protected.
     fn is_cow(&self, ppn: Ppn) -> bool {
         self.frame(ppn).is_some_and(|f| self.frame_cow(f))
@@ -450,7 +404,7 @@ impl HostMemory {
             copy.as_bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
             frame.rmap.retain(|&m| m != (vm, gfn));
             let orphaned = frame.rmap.is_empty();
-            self.metrics.inc(self.ids.cow_breaks);
+            self.stats.cow_breaks += 1;
             // Allocate the copy *before* freeing an orphaned frame so the
             // writer never receives the frame number it just left.
             let new_ppn = self.alloc_ppn();
@@ -533,8 +487,8 @@ impl HostMemory {
             .rmap
             .extend(dropped.rmap);
         self.free_list.push(drop);
-        self.metrics.inc(self.ids.merges);
-        self.metrics.inc(self.ids.frames_freed_by_merge);
+        self.stats.merges += 1;
+        self.stats.frames_freed_by_merge += 1;
         Ok(())
     }
 
@@ -553,18 +507,13 @@ impl HostMemory {
 
     /// Number of frames currently allocated (the footprint *with* merging).
     pub fn allocated_frames(&self) -> usize {
-        self.live_frames
+        self.stats.allocated_frames
     }
 
     /// Number of guest pages currently mapped (the footprint *without*
     /// merging).
     pub fn mapped_guest_pages(&self) -> usize {
-        self.mapped_pages
-    }
-
-    /// All guest mappings of a frame.
-    pub fn reverse_map(&self, ppn: Ppn) -> &[(VmId, Gfn)] {
-        self.frame(ppn).map_or(&[], |f| &f.rmap)
+        self.stats.mapped_guest_pages
     }
 
     /// Iterates over all allocated frames in frame-number order, with
@@ -587,23 +536,25 @@ impl HostMemory {
         })
     }
 
-    /// Snapshot of the merge statistics — a view assembled from the
-    /// metric registry plus the live footprint gauges.
+    /// Snapshot of the footprint and the cumulative merge counters.
     pub fn stats(&self) -> MemoryStats {
-        MemoryStats {
-            allocated_frames: self.allocated_frames(),
-            mapped_guest_pages: self.mapped_guest_pages(),
-            merges: self.metrics.counter_value(self.ids.merges),
-            cow_breaks: self.metrics.counter_value(self.ids.cow_breaks),
-            frames_freed_by_merge: self.metrics.counter_value(self.ids.frames_freed_by_merge),
-        }
+        self.stats
     }
 
     /// The cumulative merge counters plus point-in-time footprint gauges
     /// as a metric registry (`mem.*` namespace), for aggregation into a
     /// simulation-wide snapshot.
     pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.metrics.clone();
+        let s = &self.stats;
+        let mut reg = Registry::new();
+        for (name, v) in [
+            ("mem.merges", s.merges),
+            ("mem.cow_breaks", s.cow_breaks),
+            ("mem.frames_freed_by_merge", s.frames_freed_by_merge),
+        ] {
+            let id = reg.counter(name);
+            reg.add(id, v);
+        }
         let allocated = reg.gauge("mem.allocated_frames");
         reg.set(allocated, self.allocated_frames() as f64);
         let mapped = reg.gauge("mem.mapped_guest_pages");
@@ -672,6 +623,11 @@ mod tests {
         PageData::from_fn(|_| b)
     }
 
+    /// Number of guest pages mapping a frame (0 if it does not exist).
+    fn refcount(mem: &HostMemory, ppn: Ppn) -> usize {
+        mem.frame(ppn).map_or(0, |f| f.rmap.len())
+    }
+
     #[test]
     fn map_and_translate() {
         let mut mem = HostMemory::new();
@@ -679,7 +635,7 @@ mod tests {
         assert_eq!(mem.translate(VmId(0), Gfn(1)), Some(p));
         assert_eq!(mem.translate(VmId(0), Gfn(2)), None);
         assert_eq!(mem.frame_data(p), Some(&page(1)));
-        assert_eq!(mem.refcount(p), 1);
+        assert_eq!(refcount(&mem, p), 1);
         mem.check_invariants().unwrap();
     }
 
@@ -700,7 +656,7 @@ mod tests {
         assert_eq!(mem.allocated_frames(), 1);
         assert_eq!(mem.mapped_guest_pages(), 2);
         assert_eq!(mem.translate(VmId(1), Gfn(9)), Some(a));
-        assert_eq!(mem.refcount(a), 2);
+        assert_eq!(refcount(&mem, a), 2);
         assert!(mem.is_cow(a));
         assert_eq!(mem.stats().merges, 1);
         assert!((mem.stats().savings_fraction() - 0.5).abs() < 1e-12);
@@ -745,7 +701,7 @@ mod tests {
         // Writer sees the new byte; the other VM does not.
         assert_eq!(mem.guest_read(VmId(1), Gfn(0)).unwrap().as_bytes()[10], 99);
         assert_eq!(mem.guest_read(VmId(0), Gfn(0)).unwrap().as_bytes()[10], 7);
-        assert_eq!(mem.refcount(a), 1);
+        assert_eq!(refcount(&mem, a), 1);
         assert_eq!(mem.stats().cow_breaks, 1);
         mem.check_invariants().unwrap();
     }
@@ -796,7 +752,7 @@ mod tests {
         let c = mem.map_new_page(VmId(2), Gfn(0), page(3));
         mem.merge_into(a, b).unwrap();
         mem.merge_into(a, c).unwrap();
-        assert_eq!(mem.refcount(a), 3);
+        assert_eq!(refcount(&mem, a), 3);
         assert_eq!(mem.allocated_frames(), 1);
         // Every writer breaks off a private copy; the stable frame is freed
         // once the last mapper leaves.
@@ -829,18 +785,6 @@ mod tests {
         mem.unmap(VmId(0), Gfn(0));
         let b = mem.map_new_page(VmId(0), Gfn(1), page(2));
         assert_eq!(a, b, "freed frame should be recycled");
-    }
-
-    #[test]
-    fn reverse_map_tracks_mappings() {
-        let mut mem = HostMemory::new();
-        let a = mem.map_new_page(VmId(0), Gfn(5), page(9));
-        let b = mem.map_new_page(VmId(3), Gfn(8), page(9));
-        mem.merge_into(a, b).unwrap();
-        let rmap = mem.reverse_map(a);
-        assert!(rmap.contains(&(VmId(0), Gfn(5))));
-        assert!(rmap.contains(&(VmId(3), Gfn(8))));
-        assert_eq!(mem.reverse_map(Ppn(12345)), &[]);
     }
 
     #[test]
@@ -979,7 +923,7 @@ mod tests {
             let p = mem.map_new_page(VmId(vm), Gfn(0), page(0));
             mem.merge_into(keep, p).unwrap();
         }
-        assert_eq!(mem.refcount(keep), n as usize);
+        assert_eq!(refcount(&mem, keep), n as usize);
         assert_eq!(written() - before, u64::from(n));
         assert!(mem.iter_frames().all(|(_, _, cow)| cow));
         mem.check_invariants().unwrap();

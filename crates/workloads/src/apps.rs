@@ -43,17 +43,6 @@ impl AppSpec {
         CPU_HZ / scaled_qps
     }
 
-    /// Offered utilization (λ·E\[S\]) of one core at this load; must stay
-    /// below 1 for the queue to be stable.
-    pub fn offered_utilization(&self) -> f64 {
-        self.mean_service_cycles as f64 / self.interarrival_cycles()
-    }
-
-    /// Mean memory accesses per query.
-    pub fn mean_accesses_per_query(&self) -> f64 {
-        self.mean_service_cycles as f64 / 1000.0 * self.accesses_per_kilocycle
-    }
-
     /// The five TailBench applications with the paper's QPS (Table 3) and
     /// query granularities preserved under scaling.
     ///
@@ -153,7 +142,7 @@ mod tests {
     #[test]
     fn all_apps_are_stable_queues() {
         for app in AppSpec::tailbench_suite() {
-            let u = app.offered_utilization();
+            let u = app.mean_service_cycles as f64 / app.interarrival_cycles();
             assert!(
                 u > 0.2 && u < 0.45,
                 "{}: baseline utilization {u} outside the paper's regime",
@@ -186,7 +175,8 @@ mod tests {
     #[test]
     fn accesses_per_query_positive() {
         for app in AppSpec::tailbench_suite() {
-            assert!(app.mean_accesses_per_query() >= 10.0, "{}", app.name);
+            let accesses = app.mean_service_cycles as f64 / 1000.0 * app.accesses_per_kilocycle;
+            assert!(accesses >= 10.0, "{}", app.name);
         }
     }
 }

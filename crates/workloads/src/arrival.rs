@@ -81,19 +81,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// All queries arriving before `horizon`.
-    pub fn queries_until(&mut self, horizon: Cycle) -> Vec<Query> {
-        let mut out = Vec::new();
-        loop {
-            let q = self.next_query();
-            if q.arrival >= horizon {
-                break;
-            }
-            out.push(q);
-        }
-        out
-    }
-
     fn standard_normal(&mut self) -> f64 {
         // Box–Muller.
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
@@ -125,7 +112,10 @@ mod tests {
     fn arrival_rate_matches_qps() {
         let mut p = ArrivalProcess::new(spec(), 2);
         let horizon = 50_000_000; // 25 ms at 2 GHz
-        let n = p.queries_until(horizon).len() as f64;
+        let mut n = 0.0;
+        while p.next_query().arrival < horizon {
+            n += 1.0;
+        }
         let expected = horizon as f64 / spec().interarrival_cycles();
         assert!(
             (n - expected).abs() / expected < 0.1,
