@@ -51,16 +51,6 @@ fn main() {
             summary.events,
             trace_path.display()
         );
-        // Streaming collectors flush instead of evicting; a nonzero drop
-        // count means the spool pipeline lost events.
-        if summary.dropped != 0 {
-            fail(&format!(
-                "trace collectors dropped {} event(s); the spooled trace at {} \
-                 is incomplete",
-                summary.dropped,
-                trace_path.display()
-            ));
-        }
     }
 
     // `--snapshot`: union the suite's silo KSM and PageForge probe cells

@@ -275,17 +275,9 @@ pub fn hash_keys_for(profile: &AppProfile, seed: u64, rounds: usize, n_vms: u32)
 
     // Measured rounds: churn, then one full pass.
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xF168);
-    let hints = image.mergeable_hints().len();
     for _ in 0..rounds {
         image.churn_step(&mut mem, &profile.churn, &mut rng);
-        let mut scanned = 0;
-        while scanned < hints {
-            let r = ksm.scan_batch(&mut mem, ksm.config().pages_to_scan);
-            scanned += ksm.config().pages_to_scan;
-            if r.pass_completed {
-                break;
-            }
-        }
+        ksm.run_pass(&mut mem);
     }
     let s = ksm.stats();
     let jhash_checks =
@@ -1091,13 +1083,9 @@ pub fn table5_profile(profile: &AppProfile, seed: u64, n_vms: u32) -> RunningSta
     let mut fabric = FlatFabric::all_dram(80);
     // Two passes: enough for the unstable tree to fill and searches to
     // traverse realistic depths.
+    let mut now = 0;
     for _ in 0..3 {
-        loop {
-            let r = pf.scan_batch(&mut mem, &mut fabric, 0, pf.config().pages_to_scan);
-            if r.pass_completed {
-                break;
-            }
-        }
+        now = pf.run_pass(&mut mem, &mut fabric, now).1;
     }
     pf.engine_stats().run_cycles
 }
@@ -1204,12 +1192,7 @@ pub fn ablation_ecc_offsets(seed: u64, scale: Scale) -> Table {
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..4 {
             image.churn_step(&mut mem, &profile.churn, &mut rng);
-            loop {
-                let r = ksm.scan_batch(&mut mem, ksm.config().pages_to_scan);
-                if r.pass_completed {
-                    break;
-                }
-            }
+            ksm.run_pass(&mut mem);
         }
         let s = ksm.stats();
         let ecc_total =
@@ -1253,13 +1236,9 @@ pub fn ablation_scan_table(seed: u64, scale: Scale) -> Table {
         };
         let mut pf = PageForge::new(cfg, image.mergeable_hints());
         let mut fabric = FlatFabric::all_dram(80);
+        let mut now = 0;
         for _ in 0..2 {
-            loop {
-                let r = pf.scan_batch(&mut mem, &mut fabric, 0, pf.config().pages_to_scan);
-                if r.pass_completed {
-                    break;
-                }
-            }
+            now = pf.run_pass(&mut mem, &mut fabric, now).1;
         }
         let s = pf.stats();
         let table_bytes = pageforge_core::ScanTable::new(entries).size_bytes();

@@ -16,7 +16,7 @@
 //!   of `--jobs 1`;
 //! * a panicking unit fails the whole run promptly (remaining queued
 //!   units are abandoned, in-flight ones finish) instead of hanging or
-//!   being silently dropped.
+//!   being silently lost.
 //!
 //! The pool is plain scoped `std::thread` workers pulling indices off a
 //! shared queue. It is the only place the suite starts a thread: each
@@ -69,17 +69,6 @@ pub struct UnitResult<T> {
     pub value: T,
     /// Wall-clock seconds the unit took on its worker.
     pub secs: f64,
-    /// Trace events the unit emitted. Always empty unless the `trace`
-    /// cargo feature is enabled (each worker installs a per-unit
-    /// [`Collector`], so events stay in deterministic submission order
-    /// at any `--jobs` level) — and also empty under
-    /// [`run_units_spooled`], where events stream to per-unit spool
-    /// files instead of accumulating in memory.
-    pub events: Vec<TraceEvent>,
-    /// Events the unit's collector evicted because its ring filled.
-    /// Always 0 for spooled (streaming) runs — that is the point of the
-    /// chunked writer — and asserted to be 0 by `run_all --trace`.
-    pub dropped: u64,
 }
 
 /// A unit panicked and the run was aborted, or the suite rejected a flag
@@ -104,13 +93,13 @@ impl std::fmt::Display for SchedulerError {
 
 impl std::error::Error for SchedulerError {}
 
-/// Builds one unit's trace [`Collector`] from its submission index. The
-/// default (`None`) is an in-memory ring ([`Collector::new`]); spooled
-/// runs hand each unit a streaming collector writing to its own file.
+/// Builds one unit's trace [`Collector`] from its submission index;
+/// `None` installs no collector.
 type CollectorFactory<'a> = Option<&'a (dyn Fn(usize) -> Collector + Sync)>;
 
 /// Runs `units` on `jobs` worker threads and returns their results **in
-/// submission order**, or the first (by submission order) failure.
+/// submission order**, or the first (by submission order) failure. No
+/// trace collector is installed, so units emit no events.
 ///
 /// With `jobs <= 1` the units run inline on the calling thread — the
 /// reference sequential schedule the parallel one must match.
@@ -123,9 +112,8 @@ pub fn run_units<T: Send>(
 
 /// Like [`run_units`], but each unit streams its trace events to a
 /// per-unit spool file under `spool_dir` (`unit_<index>.jsonl`, compact
-/// JSONL) instead of buffering them in memory. Streaming collectors
-/// flush to their sink when full, so nothing is ever dropped — the
-/// chunked-writer replacement for the old 2^16-event drop-oldest ring.
+/// JSONL). Collectors flush to their sink when full, so no event is ever
+/// lost.
 ///
 /// Units that emit no events create no spool file (and with the `trace`
 /// feature compiled out no file is ever created). Use
@@ -148,7 +136,7 @@ pub fn run_units_spooled<T: Send>(
     let mk = |idx: usize| {
         let path = spool_path(spool_dir, idx);
         let mut writer: Option<std::io::BufWriter<std::fs::File>> = None;
-        Collector::with_sink(
+        Collector::new(
             SPOOL_CHUNK_EVENTS,
             Box::new(move |events: Vec<TraceEvent>| {
                 use pageforge_types::json::ToJson as _;
@@ -182,10 +170,7 @@ fn run_units_with<T: Send>(
     units: Vec<Unit<T>>,
     mk_collector: CollectorFactory<'_>,
 ) -> Result<Vec<UnitResult<T>>, SchedulerError> {
-    let collector_for = |idx: usize| match mk_collector {
-        Some(mk) => mk(idx),
-        None => Collector::new(),
-    };
+    let collector_for = |idx: usize| mk_collector.map(|mk| mk(idx));
     let n = units.len();
     if jobs <= 1 || n <= 1 {
         return units
@@ -193,18 +178,16 @@ fn run_units_with<T: Send>(
             .enumerate()
             .map(|(idx, u)| {
                 let started = Instant::now();
-                let (value, events, dropped) = run_traced(collector_for(idx), u.run);
-                let value = value.map_err(|message| SchedulerError {
-                    label: u.label.clone(),
-                    message,
-                })?;
+                let value =
+                    run_traced(collector_for(idx), u.run).map_err(|message| SchedulerError {
+                        label: u.label.clone(),
+                        message,
+                    })?;
                 Ok(UnitResult {
                     experiment: u.experiment,
                     label: u.label,
                     value,
                     secs: started.elapsed().as_secs_f64(),
-                    events,
-                    dropped,
                 })
             })
             .collect();
@@ -243,15 +226,12 @@ fn run_units_with<T: Send>(
                 let experiment = unit.experiment;
                 let label = unit.label;
                 let started = Instant::now();
-                let (value, events, dropped) = run_traced(collector_for(idx), unit.run);
-                let outcome = match value {
+                let outcome = match run_traced(collector_for(idx), unit.run) {
                     Ok(value) => Ok(UnitResult {
                         experiment,
                         label,
                         value,
                         secs: started.elapsed().as_secs_f64(),
-                        events,
-                        dropped,
                     }),
                     Err(message) => {
                         aborted.store(true, Ordering::Relaxed);
@@ -292,22 +272,23 @@ fn run_units_with<T: Send>(
     })
 }
 
-/// Runs one unit with `collector` installed as the current thread's
-/// trace sink, returning its output, the events still buffered when it
-/// finished, and the collector's drop count. A streaming collector
-/// flushes its tail to the sink during the drain, so its event list
-/// comes back empty; dropping the collector afterwards closes the sink.
-/// Without the `trace` feature every call here is a no-op and the event
-/// list is always empty.
+/// Runs one unit, with `collector`, if any, installed as the current
+/// thread's trace sink and its tail flushed afterwards; dropping the
+/// collector then closes the sink. Without the `trace` feature every
+/// trace call here is a no-op.
 fn run_traced<T>(
-    collector: Collector,
+    collector: Option<Collector>,
     f: Box<dyn FnOnce() -> T + Send>,
-) -> (Result<T, String>, Vec<TraceEvent>, u64) {
+) -> Result<T, String> {
+    let Some(collector) = collector else {
+        return run_caught(f);
+    };
     trace::install(collector);
     let value = run_caught(f);
-    let events = trace::drain();
-    let dropped = trace::uninstall().map_or(0, |c| c.dropped());
-    (value, events, dropped)
+    if let Some(mut collector) = trace::uninstall() {
+        collector.flush();
+    }
+    value
 }
 
 /// Runs the closure, translating a panic into its message.
@@ -519,24 +500,18 @@ mod tests {
                 label: "fig7/a".into(),
                 value: (),
                 secs: 1.0,
-                events: vec![],
-                dropped: 0,
             },
             UnitResult {
                 experiment: "fig8".into(),
                 label: "fig8/a".into(),
                 value: (),
                 secs: 2.0,
-                events: vec![],
-                dropped: 0,
             },
             UnitResult {
                 experiment: "fig7".into(),
                 label: "fig7/b".into(),
                 value: (),
                 secs: 0.5,
-                events: vec![],
-                dropped: 0,
             },
         ];
         let t = RunTiming::from_results(4, 2.0, &results);

@@ -96,10 +96,6 @@ pub struct TraceSummary {
     pub units: usize,
     /// Unit trace events assembled into the stream (markers excluded).
     pub events: u64,
-    /// Events dropped across all unit collectors, summed. Streaming
-    /// collectors flush instead of dropping, so this must be 0 —
-    /// `run_all` exits nonzero otherwise.
-    pub dropped: u64,
 }
 
 /// Runs the selected experiments on `args.jobs` workers and reassembles
@@ -393,7 +389,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         None => run_units(args.jobs, units)?,
     };
     let mut timing = RunTiming::from_results(args.jobs, started.elapsed().as_secs_f64(), &results);
-    let dropped: u64 = results.iter().map(|r| r.dropped).sum();
     let labels: Vec<String> = results.iter().map(|r| r.label.clone()).collect();
 
     // Reassemble in paper order, keyed by experiment name.
@@ -523,7 +518,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             Some(TraceSummary {
                 units: labels.len(),
                 events,
-                dropped,
             })
         }
         _ => None,

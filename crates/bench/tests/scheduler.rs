@@ -82,7 +82,7 @@ fn parallel_results_are_byte_identical_to_sequential() {
 }
 
 /// A panicking unit fails the whole run with its label, instead of
-/// hanging the pool or being silently dropped.
+/// hanging the pool or being silently lost.
 #[test]
 fn worker_panic_propagates_as_error() {
     let units: Vec<Unit<u32>> = (0..8)

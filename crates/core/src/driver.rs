@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use pageforge_ecc::EccHashKey;
 use pageforge_faults::FaultInjector;
 use pageforge_ksm::rbtree::{NodeId, Side};
-use pageforge_ksm::tree::{PageRef, PageTree, SearchInsert, TreeKind};
-use pageforge_ksm::{CostModel, KsmWork};
+use pageforge_ksm::tree::{PageRef, PageTree, TreeKind};
+use pageforge_ksm::{candidate_step, steady_state, CandidateOutcome, CostModel, KsmWork};
 use pageforge_obs::{trace_event, Registry};
 use pageforge_types::stats::RunningStats;
 use pageforge_types::{Cycle, Gfn, Ppn, VmId};
@@ -375,8 +375,30 @@ impl PageForge {
         report
     }
 
-    /// Runs full passes until a pass merges nothing (steady state) or
-    /// `max_passes` is reached; returns the passes run.
+    /// Scans batches of `pages_to_scan` (at least one page each) from
+    /// cycle `now` until one completes a pass over the hint list, and
+    /// returns the pages merged and the cycle the pass finished at. An
+    /// empty hint list is an empty pass.
+    pub fn run_pass(
+        &mut self,
+        mem: &mut HostMemory,
+        fabric: &mut impl MemoryFabric,
+        now: Cycle,
+    ) -> (u64, Cycle) {
+        let (mut merged, mut t) = (0, now);
+        while !self.hints.is_empty() {
+            let r = self.scan_batch(mem, fabric, t, self.cfg.pages_to_scan.max(1));
+            merged += r.merged;
+            t = r.finished_at;
+            if r.pass_completed {
+                break;
+            }
+        }
+        (merged, t)
+    }
+
+    /// Runs passes from cycle 0 until [`steady_state`] or `max_passes`;
+    /// returns the passes run.
     pub fn run_to_steady_state(
         &mut self,
         mem: &mut HostMemory,
@@ -384,21 +406,11 @@ impl PageForge {
         max_passes: usize,
     ) -> usize {
         let mut t = 0;
-        for pass in 1..=max_passes {
-            let mut merged = 0;
-            loop {
-                let r = self.scan_batch(mem, fabric, t, self.cfg.pages_to_scan);
-                merged += r.merged;
-                t = r.finished_at;
-                if r.pass_completed {
-                    break;
-                }
-            }
-            if merged == 0 && pass >= 2 {
-                return pass;
-            }
-        }
-        max_passes
+        steady_state(max_passes, || {
+            let (merged, finished_at) = self.run_pass(mem, fabric, t);
+            t = finished_at;
+            merged
+        })
     }
 
     /// One candidate through the full §3.4 flow. Returns (merged, time).
@@ -448,7 +460,7 @@ impl PageForge {
             // set): one empty last-refill run forces the remaining fetches.
             self.engine.clear_others();
             self.engine.update_pfe(true, INVALID_INDEX);
-            match self.engine.try_run_batch(mem, fabric, t) {
+            match self.engine.run_batch(mem, fabric, t) {
                 Ok(run) => t = self.os_wait(run.finished_at),
                 Err(_) => {
                     self.stats.engine_errors += 1;
@@ -539,14 +551,15 @@ impl PageForge {
         (merged, t)
     }
 
-    /// Degraded-mode path: processes one candidate entirely in software
-    /// (the baseline KSM algorithm), bypassing the PageForge engine.
+    /// Degraded-mode path: finishes one candidate with KSM's own
+    /// [`candidate_step`], bypassing the PageForge engine, and prices its
+    /// work into `os_cycles`.
     ///
     /// Reached when the engine stalls past the retry budget, reports an
-    /// error, or fails a cross-check.
-    /// Merge *decisions* are identical to the hardware path — both walk the
-    /// same trees in content order and use the same pure key function — so
-    /// degradation costs cycles, never correctness.
+    /// error, or fails a cross-check. The change check is the same pure
+    /// ECC key function the hardware computes, and both paths walk the
+    /// same trees in content order, so merge *decisions* are identical to
+    /// the hardware path: degradation costs cycles, never correctness.
     fn software_candidate(
         &mut self,
         mem: &mut HostMemory,
@@ -560,85 +573,35 @@ impl PageForge {
         trace_event!(now, "driver", "software_fallback", {});
         let mut work = KsmWork::new();
         work.candidates += 1;
-        let Some(data) = mem.frame_data(ppn).cloned() else {
-            self.stats.unmapped += 1;
-            return (false, now);
-        };
-        let mut merged = false;
-        let mut done = false;
-
-        // Stable tree first, exactly like the hardware path.
-        if let Some(hit) = self.stable.search(mem, &data, ppn, &mut work) {
-            let target = *self.stable.node(hit);
-            if mem.merge_into(target.ppn, ppn).is_ok() {
-                self.stats.merged_stable += 1;
-                work.merges += 1;
-                merged = true;
-                done = true;
-            }
-        }
-
-        // Hash-key decision with the same pure key function the ECC
-        // hardware computes, so hardware and software agree on "changed".
-        if !done {
-            let new_key = self.cfg.engine.ecc.page_key(&data);
+        let ecc = &self.cfg.engine.ecc;
+        let trees = (&mut self.stable, &mut self.unstable);
+        let outcome = candidate_step(trees, mem, (vm, gfn, ppn), &mut work, |_, data, work| {
+            let key = ecc.page_key(data);
             work.hash_ops += 1;
-            work.hash_bytes += (self.cfg.engine.ecc.offsets().len() * 64) as u64;
-            let prev = self.prev_key.insert((vm, gfn), new_key);
-            if prev == Some(new_key) {
+            work.hash_bytes += (ecc.offsets().len() * 64) as u64;
+            let unchanged = self.prev_key.insert((vm, gfn), key) == Some(key);
+            if unchanged {
                 self.stats.key_matches += 1;
             } else {
                 self.stats.key_mismatches += 1;
-                self.stats.dropped_changed += 1;
-                done = true;
             }
-        }
-
-        // Unstable tree: merge on equality, insert otherwise. Translated
-        // above; a `None` capture means the mapping raced away — skip.
-        if !done {
-            if let Some(me) = PageRef::capture(mem, vm, gfn) {
-                match self
-                    .unstable
-                    .search_or_insert(mem, &data, ppn, me, &mut work)
-                {
-                    SearchInsert::FoundEqual(hit) => {
-                        let target = *self.unstable.node(hit);
-                        match mem.merge_into(target.ppn, ppn) {
-                            Ok(()) => {
-                                work.merges += 1;
-                                self.unstable.remove(hit);
-                                if let Some(epoch) = mem.frame_epoch(target.ppn) {
-                                    let stable_ref = PageRef {
-                                        ppn: target.ppn,
-                                        epoch,
-                                        vm: target.vm,
-                                        gfn: target.gfn,
-                                    };
-                                    self.stable.insert(mem, &data, stable_ref, &mut work);
-                                }
-                                self.stats.merged_unstable += 1;
-                                merged = true;
-                            }
-                            Err(_) => {
-                                self.stats.dropped_changed += 1;
-                            }
-                        }
-                    }
-                    SearchInsert::Inserted(_) => {
-                        self.stats.inserted_unstable += 1;
-                    }
-                }
-            } else {
-                self.stats.unmapped += 1;
-            }
-        }
-
+            !unchanged
+        });
+        let s = &mut self.stats;
+        *match outcome {
+            // The step never merges into a zero anchor.
+            CandidateOutcome::MergedStable | CandidateOutcome::MergedZero => &mut s.merged_stable,
+            CandidateOutcome::MergedUnstable => &mut s.merged_unstable,
+            CandidateOutcome::InsertedUnstable => &mut s.inserted_unstable,
+            CandidateOutcome::Dropped => &mut s.dropped_changed,
+            CandidateOutcome::AlreadyShared => &mut s.already_shared,
+            CandidateOutcome::Unmapped => &mut s.unmapped,
+        } += 1;
         let cycles = CostModel::default().price(&work).total();
-        self.stats.os_cycles += cycles;
+        s.os_cycles += cycles;
         let t = now + cycles;
-        self.stats.candidate_cycles.push((t - started) as f64);
-        (merged, t)
+        s.candidate_cycles.push((t - started) as f64);
+        (outcome.merged(), t)
     }
 
     /// Inserts a freshly merged page into the stable tree, preferring the
@@ -797,7 +760,7 @@ impl PageForge {
             }
 
             // Trigger and poll.
-            let run = match self.engine.try_run_batch(mem, fabric, t) {
+            let run = match self.engine.run_batch(mem, fabric, t) {
                 Ok(run) => run,
                 Err(_) => {
                     self.stats.engine_errors += 1;
@@ -1252,6 +1215,22 @@ mod tests {
         let r = pf.scan_interval(&mut mem, &mut f, 5);
         assert_eq!(r.finished_at, 5);
         assert_eq!(r.merged, 0);
+        assert_eq!(pf.run_pass(&mut mem, &mut f, 5), (0, 5), "an empty pass");
+        assert_eq!(pf.run_to_steady_state(&mut mem, &mut f, 8), 2);
+    }
+
+    #[test]
+    fn zero_pages_to_scan_still_completes_passes() {
+        let (mut mem, hints) = identical_vms(3, 6);
+        let cfg = PageForgeConfig {
+            pages_to_scan: 0,
+            ..PageForgeConfig::default()
+        };
+        let mut pf = PageForge::new(cfg, hints);
+        let mut f = fabric();
+        assert_eq!(pf.run_to_steady_state(&mut mem, &mut f, 8), 3);
+        assert_eq!(mem.allocated_frames(), 1);
+        assert_eq!(pf.stats().passes, 3);
     }
 
     #[test]

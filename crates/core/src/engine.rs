@@ -143,10 +143,7 @@ impl PageForgeEngine {
             rekey: false,
             key_lines: key_line_mask(&cfg.ecc),
             cfg,
-            stats: EngineStats {
-                run_cycles: RunningStats::new(),
-                ..EngineStats::default()
-            },
+            stats: EngineStats::default(),
             faults: None,
         }
     }
@@ -296,10 +293,13 @@ impl PageForgeEngine {
     /// §3.2.2). Candidate lines are re-fetched for every comparison — the
     /// module deliberately has no cache (§3.5).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no valid candidate was loaded, or a loaded page does not
-    /// exist in `mem` (the OS driver must load valid frames).
+    /// Returns an [`EngineError`] when the batch cannot complete: no
+    /// valid candidate was loaded, a loaded frame does not exist, or the
+    /// walk diverged. Under the OS driver only fault injection causes
+    /// them, and the driver then degrades the candidate to the software
+    /// path.
     ///
     /// # Examples
     ///
@@ -320,34 +320,12 @@ impl PageForgeEngine {
     /// engine.insert_ppn(0, other, INVALID_INDEX, INVALID_INDEX);
     ///
     /// let mut fabric = FlatFabric::all_dram(80);
-    /// let run = engine.run_batch(&mem, &mut fabric, 0);
+    /// let run = engine.run_batch(&mem, &mut fabric, 0).unwrap();
     /// assert!(engine.pfe_info().duplicate);
     /// assert_eq!(run.comparisons, 1);
     /// assert_eq!(engine.stats().duplicates, 1);
     /// ```
     pub fn run_batch(
-        &mut self,
-        mem: &HostMemory,
-        fabric: &mut impl MemoryFabric,
-        start: Cycle,
-    ) -> EngineRun {
-        match self.try_run_batch(mem, fabric, start) {
-            Ok(run) => run,
-            // Compat wrapper: callers that never install a fault injector
-            // cannot hit any EngineError arm (all are fault-induced).
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Non-panicking [`Self::run_batch`]: returns an [`EngineError`]
-    /// instead of panicking when the batch cannot complete. Only fault
-    /// injection makes the error arms reachable; the OS driver uses this
-    /// entry point so it can degrade to the software path.
-    ///
-    /// # Errors
-    ///
-    /// See [`EngineError`] for the conditions.
-    pub fn try_run_batch(
         &mut self,
         mem: &HostMemory,
         fabric: &mut impl MemoryFabric,
@@ -363,7 +341,7 @@ impl PageForgeEngine {
         run
     }
 
-    /// [`Self::try_run_batch`], tallying its line reads into `lines`.
+    /// [`Self::run_batch`], tallying its line reads into `lines`.
     fn run_counting(
         &mut self,
         mem: &HostMemory,
@@ -623,7 +601,7 @@ mod tests {
         eng.insert_pfe(ppns[0], true, 0);
         eng.insert_ppn(0, ppns[1], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        let run = eng.run_batch(&mem, &mut fabric, 0);
+        let run = eng.run_batch(&mem, &mut fabric, 0).unwrap();
         let info = eng.pfe_info();
         assert!(info.scanned);
         assert!(info.duplicate);
@@ -644,7 +622,7 @@ mod tests {
         eng.insert_ppn(1, p[1], INVALID_INDEX, INVALID_INDEX);
         eng.insert_ppn(2, p[2], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        let run = eng.run_batch(&mem, &mut fabric, 0);
+        let run = eng.run_batch(&mem, &mut fabric, 0).unwrap();
         assert!(eng.pfe_info().duplicate);
         assert_eq!(eng.pfe_info().ptr, 2);
         assert_eq!(run.comparisons, 2, "root then right child");
@@ -657,7 +635,7 @@ mod tests {
         eng.insert_pfe(p[1], true, 0);
         eng.insert_ppn(0, p[0], 40, 41); // encoded invalid continuations
         let mut fabric = FlatFabric::all_dram(80);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         let info = eng.pfe_info();
         assert!(info.scanned);
         assert!(!info.duplicate);
@@ -671,7 +649,7 @@ mod tests {
         eng.insert_pfe(p[0], true, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         let info = eng.pfe_info();
         assert!(info.hash_ready);
         let expected = EccKeyConfig::default().page_key(mem.frame_data(p[0]).unwrap());
@@ -687,7 +665,7 @@ mod tests {
         eng.insert_pfe(p[0], false, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         assert!(!eng.pfe_info().hash_ready);
         assert_eq!(eng.pfe_info().hash, None);
     }
@@ -700,12 +678,12 @@ mod tests {
         eng.insert_pfe(p[0], false, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         // Refill with L: key must complete for the *candidate* (p0).
         eng.clear_others();
         eng.insert_ppn(0, p[2], INVALID_INDEX, INVALID_INDEX);
         eng.update_pfe(true, 0);
-        eng.run_batch(&mem, &mut fabric, 50_000);
+        eng.run_batch(&mem, &mut fabric, 50_000).unwrap();
         let expected = EccKeyConfig::default().page_key(mem.frame_data(p[0]).unwrap());
         assert_eq!(eng.pfe_info().hash, Some(expected));
     }
@@ -717,13 +695,13 @@ mod tests {
         let mut fabric = FlatFabric::all_dram(80);
         eng.insert_pfe(p[0], true, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         let key0 = eng.pfe_info().hash;
         // New candidate with different content.
         eng.clear_others();
         eng.insert_pfe(p[2], true, 0);
         eng.insert_ppn(0, p[0], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 100_000);
+        eng.run_batch(&mem, &mut fabric, 100_000).unwrap();
         let key1 = eng.pfe_info().hash;
         assert_ne!(key0, key1);
     }
@@ -735,13 +713,13 @@ mod tests {
         let mut fabric = FlatFabric::all_dram(80);
         eng.insert_pfe(p[0], true, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         let offsets = vec![0, 16, 32, 48];
         eng.update_ecc_offset(offsets.clone()).unwrap();
         eng.clear_others();
         eng.insert_pfe(p[2], true, 0);
         eng.insert_ppn(0, p[0], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 100_000);
+        eng.run_batch(&mem, &mut fabric, 100_000).unwrap();
         let cfg = EccKeyConfig::with_offsets(offsets).unwrap();
         assert_eq!(
             eng.pfe_info().hash,
@@ -756,13 +734,13 @@ mod tests {
         let mut fabric = FlatFabric::all_dram(80);
         eng.insert_pfe(p[0], false, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         // The offsets change between two batches of the same candidate.
         eng.update_ecc_offset(vec![0, 16, 32, 48]).unwrap();
         eng.clear_others();
         eng.insert_ppn(0, p[2], INVALID_INDEX, INVALID_INDEX);
         eng.update_pfe(true, 0);
-        eng.run_batch(&mem, &mut fabric, 50_000);
+        eng.run_batch(&mem, &mut fabric, 50_000).unwrap();
         let expected = EccKeyConfig::default().page_key(mem.frame_data(p[0]).unwrap());
         assert_eq!(eng.pfe_info().hash, Some(expected));
     }
@@ -779,12 +757,12 @@ mod tests {
         let mut eng = PageForgeEngine::new(EngineConfig::default());
         eng.insert_pfe(a, true, 0);
         eng.insert_ppn(0, b, INVALID_INDEX, INVALID_INDEX);
-        let diverge = eng.run_batch(&mem, &mut fabric, 0);
+        let diverge = eng.run_batch(&mem, &mut fabric, 0).unwrap();
 
         let mut eng2 = PageForgeEngine::new(EngineConfig::default());
         eng2.insert_pfe(a, true, 0);
         eng2.insert_ppn(0, c, INVALID_INDEX, INVALID_INDEX);
-        let full = eng2.run_batch(&mem, &mut fabric, 0);
+        let full = eng2.run_batch(&mem, &mut fabric, 0).unwrap();
         assert!(full.cycles > 10 * diverge.cycles);
     }
 
@@ -799,7 +777,7 @@ mod tests {
         eng.insert_ppn(1, p[2], 2, 2);
         eng.insert_ppn(2, p[3], INVALID_INDEX, INVALID_INDEX);
         let mut fabric = FlatFabric::all_dram(80);
-        let run = eng.run_batch(&mem, &mut fabric, 0);
+        let run = eng.run_batch(&mem, &mut fabric, 0).unwrap();
         assert_eq!(run.comparisons, 2, "entry 2 must not be visited");
         assert_eq!(eng.pfe_info().ptr, 1);
         assert!(eng.pfe_info().duplicate);
@@ -812,7 +790,7 @@ mod tests {
         let mut fabric = FlatFabric::all_dram(80);
         eng.insert_pfe(p[0], true, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         assert!(eng.pfe_info().duplicate);
         // update_PFE clears S/D so the same candidate can continue.
         eng.update_pfe(true, 0);
@@ -829,12 +807,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without a candidate")]
-    fn run_without_candidate_panics() {
+    fn run_without_candidate_is_an_error() {
         let mem = HostMemory::new();
         let mut eng = PageForgeEngine::new(EngineConfig::default());
         let mut fabric = FlatFabric::all_dram(80);
-        eng.run_batch(&mem, &mut fabric, 0);
+        let err = eng.run_batch(&mem, &mut fabric, 0);
+        assert_eq!(err, Err(EngineError::NoCandidate));
     }
 
     /// The word compare against the slice `cmp` it replaced: random line
@@ -886,7 +864,7 @@ mod tests {
         // Entry 0 differs from the candidate in its last line, so the walk
         // fetches the whole page pair before it reaches the missing frame.
         mem.guest_write(VmId(0), Gfn(1), 4095, &[0]);
-        let err = eng.try_run_batch(&mem, &mut fabric, 0);
+        let err = eng.run_batch(&mem, &mut fabric, 0);
         assert_eq!(err, Err(EngineError::MissingLoadedFrame(Ppn(999))));
         let stats = eng.stats();
         assert_eq!(stats.lines_fetched, 128);
@@ -902,7 +880,7 @@ mod tests {
         let mut fabric = FlatFabric::all_dram(80);
         eng.insert_pfe(p[0], true, 0);
         eng.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        eng.run_batch(&mem, &mut fabric, 0);
+        eng.run_batch(&mem, &mut fabric, 0).unwrap();
         assert_eq!(eng.stats().runs, 1);
         assert!(eng.stats().run_cycles.mean() > 0.0);
     }

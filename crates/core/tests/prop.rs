@@ -52,7 +52,7 @@ fn linear_batch_matches_reference() {
             };
             engine.insert_ppn(i as u8, ppn, next, next);
         }
-        engine.run_batch(&mem, &mut fabric, 0);
+        engine.run_batch(&mem, &mut fabric, 0).unwrap();
         let info = engine.pfe_info();
 
         let reference = set.iter().position(|&c| c == cand);
@@ -99,7 +99,7 @@ fn engine_timing_is_deterministic() {
                 };
                 engine.insert_ppn(i as u8, ppn, next, next);
             }
-            engine.run_batch(&mem, &mut fabric, 0).cycles
+            engine.run_batch(&mem, &mut fabric, 0).unwrap().cycles
         };
         assert_eq!(run(), run());
     }

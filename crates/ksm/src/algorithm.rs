@@ -11,10 +11,12 @@
 //!    merged, CoW-protected, and promoted to the stable tree; on a miss the
 //!    candidate is inserted into the unstable tree.
 //!
-//! At the end of each pass the unstable tree is discarded ("throw away and
-//! regenerate"). Work is metered in [`KsmWork`] units and priced by a
-//! [`CostModel`] so the simulator can charge the daemon to a core, and an
-//! optional *shadow* ECC key (PageForge's §3.3 scheme) is evaluated at every
+//! Steps 1–3 are [`candidate_step`], which PageForge's degraded path runs
+//! too, with its ECC page key as the change check. At the end of each
+//! pass the unstable tree is discarded ("throw away and regenerate").
+//! Work is metered in [`KsmWork`] units and priced by a [`CostModel`] so
+//! the simulator can charge the daemon to a core, and an optional
+//! *shadow* ECC key (PageForge's §3.3 scheme) is evaluated at every
 //! checksum decision to produce the Figure 8 comparison.
 
 use std::collections::BTreeMap;
@@ -22,7 +24,7 @@ use std::collections::BTreeMap;
 use pageforge_ecc::{EccHashKey, EccKeyConfig};
 use pageforge_obs::trace_event;
 use pageforge_obs::Registry;
-use pageforge_types::{Gfn, VmId};
+use pageforge_types::{Gfn, PageData, Ppn, VmId, LINES_PER_PAGE, PAGE_SIZE};
 use pageforge_vm::{DigestCache, HostMemory};
 
 use crate::cost::{CostModel, KsmCycles, KsmWork};
@@ -94,6 +96,19 @@ pub enum CandidateOutcome {
     Unmapped,
 }
 
+impl CandidateOutcome {
+    /// Whether the candidate merged (into a stable page, an unstable
+    /// match or the zero anchor).
+    pub fn merged(self) -> bool {
+        matches!(
+            self,
+            CandidateOutcome::MergedStable
+                | CandidateOutcome::MergedUnstable
+                | CandidateOutcome::MergedZero
+        )
+    }
+}
+
 /// Cumulative KSM statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KsmStats {
@@ -129,6 +144,22 @@ pub struct KsmStats {
     pub cycles: KsmCycles,
 }
 
+impl KsmStats {
+    /// Counts `outcome` under its counter and returns it.
+    fn count(&mut self, outcome: CandidateOutcome) -> CandidateOutcome {
+        *match outcome {
+            CandidateOutcome::MergedStable => &mut self.merged_stable,
+            CandidateOutcome::MergedZero => &mut self.merged_zero,
+            CandidateOutcome::MergedUnstable => &mut self.merged_unstable,
+            CandidateOutcome::InsertedUnstable => &mut self.inserted_unstable,
+            CandidateOutcome::Dropped => &mut self.dropped_changed,
+            CandidateOutcome::AlreadyShared => &mut self.already_shared,
+            CandidateOutcome::Unmapped => &mut self.unmapped,
+        } += 1;
+        outcome
+    }
+}
+
 /// Report for one `scan_batch` call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchReport {
@@ -151,7 +182,7 @@ pub struct Ksm {
     hints: Vec<(VmId, Gfn)>,
     cursor: usize,
     /// The anchor frame all-zero pages merge into (`use_zero_pages`).
-    zero_frame: Option<(pageforge_types::Ppn, u64)>,
+    zero_frame: Option<(Ppn, u64)>,
     prev_checksum: BTreeMap<(VmId, Gfn), u32>,
     prev_ecc: BTreeMap<(VmId, Gfn), EccHashKey>,
     /// Host-side memo of `(jhash checksum, shadow ECC key)` per frame,
@@ -346,12 +377,7 @@ impl Ksm {
         for _ in 0..n {
             let (vm, gfn) = self.hints[self.cursor];
             let outcome = self.process_candidate(mem, vm, gfn, &mut report.work);
-            if matches!(
-                outcome,
-                CandidateOutcome::MergedStable
-                    | CandidateOutcome::MergedUnstable
-                    | CandidateOutcome::MergedZero
-            ) {
+            if outcome.merged() {
                 report.merged += 1;
             }
             self.cursor += 1;
@@ -389,29 +415,30 @@ impl Ksm {
         report
     }
 
-    /// Runs full passes until a pass merges nothing (steady state) or
-    /// `max_passes` is reached. Returns the number of passes run.
-    pub fn run_to_steady_state(&mut self, mem: &mut HostMemory, max_passes: usize) -> usize {
-        for pass in 1..=max_passes {
-            let mut merged = 0;
-            loop {
-                let r = self.scan_batch(mem, self.cfg.pages_to_scan);
-                merged += r.merged;
-                if r.pass_completed {
-                    break;
-                }
-            }
-            if merged == 0 && pass >= 2 {
-                // Two passes are needed before a page can merge at all
-                // (checksum must be seen twice); only trust quiet passes
-                // after that.
-                return pass;
+    /// Scans batches of `pages_to_scan` (at least one page each) until
+    /// one completes a pass over the hint list, and returns the pages
+    /// merged. An empty hint list is an empty pass.
+    pub fn run_pass(&mut self, mem: &mut HostMemory) -> u64 {
+        let mut merged = 0;
+        while !self.hints.is_empty() {
+            let r = self.scan_batch(mem, self.cfg.pages_to_scan.max(1));
+            merged += r.merged;
+            if r.pass_completed {
+                break;
             }
         }
-        max_passes
+        merged
     }
 
-    /// Processes one candidate (Algorithm 1 lines 6–24).
+    /// Runs passes until [`steady_state`] or `max_passes`; returns the
+    /// passes run.
+    pub fn run_to_steady_state(&mut self, mem: &mut HostMemory, max_passes: usize) -> usize {
+        steady_state(max_passes, || self.run_pass(mem))
+    }
+
+    /// Processes one candidate (Algorithm 1 lines 6–24): translation, the
+    /// `use_zero_pages` shortcut, then [`candidate_step`] with the jhash
+    /// checksum as its change check.
     pub fn process_candidate(
         &mut self,
         mem: &mut HostMemory,
@@ -421,138 +448,156 @@ impl Ksm {
     ) -> CandidateOutcome {
         self.stats.candidates += 1;
         work.candidates += 1;
-
         let Some((ppn, cow)) = mem.translate_cow(vm, gfn) else {
-            self.stats.unmapped += 1;
-            return CandidateOutcome::Unmapped;
+            return self.stats.count(CandidateOutcome::Unmapped);
         };
         if cow {
             // Already a merged KSM page; not rescanned as a candidate.
-            self.stats.already_shared += 1;
-            return CandidateOutcome::AlreadyShared;
+            return self.stats.count(CandidateOutcome::AlreadyShared);
         }
-        let candidate = mem.frame_data(ppn).expect("mapped frame exists").clone();
-
-        // 0. `use_zero_pages` shortcut: empty pages go straight to the
-        // zero anchor, skipping the trees entirely.
-        if self.cfg.use_zero_pages && candidate.is_zero() {
-            // Checking emptiness reads the whole page once.
-            work.cmp_bytes += pageforge_types::PAGE_SIZE as u64;
-            work.touched
-                .push((ppn, pageforge_types::LINES_PER_PAGE as u32));
-            match self.zero_frame {
-                Some((anchor, epoch)) if mem.frame_epoch(anchor) == Some(epoch) => {
-                    if mem.merge_into(anchor, ppn).is_ok() {
-                        self.stats.merged_zero += 1;
-                        work.merges += 1;
-                        return CandidateOutcome::MergedZero;
-                    }
-                }
-                _ => {
-                    // This page becomes the anchor.
-                    mem.cow_protect(ppn);
-                    let epoch = mem.frame_epoch(ppn).expect("frame exists");
-                    self.zero_frame = Some((ppn, epoch));
-                    self.stats.already_shared += 1;
-                    return CandidateOutcome::AlreadyShared;
-                }
-            }
+        if let Some(outcome) = self.merge_zero(mem, ppn, work) {
+            return self.stats.count(outcome);
         }
-
-        // 1. Search the stable tree (line 7).
-        if let Some(hit) = self.stable.search(mem, &candidate, ppn, work) {
-            let target = *self.stable.node(hit);
-            if mem.merge_into(target.ppn, ppn).is_ok() {
-                self.stats.merged_stable += 1;
-                work.merges += 1;
-                return CandidateOutcome::MergedStable;
-            }
-            // Racing write invalidated the match; fall through like the
-            // kernel does.
-        }
-
-        // 2. Checksum check (lines 11–12). The digest pair is memoized by
-        // the frame's `(epoch, version)` stamp; the modeled hash work is
-        // charged unconditionally — a memo hit only skips host-side
-        // arithmetic, so simulated cost and results never depend on it.
         let shadow_ecc = self.cfg.shadow_ecc.as_ref();
-        let (new_hash, new_key) = self.digests.get_or_compute(mem, ppn, || {
-            (
-                page_checksum(&candidate),
-                shadow_ecc.map(|ecc_cfg| ecc_cfg.page_key(&candidate)),
-            )
-        });
-        work.hash_ops += 1;
-        work.hash_bytes += KSM_HASH_BYTES as u64;
-        work.touched.push((ppn, (KSM_HASH_BYTES / 64) as u32));
-        let prev = self.prev_checksum.insert((vm, gfn), new_hash);
-        let jhash_unchanged = prev == Some(new_hash);
-        if jhash_unchanged {
-            self.stats.jhash_matches += 1;
-        } else {
-            self.stats.jhash_mismatches += 1;
-        }
-
-        // Shadow ECC key for the same decision (Figure 8). Costs nothing:
-        // the hardware produces it as a by-product of comparison traffic.
-        if let Some(new_key) = new_key {
-            let prev_key = self.prev_ecc.insert((vm, gfn), new_key);
-            if prev_key == Some(new_key) {
-                self.stats.ecc_matches += 1;
+        let trees = (&mut self.stable, &mut self.unstable);
+        let outcome = candidate_step(trees, mem, (vm, gfn, ppn), work, |mem, data, work| {
+            // Checksum check (lines 11–12). The digest pair is memoized by
+            // the frame's `(epoch, version)` stamp; the modeled hash work is
+            // charged unconditionally — a memo hit only skips host-side
+            // arithmetic, so simulated cost and results never depend on it.
+            let (hash, key) = self.digests.get_or_compute(mem, ppn, || {
+                (
+                    page_checksum(data),
+                    shadow_ecc.map(|ecc_cfg| ecc_cfg.page_key(data)),
+                )
+            });
+            work.hash_ops += 1;
+            work.hash_bytes += KSM_HASH_BYTES as u64;
+            work.touched.push((ppn, (KSM_HASH_BYTES / 64) as u32));
+            let unchanged = self.prev_checksum.insert((vm, gfn), hash) == Some(hash);
+            if unchanged {
+                self.stats.jhash_matches += 1;
             } else {
-                self.stats.ecc_mismatches += 1;
+                self.stats.jhash_mismatches += 1;
             }
-        }
-
-        if !jhash_unchanged {
-            // Page changed since last pass (or first sighting): drop.
-            self.stats.dropped_changed += 1;
-            return CandidateOutcome::Dropped;
-        }
-
-        // 3. Search / insert the unstable tree (lines 13–20).
-        let me = PageRef::capture(mem, vm, gfn).expect("translated above");
-        match self
-            .unstable
-            .search_or_insert(mem, &candidate, ppn, me, work)
-        {
-            SearchInsert::FoundEqual(hit) => {
-                let target = *self.unstable.node(hit);
-                // Final comparison under write protection happens inside
-                // merge_into (it re-verifies content equality).
-                match mem.merge_into(target.ppn, ppn) {
-                    Ok(()) => {
-                        work.merges += 1;
-                        // Promote: remove from unstable, insert into stable
-                        // (lines 15–17). merge_into already CoW-protected it.
-                        self.unstable.remove(hit);
-                        let merged_data = mem
-                            .frame_data(target.ppn)
-                            .expect("merged frame exists")
-                            .clone();
-                        let stable_ref = PageRef {
-                            ppn: target.ppn,
-                            epoch: mem.frame_epoch(target.ppn).expect("frame exists"),
-                            vm: target.vm,
-                            gfn: target.gfn,
-                        };
-                        self.stable.insert(mem, &merged_data, stable_ref, work);
-                        self.stats.merged_unstable += 1;
-                        CandidateOutcome::MergedUnstable
-                    }
-                    Err(_) => {
-                        // Raced: contents no longer equal. Drop this
-                        // candidate; the stale node will be pruned later.
-                        self.stats.dropped_changed += 1;
-                        CandidateOutcome::Dropped
-                    }
+            // Shadow ECC key for the same decision (Figure 8). Costs nothing:
+            // the hardware produces it as a by-product of comparison traffic.
+            if let Some(key) = key {
+                if self.prev_ecc.insert((vm, gfn), key) == Some(key) {
+                    self.stats.ecc_matches += 1;
+                } else {
+                    self.stats.ecc_mismatches += 1;
                 }
             }
-            SearchInsert::Inserted(_) => {
-                self.stats.inserted_unstable += 1;
-                CandidateOutcome::InsertedUnstable
+            !unchanged
+        });
+        self.stats.count(outcome)
+    }
+
+    /// The `use_zero_pages` shortcut: an empty page merges straight into
+    /// the zero anchor, or becomes the anchor, skipping both trees. `None`
+    /// when the shortcut is off, the page is not empty, or the merge into
+    /// the anchor raced.
+    fn merge_zero(
+        &mut self,
+        mem: &mut HostMemory,
+        ppn: Ppn,
+        work: &mut KsmWork,
+    ) -> Option<CandidateOutcome> {
+        if !self.cfg.use_zero_pages || !mem.frame_data(ppn).is_some_and(PageData::is_zero) {
+            return None;
+        }
+        // Checking emptiness reads the whole page once.
+        work.cmp_bytes += PAGE_SIZE as u64;
+        work.touched.push((ppn, LINES_PER_PAGE as u32));
+        match self.zero_frame {
+            Some((anchor, epoch)) if mem.frame_epoch(anchor) == Some(epoch) => {
+                mem.merge_into(anchor, ppn).ok()?;
+                work.merges += 1;
+                Some(CandidateOutcome::MergedZero)
+            }
+            _ => {
+                // This page becomes the anchor.
+                mem.cow_protect(ppn);
+                self.zero_frame = mem.frame_epoch(ppn).map(|epoch| (ppn, epoch));
+                Some(CandidateOutcome::AlreadyShared)
             }
         }
+    }
+}
+
+/// Runs `pass` until steady state: the first pass, from the second on,
+/// that merges nothing. A page merges only once its checksum has been
+/// seen unchanged, which takes two passes, so a quiet first pass proves
+/// nothing. Returns the passes run, at most `max_passes`.
+pub fn steady_state(max_passes: usize, mut pass: impl FnMut() -> u64) -> usize {
+    for n in 1..=max_passes {
+        if pass() == 0 && n >= 2 {
+            return n;
+        }
+    }
+    max_passes
+}
+
+/// KSM's step for one candidate whose page translated to the unshared
+/// frame `ppn` (Algorithm 1 lines 7–20), over the `(stable, unstable)`
+/// trees:
+///
+/// 1. search the stable tree and merge on a hit;
+/// 2. otherwise drop the candidate if `changed` says its page changed
+///    since the last pass;
+/// 3. otherwise search the unstable tree: merge with an equal page and
+///    promote it to the stable tree, or insert the candidate.
+///
+/// `changed` is the one decision callers make differently: [`Ksm`]
+/// compares jhash checksums, PageForge's degraded path compares ECC page
+/// keys. It gets the candidate's data and charges its own hash work to
+/// the [`KsmWork`] it is handed. A frame or mapping that vanished ends
+/// the candidate as [`CandidateOutcome::Unmapped`]; the step never
+/// panics.
+pub fn candidate_step(
+    (stable, unstable): (&mut PageTree, &mut PageTree),
+    mem: &mut HostMemory,
+    (vm, gfn, ppn): (VmId, Gfn, Ppn),
+    work: &mut KsmWork,
+    changed: impl FnOnce(&HostMemory, &PageData, &mut KsmWork) -> bool,
+) -> CandidateOutcome {
+    let Some(candidate) = mem.frame_data(ppn).cloned() else {
+        return CandidateOutcome::Unmapped;
+    };
+    if let Some(hit) = stable.search(mem, &candidate, ppn, work) {
+        if mem.merge_into(stable.node(hit).ppn, ppn).is_ok() {
+            work.merges += 1;
+            return CandidateOutcome::MergedStable;
+        }
+        // Racing write invalidated the match; fall through like the
+        // kernel does.
+    }
+    if changed(mem, &candidate, work) {
+        return CandidateOutcome::Dropped;
+    }
+    let Some(me) = PageRef::capture(mem, vm, gfn) else {
+        return CandidateOutcome::Unmapped;
+    };
+    match unstable.search_or_insert(mem, &candidate, ppn, me, work) {
+        SearchInsert::FoundEqual(hit) => {
+            let target = *unstable.node(hit);
+            // merge_into re-verifies content equality under write
+            // protection. If it fails, the contents raced apart: drop this
+            // candidate; the stale node is pruned later.
+            if mem.merge_into(target.ppn, ppn).is_err() {
+                return CandidateOutcome::Dropped;
+            }
+            work.merges += 1;
+            // Promote (lines 15–17). merge_into already CoW-protected the
+            // frame, whose data equals the candidate's.
+            unstable.remove(hit);
+            if let Some(epoch) = mem.frame_epoch(target.ppn) {
+                stable.insert(mem, &candidate, PageRef { epoch, ..target }, work);
+            }
+            CandidateOutcome::MergedUnstable
+        }
+        SearchInsert::Inserted(_) => CandidateOutcome::InsertedUnstable,
     }
 }
 
@@ -815,6 +860,21 @@ mod tests {
         let mut ksm = Ksm::new(KsmConfig::default(), vec![]);
         let r = ksm.scan_batch(&mut mem, 100);
         assert_eq!(r, BatchReport::default());
+        assert_eq!(ksm.run_pass(&mut mem), 0, "an empty list is an empty pass");
+        assert_eq!(ksm.run_to_steady_state(&mut mem, 8), 2);
+    }
+
+    #[test]
+    fn zero_pages_to_scan_still_completes_passes() {
+        let (mut mem, hints) = identical_vms(3, 6);
+        let cfg = KsmConfig {
+            pages_to_scan: 0,
+            ..KsmConfig::default()
+        };
+        let mut ksm = Ksm::new(cfg, hints);
+        assert_eq!(ksm.run_to_steady_state(&mut mem, 8), 3);
+        assert_eq!(mem.allocated_frames(), 1);
+        assert_eq!(ksm.stats().passes, 3);
     }
 
     #[test]

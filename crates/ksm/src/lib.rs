@@ -46,7 +46,9 @@ pub mod rbtree;
 pub mod tree;
 pub mod uksm;
 
-pub use algorithm::{BatchReport, CandidateOutcome, Ksm, KsmConfig, KsmStats};
+pub use algorithm::{
+    candidate_step, steady_state, BatchReport, CandidateOutcome, Ksm, KsmConfig, KsmStats,
+};
 pub use cost::{CostModel, KsmCycles, KsmWork};
 pub use jhash::{jhash2, page_checksum};
 pub use tree::{PageRef, PageTree, SearchInsert, TreeKind};

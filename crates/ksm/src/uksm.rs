@@ -108,18 +108,12 @@ impl Uksm {
     /// elapse. Returns intervals used.
     pub fn run_to_steady_state(&mut self, mem: &mut HostMemory, max_intervals: u64) -> u64 {
         let mut merged_this_pass = 0;
-        let mut quiet_passes = 0;
         for i in 1..=max_intervals {
             let r = self.work_interval(mem);
             merged_this_pass += r.merged;
             if r.pass_completed {
                 if merged_this_pass == 0 && self.inner.stats().passes >= 2 {
-                    quiet_passes += 1;
-                    if quiet_passes >= 1 {
-                        return i;
-                    }
-                } else {
-                    quiet_passes = 0;
+                    return i;
                 }
                 merged_this_pass = 0;
             }

@@ -11,7 +11,7 @@
 //! | Module | Provides | Paper tie-in |
 //! |--------|----------|--------------|
 //! | [`registry`] | counter/gauge/histogram [`Registry`] under hierarchical dotted names, snapshotted to deterministic JSON | per-component counts behind Figures 7–11 |
-//! | [`trace`]    | cycle-stamped structured event tracer, ring-buffered and feature-gated to no-ops | event streams folded into Table 4/5-style cycle and Figure-8-style energy attribution |
+//! | [`trace`]    | cycle-stamped structured event tracer, streamed in chunks and feature-gated to no-ops | event streams folded into Table 4/5-style cycle and Figure-8-style energy attribution |
 //!
 //! Two properties are load-bearing for the rest of the workspace:
 //!

@@ -14,11 +14,11 @@
 //! observable) of the disabled configuration.
 //!
 //! Collectors are **thread-local** so the parallel experiment scheduler
-//! can install one per worker and drain it after each unit, keeping the
+//! can install one per unit on the worker that runs it, keeping the
 //! resulting JSONL stream in deterministic submission order regardless
-//! of `--jobs`. Each collector is a bounded ring buffer: once `capacity`
-//! events are held, the oldest is dropped and a drop counter ticks, so a
-//! pathological run cannot exhaust memory.
+//! of `--jobs`. Each collector streams: it buffers up to `capacity`
+//! events and hands each full chunk to its sink, so memory stays bounded
+//! and no event is ever lost.
 
 use pageforge_types::json::{FromJson, ToJson, Value};
 use pageforge_types::Cycle;
@@ -135,33 +135,23 @@ pub fn parse_line(line: &str) -> Option<OwnedTraceEvent> {
     OwnedTraceEvent::from_json(&pageforge_types::json::parse(trimmed).ok()?)
 }
 
-/// Default ring-buffer capacity for [`Collector::new`].
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
 #[cfg(feature = "trace")]
 mod imp {
-    use super::{TraceEvent, DEFAULT_CAPACITY};
+    use super::TraceEvent;
     use std::cell::RefCell;
-    use std::collections::VecDeque;
 
-    /// Ring-buffered event sink for the current thread.
+    /// Streaming event sink for the current thread: events are buffered
+    /// and handed to the sink callback in chunks of `capacity`, in
+    /// emission order, so no event is lost however long the run.
+    /// `run_all --trace` hands each unit one that appends to a per-unit
+    /// spool file.
     ///
     /// With the `trace` feature disabled this type is zero-sized and
     /// every method is a no-op.
-    ///
-    /// A collector may optionally **stream**: constructed with
-    /// [`Collector::with_sink`], a full buffer is *flushed* to the sink
-    /// callback (in emission order) instead of evicting the oldest
-    /// event, so `dropped()` stays 0 no matter how long the run is.
-    /// This is how `run_all` traces full-scale experiments without
-    /// ring-buffer truncation: the scheduler hands each unit a sink
-    /// that appends to a per-unit spool file.
-    #[derive(Default)]
     pub struct Collector {
-        events: VecDeque<TraceEvent>,
+        events: Vec<TraceEvent>,
         capacity: usize,
-        dropped: u64,
-        sink: Option<Box<dyn FnMut(Vec<TraceEvent>) + Send>>,
+        sink: Box<dyn FnMut(Vec<TraceEvent>) + Send>,
     }
 
     impl std::fmt::Debug for Collector {
@@ -169,91 +159,36 @@ mod imp {
             f.debug_struct("Collector")
                 .field("events", &self.events.len())
                 .field("capacity", &self.capacity)
-                .field("dropped", &self.dropped)
-                .field("streaming", &self.sink.is_some())
                 .finish()
         }
     }
 
     impl Collector {
-        /// Creates a collector holding up to [`DEFAULT_CAPACITY`] events.
-        pub fn new() -> Self {
-            Collector::with_capacity(DEFAULT_CAPACITY)
-        }
-
-        /// Creates a collector holding up to `capacity` events; once
-        /// full, the oldest event is dropped per new event recorded.
-        pub fn with_capacity(capacity: usize) -> Self {
+        /// Creates a collector that hands every `capacity` buffered
+        /// events (at least one) to `sink`, oldest first. Call
+        /// [`flush`](Self::flush) at the end of the run to push out the
+        /// final partial chunk.
+        pub fn new(capacity: usize, sink: Box<dyn FnMut(Vec<TraceEvent>) + Send>) -> Self {
             Collector {
-                events: VecDeque::with_capacity(capacity.min(1024)),
+                events: Vec::with_capacity(capacity.min(1024)),
                 capacity: capacity.max(1),
-                dropped: 0,
-                sink: None,
+                sink,
             }
         }
 
-        /// Creates a *streaming* collector: when `capacity` events are
-        /// buffered, they are handed to `sink` (oldest first) and the
-        /// buffer restarts empty — nothing is ever dropped. Call
-        /// [`flush`](Self::flush) (or [`take`](Self::take)) at the end
-        /// of the run to push out the final partial chunk.
-        pub fn with_sink(capacity: usize, sink: Box<dyn FnMut(Vec<TraceEvent>) + Send>) -> Self {
-            let mut c = Collector::with_capacity(capacity);
-            c.sink = Some(sink);
-            c
-        }
-
-        /// Records an event. A full ring either flushes to the sink
-        /// (streaming collectors; nothing lost) or evicts the oldest
-        /// event and ticks `dropped`.
+        /// Records an event, first flushing a full buffer to the sink.
         pub fn emit(&mut self, event: TraceEvent) {
             if self.events.len() == self.capacity {
-                if self.sink.is_some() {
-                    self.flush();
-                } else {
-                    self.events.pop_front();
-                    self.dropped += 1;
-                }
-            }
-            self.events.push_back(event);
-        }
-
-        /// Pushes all buffered events to the sink, if one is attached
-        /// (no-op otherwise). Buffered events remain in place on a
-        /// non-streaming collector so `take` still returns them.
-        pub fn flush(&mut self) {
-            if let Some(sink) = self.sink.as_mut() {
-                if !self.events.is_empty() {
-                    sink(self.events.drain(..).collect());
-                }
-            }
-        }
-
-        /// Number of buffered events.
-        pub fn len(&self) -> usize {
-            self.events.len()
-        }
-
-        /// `true` if no events are buffered.
-        pub fn is_empty(&self) -> bool {
-            self.events.is_empty()
-        }
-
-        /// Events evicted because the ring was full.
-        pub fn dropped(&self) -> u64 {
-            self.dropped
-        }
-
-        /// Removes and returns all buffered events, oldest first. On a
-        /// streaming collector the chunks already handed to the sink are
-        /// gone from the buffer by construction; the final partial chunk
-        /// is flushed to the sink too, and the result is empty.
-        pub fn take(&mut self) -> Vec<TraceEvent> {
-            if self.sink.is_some() {
                 self.flush();
-                return Vec::new();
             }
-            self.events.drain(..).collect()
+            self.events.push(event);
+        }
+
+        /// Hands all buffered events to the sink.
+        pub fn flush(&mut self) {
+            if !self.events.is_empty() {
+                (self.sink)(self.events.drain(..).collect());
+            }
         }
     }
 
@@ -268,20 +203,10 @@ mod imp {
     }
 
     /// Removes and returns this thread's event sink, disabling tracing
-    /// on this thread until the next [`install`].
+    /// on this thread until the next [`install`]. Its buffered tail is
+    /// still to be flushed.
     pub fn uninstall() -> Option<Collector> {
         COLLECTOR.with(|slot| slot.borrow_mut().take())
-    }
-
-    /// Drains all buffered events from this thread's sink (if any),
-    /// leaving it installed.
-    pub fn drain() -> Vec<TraceEvent> {
-        COLLECTOR.with(|slot| {
-            slot.borrow_mut()
-                .as_mut()
-                .map(Collector::take)
-                .unwrap_or_default()
-        })
     }
 
     /// Runs `f` against this thread's collector, if one is installed.
@@ -313,7 +238,7 @@ mod imp {
 mod imp {
     use super::TraceEvent;
 
-    /// Ring-buffered event sink for the current thread.
+    /// Streaming event sink for the current thread.
     ///
     /// The `trace` feature is disabled in this build, so this is a
     /// zero-sized stand-in: every method is an inlined no-op and
@@ -323,19 +248,9 @@ mod imp {
     pub struct Collector;
 
     impl Collector {
-        /// No-op constructor (feature disabled).
-        pub fn new() -> Self {
-            Collector
-        }
-
-        /// No-op constructor (feature disabled).
-        pub fn with_capacity(_capacity: usize) -> Self {
-            Collector
-        }
-
-        /// No-op constructor (feature disabled); the sink is dropped
+        /// No-op constructor (feature disabled); the sink is discarded
         /// unused.
-        pub fn with_sink(_capacity: usize, _sink: Box<dyn FnMut(Vec<TraceEvent>) + Send>) -> Self {
+        pub fn new(_capacity: usize, _sink: Box<dyn FnMut(Vec<TraceEvent>) + Send>) -> Self {
             Collector
         }
 
@@ -346,26 +261,6 @@ mod imp {
         /// No-op (feature disabled).
         #[inline(always)]
         pub fn flush(&mut self) {}
-
-        /// Always 0 (feature disabled).
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always `true` (feature disabled).
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always 0 (feature disabled).
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-
-        /// Always empty (feature disabled).
-        pub fn take(&mut self) -> Vec<TraceEvent> {
-            Vec::new()
-        }
     }
 
     /// No-op install (feature disabled).
@@ -376,11 +271,6 @@ mod imp {
     /// No-op uninstall (feature disabled).
     pub fn uninstall() -> Option<Collector> {
         None
-    }
-
-    /// Always empty (feature disabled).
-    pub fn drain() -> Vec<TraceEvent> {
-        Vec::new()
     }
 
     /// Never runs `f` (feature disabled) — the closure and everything
@@ -399,7 +289,7 @@ mod imp {
     }
 }
 
-pub use imp::{active, compiled_in, drain, install, uninstall, with, Collector};
+pub use imp::{active, compiled_in, install, uninstall, with, Collector};
 
 /// Emits a structured trace event if (and only if) tracing is compiled
 /// in **and** a [`Collector`] is installed on the current thread.
@@ -436,6 +326,7 @@ macro_rules! trace_event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn owned_event_roundtrips_through_jsonl() {
@@ -462,55 +353,50 @@ mod tests {
         assert!(parse_line("not json").is_none());
     }
 
+    /// A collector whose sink appends to the returned list.
+    fn vec_sink(capacity: usize) -> (Collector, Arc<Mutex<Vec<Vec<TraceEvent>>>>) {
+        let chunks: Arc<Mutex<Vec<Vec<TraceEvent>>>> = Arc::default();
+        let out = Arc::clone(&chunks);
+        let sink = Box::new(move |events| out.lock().unwrap().push(events));
+        (Collector::new(capacity, sink), chunks)
+    }
+
     #[cfg(feature = "trace")]
     mod enabled {
         use super::super::*;
+        use super::vec_sink;
 
         #[test]
         fn macro_records_into_installed_collector() {
-            install(Collector::new());
+            let (c, chunks) = vec_sink(16);
+            install(c);
             trace_event!(10, "engine", "batch", { comparisons: 31.0 });
             trace_event!(20, "engine", "batch", { comparisons: 7.0 });
-            let events = drain();
+            uninstall().unwrap().flush();
+            let events = chunks.lock().unwrap().concat();
             assert_eq!(events.len(), 2);
             assert_eq!(events[0].cycle, 10);
             assert_eq!(events[1].fields[0], ("comparisons", 7.0));
-            uninstall();
         }
 
         #[test]
         fn no_collector_means_no_events() {
-            uninstall();
+            let (c, chunks) = vec_sink(16);
+            install(c);
+            let mut c = uninstall().unwrap();
             trace_event!(1, "engine", "batch", { x: 1.0 });
-            assert!(drain().is_empty());
-        }
-
-        #[test]
-        fn ring_drops_oldest_and_counts() {
-            let mut c = Collector::with_capacity(2);
-            for i in 0..5u64 {
-                c.emit(TraceEvent::new(i, "t", "k", vec![]));
-            }
-            assert_eq!(c.len(), 2);
-            assert_eq!(c.dropped(), 3);
-            let kept = c.take();
-            assert_eq!(kept[0].cycle, 3);
-            assert_eq!(kept[1].cycle, 4);
+            c.flush();
+            assert!(!active());
+            assert!(chunks.lock().unwrap().is_empty());
         }
 
         #[test]
         fn streaming_sink_loses_nothing() {
-            use std::sync::{Arc, Mutex};
-            let chunks: Arc<Mutex<Vec<Vec<TraceEvent>>>> = Arc::default();
-            let out = Arc::clone(&chunks);
-            let mut c =
-                Collector::with_sink(3, Box::new(move |events| out.lock().unwrap().push(events)));
+            let (mut c, chunks) = vec_sink(3);
             for i in 0..8u64 {
                 c.emit(TraceEvent::new(i, "t", "k", vec![]));
             }
-            assert_eq!(c.dropped(), 0, "streaming collectors never drop");
-            assert!(c.take().is_empty(), "take flushes the tail to the sink");
-            assert_eq!(c.dropped(), 0);
+            c.flush();
             let chunks = chunks.lock().unwrap();
             // 8 events at capacity 3: flushes of 3, 3, then the tail of 2.
             let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
@@ -523,15 +409,18 @@ mod tests {
     #[cfg(not(feature = "trace"))]
     mod disabled {
         use super::super::*;
+        use super::vec_sink;
 
         #[test]
         fn collector_is_zero_sized_and_silent() {
             assert_eq!(std::mem::size_of::<Collector>(), 0);
             assert!(!compiled_in());
-            install(Collector::new());
+            let (c, chunks) = vec_sink(16);
+            install(c);
             trace_event!(1, "engine", "batch", { x: 1.0 });
-            assert!(drain().is_empty());
             assert!(!active());
+            assert!(uninstall().is_none());
+            assert!(chunks.lock().unwrap().is_empty());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Simulation results: everything the paper's figures and tables read off.
 
-use pageforge_types::json::{obj, FromJson, ToJson, Value};
+use pageforge_types::json::{obj, ToJson, Value};
 use pageforge_types::stats::LatencyRecorder;
 use pageforge_types::Cycle;
 use pageforge_vm::MemoryStats;
@@ -131,21 +131,6 @@ impl ToJson for DedupSummary {
     }
 }
 
-impl FromJson for DedupSummary {
-    fn from_json(value: &Value) -> Option<Self> {
-        Some(DedupSummary {
-            merged_total: u64::from_json(value.get("merged_total")?)?,
-            core_cycles_frac_avg: f64::from_json(value.get("core_cycles_frac_avg")?)?,
-            core_cycles_frac_max: f64::from_json(value.get("core_cycles_frac_max")?)?,
-            compare_frac: f64::from_json(value.get("compare_frac")?)?,
-            hash_frac: f64::from_json(value.get("hash_frac")?)?,
-            engine_run_cycles_mean: f64::from_json(value.get("engine_run_cycles_mean")?)?,
-            engine_run_cycles_std: f64::from_json(value.get("engine_run_cycles_std")?)?,
-            engine_lines_fetched: u64::from_json(value.get("engine_lines_fetched")?)?,
-        })
-    }
-}
-
 impl ToJson for DegradedSummary {
     fn to_json(&self) -> Value {
         obj([
@@ -154,17 +139,6 @@ impl ToJson for DegradedSummary {
             ("engine_errors", self.engine_errors.to_json()),
             ("cross_check_skips", self.cross_check_skips.to_json()),
         ])
-    }
-}
-
-impl FromJson for DegradedSummary {
-    fn from_json(value: &Value) -> Option<Self> {
-        Some(DegradedSummary {
-            degraded_candidates: u64::from_json(value.get("degraded_candidates")?)?,
-            stall_retries: u64::from_json(value.get("stall_retries")?)?,
-            engine_errors: u64::from_json(value.get("engine_errors")?)?,
-            cross_check_skips: u64::from_json(value.get("cross_check_skips")?)?,
-        })
     }
 }
 
@@ -188,27 +162,6 @@ impl ToJson for SimResult {
         }
         fields.push(("window_cycles", self.window_cycles.to_json()));
         obj(fields)
-    }
-}
-
-impl FromJson for SimResult {
-    fn from_json(value: &Value) -> Option<Self> {
-        Some(SimResult {
-            label: String::from_json(value.get("label")?)?,
-            app: String::from_json(value.get("app")?)?,
-            per_vm_latency: Vec::from_json(value.get("per_vm_latency")?)?,
-            queries_completed: u64::from_json(value.get("queries_completed")?)?,
-            l3_miss_rate: f64::from_json(value.get("l3_miss_rate")?)?,
-            bandwidth_mean_gbps: f64::from_json(value.get("bandwidth_mean_gbps")?)?,
-            bandwidth_peak_gbps: f64::from_json(value.get("bandwidth_peak_gbps")?)?,
-            mem_stats: MemoryStats::from_json(value.get("mem_stats")?)?,
-            dedup: Option::from_json(value.get("dedup")?)?,
-            degraded: match value.get("degraded") {
-                Some(v) => Some(DegradedSummary::from_json(v)?),
-                None => None,
-            },
-            window_cycles: Cycle::from_json(value.get("window_cycles")?)?,
-        })
     }
 }
 

@@ -844,6 +844,25 @@ mod tests {
         assert!(pf.bandwidth_peak_gbps >= pf.bandwidth_mean_gbps);
     }
 
+    /// Premerge batches scan at least one page, so `pages_to_scan: 0`
+    /// still completes passes and reaches steady state.
+    #[test]
+    fn premerge_ends_with_zero_pages_to_scan() {
+        for dedup in [
+            DedupMode::Ksm(SimConfig::scaled_ksm()),
+            DedupMode::PageForge(SimConfig::scaled_pageforge()),
+        ] {
+            let mut cfg = SimConfig::smoke("silo", dedup, 1);
+            match &mut cfg.dedup {
+                DedupMode::Ksm(k) => k.pages_to_scan = 0,
+                DedupMode::PageForge(p) => p.pages_to_scan = 0,
+                DedupMode::None => unreachable!(),
+            }
+            let sys = System::new(cfg);
+            assert!(sys.mem.stats().merges > 0, "premerge merged nothing");
+        }
+    }
+
     #[test]
     fn sphinx_long_queries_run() {
         // Sphinx queries are huge; just a few must still complete and be

@@ -5,7 +5,7 @@
 //! [`RunningStats`] provides streaming mean/stddev; [`LatencyRecorder`]
 //! stores samples so exact percentiles can be extracted.
 
-use crate::json::{obj, FromJson, ToJson, Value};
+use crate::json::{obj, ToJson, Value};
 
 /// Streaming mean / variance accumulator (Welford's algorithm).
 ///
@@ -18,7 +18,7 @@ use crate::json::{obj, FromJson, ToJson, Value};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_stddev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -117,21 +117,9 @@ impl ToJson for RunningStats {
     }
 }
 
-impl FromJson for RunningStats {
-    fn from_json(value: &Value) -> Option<Self> {
-        let count = u64::from_json(value.get("count")?)?;
-        if count == 0 {
-            // min/max were ±∞ and serialized as null; rebuild the empty
-            // accumulator exactly.
-            return Some(RunningStats::new());
-        }
-        Some(RunningStats {
-            count,
-            mean: f64::from_json(value.get("mean")?)?,
-            m2: f64::from_json(value.get("m2")?)?,
-            min: f64::from_json(value.get("min")?)?,
-            max: f64::from_json(value.get("max")?)?,
-        })
+impl Default for RunningStats {
+    fn default() -> Self {
+        RunningStats::new()
     }
 }
 
@@ -146,7 +134,7 @@ impl FromJson for RunningStats {
 /// assert_eq!(r.percentile(0.95), 95.0);
 /// assert_eq!(r.mean(), 50.5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyRecorder {
     samples: Vec<f64>,
     stats: RunningStats,
@@ -222,22 +210,24 @@ impl ToJson for LatencyRecorder {
     }
 }
 
-impl FromJson for LatencyRecorder {
-    fn from_json(value: &Value) -> Option<Self> {
-        // Restore the streaming stats verbatim rather than re-recording
-        // the samples: bit-exact round-trips keep cached simulation
-        // results byte-identical to freshly computed ones.
-        Some(LatencyRecorder {
-            samples: Vec::<f64>::from_json(value.get("samples")?)?,
-            stats: RunningStats::from_json(value.get("stats")?)?,
-            sorted: bool::from_json(value.get("sorted")?)?,
-        })
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        LatencyRecorder::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_is_new() {
+        assert_eq!(RunningStats::default(), RunningStats::new());
+        assert_eq!(LatencyRecorder::default(), LatencyRecorder::new());
+        let mut s = RunningStats::default();
+        s.push(3.0);
+        assert_eq!((s.min(), s.max()), (3.0, 3.0));
+    }
 
     #[test]
     fn empty_stats_are_zero() {

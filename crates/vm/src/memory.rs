@@ -8,7 +8,7 @@
 use std::fmt;
 
 use pageforge_obs::Registry;
-use pageforge_types::json::{obj, FromJson, ToJson, Value};
+use pageforge_types::json::{obj, ToJson, Value};
 use pageforge_types::{Gfn, PageData, Ppn, VmId};
 
 /// A host physical frame. Its CoW protection bit lives in the guest
@@ -64,18 +64,6 @@ impl ToJson for MemoryStats {
                 self.frames_freed_by_merge.to_json(),
             ),
         ])
-    }
-}
-
-impl FromJson for MemoryStats {
-    fn from_json(value: &Value) -> Option<Self> {
-        Some(MemoryStats {
-            allocated_frames: usize::from_json(value.get("allocated_frames")?)?,
-            mapped_guest_pages: usize::from_json(value.get("mapped_guest_pages")?)?,
-            merges: u64::from_json(value.get("merges")?)?,
-            cow_breaks: u64::from_json(value.get("cow_breaks")?)?,
-            frames_freed_by_merge: u64::from_json(value.get("frames_freed_by_merge")?)?,
-        })
     }
 }
 

@@ -44,7 +44,9 @@ fn linear_scan(
             engine.insert_ppn(i as u8, ppn, next, next);
         }
         engine.update_pfe(last_batch, 0);
-        engine.run_batch(mem, fabric, 0);
+        engine
+            .run_batch(mem, fabric, 0)
+            .expect("the loaded candidate and pages exist");
         let info = engine.pfe_info();
         if info.duplicate {
             return Some(batch[info.ptr as usize]);

@@ -7,6 +7,7 @@
 use pageforge::core::fabric::FlatFabric;
 use pageforge::core::{PageForge, PageForgeConfig};
 use pageforge::faults::{FaultInjector, FaultPlan, StallWindow};
+use pageforge::ksm::{Ksm, KsmConfig};
 use pageforge::types::{Cycle, Gfn, PageData, VmId};
 use pageforge::vm::HostMemory;
 use pageforge_bench::scheduler::{run_units, Unit};
@@ -121,6 +122,59 @@ fn degraded_candidates_take_the_software_path_entirely() {
     );
     assert_eq!(clean.allocated_frames(), faulted.allocated_frames());
     faulted.check_invariants().unwrap();
+}
+
+/// KSM and a PageForge whose engine is stalled for the whole run decide
+/// alike: every search of a non-empty tree degrades to KSM's own
+/// candidate step, so both reach the same frames through the same
+/// candidate outcomes, pass for pass.
+#[test]
+fn stalled_pageforge_decides_like_ksm() {
+    let (mem, hints) = world(7);
+    let mut ksm_mem = mem.clone();
+    let mut ksm = Ksm::new(KsmConfig::default(), hints.clone());
+    let passes = ksm.run_to_steady_state(&mut ksm_mem, 20);
+
+    let mut pf_mem = mem;
+    let mut pf = PageForge::new(PageForgeConfig::default(), hints);
+    let stall = FaultPlan {
+        seed: 0,
+        events: Vec::new(),
+        stalls: vec![StallWindow {
+            from: 0,
+            until: Cycle::MAX,
+        }],
+    };
+    pf.set_fault_injector(Some(FaultInjector::new(&stall)));
+    let mut fabric = FlatFabric::all_dram(80);
+    assert_eq!(pf.run_to_steady_state(&mut pf_mem, &mut fabric, 20), passes);
+
+    let (k, p) = (ksm.stats(), pf.stats());
+    assert!(p.degraded_candidates > 0, "the stall never degraded");
+    assert!(k.merged_stable > 0 && k.merged_unstable > 0);
+    assert_eq!(
+        [
+            k.merged_stable,
+            k.merged_unstable,
+            k.inserted_unstable,
+            k.dropped_changed,
+            k.already_shared,
+            k.unmapped,
+        ],
+        [
+            p.merged_stable,
+            p.merged_unstable,
+            p.inserted_unstable,
+            p.dropped_changed,
+            p.already_shared,
+            p.unmapped,
+        ],
+        "merged_stable, merged_unstable, inserted_unstable, dropped_changed, \
+         already_shared, unmapped"
+    );
+    let frames = |m: &HostMemory| m.iter_mappings().collect::<Vec<_>>();
+    assert_eq!(frames(&ksm_mem), frames(&pf_mem));
+    pf_mem.check_invariants().unwrap();
 }
 
 /// The same stall scenario scheduled as bench work units: outputs must be

@@ -52,7 +52,9 @@ fn multi_batch_protocol_finds_late_duplicate() {
         }
         let last = batch == 2;
         engine.update_pfe(last, 0);
-        engine.run_batch(&mem, &mut fabric, batch as u64 * 50_000);
+        engine
+            .run_batch(&mem, &mut fabric, batch as u64 * 50_000)
+            .unwrap();
         let info = engine.pfe_info();
         assert!(info.scanned, "S must be set after every batch");
         if info.duplicate {
@@ -81,7 +83,7 @@ fn update_ecc_offset_affects_next_candidate() {
         engine.update_ecc_offset(offsets).unwrap();
         engine.insert_pfe(p[0], true, 0);
         engine.insert_ppn(0, p[1], INVALID_INDEX, INVALID_INDEX);
-        engine.run_batch(&mem, &mut fabric, 0);
+        engine.run_batch(&mem, &mut fabric, 0).unwrap();
         engine.pfe_info().hash.expect("key ready after L-batch")
     };
     let a = key_with(vec![3, 19, 35, 51]);
@@ -103,7 +105,7 @@ fn scanned_without_duplicate_reports_direction() {
     // encode distinct invalid continuations on each side.
     engine.insert_pfe(p[1], true, 0);
     engine.insert_ppn(0, p[0], 100, 101);
-    engine.run_batch(&mem, &mut fabric, 0);
+    engine.run_batch(&mem, &mut fabric, 0).unwrap();
     let info = engine.pfe_info();
     assert!(info.scanned && !info.duplicate);
     assert!(
@@ -126,7 +128,7 @@ fn candidate_is_refetched_per_comparison() {
     engine.insert_pfe(p[0], true, 0);
     engine.insert_ppn(0, p[1], 1, 1);
     engine.insert_ppn(1, p[2], INVALID_INDEX, INVALID_INDEX);
-    engine.run_batch(&mem, &mut fabric, 0);
+    engine.run_batch(&mem, &mut fabric, 0).unwrap();
     let stats = engine.stats();
     assert_eq!(stats.comparisons, 2);
     // Each comparison fetched pairs of lines; totals must be even and > 2
