@@ -106,14 +106,17 @@ impl CacheStats {
     }
 }
 
-/// One way: a `u32` tag and LRU stamp, the owner's `T` and the state. With
-/// a 4-byte `T` (a [`Slot`], an L2 way's link or the L3's core-valid bits)
-/// a way takes 16 bytes.
+/// One way: a `u32` tag and LRU stamp, the owner's `T`, the link one level
+/// up and the state. With a 4-byte `T` (a [`Slot`] or the L3's core-valid
+/// bits) a way takes 16 bytes, the link filling what was padding.
 #[derive(Debug, Clone, Copy)]
 struct Way<T> {
     tag: u32,
     last_used: u32,
     data: T,
+    /// The slot of the line's copy one level toward the cores, plus one;
+    /// 0 for none.
+    up: u16,
     state: LineState,
 }
 
@@ -126,7 +129,8 @@ pub(crate) const fn way_bytes<T>() -> usize {
 /// line keeps its slot for as long as it stays resident, because an insert
 /// fills a hole or overwrites the way it evicts and an invalidation leaves
 /// a hole. The hierarchy links each private way to its line's slot one
-/// level down, in a `u32` beside the tag.
+/// level down, in a `u32` beside the tag, and a way to its line's copy one
+/// level up, in 16 bits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Slot(pub(crate) u32);
 
@@ -144,6 +148,20 @@ pub struct Miss {
     lru: Option<usize>,
 }
 
+/// A line an [`insert`](SetAssocCache::insert) evicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim<T> {
+    /// The evicted line.
+    pub line: LineAddr,
+    /// Its state when evicted.
+    pub state: LineState,
+    /// Its owner's data.
+    pub data: T,
+    /// Its link one level up: the slot of its copy in the cache above, if
+    /// one was recorded.
+    pub up: Option<Slot>,
+}
+
 /// Outcome of [`SetAssocCache::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -157,7 +175,8 @@ pub enum Lookup {
 ///
 /// Each way carries a `T` for the cache's owner: the hierarchy's private
 /// caches keep the [`Slot`] of the line one level down there, its L3 keeps
-/// the line's core-valid bits.
+/// the line's core-valid bits. Each way also carries a link one level up,
+/// the slot of a copy in the cache above, which the owner sets and clears.
 ///
 /// Ways are stored in one flat arena (`num_sets × ways` slots) rather than
 /// per-set `Vec`s: a set is the contiguous slice
@@ -188,6 +207,11 @@ pub struct SetAssocCache<T = ()> {
 /// The ways of a set up to its highest occupied one.
 fn span(valid: u64) -> usize {
     (u64::BITS - valid.leading_zeros()) as usize
+}
+
+/// The slot a way's link up names: the link less one, or `None` for 0.
+fn slot_from_link(up: u16) -> Option<Slot> {
+    up.checked_sub(1).map(|slot| Slot(slot.into()))
 }
 
 /// Refuses a line whose address does not fit a way's `u32` tag. Lookups
@@ -224,6 +248,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
                     state: LineState::Shared,
                     last_used: 0,
                     data: T::default(),
+                    up: 0,
                 };
                 num_sets * cfg.ways
             ],
@@ -297,7 +322,9 @@ impl<T: Copy + Default> SetAssocCache<T> {
     /// Looks up `addr` in one scan of its set, updating LRU and hit/miss
     /// counters. A miss in a full set records its LRU way, found in the
     /// same pass, for [`insert`](Self::insert).
-    #[inline]
+    // `always`: the L1 and L2 share this copy, and under a plain hint it
+    // stays out of line in `SystemCaches::access` (DESIGN.md §9).
+    #[inline(always)]
     pub fn lookup(&mut self, addr: LineAddr) -> Lookup {
         let set = self.set_index(addr);
         let counter = self.tick();
@@ -362,16 +389,37 @@ impl<T: Copy + Default> SetAssocCache<T> {
         &mut self.ways[slot.index()].data
     }
 
+    /// The link one level up of the line at `slot`: the slot of its copy
+    /// in the cache above, or `None` when none is recorded. An insert
+    /// starts a way with none.
+    #[inline]
+    pub(crate) fn up(&self, slot: Slot) -> Option<Slot> {
+        slot_from_link(self.ways[slot.index()].up)
+    }
+
+    /// Sets the link one level up of the line at `slot`. The linked slot
+    /// must be below `u16::MAX`, which the owner guarantees by the size of
+    /// the cache above.
+    #[inline]
+    pub(crate) fn set_up(&mut self, slot: Slot, up: Option<Slot>) {
+        debug_assert!(
+            up.is_none_or(|s| s.0 < u32::from(u16::MAX)),
+            "{up:?} needs 17 bits"
+        );
+        self.ways[slot.index()].up = up.map_or(0, |s| s.0 as u16 + 1);
+    }
+
     /// The line at `slot`, or `None` when the slot is a hole.
     pub(crate) fn line_at(&self, slot: Slot) -> Option<LineAddr> {
         let (set, way) = (slot.index() / self.cfg.ways, slot.index() % self.cfg.ways);
         (self.valid[set] >> way & 1 != 0).then(|| LineAddr(self.ways[slot.index()].tag.into()))
     }
 
-    /// Installs `addr` with `state` and `data` through the `miss` of its
-    /// own lookup, returning the slot it filled. A set with a hole fills
-    /// its lowest one; a full set evicts the way that lookup recorded, and
-    /// the evicted line comes back with its state and data.
+    /// Installs `addr` with `state` and `data`, and no link up, through the
+    /// `miss` of its own lookup, returning the slot it filled. A set with a
+    /// hole fills its lowest one; a full set evicts the way that lookup
+    /// recorded, and the evicted line comes back with its state, data and
+    /// link up.
     ///
     /// Between a lookup and its insert the set may only lose lines, never
     /// gain or re-rank one: a set still full then lost nothing, so the
@@ -381,14 +429,15 @@ impl<T: Copy + Default> SetAssocCache<T> {
     ///
     /// Panics if the set is full but was not full at the lookup, or if
     /// `addr` does not fit the `u32` tag.
-    #[inline]
+    // `always`: as for `lookup`.
+    #[inline(always)]
     pub fn insert(
         &mut self,
         miss: Miss,
         addr: LineAddr,
         state: LineState,
         data: T,
-    ) -> (Slot, Option<(LineAddr, LineState, T)>) {
+    ) -> (Slot, Option<Victim<T>>) {
         debug_assert!(
             self.set_index(addr) == miss.set && self.find(addr).is_none(),
             "insert of {addr} without the miss of its own lookup"
@@ -400,6 +449,7 @@ impl<T: Copy + Default> SetAssocCache<T> {
             tag,
             last_used: self.tick(),
             data,
+            up: 0,
             state,
         };
         let valid = self.valid[miss.set];
@@ -418,16 +468,13 @@ impl<T: Copy + Default> SetAssocCache<T> {
         if evicted.state.is_dirty() {
             self.stats.writebacks += 1;
         }
-        (
-            Slot(lru as u32),
-            Some((LineAddr(evicted.tag.into()), evicted.state, evicted.data)),
-        )
-    }
-
-    /// Invalidates `addr`, returning its state if it was resident. Its way
-    /// becomes a hole; every other line keeps its slot.
-    pub fn invalidate(&mut self, addr: LineAddr) -> Option<LineState> {
-        self.find(addr).map(|slot| self.invalidate_at(slot))
+        let victim = Victim {
+            line: LineAddr(evicted.tag.into()),
+            state: evicted.state,
+            data: evicted.data,
+            up: slot_from_link(evicted.up),
+        };
+        (Slot(lru as u32), Some(victim))
     }
 
     /// Invalidates the line at `slot`, returning its state. The way
@@ -440,16 +487,22 @@ impl<T: Copy + Default> SetAssocCache<T> {
         self.ways[slot.index()].state
     }
 
-    /// The resident lines with their owner's data, set by set.
-    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, T)> + '_ {
+    /// The resident lines with their slots and owner's data, in slot order.
+    pub fn lines(&self) -> impl Iterator<Item = (Slot, LineAddr, T)> + '_ {
+        let ways = self.cfg.ways;
         self.ways
-            .chunks(self.cfg.ways)
+            .chunks(ways)
             .zip(&self.valid)
-            .flat_map(|(ways, &valid)| {
-                ways.iter()
+            .enumerate()
+            .flat_map(move |(set, (set_ways, &valid))| {
+                set_ways
+                    .iter()
                     .enumerate()
                     .filter(move |&(i, _)| valid >> i & 1 != 0)
-                    .map(|(_, w)| (LineAddr(w.tag.into()), w.data))
+                    .map(move |(i, w)| {
+                        let slot = Slot((set * ways + i) as u32);
+                        (slot, LineAddr(w.tag.into()), w.data)
+                    })
             })
     }
 
@@ -478,9 +531,14 @@ mod tests {
             Lookup::Miss(miss) => c
                 .insert(miss, LineAddr(addr), state, ())
                 .1
-                .map(|(victim, vstate, ())| (victim, vstate)),
+                .map(|victim| (victim.line, victim.state)),
             Lookup::Hit(..) => panic!("line {addr} already resident"),
         }
+    }
+
+    /// Invalidates `addr` if it is resident, returning its state.
+    fn invalidate<T: Copy + Default>(c: &mut SetAssocCache<T>, addr: u64) -> Option<LineState> {
+        c.find(LineAddr(addr)).map(|slot| c.invalidate_at(slot))
     }
 
     fn state(c: &mut SetAssocCache, addr: u64) -> Option<LineState> {
@@ -531,7 +589,7 @@ mod tests {
         let Lookup::Miss(miss) = c.lookup(LineAddr(8)) else {
             panic!("8 is absent");
         };
-        c.invalidate(LineAddr(4));
+        invalidate(&mut c, 4);
         // The set is no longer full: nothing is evicted, 0 survives.
         assert_eq!(c.insert(miss, LineAddr(8), LineState::Shared, ()).1, None);
         assert_eq!(c.peek(LineAddr(0)), Some(LineState::Shared));
@@ -555,7 +613,15 @@ mod tests {
             panic!("8 is absent");
         };
         let (filled, victim) = c.insert(miss, LineAddr(8), LineState::Shared, 0);
-        assert_eq!(victim, Some((LineAddr(0), LineState::Shared, 7)));
+        assert_eq!(
+            victim,
+            Some(Victim {
+                line: LineAddr(0),
+                state: LineState::Shared,
+                data: 7,
+                up: None
+            })
+        );
         assert_eq!(c.find(LineAddr(8)), Some(filled));
     }
 
@@ -576,7 +642,7 @@ mod tests {
             assert_eq!(victim, None);
             slots.push(slot);
         }
-        assert_eq!(c.invalidate(LineAddr(1)), Some(LineState::Shared));
+        assert_eq!(invalidate(&mut c, 1), Some(LineState::Shared));
         assert_eq!(c.line_at(slots[1]), None);
         for addr in [0, 2, 3] {
             let slot = slots[addr as usize];
@@ -598,11 +664,12 @@ mod tests {
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.resident_lines(), 4);
         let lines: Vec<_> = c.lines().collect();
-        assert_eq!(
-            lines,
-            [0, 4, 2, 3].map(|addr| (LineAddr(addr), addr)),
-            "lines are listed in slot order"
-        );
+        let expected: Vec<_> = slots
+            .iter()
+            .zip([0, 4, 2, 3])
+            .map(|(&slot, addr)| (slot, LineAddr(addr), addr))
+            .collect();
+        assert_eq!(lines, expected, "lines are listed in slot order");
     }
 
     #[test]
@@ -619,8 +686,8 @@ mod tests {
     fn invalidate_removes_line() {
         let mut c = tiny();
         fill(&mut c, 3, LineState::Modified);
-        assert_eq!(c.invalidate(LineAddr(3)), Some(LineState::Modified));
-        assert_eq!(c.invalidate(LineAddr(3)), None);
+        assert_eq!(invalidate(&mut c, 3), Some(LineState::Modified));
+        assert_eq!(invalidate(&mut c, 3), None);
         assert_eq!(c.peek(LineAddr(3)), None);
         assert_eq!(c.stats().invalidations, 1);
     }
@@ -679,9 +746,13 @@ mod tests {
         for _ in 0..4_000 {
             let addr = LineAddr(rng.gen_range(0..40));
             if rng.gen_range(0..8) == 0 {
-                c.invalidate(addr);
+                invalidate(&mut c, addr.0);
             } else if let Lookup::Miss(miss) = c.lookup(addr) {
-                victims.extend(c.insert(miss, addr, LineState::Shared, ()).1.map(|v| v.0));
+                victims.extend(
+                    c.insert(miss, addr, LineState::Shared, ())
+                        .1
+                        .map(|v| v.line),
+                );
             }
         }
         victims

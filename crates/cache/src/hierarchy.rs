@@ -12,18 +12,28 @@
 //! way names the cores to back-invalidate, and a memory-controller probe
 //! that misses the L3 is done.
 //!
-//! A resident line never moves within its cache (see [`Slot`]), so each
-//! private way links to its line one level down: an L1 way carries the
-//! line's L2 slot, an L2 way its L3 slot. A dirty victim marks its copy
-//! below through the link, a write upgrade reaches its L2 and L3 ways
-//! through the links, and an L2 victim clears its core's bit in its L3
-//! way, which is what keeps the bits exact.
+//! A resident line never moves within its cache (see [`Slot`]), so ways
+//! link to each other by slot, in both directions.
 //!
-//! An L2 way's link also says whether the same core's L1 holds the line:
-//! an L1 fill sets that bit and an L1 victim clears it through its own
-//! link. A core's L1 is searched for a line only when the bit is set, so
-//! an L2 victim, a snoop, a probe or a back-invalidation of a line the L1
-//! lacks scans no L1 set.
+//! * **Down.** An L1 way carries the line's L2 slot and an L2 way its L3
+//!   slot. A dirty victim marks its copy below through the link, a write
+//!   upgrade reaches its L2 and L3 ways through the links, and an L2
+//!   victim clears its core's bit in its L3 way, which is what keeps the
+//!   bits exact.
+//! * **Up.** L2 and L3 ways have a 16-bit link to their line's copy one
+//!   level toward the cores. An L2 way's link names the same core's L1 way
+//!   that holds the line, and is none when the L1 lacks it: an L1 fill
+//!   sets it and an L1 victim clears it through its own down link. An L3
+//!   way's link names the L2 way of the line's only holder. The fill or
+//!   write upgrade that leaves one core holding the line sets it, and a
+//!   second holder joining (a read snoop) or any holder leaving clears it.
+//!   So a set L3 link always names the one holder's L2 way, and a clear
+//!   one means no holder, or an unrecorded one: a core left holding the
+//!   line alone when the others left.
+//!
+//! Back-invalidations, snoops, probes and L2 victims reach the private
+//! copies through the up links: an L2 set is searched only for a line whose
+//! L3 link is clear, and an L1 set never outside a lookup.
 //!
 //! Every level scans a set once per access: a lookup that misses records
 //! the way its insert will evict. Between the two the set can only lose
@@ -37,36 +47,9 @@ use crate::cache::{
     way_bytes, CacheConfig, CacheStats, LineState, Lookup, Miss, SetAssocCache, Slot,
 };
 
-/// An L2 way's link: its line's L3 slot in the low 31 bits, and in the top
-/// bit whether the same core's L1 holds the line.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct L3Link(u32);
-
-/// The top bit of an [`L3Link`]: the core's L1 holds the line.
-const IN_L1: u32 = 1 << 31;
-
-impl L3Link {
-    /// The link of a line just filled into the L2: its L3 slot, with the
-    /// L1 bit clear.
-    fn to(slot: Slot) -> Self {
-        L3Link(slot.0)
-    }
-
-    /// The line's slot in the L3.
-    fn slot(self) -> Slot {
-        Slot(self.0 & !IN_L1)
-    }
-
-    /// Whether the same core's L1 holds the line.
-    fn in_l1(self) -> bool {
-        self.0 & IN_L1 != 0
-    }
-}
-
-// Every level's ways take 16 bytes: L1 ways carry a `Slot`, L2 ways an
-// `L3Link` and L3 ways the `u32` core-valid bits.
-const _: () =
-    assert!(way_bytes::<Slot>() == 16 && way_bytes::<L3Link>() == 16 && way_bytes::<u32>() == 16);
+// Every level's ways take 16 bytes: private ways carry a `Slot` and L3 ways
+// the `u32` core-valid bits.
+const _: () = assert!(way_bytes::<Slot>() == 16 && way_bytes::<u32>() == 16);
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,15 +114,15 @@ pub struct SystemCaches {
     cfg: HierarchyConfig,
     /// Each way carries the slot of its line in the same core's L2.
     l1: Vec<SetAssocCache<Slot>>,
-    /// Each way carries the slot of its line in the L3 and whether the
-    /// same core's L1 holds it.
-    l2: Vec<SetAssocCache<L3Link>>,
+    /// Each way carries the slot of its line in the L3, and links up to
+    /// the same core's L1 way that holds it.
+    l2: Vec<SetAssocCache<Slot>>,
     /// The inclusive L3. Each way carries its line's core-valid bits, as
     /// inclusive last-level caches keep them in hardware: bit `c` is set
     /// exactly when core `c`'s L2 holds the line (set on fill, cleared
     /// when the line leaves that L2). Snoops, probes and
     /// back-invalidations visit only those cores, and a line the L3 lacks
-    /// is in no private cache.
+    /// is in no private cache. A way links up to its only holder's L2 way.
     l3: SetAssocCache<u32>,
 }
 
@@ -158,8 +141,9 @@ impl SystemCaches {
     /// # Panics
     ///
     /// Panics if `cfg.cores` is zero or exceeds the 32 core-valid bits, or
-    /// if the L3 has 2^31 slots or more, which an L2 way's link cannot
-    /// name beside its L1 bit.
+    /// if an L1 or L2 has more than 65,535 slots, which the 16-bit link up
+    /// of an L2 or L3 way cannot name. Both are refused before anything is
+    /// allocated.
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.cores > 0, "at least one core required");
         assert!(
@@ -167,10 +151,13 @@ impl SystemCaches {
             "core-valid bits pack cores into a u32: at most 32 cores, not {}",
             cfg.cores
         );
-        assert!(
-            cfg.l3.num_sets() * cfg.l3.ways < IN_L1 as usize,
-            "an L2 way links to an L3 slot in 31 bits: fewer than 2^31 L3 slots"
-        );
+        for (level, cache) in [("L1", cfg.l1), ("L2", cfg.l2)] {
+            let slots = cache.num_sets() * cache.ways;
+            assert!(
+                slots <= usize::from(u16::MAX),
+                "a way links up in 16 bits: at most 65,535 {level} slots, not {slots}"
+            );
+        }
         SystemCaches {
             l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
@@ -206,7 +193,7 @@ impl SystemCaches {
                     // Upgrade: invalidate peers, go Modified.
                     latency += self.cfg.bus_latency;
                     let l2_slot = self.l1[core].data(slot);
-                    self.invalidate_peers(core, addr, self.l2[core].data(l2_slot).slot());
+                    self.upgrade(core, addr, l2_slot);
                     self.l2[core].set_state_at(l2_slot, LineState::Modified);
                 }
                 if write {
@@ -227,7 +214,7 @@ impl SystemCaches {
                 let new_state = if write {
                     if state == LineState::Shared {
                         latency += self.cfg.bus_latency;
-                        self.invalidate_peers(core, addr, self.l2[core].data(slot).slot());
+                        self.upgrade(core, addr, slot);
                     }
                     LineState::Modified
                 } else {
@@ -261,8 +248,8 @@ impl SystemCaches {
                 // Inclusive L3: back-invalidate the victim's private
                 // copies. Its writeback is already counted by the L3 stats.
                 let (slot, victim) = self.l3.insert(miss, addr, LineState::Shared, 1 << core);
-                if let Some((victim, _, holders)) = victim {
-                    self.invalidate_private(victim, holders);
+                if let Some(victim) = victim {
+                    self.invalidate_private(victim.line, victim.data, victim.up);
                 }
                 (HitLevel::Memory, slot)
             }
@@ -276,18 +263,24 @@ impl SystemCaches {
         } else {
             LineState::Exclusive
         };
-        let (l2_slot, victim) = self.l2[core].insert(l2_miss, addr, install, L3Link::to(l3_slot));
-        if let Some((victim, vstate, link)) = victim {
+        let (l2_slot, victim) = self.l2[core].insert(l2_miss, addr, install, l3_slot);
+        if let Some(victim) = victim {
             // The victim leaves this core: its L3 way takes the dirty data
-            // and loses the core's bit.
-            if vstate.is_dirty() {
-                self.l3.set_state_at(link.slot(), LineState::Modified);
+            // and loses the core's bit and, as a holder left, its link.
+            let l3_way = victim.data;
+            if victim.state.is_dirty() {
+                self.l3.set_state_at(l3_way, LineState::Modified);
             }
-            *self.l3.data_mut(link.slot()) &= !(1 << core);
-            if link.in_l1() {
-                self.l1[core].invalidate(victim); // L2 inclusive of L1
+            *self.l3.data_mut(l3_way) &= !(1 << core);
+            self.l3.set_up(l3_way, None);
+            if let Some(l1_slot) = victim.up {
+                self.l1[core].invalidate_at(l1_slot); // L2 inclusive of L1
             }
         }
+        // This core is the line's only holder exactly when no peer's bit
+        // is set; a peer that kept a copy clears the link.
+        let sole = self.l3.data(l3_slot) == 1 << core;
+        self.l3.set_up(l3_slot, sole.then_some(l2_slot));
         self.fill_l1(core, l1_miss, addr, install, l2_slot);
         Access { level, latency }
     }
@@ -304,9 +297,9 @@ impl SystemCaches {
         // Inclusion: a line the L3 lacks is in no private cache.
         let slot = self.l3.find(addr)?;
         // Snoopy bus: every private cache whose bit is set is checked.
-        let holders = self.l3.data(slot);
+        let (holders, link) = (self.l3.data(slot), self.l3.up(slot));
         for core in cores_in(holders) {
-            match self.private_slots(core, addr) {
+            match self.private_slots(core, addr, link) {
                 (Some(l1_slot), Some(l2_slot))
                     if self.l1[core].state(l1_slot) == LineState::Modified =>
                 {
@@ -329,8 +322,8 @@ impl SystemCaches {
     }
 
     /// Installs `addr`, held at `l2_slot` of `core`'s L2, in its L1
-    /// through the miss of its lookup, and sets the L2 way's L1 bit. The
-    /// L1 victim clears its own through its link.
+    /// through the miss of its lookup, and links the L2 way up to it. The
+    /// L1 victim clears its own L2 way's link through its down link.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -340,29 +333,41 @@ impl SystemCaches {
         l2_slot: Slot,
     ) {
         let l2 = &mut self.l2[core];
-        if let (_, Some((_, vstate, victim_l2))) = self.l1[core].insert(miss, addr, state, l2_slot)
-        {
-            if vstate.is_dirty() {
-                l2.set_state_at(victim_l2, LineState::Modified);
+        let (l1_slot, victim) = self.l1[core].insert(miss, addr, state, l2_slot);
+        if let Some(victim) = victim {
+            if victim.state.is_dirty() {
+                l2.set_state_at(victim.data, LineState::Modified);
             }
-            l2.data_mut(victim_l2).0 &= !IN_L1;
+            l2.set_up(victim.data, None);
         }
-        l2.data_mut(l2_slot).0 |= IN_L1;
+        l2.set_up(l2_slot, Some(l1_slot));
     }
 
-    /// The slots of `addr` in `core`'s L1 and L2. The L2 is searched
-    /// first, and the L1 only when the L2 way's bit says it holds the
-    /// line.
-    fn private_slots(&self, core: usize, addr: LineAddr) -> (Option<Slot>, Option<Slot>) {
-        let Some(l2_slot) = self.l2[core].find(addr) else {
+    /// A store by `core` to `addr`, which its L2 holds Shared at `l2_slot`:
+    /// invalidates every peer's copy, which leaves `core` the line's only
+    /// holder, and links the L3 way up to `l2_slot`.
+    fn upgrade(&mut self, core: usize, addr: LineAddr, l2_slot: Slot) {
+        let l3_slot = self.l2[core].data(l2_slot);
+        self.invalidate_peers(core, addr, l3_slot);
+        self.l3.set_up(l3_slot, Some(l2_slot));
+    }
+
+    /// The slots of `addr` in the L1 and L2 of `core`, whose core-valid bit
+    /// is set. `link` is the L3 way's link up: when it is set, `core` is
+    /// the line's only holder and the link is its L2 slot, so no set is
+    /// searched; otherwise the L2 set is. The L1 slot is the L2 way's link
+    /// up.
+    fn private_slots(
+        &self,
+        core: usize,
+        addr: LineAddr,
+        link: Option<Slot>,
+    ) -> (Option<Slot>, Option<Slot>) {
+        let Some(l2_slot) = link.or_else(|| self.l2[core].find(addr)) else {
             return (None, None);
         };
-        let l1_slot = if self.l2[core].data(l2_slot).in_l1() {
-            self.l1[core].find(addr)
-        } else {
-            None
-        };
-        (l1_slot, Some(l2_slot))
+        debug_assert_eq!(self.l2[core].line_at(l2_slot), Some(addr), "core {core}");
+        (self.l2[core].up(l2_slot), Some(l2_slot))
     }
 
     /// Snoops the peers whose core-valid bits are set in the L3 way at
@@ -375,9 +380,10 @@ impl SystemCaches {
             self.invalidate_peers(requester, addr, l3_slot);
             return peers != 0;
         }
+        let link = self.l3.up(l3_slot);
         for core in cores_in(peers) {
             // Downgrade M/E to S; dirty data is reflected to L3.
-            let (l1_slot, l2_slot) = self.private_slots(core, addr);
+            let (l1_slot, l2_slot) = self.private_slots(core, addr, link);
             if l1_slot.is_some_and(|s| self.l1[core].state(s).is_dirty())
                 || l2_slot.is_some_and(|s| self.l2[core].state(s).is_dirty())
             {
@@ -394,17 +400,19 @@ impl SystemCaches {
     }
 
     /// Invalidates the copies of the line whose L3 way is at `l3_slot` in
-    /// every core but `requester`, and clears those cores' bits.
+    /// every core but `requester`, and clears those cores' bits. The caller
+    /// then links the L3 way up to the requester's L2 way.
     fn invalidate_peers(&mut self, requester: usize, addr: LineAddr, l3_slot: Slot) {
         let peers = self.l3.data(l3_slot) & !(1u32 << requester);
-        self.invalidate_private(addr, peers);
+        self.invalidate_private(addr, peers, self.l3.up(l3_slot));
         *self.l3.data_mut(l3_slot) &= !peers;
     }
 
-    /// Removes `addr` from the private caches of the cores in `mask`.
-    fn invalidate_private(&mut self, addr: LineAddr, mask: u32) {
+    /// Removes `addr` from the private caches of the cores in `mask`, each
+    /// a holder of the line; `link` is the line's L3 link up.
+    fn invalidate_private(&mut self, addr: LineAddr, mask: u32, link: Option<Slot>) {
         for core in cores_in(mask) {
-            let (l1_slot, l2_slot) = self.private_slots(core, addr);
+            let (l1_slot, l2_slot) = self.private_slots(core, addr, link);
             if let Some(s) = l1_slot {
                 self.l1[core].invalidate_at(s);
             }
@@ -450,49 +458,44 @@ impl SystemCaches {
 
     /// Audits the whole hierarchy:
     ///
-    /// * every L1 way's L2 slot holds the same line, with its L1 bit set,
-    ///   so every L1 line is in the same core's L2;
-    /// * an L2 way's L1 bit is set exactly when the core's L1 holds the
-    ///   line;
+    /// * every L1 way's L2 slot holds the same line and links up to it, so
+    ///   every L1 line is in the same core's L2;
+    /// * an L2 way links up exactly when the core's L1 holds the line, to
+    ///   the L1 way that holds it;
     /// * every L2 way's L3 slot holds the same line, with that core's bit
     ///   set, so every L2 line is in the L3;
     /// * an L3 way's bit `c` is set exactly when core `c`'s L2 holds the
     ///   line;
+    /// * an L3 way links up only when one core holds the line, to that
+    ///   core's L2 way that holds it;
     /// * a line a core holds Modified or Exclusive is in no other core's
     ///   caches (by the checks above, only the cores whose bits are set
     ///   need looking at).
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for core in 0..self.cfg.cores {
-            for (addr, l2_slot) in self.l1[core].lines() {
-                if self.l2[core].line_at(l2_slot) != Some(addr) {
+        for (core, (l1, l2)) in self.l1.iter().zip(&self.l2).enumerate() {
+            for (_, addr, l2_slot) in l1.lines() {
+                if l2.line_at(l2_slot) != Some(addr) {
                     return Err(format!(
                         "{addr}: core {core}'s L1 way links to an L2 way that does not hold it"
                     ));
                 }
-                if !self.l2[core].data(l2_slot).in_l1() {
+                if l2.up(l2_slot).is_none() {
                     return Err(format!(
-                        "{addr}: in core {core}'s L1 but its L2 way's L1 bit is clear"
+                        "{addr}: in core {core}'s L1 but its L2 way does not link up"
                     ));
                 }
             }
-            // Each L1 line sets the bit of a distinct L2 way (checked
-            // above), so the L1 bits are exact when they number the L1's
-            // lines. Only a surplus needs the search that names its line.
-            let flagged = self.l2[core].lines().filter(|(_, link)| link.in_l1());
-            if flagged.count() != self.l1[core].resident_lines() {
-                if let Some((addr, _)) = self.l2[core]
-                    .lines()
-                    .find(|&(addr, link)| link.in_l1() && self.l1[core].find(addr).is_none())
+            for (l2_slot, addr, l3_slot) in l2.lines() {
+                if l2
+                    .up(l2_slot)
+                    .is_some_and(|up| l1.line_at(up) != Some(addr))
                 {
                     return Err(format!(
-                        "{addr}: core {core}'s L2 way has its L1 bit set but its L1 lacks the line"
+                        "{addr}: core {core}'s L2 way links up to an L1 way that does not hold it"
                     ));
                 }
-            }
-            for (addr, link) in self.l2[core].lines() {
-                let l3_slot = link.slot();
                 if self.l3.line_at(l3_slot) != Some(addr) {
                     return Err(format!(
                         "{addr}: core {core}'s L2 way links to an L3 way that does not hold it"
@@ -522,10 +525,10 @@ impl SystemCaches {
         // Each L2 line sets its own bit (checked above), so the bits are
         // exact when there are as many as L2 lines. Only a surplus needs
         // the search that names its line.
-        let bits: usize = self.l3.lines().map(|(_, b)| b.count_ones() as usize).sum();
+        let bits: usize = self.l3.lines().map(|(.., b)| b.count_ones() as usize).sum();
         let held: usize = self.l2.iter().map(SetAssocCache::resident_lines).sum();
         if bits != held {
-            for (addr, bits) in self.l3.lines() {
+            for (_, addr, bits) in self.l3.lines() {
                 if let Some(core) = cores_in(bits)
                     .find(|&core| core >= self.cfg.cores || self.l2[core].find(addr).is_none())
                 {
@@ -533,6 +536,24 @@ impl SystemCaches {
                         "{addr}: core {core}'s core-valid bit is set but its L2 lacks the line"
                     ));
                 }
+            }
+        }
+        // The bits are exact, so a lone bit names a core that exists.
+        for (slot, addr, bits) in self.l3.lines() {
+            let Some(l2_slot) = self.l3.up(slot) else {
+                continue;
+            };
+            if bits.count_ones() != 1 {
+                return Err(format!(
+                    "{addr}: the L3 way links up to one holder but {} cores hold it",
+                    bits.count_ones()
+                ));
+            }
+            let core = bits.trailing_zeros() as usize;
+            if self.l2[core].line_at(l2_slot) != Some(addr) {
+                return Err(format!(
+                    "{addr}: the L3 way links up to a way of core {core}'s L2 that does not hold it"
+                ));
             }
         }
         Ok(())
@@ -780,16 +801,15 @@ mod tests {
     fn another_line<T: Copy + Default>(cache: &SetAssocCache<T>, addr: LineAddr) -> Slot {
         cache
             .lines()
-            .find(|&(a, _)| a != addr)
-            .and_then(|(a, _)| cache.find(a))
+            .find(|&(_, a, _)| a != addr)
+            .map(|(slot, ..)| slot)
             .expect("another line is resident")
     }
 
     #[test]
     fn a_broken_link_is_named() {
         let s = exercised();
-        let (addr, _) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
-        let l1_slot = s.l1[1].find(addr).expect("resident");
+        let (l1_slot, addr, _) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
         let mut broken = s.clone();
         *broken.l1[1].data_mut(l1_slot) = another_line(&s.l2[1], addr);
         let err = broken.check_invariants().unwrap_err();
@@ -798,12 +818,9 @@ mod tests {
             format!("{addr}: core 1's L1 way links to an L2 way that does not hold it")
         );
 
-        let (addr, link) = s.l2[2].lines().next().expect("core 2's L2 holds lines");
-        let l2_slot = s.l2[2].find(addr).expect("resident");
+        let (l2_slot, addr, _) = s.l2[2].lines().next().expect("core 2's L2 holds lines");
         let mut broken = s.clone();
-        // Swap the L3 slot and keep the L1 bit.
-        let swapped = another_line(&s.l3, addr).0 | link.0 & IN_L1;
-        broken.l2[2].data_mut(l2_slot).0 = swapped;
+        *broken.l2[2].data_mut(l2_slot) = another_line(&s.l3, addr);
         let err = broken.check_invariants().unwrap_err();
         assert_eq!(
             err,
@@ -812,28 +829,79 @@ mod tests {
     }
 
     #[test]
-    fn a_wrong_l1_bit_is_named() {
+    fn a_wrong_l1_link_is_named() {
         let s = exercised();
-        // A bit cleared for a line the L1 holds.
-        let (addr, l2_slot) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
+        // A link cleared for a line the L1 holds.
+        let (l1_slot, addr, l2_slot) = s.l1[1].lines().next().expect("core 1's L1 holds lines");
         let mut broken = s.clone();
-        broken.l2[1].data_mut(l2_slot).0 &= !IN_L1;
+        broken.l2[1].set_up(l2_slot, None);
         assert_eq!(
             broken.check_invariants().unwrap_err(),
-            format!("{addr}: in core 1's L1 but its L2 way's L1 bit is clear")
+            format!("{addr}: in core 1's L1 but its L2 way does not link up")
         );
 
-        // A bit set for a line the L1 lacks.
-        let (addr, _) = s.l2[0]
-            .lines()
-            .find(|&(addr, link)| !link.in_l1() && s.l1[0].find(addr).is_none())
-            .expect("core 0's L2 holds a line its L1 lacks");
-        let l2_slot = s.l2[0].find(addr).expect("resident");
-        let mut broken = s;
-        broken.l2[0].data_mut(l2_slot).0 |= IN_L1;
+        // A link to the L1 way of another line the L1 holds.
+        let mut broken = s.clone();
+        broken.l2[1].set_up(l2_slot, Some(another_line(&s.l1[1], addr)));
+        assert_ne!(Some(l1_slot), broken.l2[1].up(l2_slot));
         assert_eq!(
             broken.check_invariants().unwrap_err(),
-            format!("{addr}: core 0's L2 way has its L1 bit set but its L1 lacks the line")
+            format!("{addr}: core 1's L2 way links up to an L1 way that does not hold it")
+        );
+
+        // A link set for a line the L1 lacks.
+        let (l2_slot, addr, _) = s.l2[0]
+            .lines()
+            .find(|&(slot, addr, _)| s.l2[0].up(slot).is_none() && s.l1[0].find(addr).is_none())
+            .expect("core 0's L2 holds a line its L1 lacks");
+        let mut broken = s;
+        broken.l2[0].set_up(l2_slot, Some(another_line(&broken.l1[0], addr)));
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            format!("{addr}: core 0's L2 way links up to an L1 way that does not hold it")
+        );
+    }
+
+    #[test]
+    fn a_wrong_l3_link_is_named() {
+        let mut s = small(2);
+        // Both cores hold line 5 and core 1 alone holds 6. Lines 0, 4, 8,
+        // 12 and 16 fill core 0's L2 set 0, so its victim, line 0, stays
+        // in the 16-set L3 with no holder.
+        let fills = [0, 4, 8, 12, 16].map(|line| (0, line));
+        for (core, line) in [(0, 5), (1, 5), (1, 6)].into_iter().chain(fills) {
+            s.access(core, LineAddr(line), false);
+        }
+        assert_eq!(s.check_invariants(), Ok(()));
+
+        // A link on a line two cores hold.
+        let (slot, link) = l3_link(&s, 5);
+        assert_eq!((s.l3.data(slot), link), (0b11, None));
+        let mut broken = s.clone();
+        broken.l3.set_up(slot, s.l2[0].find(LineAddr(5)));
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            "0x5: the L3 way links up to one holder but 2 cores hold it"
+        );
+
+        // A link on a line no core holds.
+        let (slot, link) = l3_link(&s, 0);
+        assert_eq!((s.l3.data(slot), link), (0, None));
+        let mut broken = s.clone();
+        broken.l3.set_up(slot, Some(Slot(0)));
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            "0x0: the L3 way links up to one holder but 0 cores hold it"
+        );
+
+        // A link to a way of the one holder's L2 that holds another line.
+        let (slot, link) = l3_link(&s, 6);
+        assert_eq!(link, s.l2[1].find(LineAddr(6)));
+        let mut broken = s;
+        broken.l3.set_up(slot, broken.l2[1].find(LineAddr(5)));
+        assert_eq!(
+            broken.check_invariants().unwrap_err(),
+            "0x6: the L3 way links up to a way of core 1's L2 that does not hold it"
         );
     }
 
@@ -841,15 +909,170 @@ mod tests {
     fn l2_victims_held_only_by_the_l2_leave_the_l1_alone() {
         let mut s = small(1);
         // Lines 0, 2 and 4 share set 0 of the 2-set, 2-way L1, so filling
-        // 4 evicts 0 from the L1 and clears its bit; 0 stays in the L2.
+        // 4 evicts 0 from the L1 and clears its link; 0 stays in the L2.
         for line in [0, 2, 4] {
             s.access(0, LineAddr(line), false);
         }
         let l2_slot = s.l2[0].find(LineAddr(0)).expect("the L2 keeps line 0");
         assert_eq!(s.l1[0].find(LineAddr(0)), None);
-        assert!(!s.l2[0].data(l2_slot).in_l1());
+        assert_eq!(s.l2[0].up(l2_slot), None);
         let l2_slot = s.l2[0].find(LineAddr(4)).expect("resident");
-        assert!(s.l2[0].data(l2_slot).in_l1());
+        assert_eq!(s.l2[0].up(l2_slot), s.l1[0].find(LineAddr(4)));
+        assert_eq!(s.check_invariants(), Ok(()));
+        // Lines 8, 12 and 16 fill set 0 of the 4-set, 4-way L2, so 16
+        // evicts line 0, which no L1 way holds: the L1 loses no line.
+        for line in [8, 12, 16] {
+            s.access(0, LineAddr(line), false);
+        }
+        assert_eq!(s.private_state(0, LineAddr(0)), None);
+        assert_eq!(s.l1_stats(0).invalidations, 0);
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn an_l2_victim_its_l1_holds_is_invalidated_at_the_linked_way() {
+        let mut s = small(1);
+        // Lines 0, 4, 8 and 12 fill set 0 of the L2, and the L1 hits on 0
+        // in between keep it in the 2-way L1 set 0 without re-ranking it
+        // in the L2: 0 stays the L2 set's least recently used line.
+        for line in [0, 4, 0, 8, 0, 12] {
+            s.access(0, LineAddr(line), false);
+        }
+        let l2_slot = s.l2[0].find(LineAddr(0)).expect("resident");
+        let l1_slot = s.l1[0].find(LineAddr(0)).expect("the L1 keeps line 0");
+        assert_eq!(s.l2[0].up(l2_slot), Some(l1_slot));
+        // 16 evicts 0 from the L2, and the link takes its L1 copy with it.
+        s.access(0, LineAddr(16), false);
+        assert_eq!(s.private_state(0, LineAddr(0)), None);
+        assert_eq!(s.l1_stats(0).invalidations, 1);
+        for line in [12, 16] {
+            assert!(
+                s.l1[0].find(LineAddr(line)).is_some(),
+                "the L1 keeps {line}"
+            );
+        }
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    /// The slot of `addr` in the L3 and its link up.
+    fn l3_link(s: &SystemCaches, addr: u64) -> (Slot, Option<Slot>) {
+        let slot = s.l3.find(LineAddr(addr)).expect("the L3 holds the line");
+        (slot, s.l3.up(slot))
+    }
+
+    #[test]
+    fn an_l3_victim_one_l2_holds_is_invalidated_through_the_link() {
+        let mut s = small(1);
+        // Lines 0, 16, 32 and 48 fill set 0 of the 16-set, 4-way L3 and of
+        // the 4-set L2; the 2-way L1 keeps only 32 and 48.
+        for line in [0, 16, 32, 48] {
+            s.access(0, LineAddr(line), false);
+        }
+        assert_eq!(l3_link(&s, 0).1, s.l2[0].find(LineAddr(0)));
+        assert_eq!(s.l1[0].find(LineAddr(0)), None);
+        // 64 evicts 0 from the L3, which back-invalidates its L2 copy.
+        assert_eq!(s.access(0, LineAddr(64), false).level, HitLevel::Memory);
+        assert_eq!(s.private_state(0, LineAddr(0)), None);
+        assert_eq!(
+            (s.l1_stats(0).invalidations, s.l2_stats(0).invalidations),
+            (0, 1)
+        );
+        assert_eq!(l3_link(&s, 64).1, s.l2[0].find(LineAddr(64)));
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn an_l3_victim_one_core_holds_in_both_levels_is_invalidated_through_the_links() {
+        let mut s = small(1);
+        // As above, but L1 hits on 0 keep it in the L1 and rank it in
+        // neither the L2 nor the L3.
+        for line in [0, 16, 0, 32, 0, 48, 0] {
+            s.access(0, LineAddr(line), false);
+        }
+        assert_eq!(l3_link(&s, 0).1, s.l2[0].find(LineAddr(0)));
+        let l2_slot = s.l2[0].find(LineAddr(0)).expect("resident");
+        assert_eq!(s.l2[0].up(l2_slot), s.l1[0].find(LineAddr(0)));
+        assert!(s.l2[0].up(l2_slot).is_some(), "the L1 holds line 0");
+        s.access(0, LineAddr(64), false);
+        assert_eq!(s.private_state(0, LineAddr(0)), None);
+        assert_eq!(
+            (s.l1_stats(0).invalidations, s.l2_stats(0).invalidations),
+            (1, 1)
+        );
+        // The back-invalidation freed 0's L1 way, so 48 survives 64's fill.
+        assert!(s.l1[0].find(LineAddr(48)).is_some());
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn an_l3_victim_two_cores_hold_is_found_by_search() {
+        let mut s = small(2);
+        s.access(0, LineAddr(0), false);
+        assert_eq!(s.access(1, LineAddr(0), false).level, HitLevel::Peer);
+        assert_eq!(l3_link(&s, 0).1, None, "two holders: no link");
+        for line in [16, 32, 48] {
+            s.access(0, LineAddr(line), false);
+        }
+        s.access(0, LineAddr(64), false);
+        for core in 0..2 {
+            assert_eq!(s.private_state(core, LineAddr(0)), None, "core {core}");
+            assert_eq!(s.l2_stats(core).invalidations, 1, "core {core}");
+        }
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn a_read_snoop_clears_the_l3_link() {
+        let mut s = small(2);
+        s.access(0, LineAddr(5), false);
+        assert_eq!(l3_link(&s, 5).1, s.l2[0].find(LineAddr(5)));
+        assert_eq!(s.access(1, LineAddr(5), false).level, HitLevel::Peer);
+        let (slot, link) = l3_link(&s, 5);
+        assert_eq!((s.l3.data(slot), link), (0b11, None));
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn a_write_upgrade_sets_the_l3_link() {
+        let mut s = small(2);
+        // From the L1: both cores read line 5, then core 1 writes it.
+        s.access(0, LineAddr(5), false);
+        s.access(1, LineAddr(5), false);
+        assert_eq!(s.access(1, LineAddr(5), true).level, HitLevel::L1);
+        assert_eq!(l3_link(&s, 5).1, s.l2[1].find(LineAddr(5)));
+        assert_eq!(s.private_state(0, LineAddr(5)), None);
+        assert_eq!(s.check_invariants(), Ok(()));
+
+        // From the L2: core 0 reads line 5 back, so both share it; core 1's
+        // reads of 7 and 9 push 5 out of its 2-way L1 set 1 but not its L2.
+        s.access(0, LineAddr(5), false);
+        assert_eq!(l3_link(&s, 5).1, None);
+        for line in [7, 9] {
+            s.access(1, LineAddr(line), false);
+        }
+        assert_eq!(s.access(1, LineAddr(5), true).level, HitLevel::L2);
+        assert_eq!(l3_link(&s, 5).1, s.l2[1].find(LineAddr(5)));
+        assert_eq!(s.private_state(0, LineAddr(5)), None);
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn a_probe_of_a_modified_line_one_core_holds_downgrades_it_through_the_link() {
+        let mut s = small(2);
+        // Held Modified in core 1's L1 and L2.
+        s.access(1, LineAddr(7), true);
+        assert_eq!(l3_link(&s, 7).1, s.l2[1].find(LineAddr(7)));
+        assert_eq!(s.probe_from_mc(LineAddr(7)), Some(4 + 12));
+        assert_eq!(s.private_state(1, LineAddr(7)), Some(LineState::Shared));
+        // Held Modified in core 1's L2 only: 9 and 11 push 7 out of L1 set 1.
+        s.access(1, LineAddr(7), true);
+        for line in [9, 11] {
+            s.access(1, LineAddr(line), false);
+        }
+        assert_eq!(s.l1[1].find(LineAddr(7)), None);
+        assert_eq!(s.private_state(1, LineAddr(7)), Some(LineState::Modified));
+        s.probe_from_mc(LineAddr(7));
+        assert_eq!(s.private_state(1, LineAddr(7)), Some(LineState::Shared));
         assert_eq!(s.check_invariants(), Ok(()));
     }
 
@@ -859,7 +1082,7 @@ mod tests {
         // A bit set for a core whose L2 lacks the line.
         let (addr, core) =
             s.l3.lines()
-                .find_map(|(addr, bits)| {
+                .find_map(|(_, addr, bits)| {
                     (0..3)
                         .find(|&c| bits & 1 << c == 0)
                         .map(|core| (addr, core))
@@ -874,9 +1097,9 @@ mod tests {
         );
 
         // A bit cleared for a core whose L2 holds the line.
-        let (addr, link) = s.l2[0].lines().next().expect("core 0's L2 holds lines");
+        let (_, addr, l3_slot) = s.l2[0].lines().next().expect("core 0's L2 holds lines");
         let mut broken = s;
-        *broken.l3.data_mut(link.slot()) &= !1;
+        *broken.l3.data_mut(l3_slot) &= !1;
         assert_eq!(
             broken.check_invariants().unwrap_err(),
             format!("{addr}: in core 0's L2 without its core-valid bit")
@@ -911,11 +1134,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fewer than 2^31 L3 slots")]
-    fn an_l3_of_2_pow_31_slots_is_refused() {
+    #[should_panic(expected = "at most 65,535 L2 slots, not 65536")]
+    fn an_l2_of_more_than_65_535_slots_is_refused() {
         let mut cfg = HierarchyConfig::micro50(1);
-        cfg.l3.ways = 16;
-        cfg.l3.size_bytes = (1 << 31) * LINE_SIZE;
+        cfg.l2.size_bytes = (1 << 16) * LINE_SIZE;
         // Refused before any cache is built, so nothing is allocated.
         SystemCaches::new(cfg);
     }

@@ -21,9 +21,10 @@
 //! per-way core-valid bits, as inclusive last-level caches do in hardware:
 //! they name exactly the cores whose private caches hold the line, so an
 //! L3 miss skips the snoop entirely. Each private way links to its line's
-//! slot one level down, so coherence updates reach the levels below
-//! without searching a set, and an L2 way's link says whether the core's
-//! L1 holds the line, so an L1 set is searched only for a line it holds.
+//! slot one level down, and each way to its line's copy one level up: an
+//! L2 way to its L1 copy, an L3 way to the L2 copy of the line's only
+//! holder. So coherence updates reach the other levels without searching a
+//! set, except an L2 set for a line whose L3 link is clear.
 //!
 //! # Examples
 //!
