@@ -12,6 +12,7 @@ use pageforge_ecc::EccKeyConfig;
 use pageforge_faults::{FaultInjector, FaultPlan, FleetFaultPlan};
 use pageforge_fleet::{ControlPlane, FleetConfig, FleetResult};
 use pageforge_ksm::{Ksm, KsmConfig};
+use pageforge_obs::Registry;
 use pageforge_sim::{DedupMode, SimConfig, SimResult, System};
 use pageforge_types::stats::RunningStats;
 use pageforge_types::{Cycle, Gfn, PageData, VmId};
@@ -874,7 +875,9 @@ pub fn fault_campaign_cell(rate: usize, rep: usize, seed: u64, scale: Scale) -> 
     mem.check_invariants()
         .unwrap_or_else(|e| panic!("memory invariants violated at rate {rate}: {e}"));
 
-    let snap = pf.export_metrics().snapshot();
+    let mut reg = Registry::new();
+    pf.export_metrics(&mut reg);
+    let snap = reg.snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     FaultCell {
         rate,

@@ -10,9 +10,11 @@
 //!
 //! Histograms are compared field-by-field (`count`, `mean`, `stddev`,
 //! `min`, `max`), each reported as its own named row (`name.mean`, ...),
-//! so a distribution shift is attributed to the moment that moved. A
-//! metric that changed *kind* between snapshots (say, a gauge that became
-//! a histogram) is reported as removed-plus-added rather than a delta.
+//! so a distribution shift is attributed to the moment that moved.
+//! Counters and gauges compare as one scalar kind: a snapshot read from
+//! JSON cannot tell a whole-valued gauge from a counter. A metric that
+//! changed between scalar and histogram is reported as removed-plus-added
+//! rather than a delta.
 
 use pageforge_obs::{Snapshot, SnapshotValue};
 
@@ -59,11 +61,12 @@ fn scalars(name: &str, value: &SnapshotValue) -> Vec<(String, f64)> {
     }
 }
 
-/// The kind tag used to detect counter/gauge/histogram changes.
+/// The kind tag used to detect scalar/histogram changes. Counters and
+/// gauges share one tag, because JSON keeps no kind: `Snapshot::from_json`
+/// reads a whole-valued gauge back as a counter.
 fn kind(value: &SnapshotValue) -> &'static str {
     match value {
-        SnapshotValue::Counter(_) => "counter",
-        SnapshotValue::Gauge(_) => "gauge",
+        SnapshotValue::Counter(_) | SnapshotValue::Gauge(_) => "scalar",
         SnapshotValue::Histogram(_) => "histogram",
     }
 }
@@ -193,18 +196,25 @@ mod tests {
     use super::*;
     use pageforge_obs::Registry;
     use pageforge_types::json::{self, FromJson, ToJson};
+    use pageforge_types::stats::RunningStats;
 
     fn snap(counter: u64, gauge: f64, samples: &[f64]) -> Snapshot {
-        let mut reg = Registry::new();
-        let c = reg.counter("engine.batches");
-        let g = reg.gauge("mem.savings");
-        let h = reg.histogram("engine.run_cycles");
-        reg.add(c, counter);
-        reg.set(g, gauge);
+        let mut run_cycles = RunningStats::new();
         for s in samples {
-            reg.observe(h, *s);
+            run_cycles.push(*s);
         }
+        let mut reg = Registry::new();
+        reg.counter("engine.batches", counter);
+        reg.gauge("mem.savings", gauge);
+        reg.histogram("engine.run_cycles", &run_cycles);
         reg.snapshot()
+    }
+
+    /// `s` written to JSON text and read back, as `snapshot_diff` reads
+    /// its inputs.
+    fn via_file(s: &Snapshot) -> Snapshot {
+        Snapshot::from_json(&json::parse(&s.to_json().to_string_pretty()).unwrap())
+            .expect("snapshot parses back")
     }
 
     #[test]
@@ -240,8 +250,7 @@ mod tests {
     #[test]
     fn added_and_removed_metrics_always_exceed() {
         let mut reg = Registry::new();
-        let c = reg.counter("engine.batches");
-        reg.add(c, 5);
+        reg.counter("engine.batches", 5);
         let small = reg.snapshot();
         let d = diff(&small, &snap(5, 0.5, &[1.0]));
         assert!(d.changed.is_empty());
@@ -260,9 +269,24 @@ mod tests {
 
     #[test]
     fn diff_survives_json_roundtrip_of_inputs() {
-        let a = snap(5, 0.5, &[1.0, 2.0]);
-        let b = Snapshot::from_json(&json::parse(&a.to_json().to_string_pretty()).unwrap())
-            .expect("snapshot parses back");
-        assert!(diff(&a, &b).is_empty());
+        // 181.0 is a whole-valued gauge, which the file reads back as a
+        // counter.
+        for gauge in [0.5, 181.0] {
+            let a = snap(5, gauge, &[1.0, 2.0]);
+            assert!(diff(&a, &via_file(&a)).is_empty(), "gauge {gauge}");
+        }
+    }
+
+    #[test]
+    fn gauge_falling_to_zero_between_files_is_a_delta() {
+        let d = diff(
+            &via_file(&snap(5, 0.25, &[1.0])),
+            &via_file(&snap(5, 0.0, &[1.0])),
+        );
+        assert!(d.added.is_empty() && d.removed.is_empty(), "{d:?}");
+        assert_eq!(d.changed.len(), 1);
+        assert_eq!(d.changed[0].name, "mem.savings");
+        assert_eq!(d.changed[0].rel, -1.0);
+        assert!(!d.exceeds(10.0));
     }
 }

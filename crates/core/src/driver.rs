@@ -259,11 +259,11 @@ impl PageForge {
         self.engine.stats()
     }
 
-    /// Projects driver + engine statistics into one registry: the
-    /// engine's own `engine.*` metrics plus the driver's `pageforge.*`
-    /// counters and tree gauges (see OBSERVABILITY.md).
-    pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.engine.export_metrics();
+    /// Writes driver + engine statistics into `out`: the engine's own
+    /// `engine.*` metrics plus the driver's `pageforge.*` counters and
+    /// tree gauges (see OBSERVABILITY.md).
+    pub fn export_metrics(&self, out: &mut Registry) {
+        self.engine.export_metrics(out);
         let s = &self.stats;
         for (name, v) in [
             ("pageforge.passes", s.passes),
@@ -288,8 +288,7 @@ impl PageForge {
                 self.unstable.rotations(),
             ),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, v);
+            out.counter(name, v);
         }
         for (name, v) in [
             ("pageforge.stable_tree.size", self.stable.len() as f64),
@@ -300,15 +299,12 @@ impl PageForge {
                 self.unstable.depth() as f64,
             ),
         ] {
-            let id = reg.gauge(name);
-            reg.set(id, v);
+            out.gauge(name, v);
         }
-        let h = reg.histogram("pageforge.candidate_cycles");
-        reg.merge_into(h, &s.candidate_cycles);
+        out.histogram("pageforge.candidate_cycles", &s.candidate_cycles);
         if let Some(f) = self.engine.fault_injector() {
-            f.export_metrics(&mut reg);
+            f.export_metrics(out);
         }
-        reg
     }
 
     /// The stable tree.

@@ -191,11 +191,9 @@ impl PageForgeEngine {
         &self.stats
     }
 
-    /// The counters as `engine.*` metrics, for aggregation into a
-    /// simulation-wide snapshot.
-    pub fn export_metrics(&self) -> Registry {
+    /// Writes the counters into `out` as `engine.*` metrics.
+    pub fn export_metrics(&self, out: &mut Registry) {
         let s = &self.stats;
-        let mut reg = Registry::new();
         for (name, v) in [
             ("engine.runs", s.runs),
             ("engine.comparisons", s.comparisons),
@@ -205,12 +203,9 @@ impl PageForgeEngine {
             ("engine.duplicates", s.duplicates),
             ("engine.keys_completed", s.keys_completed),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, v);
+            out.counter(name, v);
         }
-        let h = reg.histogram("engine.run_cycles");
-        reg.merge_into(h, &s.run_cycles);
-        reg
+        out.histogram("engine.run_cycles", &s.run_cycles);
     }
 
     /// The Scan Table (read-only; the OS mutates it through the API calls).

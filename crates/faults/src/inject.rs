@@ -299,7 +299,7 @@ impl FaultInjector {
         }
     }
 
-    /// Merges the `faults.*` counters into `out`, adding the derived
+    /// Writes the `faults.*` counters into `out`, adding the derived
     /// `faults.masked` count (scheduled but never reached an injection
     /// point — e.g. armed after the last batch of the run).
     pub fn export_metrics(&self, out: &mut Registry) {
@@ -317,8 +317,7 @@ impl FaultInjector {
             ("faults.stall_hits", c.stall_hits),
             ("faults.masked", c.scheduled.saturating_sub(c.injected)),
         ] {
-            let id = out.counter(name);
-            out.add(id, v);
+            out.counter(name, v);
         }
     }
 }

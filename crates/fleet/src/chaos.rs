@@ -3,8 +3,8 @@
 //! [`FleetChaos`] tally.
 //!
 //! [`ChaosState`] is pure state — the recovery *logic* (heartbeat,
-//! evacuation drain, placement audit) lives in `plane`, where the metric
-//! ids and lease machinery are in scope. Everything here is a
+//! evacuation drain, placement audit) lives in `plane`, where the lease
+//! machinery is in scope. Everything here is a
 //! deterministic function of the plan and the tick number:
 //!
 //! * a host is **down** while its crash window is open *or* while any of
@@ -19,11 +19,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use pageforge_faults::{FleetFaultEvent, FleetFaultPlan};
+use pageforge_types::stats::RunningStats;
 
 use crate::result::FleetChaos;
 
-/// Per-run chaos state, sized to the fleet at construction.
-#[derive(Debug)]
+/// Per-run chaos state, sized to the fleet at construction. The default
+/// is a zero-host state with every count at 0: what a plan-free run
+/// exports.
+#[derive(Debug, Default)]
 pub(crate) struct ChaosState {
     /// Plan events sorted by firing tick; `next_event` is the replay
     /// cursor.
@@ -54,6 +57,13 @@ pub(crate) struct ChaosState {
     evac_tick: BTreeMap<u32, u64>,
     /// Sum of evacuation waits, for the latency mean.
     wait_sum: u64,
+    /// Every evacuation wait, in ticks (the `fleet.evac.latency`
+    /// histogram).
+    pub(crate) evac_waits: RunningStats,
+    /// Per-host health checks run by the heartbeat.
+    pub(crate) health_checks: u64,
+    /// Hosts the last heartbeat found unhealthy.
+    pub(crate) unhealthy_now: u64,
     /// The running summary folded into the result.
     pub(crate) tally: FleetChaos,
 }
@@ -65,7 +75,6 @@ impl ChaosState {
         events.sort_by_key(|e| e.at_tick);
         ChaosState {
             events,
-            next_event: 0,
             down_until: vec![0; hosts],
             gray_until: vec![0; hosts],
             gray_factor: vec![1; hosts],
@@ -74,10 +83,7 @@ impl ChaosState {
             unhealthy_prev: vec![false; hosts],
             migfail_armed: vec![0; hosts],
             pending_from: vec![0; hosts],
-            evac: BTreeSet::new(),
-            evac_tick: BTreeMap::new(),
-            wait_sum: 0,
-            tally: FleetChaos::default(),
+            ..ChaosState::default()
         }
     }
 
@@ -253,10 +259,12 @@ impl ChaosState {
         }
     }
 
-    /// Accumulates one evacuation wait for the latency mean/max.
+    /// Accumulates one evacuation wait for the latency mean, max and
+    /// histogram.
     pub(crate) fn note_evac_wait(&mut self, waited: u64) {
         self.wait_sum += waited;
         self.tally.evac_latency_max = self.tally.evac_latency_max.max(waited);
+        self.evac_waits.push(waited as f64);
     }
 
     /// Cancels a pending evacuation when the VM departs on its own

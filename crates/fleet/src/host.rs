@@ -279,13 +279,12 @@ impl Host {
         &self.engine
     }
 
-    /// Everything this host exports: the engine's `engine.*`/
-    /// `pageforge.*` (and `faults.*`, if an injector is installed)
-    /// metrics plus the memory substrate's `mem.*` metrics.
-    pub fn export_metrics(&self) -> Registry {
-        let mut reg = self.engine.export_metrics();
-        reg.absorb(&self.mem.export_metrics());
-        reg
+    /// Writes everything this host exports into `out`: the engine's
+    /// `engine.*`/`pageforge.*` (and `faults.*`, if an injector is
+    /// installed) metrics plus the memory substrate's `mem.*` metrics.
+    pub fn export_metrics(&self, out: &mut Registry) {
+        self.engine.export_metrics(out);
+        self.mem.export_metrics(out);
     }
 
     /// Re-derives the engine's hint list from the resident set (VM-id

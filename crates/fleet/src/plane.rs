@@ -32,8 +32,9 @@
 use std::collections::BTreeMap;
 
 use pageforge_faults::FleetFaultKind;
-use pageforge_obs::{trace_event, CounterId, GaugeId, HistogramId, Registry, Snapshot};
+use pageforge_obs::{trace_event, Registry, Snapshot};
 use pageforge_types::derive_seed;
+use pageforge_types::stats::RunningStats;
 use pageforge_vm::AppProfile;
 use pageforge_workloads::ServerlessWorkload;
 
@@ -50,73 +51,8 @@ struct Lease {
     attempt: u32,
 }
 
-/// Pre-registered metric ids (one `fleet.*` registration site, mirrored
-/// by OBSERVABILITY.md's metric-namespace table).
-struct Ids {
-    arrivals: CounterId,
-    departures: CounterId,
-    migrations: CounterId,
-    migrated_pages: CounterId,
-    rebalances: CounterId,
-    scanned_pages: CounterId,
-    merged_pages: CounterId,
-    churn_events: CounterId,
-    q_enqueued: CounterId,
-    q_rejected: CounterId,
-    q_retries: CounterId,
-    q_depth: HistogramId,
-    leases_granted: CounterId,
-    hosts: GaugeId,
-    vms_resident: GaugeId,
-    savings: GaugeId,
-    health_checks: CounterId,
-    health_crashes: CounterId,
-    health_crashes_skipped: CounterId,
-    health_quarantines: CounterId,
-    health_recoveries: CounterId,
-    health_reparked: CounterId,
-    health_unhealthy: GaugeId,
-    evac_vms: CounterId,
-    evac_pages: CounterId,
-    evac_rollbacks: CounterId,
-    evac_latency: HistogramId,
-}
-
-impl Ids {
-    fn register(reg: &mut Registry) -> Ids {
-        Ids {
-            arrivals: reg.counter("fleet.arrivals"),
-            departures: reg.counter("fleet.departures"),
-            migrations: reg.counter("fleet.migrations"),
-            migrated_pages: reg.counter("fleet.migrated_pages"),
-            rebalances: reg.counter("fleet.rebalances"),
-            scanned_pages: reg.counter("fleet.scanned_pages"),
-            merged_pages: reg.counter("fleet.merged_pages"),
-            churn_events: reg.counter("fleet.churn_events"),
-            q_enqueued: reg.counter("fleet.queue.enqueued"),
-            q_rejected: reg.counter("fleet.queue.rejected"),
-            q_retries: reg.counter("fleet.queue.retries"),
-            q_depth: reg.histogram("fleet.queue.depth"),
-            leases_granted: reg.counter("fleet.leases.granted"),
-            hosts: reg.gauge("fleet.hosts"),
-            vms_resident: reg.gauge("fleet.vms_resident"),
-            savings: reg.gauge("fleet.dedup.savings_frac"),
-            health_checks: reg.counter("fleet.health.checks"),
-            health_crashes: reg.counter("fleet.health.crashes"),
-            health_crashes_skipped: reg.counter("fleet.health.crashes_skipped"),
-            health_quarantines: reg.counter("fleet.health.quarantines"),
-            health_recoveries: reg.counter("fleet.health.recoveries"),
-            health_reparked: reg.counter("fleet.health.reparked"),
-            health_unhealthy: reg.gauge("fleet.health.unhealthy"),
-            evac_vms: reg.counter("fleet.evac.vms"),
-            evac_pages: reg.counter("fleet.evac.pages"),
-            evac_rollbacks: reg.counter("fleet.evac.rollbacks"),
-            evac_latency: reg.histogram("fleet.evac.latency"),
-        }
-    }
-}
-
-/// Running aggregates folded into the final [`FleetResult`].
+/// Running aggregates folded into the final [`FleetResult`] and the
+/// `fleet.*` metrics.
 #[derive(Default)]
 struct Totals {
     arrivals: u64,
@@ -133,8 +69,13 @@ struct Totals {
     retries: u64,
     depth_sum: u64,
     depth_max: u64,
+    /// Every host's queue depth at every tick.
+    depth_samples: RunningStats,
     resident_tick_sum: u64,
     savings_tick_sum: f64,
+    /// The last tick's resident VMs and mean savings fraction.
+    resident_now: u64,
+    savings_now: f64,
 }
 
 /// The scenario driver. See the module docs for the per-tick phase
@@ -162,9 +103,6 @@ impl ControlPlane {
     pub fn run(&self) -> (FleetResult, Snapshot) {
         let cfg = &self.cfg;
         assert!(cfg.hosts > 0, "a fleet needs at least one host");
-        let mut reg = Registry::new();
-        let ids = Ids::register(&mut reg);
-        reg.set(ids.hosts, cfg.hosts as f64);
 
         // Per-family content profiles and seeds: instances of one family
         // share runtime-image content (full-span groups), which is the
@@ -226,7 +164,7 @@ impl ControlPlane {
             // Phase 0a: heartbeat — deliver due fault events, toggle
             // engine wedges, count quarantine/recovery transitions.
             if let Some(ch) = chaos.as_mut() {
-                chaos_heartbeat(ch, t, cycle, &mut hosts, &mut reg, &ids);
+                chaos_heartbeat(ch, t, cycle, &mut hosts);
             }
 
             // Phase 0b: evacuation drain — move VMs off crashed hosts
@@ -241,8 +179,6 @@ impl ControlPlane {
                     &profiles,
                     &content_seeds,
                     &mut placement,
-                    &mut reg,
-                    &ids,
                     &mut leases,
                     &mut lease_seq,
                     &mut totals,
@@ -264,7 +200,6 @@ impl ControlPlane {
                         continue;
                     };
                     let pages = host.depart(vm);
-                    reg.inc(ids.departures);
                     totals.departures += 1;
                     trace_event!(cycle, "fleet", "depart", {
                         vm: vm as f64,
@@ -282,7 +217,6 @@ impl ControlPlane {
                     break;
                 }
                 let lease = entry.remove();
-                reg.inc(ids.q_retries);
                 totals.retries += 1;
                 let quarantined = chaos.as_ref().is_some_and(|ch| !ch.healthy(lease.host, t));
                 let enqueued = !quarantined
@@ -290,12 +224,10 @@ impl ControlPlane {
                         .get_mut(lease.host)
                         .is_some_and(|host| host.try_enqueue(ScanJob { pages: lease.pages }));
                 if enqueued {
-                    reg.inc(ids.q_enqueued);
                     totals.enqueued += 1;
                     continue;
                 }
                 if quarantined {
-                    reg.inc(ids.health_reparked);
                     if let Some(ch) = chaos.as_mut() {
                         ch.tally.leases_reparked += 1;
                     }
@@ -338,7 +270,6 @@ impl ControlPlane {
                         .entry(t + vm.lifetime_ticks)
                         .or_default()
                         .push(vm.id);
-                    reg.inc(ids.arrivals);
                     totals.arrivals += 1;
                     trace_event!(cycle, "fleet", "admit", {
                         vm: vm.id as f64,
@@ -352,8 +283,6 @@ impl ControlPlane {
                         hinted,
                         t,
                         cfg,
-                        &mut reg,
-                        &ids,
                         &mut leases,
                         &mut lease_seq,
                         &mut totals,
@@ -367,7 +296,6 @@ impl ControlPlane {
             // armed migration failure aborts the copy mid-flight and
             // rolls back with the source authoritative.
             if cfg.rebalance_every > 0 && t > 0 && t % cfg.rebalance_every == 0 {
-                reg.inc(ids.rebalances);
                 totals.rebalances += 1;
                 for _ in 0..cfg.hosts {
                     let (max_pick, min_pick) = {
@@ -407,7 +335,6 @@ impl ControlPlane {
                         dst_host.advance(cost / 2);
                         totals.migration_cycles += cost / 2;
                         let _ = src_host.admit(vm, profile, cseed);
-                        reg.inc(ids.evac_rollbacks);
                         if let Some(ch) = chaos.as_mut() {
                             ch.tally.migration_rollbacks += 1;
                         }
@@ -422,8 +349,6 @@ impl ControlPlane {
                     dst_host.advance(cost);
                     let hinted = dst_host.admit(vm, profile, cseed);
                     placement.insert(vm, (min_h, func));
-                    reg.inc(ids.migrations);
-                    reg.add(ids.migrated_pages, pages as u64);
                     totals.migrations += 1;
                     totals.migrated_pages += pages as u64;
                     totals.migration_cycles += cost;
@@ -439,8 +364,6 @@ impl ControlPlane {
                         hinted,
                         t,
                         cfg,
-                        &mut reg,
-                        &ids,
                         &mut leases,
                         &mut lease_seq,
                         &mut totals,
@@ -468,8 +391,6 @@ impl ControlPlane {
                         pages,
                         t,
                         cfg,
-                        &mut reg,
-                        &ids,
                         &mut leases,
                         &mut lease_seq,
                         &mut totals,
@@ -500,24 +421,21 @@ impl ControlPlane {
             let mut resident = 0u64;
             let mut savings = 0.0f64;
             for (r, host) in reports.iter().zip(&hosts) {
-                reg.add(ids.scanned_pages, r.scanned);
-                reg.add(ids.merged_pages, r.merged);
-                reg.add(ids.churn_events, r.churn_events);
                 totals.scanned += r.scanned;
                 totals.merged += r.merged;
                 totals.churn += r.churn_events;
                 let depth = host.queue_depth() as u64;
-                reg.observe(ids.q_depth, depth as f64);
+                totals.depth_samples.push(depth as f64);
                 totals.depth_sum += depth;
                 totals.depth_max = totals.depth_max.max(depth);
                 resident += host.resident_count() as u64;
                 savings += host.savings_fraction();
             }
             let savings_mean = savings / cfg.hosts as f64;
-            reg.set(ids.vms_resident, resident as f64);
-            reg.set(ids.savings, savings_mean);
             totals.resident_tick_sum += resident;
             totals.savings_tick_sum += savings_mean;
+            totals.resident_now = resident;
+            totals.savings_now = savings_mean;
 
             // Phase 8: placement audit — the zero-loss invariant,
             // checked every tick while a plan is active.
@@ -526,16 +444,54 @@ impl ControlPlane {
             }
         }
 
-        // Fold every host's exported metrics into the plane's registry
-        // and aggregate the degraded-mode summary.
+        // Write the plane's metrics once, from the fields that counted
+        // them (a plan-free run writes the chaos names at 0), then every
+        // host's metrics, and sum the degraded-mode summary.
+        let mut out = Registry::new();
+        let idle = ChaosState::default();
+        let ch = chaos.as_ref().unwrap_or(&idle);
+        for (name, v) in [
+            ("fleet.arrivals", totals.arrivals),
+            ("fleet.departures", totals.departures),
+            ("fleet.migrations", totals.migrations),
+            ("fleet.migrated_pages", totals.migrated_pages),
+            ("fleet.rebalances", totals.rebalances),
+            ("fleet.scanned_pages", totals.scanned),
+            ("fleet.merged_pages", totals.merged),
+            ("fleet.churn_events", totals.churn),
+            ("fleet.queue.enqueued", totals.enqueued),
+            ("fleet.queue.rejected", totals.rejected),
+            ("fleet.queue.retries", totals.retries),
+            // Every rejection grants a lease.
+            ("fleet.leases.granted", totals.rejected),
+            ("fleet.health.checks", ch.health_checks),
+            ("fleet.health.crashes", ch.tally.crashes),
+            ("fleet.health.crashes_skipped", ch.tally.crashes_skipped),
+            ("fleet.health.quarantines", ch.tally.quarantines),
+            ("fleet.health.recoveries", ch.tally.recoveries),
+            ("fleet.health.reparked", ch.tally.leases_reparked),
+            ("fleet.evac.vms", ch.tally.evacuated_vms),
+            ("fleet.evac.pages", ch.tally.evacuated_pages),
+            ("fleet.evac.rollbacks", ch.tally.migration_rollbacks),
+        ] {
+            out.counter(name, v);
+        }
+        for (name, v) in [
+            ("fleet.hosts", cfg.hosts as f64),
+            ("fleet.vms_resident", totals.resident_now as f64),
+            ("fleet.dedup.savings_frac", totals.savings_now),
+            ("fleet.health.unhealthy", ch.unhealthy_now as f64),
+        ] {
+            out.gauge(name, v);
+        }
+        out.histogram("fleet.queue.depth", &totals.depth_samples);
+        out.histogram("fleet.evac.latency", &ch.evac_waits);
         let mut degraded = FleetDegraded::default();
         let mut resident_final = 0u64;
         let mut savings_final = 0.0f64;
         let mut memory_faults = 0u64;
-        let mut agg = Registry::new();
-        agg.absorb(&reg);
         for host in &hosts {
-            agg.absorb(&host.export_metrics());
+            host.export_metrics(&mut out);
             let s = host.engine().stats();
             degraded.degraded_candidates += s.degraded_candidates;
             degraded.stall_retries += s.stall_retries;
@@ -578,7 +534,7 @@ impl ControlPlane {
             degraded: (!degraded.is_zero()).then_some(degraded),
             chaos: chaos_summary,
         };
-        (result, agg.snapshot())
+        (result, out.snapshot())
     }
 }
 
@@ -636,14 +592,7 @@ fn most_loaded_of(hosts: &[Host], eligible: impl Fn(usize) -> bool) -> Option<(u
 /// Phase 0a: deliver due fault events, toggle engine wedges, and run
 /// the health check (quarantine/recovery transitions, unavailability
 /// accounting).
-fn chaos_heartbeat(
-    ch: &mut ChaosState,
-    t: u64,
-    cycle: u64,
-    hosts: &mut [Host],
-    reg: &mut Registry,
-    ids: &Ids,
-) {
+fn chaos_heartbeat(ch: &mut ChaosState, t: u64, cycle: u64, hosts: &mut [Host]) {
     for e in ch.take_due(t) {
         let h = e.host as usize;
         match e.kind {
@@ -653,7 +602,6 @@ fn chaos_heartbeat(
                 // counted and skipped, never partially applied.
                 let Some(host) = hosts.get_mut(h).filter(|_| ch.crash_admissible(h, t)) else {
                     ch.tally.crashes_skipped += 1;
-                    reg.inc(ids.health_crashes_skipped);
                     continue;
                 };
                 let dropped = host.crash();
@@ -661,7 +609,6 @@ fn chaos_heartbeat(
                 ch.record_crash(h, t, down_ticks, &vms);
                 ch.tally.crashes += 1;
                 ch.tally.dropped_jobs += dropped as u64;
-                reg.inc(ids.health_crashes);
                 trace_event!(cycle, "fleet", "crash", {
                     host: h as f64,
                     vms: vms.len() as f64,
@@ -685,7 +632,7 @@ fn chaos_heartbeat(
         }
     }
     // Health check over every host.
-    reg.add(ids.health_checks, hosts.len() as u64);
+    ch.health_checks += hosts.len() as u64;
     let mut unhealthy_now = 0u64;
     for h in 0..hosts.len() {
         let unhealthy = !ch.healthy(h, t);
@@ -695,7 +642,6 @@ fn chaos_heartbeat(
         match (ch.was_unhealthy(h), unhealthy) {
             (false, true) => {
                 ch.tally.quarantines += 1;
-                reg.inc(ids.health_quarantines);
                 trace_event!(cycle, "fleet", "quarantine", {
                     host: h as f64,
                     on: 1.0,
@@ -704,7 +650,6 @@ fn chaos_heartbeat(
             }
             (true, false) => {
                 ch.tally.recoveries += 1;
-                reg.inc(ids.health_recoveries);
                 trace_event!(cycle, "fleet", "quarantine", {
                     host: h as f64,
                     on: 0.0,
@@ -716,7 +661,7 @@ fn chaos_heartbeat(
         ch.set_unhealthy(h, unhealthy);
     }
     ch.tally.unhealthy_host_ticks += unhealthy_now;
-    reg.set(ids.health_unhealthy, unhealthy_now as f64);
+    ch.unhealthy_now = unhealthy_now;
 }
 
 /// Phase 0b: drain up to `evac_vms_per_tick` pending evacuations in
@@ -734,8 +679,6 @@ fn chaos_evacuate(
     profiles: &[AppProfile],
     content_seeds: &[u64],
     placement: &mut BTreeMap<u32, (usize, usize)>,
-    reg: &mut Registry,
-    ids: &Ids,
     leases: &mut BTreeMap<(u64, u64), Lease>,
     lease_seq: &mut u64,
     totals: &mut Totals,
@@ -778,9 +721,6 @@ fn chaos_evacuate(
         ch.tally.evacuated_pages += pages as u64;
         ch.note_evac_wait(waited);
         totals.migration_cycles += cost;
-        reg.inc(ids.evac_vms);
-        reg.add(ids.evac_pages, pages as u64);
-        reg.observe(ids.evac_latency, waited as f64);
         trace_event!(cycle, "fleet", "evac", {
             vm: vm as f64,
             from: src as f64,
@@ -788,9 +728,7 @@ fn chaos_evacuate(
             pages: pages as f64,
             waited: waited as f64,
         });
-        offer_scan(
-            dst, dst_host, hinted, t, cfg, reg, ids, leases, lease_seq, totals,
-        );
+        offer_scan(dst, dst_host, hinted, t, cfg, leases, lease_seq, totals);
     }
 }
 
@@ -827,8 +765,6 @@ fn offer_scan(
     pages: usize,
     tick: u64,
     cfg: &FleetConfig,
-    reg: &mut Registry,
-    ids: &Ids,
     leases: &mut BTreeMap<(u64, u64), Lease>,
     lease_seq: &mut u64,
     totals: &mut Totals,
@@ -837,12 +773,9 @@ fn offer_scan(
         return;
     }
     if host.try_enqueue(ScanJob { pages }) {
-        reg.inc(ids.q_enqueued);
         totals.enqueued += 1;
         return;
     }
-    reg.inc(ids.q_rejected);
-    reg.inc(ids.leases_granted);
     totals.rejected += 1;
     let due = tick + lease_backoff(cfg, 0);
     leases.insert(
@@ -866,7 +799,49 @@ fn offer_scan(
 mod tests {
     use super::*;
     use pageforge_faults::{FaultPlan, FleetFaultEvent, FleetFaultPlan};
+    use pageforge_obs::SnapshotValue;
     use pageforge_types::json::ToJson;
+
+    /// Asserts that the snapshot's `fleet.*` counters are exactly those
+    /// written from result fields, each equal to its field. Under a plan
+    /// the heartbeat checks every host every tick; without one, every
+    /// chaos counter is written at 0.
+    fn assert_counters_mirror_result(r: &FleetResult, snap: &Snapshot) {
+        let c = r.chaos.unwrap_or_default();
+        let checks = r.chaos.map_or(0, |_| r.ticks * r.hosts);
+        let expected = [
+            ("fleet.arrivals", r.arrivals),
+            ("fleet.departures", r.departures),
+            ("fleet.migrations", r.migrations),
+            ("fleet.migrated_pages", r.migrated_pages),
+            ("fleet.rebalances", r.rebalances),
+            ("fleet.scanned_pages", r.scanned_pages),
+            ("fleet.merged_pages", r.merged_pages),
+            ("fleet.churn_events", r.churn_events),
+            ("fleet.queue.enqueued", r.queue_enqueued),
+            ("fleet.queue.rejected", r.queue_rejected),
+            ("fleet.queue.retries", r.lease_retries),
+            ("fleet.leases.granted", r.queue_rejected),
+            ("fleet.health.checks", checks),
+            ("fleet.health.crashes", c.crashes),
+            ("fleet.health.crashes_skipped", c.crashes_skipped),
+            ("fleet.health.quarantines", c.quarantines),
+            ("fleet.health.recoveries", c.recoveries),
+            ("fleet.health.reparked", c.leases_reparked),
+            ("fleet.evac.vms", c.evacuated_vms),
+            ("fleet.evac.pages", c.evacuated_pages),
+            ("fleet.evac.rollbacks", c.migration_rollbacks),
+        ];
+        let written = snap
+            .entries()
+            .iter()
+            .filter(|(n, v)| n.starts_with("fleet.") && matches!(v, SnapshotValue::Counter(_)))
+            .count();
+        assert_eq!(written, expected.len(), "fleet.* counters written");
+        for (name, v) in expected {
+            assert_eq!(snap.counter(name), Some(v), "{name} mirrors the result");
+        }
+    }
 
     fn tiny(seed: u64) -> FleetConfig {
         FleetConfig {
@@ -902,7 +877,10 @@ mod tests {
         assert!(r.degraded.is_none(), "fault-free run must not degrade");
         assert!(r.chaos.is_none(), "plan-free run must not report chaos");
         assert_eq!(snap.gauge("fleet.hosts"), Some(3.0));
-        assert!(snap.counter("fleet.arrivals").unwrap() == r.arrivals);
+        // Every chaos name is written at 0 without a plan.
+        assert_counters_mirror_result(&r, &snap);
+        assert_eq!(snap.gauge("fleet.health.unhealthy"), Some(0.0));
+        assert_eq!(snap.histogram("fleet.evac.latency").unwrap().count, 0);
         // Host engine metrics are folded in fleet-wide.
         assert!(snap.counter("pageforge.candidates").unwrap() > 0);
     }
@@ -914,10 +892,16 @@ mod tests {
         cfg.queue_capacity = 1;
         cfg.scan_pages_per_tick = 4;
         cfg.density = 4.0;
-        let (r, _) = ControlPlane::new(cfg).run();
+        let (r, snap) = ControlPlane::new(cfg).run();
         assert!(r.queue_rejected > 0, "queue must reject under starvation");
         assert!(r.lease_retries > 0, "leases must retry");
         assert!(r.queue_depth_max >= 1);
+        // Every rejection grants a lease.
+        assert_counters_mirror_result(&r, &snap);
+        assert_eq!(
+            snap.histogram("fleet.queue.depth").unwrap().count,
+            r.ticks * r.hosts
+        );
     }
 
     #[test]
@@ -1013,12 +997,11 @@ mod tests {
         assert_eq!(c.vms_double_placed, 0);
         assert_eq!(c.memory_faults, 0);
         assert!(c.unhealthy_host_ticks >= 8, "down at least its window");
+        assert_counters_mirror_result(&r, &snap);
         assert_eq!(
-            snap.counter("fleet.evac.vms"),
-            Some(c.evacuated_vms),
-            "metrics mirror the tally"
+            snap.histogram("fleet.evac.latency").unwrap().count,
+            c.evacuated_vms
         );
-        assert!(snap.counter("fleet.health.checks").unwrap() > 0);
     }
 
     #[test]

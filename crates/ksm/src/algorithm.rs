@@ -264,15 +264,14 @@ impl Ksm {
         Ok(())
     }
 
-    /// Projects the cumulative statistics into a metric registry under
-    /// the `ksm.*` namespace (see OBSERVABILITY.md).
+    /// Writes the cumulative statistics into `out` under the `ksm.*`
+    /// namespace (see OBSERVABILITY.md).
     ///
     /// KSM's stats are richer than plain metrics — [`KsmWork::touched`]
     /// records *which* frames passed through the cache for pollution
     /// modeling — so [`KsmStats`] stays the storage and this is a
     /// one-way projection of the metric-representable part.
-    pub fn export_metrics(&self) -> Registry {
-        let mut reg = Registry::new();
+    pub fn export_metrics(&self, out: &mut Registry) {
         let s = &self.stats;
         for (name, v) in [
             ("ksm.passes", s.passes),
@@ -306,8 +305,7 @@ impl Ksm {
             ("ksm.stable_tree.rotations", self.stable.rotations()),
             ("ksm.unstable_tree.rotations", self.unstable.rotations()),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, v);
+            out.counter(name, v);
         }
         for (name, v) in [
             ("ksm.stable_tree.size", self.stable.len() as f64),
@@ -315,10 +313,8 @@ impl Ksm {
             ("ksm.unstable_tree.size", self.unstable.len() as f64),
             ("ksm.unstable_tree.depth", self.unstable.depth() as f64),
         ] {
-            let id = reg.gauge(name);
-            reg.set(id, v);
+            out.gauge(name, v);
         }
-        reg
     }
 
     /// The stable tree (merged pages).

@@ -385,11 +385,10 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Controller plus DRAM metrics (`mem.controller.*` + `mem.dram.*`)
-    /// as one registry, for aggregation into a simulation-wide snapshot.
-    /// The `queue_occupancy` gauge is the in-flight table's entry count.
-    pub fn export_metrics(&self) -> Registry {
-        let mut reg = Registry::new();
+    /// Writes controller plus DRAM metrics (`mem.controller.*` +
+    /// `mem.dram.*`) into `out`. The `queue_occupancy` gauge is the
+    /// in-flight table's entry count.
+    pub fn export_metrics(&self, out: &mut Registry) {
         let s = self.stats;
         for (name, value) in [
             ("mem.controller.reads", s.reads),
@@ -399,13 +398,13 @@ impl MemoryController {
             ("mem.controller.pageforge_lines", s.pageforge_lines),
             ("mem.controller.writeback_lines", s.writeback_lines),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, value);
+            out.counter(name, value);
         }
-        let occupancy = reg.gauge("mem.controller.queue_occupancy");
-        reg.set(occupancy, self.pending_reads.len as f64);
-        reg.absorb(&self.dram.export_metrics());
-        reg
+        out.gauge(
+            "mem.controller.queue_occupancy",
+            self.pending_reads.len as f64,
+        );
+        self.dram.export_metrics(out);
     }
 
     /// The bandwidth meter.
@@ -652,7 +651,9 @@ mod tests {
 
         /// The exported occupancy gauge is the oracle's entry count.
         fn check_export(&self) {
-            let snapshot = self.mc.export_metrics().snapshot();
+            let mut reg = Registry::new();
+            self.mc.export_metrics(&mut reg);
+            let snapshot = reg.snapshot();
             assert_eq!(
                 snapshot.gauge("mem.controller.queue_occupancy"),
                 Some(self.oracle.pending_reads.len() as f64)

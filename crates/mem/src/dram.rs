@@ -249,9 +249,8 @@ impl Dram {
         self.stats
     }
 
-    /// The device counters as a registry (`mem.dram.*` namespace).
-    pub fn export_metrics(&self) -> Registry {
-        let mut reg = Registry::new();
+    /// Writes the device counters into `out` (`mem.dram.*` namespace).
+    pub fn export_metrics(&self, out: &mut Registry) {
         let s = self.stats;
         for (name, value) in [
             ("mem.dram.reads", s.reads),
@@ -261,10 +260,8 @@ impl Dram {
             ("mem.dram.bytes", s.bytes),
             ("mem.dram.queue_wait_cycles", s.queue_wait_cycles),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, value);
+            out.counter(name, value);
         }
-        reg
     }
 
     /// Utilization estimate a request at `now` on `channel` would observe.

@@ -146,15 +146,13 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Controller and DRAM metrics summed across all controllers
-    /// (`mem.controller.*` + `mem.dram.*`; counters add, the
+    /// Writes controller and DRAM metrics summed across all controllers
+    /// into `out` (`mem.controller.*` + `mem.dram.*`; counters add, the
     /// `queue_occupancy` gauge is the summed occupancy).
-    pub fn export_metrics(&self) -> Registry {
-        let mut total = Registry::new();
+    pub fn export_metrics(&self, out: &mut Registry) {
         for mc in &self.mcs {
-            total.absorb(&mc.export_metrics());
+            mc.export_metrics(out);
         }
-        total
     }
 
     /// Total bytes transferred in bandwidth-meter window `idx`, summed

@@ -10,7 +10,7 @@
 //!
 //! | Module | Provides | Paper tie-in |
 //! |--------|----------|--------------|
-//! | [`registry`] | counter/gauge/histogram [`Registry`] under hierarchical dotted names, snapshotted to deterministic JSON | per-component counts behind Figures 7–11 |
+//! | [`registry`] | counter/gauge/histogram [`Registry`] that components write by hierarchical dotted name on export, snapshotted to deterministic JSON | per-component counts behind Figures 7–11 |
 //! | [`trace`]    | cycle-stamped structured event tracer, streamed in chunks and feature-gated to no-ops | event streams folded into Table 4/5-style cycle and Figure-8-style energy attribution |
 //!
 //! Two properties are load-bearing for the rest of the workspace:
@@ -26,15 +26,20 @@
 //!
 //! # Example
 //!
+//! Components count in plain fields and write them into a registry only
+//! on export, one call per name:
+//!
 //! ```
 //! use pageforge_obs::Registry;
 //! use pageforge_types::json::ToJson;
+//! use pageforge_types::stats::RunningStats;
+//!
+//! let mut run_cycles = RunningStats::new();
+//! run_cycles.push(7486.0);
 //!
 //! let mut reg = Registry::new();
-//! let comparisons = reg.counter("engine.comparisons");
-//! let run_cycles = reg.histogram("engine.run_cycles");
-//! reg.add(comparisons, 31);
-//! reg.observe(run_cycles, 7486.0);
+//! reg.counter("engine.comparisons", 31);
+//! reg.histogram("engine.run_cycles", &run_cycles);
 //!
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("engine.comparisons"), Some(31));
@@ -47,7 +52,5 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{
-    CounterId, GaugeId, HistogramId, HistogramSummary, Registry, Snapshot, SnapshotValue,
-};
+pub use registry::{HistogramSummary, Registry, Snapshot, SnapshotValue};
 pub use trace::{Collector, OwnedTraceEvent, TraceEvent};

@@ -378,38 +378,33 @@ impl System {
         if let Err(violation) = audit {
             panic!("audit failed at the end of the run: {violation}");
         }
-        let snapshot = self.export_metrics().snapshot();
-        (self.collect(), snapshot)
+        let mut reg = Registry::new();
+        self.export_metrics(&mut reg);
+        (self.collect(), reg.snapshot())
     }
 
-    /// Aggregates every component registry into one. Counters add across
+    /// Writes every component's metrics into `out`. Counters add across
     /// PageForge modules and memory controllers; gauges add too (summed
     /// occupancy / tree sizes), which is the meaningful system-level view.
-    fn export_metrics(&self) -> Registry {
-        let mut reg = Registry::new();
-        reg.absorb(&self.mems.export_metrics());
-        reg.absorb(&self.mem.export_metrics());
+    fn export_metrics(&self, out: &mut Registry) {
+        self.mems.export_metrics(out);
+        self.mem.export_metrics(out);
         match &self.dedup {
             DedupState::None => {}
-            DedupState::Ksm(ksm) => reg.absorb(&ksm.export_metrics()),
+            DedupState::Ksm(ksm) => ksm.export_metrics(out),
             DedupState::PageForge(pfs) => {
                 for pf in pfs {
-                    reg.absorb(&pf.export_metrics());
+                    pf.export_metrics(out);
                 }
             }
         }
-        let queries = reg.counter("sim.queries_completed");
-        reg.add(queries, self.queries_completed);
-        let merged = reg.counter("sim.merged_during_run");
-        reg.add(merged, self.merged_during_run);
-        let clock = reg.gauge("sim.clock");
-        reg.set(clock, self.clock as f64);
+        out.counter("sim.queries_completed", self.queries_completed);
+        out.counter("sim.merged_during_run", self.merged_during_run);
+        out.gauge("sim.clock", self.clock as f64);
         // Whole millions of simulated cycles, the clock's coarse progress
         // (`perfbench` reports it as `sim.epochs`). The name outlives the
         // sharded executor because perfbench reads it.
-        let epochs = reg.counter("sim.shard.epochs");
-        reg.add(epochs, self.clock / 1_000_000);
-        reg
+        out.counter("sim.shard.epochs", self.clock / 1_000_000);
     }
 
     fn on_arrival(&mut self, core: usize, t: Cycle) {

@@ -529,25 +529,19 @@ impl HostMemory {
         self.stats
     }
 
-    /// The cumulative merge counters plus point-in-time footprint gauges
-    /// as a metric registry (`mem.*` namespace), for aggregation into a
-    /// simulation-wide snapshot.
-    pub fn export_metrics(&self) -> Registry {
+    /// Writes the cumulative merge counters plus point-in-time footprint
+    /// gauges into `out` (`mem.*` namespace).
+    pub fn export_metrics(&self, out: &mut Registry) {
         let s = &self.stats;
-        let mut reg = Registry::new();
         for (name, v) in [
             ("mem.merges", s.merges),
             ("mem.cow_breaks", s.cow_breaks),
             ("mem.frames_freed_by_merge", s.frames_freed_by_merge),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, v);
+            out.counter(name, v);
         }
-        let allocated = reg.gauge("mem.allocated_frames");
-        reg.set(allocated, self.allocated_frames() as f64);
-        let mapped = reg.gauge("mem.mapped_guest_pages");
-        reg.set(mapped, self.mapped_guest_pages() as f64);
-        reg
+        out.gauge("mem.allocated_frames", self.allocated_frames() as f64);
+        out.gauge("mem.mapped_guest_pages", self.mapped_guest_pages() as f64);
     }
 
     /// Checks internal invariants; used by tests and the end-of-run audit.
